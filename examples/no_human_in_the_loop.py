@@ -37,7 +37,7 @@ from repro.eda.mmmc import MMMCAnalyzer
 from repro.eda.opt import TimingOptimizer
 from repro.eda.placement import QuadraticPlacer
 from repro.eda.synthesis import synthesize
-from repro.eda.timing import GraphSTA
+from repro.eda.sta import GraphSTA
 from repro.metrics import DataMiner, InstrumentedFlow, MetricsServer
 
 

@@ -12,9 +12,8 @@ tree in CI (``make lint`` / ``repro lint --strict --project src/repro``).
 ``--project`` mode (:mod:`repro.analysis.project`) additionally builds
 the whole-program import/call graph from per-file summaries, enables
 the cross-file rules (R009 lock discipline, R010 shared-write
-atomicity, R011 scalar-kernel drift, R012 RNG-across-boundary), and
-keeps a content-hash incremental cache so warm runs only re-analyze
-changed files.
+atomicity, R012 RNG-across-boundary), and keeps a content-hash
+incremental cache so warm runs only re-analyze changed files.
 
 Suppress a finding inline with a justified allow-comment::
 

@@ -16,16 +16,16 @@ R007    swallowed-exception             error*
 R008    undocumented-cli-flag           warning
 R009    inconsistent-lock-discipline    error
 R010    non-atomic-shared-write         error
-R011    scalar-kernel-drift             error
 R012    rng-across-process-boundary     error
 ======  ==============================  ========
 
 (*) R006 reports dead vocabulary entries and R007 reports swallowed
 broad handlers at *warning*; their headline findings are errors.
 
-R009-R012 are whole-program rules: they implement ``check_context``
-against the :class:`~repro.analysis.project.ProjectContext` and only
-fire in ``repro lint --project`` mode.
+R009, R010 and R012 are whole-program rules: they implement
+``check_context`` against the
+:class:`~repro.analysis.project.ProjectContext` and only fire in
+``repro lint --project`` mode.
 
 See ``docs/static-analysis.md`` for the catalog with rationale and
 fix recipes.
@@ -36,7 +36,6 @@ from repro.analysis.rules import (  # noqa: F401  (register on import)
     exceptions,
     io_atomicity,
     iteration,
-    kernel_drift,
     metrics_vocab,
     pickle_safety,
     races,

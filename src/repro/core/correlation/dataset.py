@@ -20,7 +20,7 @@ from repro.eda.library import make_default_library
 from repro.eda.placement import QuadraticPlacer
 from repro.eda.routing import GlobalRouter
 from repro.eda.synthesis import DesignSpec, synthesize
-from repro.eda.timing import (
+from repro.eda.sta import (
     Corner,
     EndpointTiming,
     GraphSTA,

@@ -127,7 +127,7 @@ def guardband_optimization_cost(
     from repro.eda.placement import QuadraticPlacer
     from repro.eda.routing import GlobalRouter
     from repro.eda.synthesis import synthesize
-    from repro.eda.timing import GraphSTA
+    from repro.eda.sta import GraphSTA
 
     spec = spec or pulpino_profile()
     library = make_default_library()

@@ -2,11 +2,12 @@
 
 The historical :func:`go_with_the_winners` / :func:`independent_multistart`
 (paper Fig 6(a)) and :class:`AdaptiveMultistart` / :func:`random_multistart`
-(Fig 6(b)) loops, re-homed as engine plugins.  The annealing kernel
-``_anneal_steps`` and the consensus-start construction are frozen
-against drift by R011 (``tests/eda/search_reference.py``); rng streams
-match the pre-refactor code draw for draw, so the façades stay
-bit-identical.
+(Fig 6(b)) loops, re-homed as engine plugins.  The kernels
+``_anneal_steps``, ``_rebalance`` and ``_consensus_start`` are checked
+at runtime against their frozen copies in
+``tests/eda/search_reference.py`` by ``tests/dse/test_equivalence.py``;
+rng streams match the pre-refactor code draw for draw, so the façades
+stay bit-identical.
 """
 
 from __future__ import annotations

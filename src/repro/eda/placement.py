@@ -12,16 +12,15 @@ The annealer's move acceptance depends on its seed; this is one of the
 two real sources of the run-to-run "implementation noise" the paper's
 Fig 3 characterizes (the other is synthesis restructuring).
 
-Both stages ship two interchangeable kernels.  ``vectorize=True`` (the
-default) runs the struct-of-arrays fast path: the legalizer builds its
-site grid with batched macro masking, and the annealer keeps int-indexed
+Both stages run struct-of-arrays kernels: the legalizer builds its site
+grid with batched macro masking, and the annealer keeps int-indexed
 position arrays, a per-instance net-incidence table, and incrementally
 maintained per-net bounding boxes so a move costs O(touched nets)
-amortized instead of a rescan of every pin of every touched net.
-``vectorize=False`` runs the historical per-object scalar loops.  The
-two are bitwise-identical — same RNG draw order, same float operations
-in the same order — and the scalar path is frozen as
-``tests/eda/placement_reference.py`` with an equivalence suite.
+amortized instead of a rescan of every pin of every touched net.  Each
+is bitwise-identical to the historical per-object scalar loops — same
+RNG draw order, same float operations in the same order — which are
+frozen as ``tests/eda/placement_reference.py`` with an equivalence
+suite.
 """
 
 from __future__ import annotations
@@ -115,11 +114,10 @@ class Placement:
 class QuadraticPlacer:
     """Analytic global placement: quadratic wirelength + spreading."""
 
-    def __init__(self, spread_strength: float = 0.8, vectorize: bool = True):
+    def __init__(self, spread_strength: float = 0.8):
         if not 0.0 <= spread_strength <= 1.0:
             raise ValueError("spread_strength must be in [0, 1]")
         self.spread_strength = spread_strength
-        self.vectorize = vectorize
 
     def place(
         self, netlist: Netlist, floorplan: Floorplan, seed: Optional[int] = None
@@ -171,7 +169,7 @@ class QuadraticPlacer:
         xs, ys = self._spread(xs, ys, floorplan)
         positions = {name: (float(xs[i]), float(ys[i])) for name, i in index.items()}
         placement = Placement(netlist, floorplan, positions)
-        _legalize(placement, rng, vectorize=self.vectorize)
+        _legalize(placement, rng)
         return placement
 
     def _spread(self, xs: np.ndarray, ys: np.ndarray, fp: Floorplan):
@@ -187,26 +185,14 @@ class QuadraticPlacer:
         return np.clip(xs, 0, fp.width), np.clip(ys, 0, fp.height)
 
 
-def _free_sites_scalar(fp: Floorplan, n_rows: int, sites_per_row: int,
-                       pitch: float) -> np.ndarray:
-    """Row-major legal site coordinates, per-site macro checks."""
-    free_sites = []
-    for r in range(n_rows):
-        y = (r + 0.5) * ROW_HEIGHT
-        for c in range(sites_per_row):
-            x = (c + 0.5) * pitch
-            if not fp.in_macro(x, y):
-                free_sites.append((x, y))
-    return np.array(free_sites).reshape(-1, 2)
-
-
-def _free_sites_vectorized(fp: Floorplan, n_rows: int, sites_per_row: int,
-                           pitch: float) -> np.ndarray:
+def _free_sites(fp: Floorplan, n_rows: int, sites_per_row: int,
+                pitch: float) -> np.ndarray:
     """Row-major legal site coordinates, batched macro masking.
 
-    Bit-identical to :func:`_free_sites_scalar`: same per-site
+    Bit-identical to the historical per-site loop: same per-site
     ``(c + 0.5) * pitch`` coordinate arithmetic, same half-open macro
-    containment test, same row-major ordering.
+    containment test (:meth:`Floorplan.in_macro`), same row-major
+    ordering.
     """
     xs = np.tile((np.arange(sites_per_row) + 0.5) * pitch, n_rows)
     ys = np.repeat((np.arange(n_rows) + 0.5) * ROW_HEIGHT, sites_per_row)
@@ -218,8 +204,7 @@ def _free_sites_vectorized(fp: Floorplan, n_rows: int, sites_per_row: int,
     return np.column_stack((xs[keep], ys[keep]))
 
 
-def _legalize(placement: Placement, rng: np.random.Generator,
-              vectorize: bool = True) -> None:
+def _legalize(placement: Placement, rng: np.random.Generator) -> None:
     """Snap cells to row/site grid, one cell per site, avoiding macros."""
     fp = placement.floorplan
     names = list(placement.positions)
@@ -228,10 +213,7 @@ def _legalize(placement: Placement, rng: np.random.Generator,
     sites_per_row = max(1, int(np.ceil(n / n_rows * 1.25)))
     pitch = fp.width / sites_per_row
 
-    if vectorize:
-        site_arr = _free_sites_vectorized(fp, n_rows, sites_per_row, pitch)
-    else:
-        site_arr = _free_sites_scalar(fp, n_rows, sites_per_row, pitch)
+    site_arr = _free_sites(fp, n_rows, sites_per_row, pitch)
     if site_arr.shape[0] < n:
         raise ValueError("floorplan has fewer legal sites than cells")
 
@@ -313,14 +295,12 @@ class AnnealingRefiner:
         moves_per_cell: int = 30,
         t_start: float = 4.0,
         t_end: float = 0.05,
-        vectorize: bool = True,
     ):
         if moves_per_cell < 1:
             raise ValueError("moves_per_cell must be >= 1")
         self.moves_per_cell = moves_per_cell
         self.t_start = t_start
         self.t_end = t_end
-        self.vectorize = vectorize
         self.last_schedule: Optional[AnnealSchedule] = None
 
     def refine(
@@ -353,78 +333,15 @@ class AnnealingRefiner:
         cool = (self.t_end / self.t_start) ** (1.0 / max(1, n_moves - 1))
         pairs = rng.integers(0, n, size=(n_moves, 2))
         uniforms = rng.random(n_moves)
-        if self.vectorize:
-            self._anneal_fast(pos_x, pos_y, nets_members, nets_fixed,
-                              nets_weight, inst_nets, pairs, uniforms, cool)
-        else:
-            self._anneal_scalar(pos_x, pos_y, nets_members, nets_fixed,
-                                nets_weight, inst_nets, pairs, uniforms, cool)
+        self._anneal(pos_x, pos_y, nets_members, nets_fixed,
+                     nets_weight, inst_nets, pairs, uniforms, cool)
 
         for i, nm in enumerate(names):
             placement.positions[nm] = (pos_x[i], pos_y[i])
         return placement.hpwl()
 
-    # ------------------------------------------------------------- scalar
-    def _anneal_scalar(self, pos_x, pos_y, nets_members, nets_fixed,
-                       nets_weight, inst_nets, pairs, uniforms, cool) -> None:
-        """Per-move full rescan of every touched net (frozen reference)."""
-
-        def net_hpwl(net_id: int) -> float:
-            members = nets_members[net_id]
-            pad = nets_fixed[net_id]
-            if pad is not None:
-                x_lo = x_hi = pad[0]
-                y_lo = y_hi = pad[1]
-            else:
-                first = members[0]
-                x_lo = x_hi = pos_x[first]
-                y_lo = y_hi = pos_y[first]
-            for m in members:
-                x = pos_x[m]
-                y = pos_y[m]
-                if x < x_lo:
-                    x_lo = x
-                elif x > x_hi:
-                    x_hi = x
-                if y < y_lo:
-                    y_lo = y
-                elif y > y_hi:
-                    y_hi = y
-            return ((x_hi - x_lo) + (y_hi - y_lo)) * nets_weight[net_id]
-
-        t = self.t_start
-        first_t = last_t = None
-        n_eval = 0
-        exp = math.exp
-        for move in range(pairs.shape[0]):
-            a, b = int(pairs[move, 0]), int(pairs[move, 1])
-            if a == b:
-                continue
-            seen = set(inst_nets[a])
-            touched = inst_nets[a] + [nid for nid in inst_nets[b] if nid not in seen]
-            before = 0.0
-            for net_id in touched:
-                before += net_hpwl(net_id)
-            pos_x[a], pos_x[b] = pos_x[b], pos_x[a]
-            pos_y[a], pos_y[b] = pos_y[b], pos_y[a]
-            after = 0.0
-            for net_id in touched:
-                after += net_hpwl(net_id)
-            delta = after - before
-            if delta > 0 and uniforms[move] >= exp(-delta / t):
-                pos_x[a], pos_x[b] = pos_x[b], pos_x[a]  # reject
-                pos_y[a], pos_y[b] = pos_y[b], pos_y[a]
-            if first_t is None:
-                first_t = t
-            last_t = t
-            n_eval += 1
-            t *= cool
-        if n_eval:
-            self.last_schedule = AnnealSchedule(first_t, last_t, n_eval)
-
-    # --------------------------------------------------------------- fast
-    def _anneal_fast(self, pos_x, pos_y, nets_members, nets_fixed,
-                     nets_weight, inst_nets, pairs, uniforms, cool) -> None:
+    def _anneal(self, pos_x, pos_y, nets_members, nets_fixed,
+                nets_weight, inst_nets, pairs, uniforms, cool) -> None:
         """Incremental kernel: per-net extreme statistics.
 
         For every net the kernel caches its cost plus, per side of the
@@ -435,7 +352,7 @@ class AnnealingRefiner:
         compare the moving pin's coordinate against the cached extreme
         to get the bbox of the *other* pins (pad included as a
         pseudo-pin), fold in the incoming coordinate — independent of
-        fanout, where the scalar kernel rescans every pin, O(fanout).
+        fanout, where a per-move rescan of every pin costs O(fanout).
 
         Caches change only on *accepted* moves (a few percent), where a
         single O(k) pass recomputes each touched net; nets containing
@@ -443,8 +360,9 @@ class AnnealingRefiner:
         leaves the net's coordinate multiset unchanged.  Rejected moves
         leave all state untouched, so there is no rollback bookkeeping.
         min/max are value-based and order-independent, and the delta
-        accumulates over touched nets in the same order as the scalar
-        kernel, so every acceptance decision is bitwise-identical.
+        accumulates over touched nets in the same order as the frozen
+        per-move rescan (``tests/eda/placement_reference.py``), so every
+        acceptance decision is bitwise-identical.
         """
         n_nets = len(nets_members)
         member_sets = [frozenset(m) for m in nets_members]
@@ -556,8 +474,9 @@ class AnnealingRefiner:
             ay = pos_y[a]
             bx = pos_x[b]
             by = pos_y[b]
-            # before/after accumulate over the touched nets in scalar
-            # order: a's nets first, then b's nets not shared with a
+            # before/after accumulate over the touched nets in the
+            # reference order: a's nets first, then b's nets not shared
+            # with a
             before = 0.0
             after = 0.0
             for nid in nets_a:

@@ -1,6 +1,6 @@
 """Static timing analysis as a queryable kernel.
 
-The package splits STA into three layers:
+The package splits STA into four layers:
 
 - :mod:`repro.eda.sta.report` — plain-data query results
   (:class:`TimingReport`, :class:`EndpointTiming`, corners);
@@ -11,8 +11,8 @@ The package splits STA into three layers:
 - :mod:`repro.eda.sta.engines` — the historical engine front-ends
   (:class:`GraphSTA`, :class:`SignoffSTA`), now thin drivers.
 
-``repro.eda.timing`` remains as a compatibility façade re-exporting
-the public names.
+This package is the one import path for timing: every public name is
+re-exported here (``from repro.eda.sta import GraphSTA``).
 """
 
 from repro.eda.sta.engines import GraphSTA, SignoffSTA, _BaseSTA

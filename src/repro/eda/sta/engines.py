@@ -54,15 +54,11 @@ class _BaseSTA:
         congestion: Optional[np.ndarray] = None,
         check_hold: bool = False,
         topology: Optional[TimingTopology] = None,
-        vectorize: bool = True,
     ) -> TimingGraph:
         """Construct (but do not propagate) this engine's kernel.
 
         Pass a prebuilt ``topology`` to share levelization/net lengths
         across engines or corners over the same design.
-        ``vectorize=False`` selects the scalar reference loop instead of
-        the struct-of-arrays kernel (bit-identical; used by equivalence
-        tests and benchmarks).
         """
         return TimingGraph(
             netlist,
@@ -72,7 +68,6 @@ class _BaseSTA:
             congestion=congestion,
             check_hold=check_hold,
             topology=topology,
-            vectorize=vectorize,
         )
 
     def analyze(

@@ -14,9 +14,10 @@ Full propagation is vectorized: the topology exposes a struct-of-arrays
 view (:class:`_TopoSoA` — per-net rows, a CSR of combinational fanin
 edges sorted by level, sink segments for load accumulation) and
 ``full_propagate`` evaluates whole levels at a time with numpy segment
-reductions.  Dirty-cone ``update`` stays scalar — cones are small, and
-the scalar per-node methods remain the single definition the vector
-kernel must match.
+reductions.  Dirty-cone ``update`` runs per node — cones are small, and
+the per-node ``_compute_*`` methods remain the single definition the
+vector kernel must match (recomputing every node through them after a
+full propagation leaves all state bitwise unchanged).
 
 Bit-identity with the historical full-run engines is a hard contract
 (enforced against ``tests/eda/sta_reference.py``): every per-node
@@ -28,7 +29,7 @@ that contract because
   (no pairwise summation), matching the Python ``sum`` over each net's
   sinks and the per-node input loops;
 - per-level elementwise expressions are written with the same
-  association order as the scalar methods, so each float operation is
+  association order as the per-node methods, so each float operation is
   the identical IEEE-754 operation;
 - level-by-level evaluation is equivalent to topological-order
   evaluation (every input of a level-L node is produced at a lower
@@ -136,7 +137,7 @@ class _NetIndex:
 class _NetValueMap:
     """``{net name: float}`` façade over a flat per-net value array.
 
-    Implements the dict surface the scalar compute methods and
+    Implements the dict surface the per-node compute methods and
     ``report()`` use (``get``/``[]``/``in``/iteration), with presence
     tracked in a boolean mask so absent keys behave exactly like
     missing dict entries.  Rows come from a shared :class:`_NetIndex`;
@@ -320,8 +321,8 @@ class _TopoSoA:
     n_nets: int
     clock_row: int  # row of the clock net, or -1
     # load accumulation: one entry per (non-clock net, sink pin), in
-    # net order then sink order — the accumulation order of the scalar
-    # per-net Python sum
+    # net order then sink order — the accumulation order of the per-net
+    # Python sum
     sink_net_rows: np.ndarray
     sink_inst_rows: np.ndarray
     po_rows: np.ndarray  # rows of primary-output nets
@@ -508,12 +509,10 @@ class TimingGraph:
     """Levelized arrival/slew state for one (netlist, placement, policy).
 
     ``full_propagate()`` computes every node exactly as the historical
-    engines did — vectorized over struct-of-arrays state by default,
-    or with the per-node scalar loop when ``vectorize=False``;
-    ``update(changed)`` recomputes only the dirty cone;
+    engines did, vectorized over struct-of-arrays state;
+    ``update(changed)`` recomputes only the dirty cone, node by node;
     ``report(clock_period)`` materializes endpoint slacks and charges
     the policy's runtime proxy for the operations since the last query.
-    Both propagation modes produce bitwise-identical state.
     """
 
     def __init__(
@@ -525,7 +524,6 @@ class TimingGraph:
         congestion: Optional[np.ndarray] = None,
         check_hold: bool = False,
         topology: Optional[TimingTopology] = None,
-        vectorize: bool = True,
     ):
         self.netlist = netlist
         self.placement = placement
@@ -533,7 +531,6 @@ class TimingGraph:
         self.skews = skews or {}
         self.congestion = congestion
         self.check_hold = check_hold
-        self.vectorize = vectorize
         if (
             topology is None
             or topology.netlist is not netlist
@@ -542,8 +539,8 @@ class TimingGraph:
             topology = TimingTopology(netlist, placement)
         self.topology = topology
         self.stats = StaStats()
-        # per-net propagation state: plain dicts in scalar mode, array
-        # façades after a vectorized propagation — same mapping surface
+        # per-net propagation state: array-backed dict façades once
+        # full_propagate() has run
         self._net_load: Dict[str, float] = {}
         self._arrival: Dict[str, float] = {}
         self._slew: Dict[str, float] = {}
@@ -561,10 +558,9 @@ class TimingGraph:
 
     # ------------------------------------------------------------------
     # per-node recomputation: these are the *only* places arrival/slew
-    # values are produced by the scalar paths (incremental update and
-    # vectorize=False propagation); the vectorized kernel mirrors each
-    # expression with identical association order, which is what makes
-    # bit-identity structural rather than coincidental.
+    # values are produced by incremental update; the vectorized kernel
+    # mirrors each expression with identical association order, which is
+    # what makes bit-identity structural rather than coincidental.
     def _congestion_at(self, net_name: str) -> float:
         if self.congestion is None:
             return 0.0
@@ -686,60 +682,18 @@ class TimingGraph:
         """Propagate every node from scratch; returns propagation ops.
 
         Computes nets, startpoints and combinational instances with
-        exactly the historical ``analyze`` float expressions (the
-        vectorized and scalar paths are bitwise interchangeable).  Also
+        exactly the historical ``analyze`` float expressions.  Also
         (re)builds the topology if the netlist's ``structure_version``
         moved since it was built.
         """
         if self.topology.stale:
             self.topology.rebuild()
-        if self.vectorize:
-            ops = self._propagate_vectorized()
-        else:
-            ops = self._propagate_scalar()
+        ops = self._propagate_vectorized()
         self._known = set(self.netlist.instances)
         self._propagated = True
         self._full_ops = ops
         self._ops_pending = ops
         self.stats.full_propagates += 1
-        return ops
-
-    def _propagate_scalar(self) -> int:
-        """The historical per-node propagation loop (reference path)."""
-        netlist = self.netlist
-        topo = self.topology
-        ops = 0
-
-        self._net_load = {}
-        for net_name in netlist.nets:
-            if net_name == netlist.clock_net:
-                continue
-            self._net_load[net_name] = self._net_load_of(net_name)
-
-        self._arrival = {}
-        self._slew = {}
-        self._pred = {}
-        self._arrival_min = {}
-        for pi in netlist.primary_inputs:
-            if pi == netlist.clock_net:
-                continue
-            self._arrival[pi] = 0.0
-            self._slew[pi] = PI_SLEW
-            self._pred[pi] = None
-        for inst in netlist.sequential_instances():
-            ops += self._compute_seq(inst)
-        for name in topo.order:
-            ops += self._compute_comb(netlist.instances[name])
-
-        if self.check_hold:
-            for pi in netlist.primary_inputs:
-                if pi != netlist.clock_net:
-                    self._arrival_min[pi] = 0.0
-            for inst in netlist.sequential_instances():
-                self._compute_seq_min(inst)
-            for name in topo.order:
-                ops += self._compute_comb_min(netlist.instances[name])
-
         return ops
 
     # ------------------------------------------------------------------
@@ -828,7 +782,7 @@ class TimingGraph:
             count=len(soa.seq_names),
         )
 
-        # net loads: sequential bincount accumulation == the scalar
+        # net loads: sequential bincount accumulation == the per-node
         # left-to-right Python sum over each net's sinks, then PO pin
         # load, then the wire term — same order, same expressions
         loads = np.bincount(
@@ -886,7 +840,7 @@ class TimingGraph:
                 cand = arrival[src_lv] + e_wire[seg.elo : seg.ehi]
                 seg_max = np.maximum.reduceat(cand, seg.rel_starts)
                 best[seg.ne_offsets] = seg_max
-                # first input achieving the max == the scalar strict-">"
+                # first input achieving the max == the per-node strict-">"
                 # left-to-right winner
                 rep = np.repeat(seg_max, seg.ne_counts)
                 positions = np.arange(cand.shape[0])
@@ -922,8 +876,8 @@ class TimingGraph:
             ops += soa.n_comb
 
         # publish array state behind the dict façades; presence matches
-        # the scalar dicts exactly (every non-clock net — each net is a
-        # primary input or an instance output)
+        # the historical engine's dicts exactly (every non-clock net —
+        # each net is a primary input or an instance output)
         mask = np.ones(n_nets, dtype=bool)
         if soa.clock_row >= 0:
             mask[soa.clock_row] = False

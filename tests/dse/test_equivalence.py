@@ -1,6 +1,8 @@
 """Façade equivalence: the legacy entrypoints and the engine's own API
 must produce identical outcomes, and the live annealing kernels must
-behave like their frozen references (the R011 manifest's runtime half).
+behave like their frozen references in ``tests/eda/search_reference.py``
+(the only guard on them: an edit that moves a draw or a float fails
+here).
 """
 
 import numpy as np

@@ -23,7 +23,7 @@ from repro.eda.placement import AnnealingRefiner, QuadraticPlacer
 from repro.eda.power import estimate_power, ir_drop_analysis
 from repro.eda.routing import DetailedRouter, GlobalRouter
 from repro.eda.synthesis import DesignSpec, synthesize
-from repro.eda.timing import GraphSTA, SignoffSTA
+from repro.eda.sta import GraphSTA, SignoffSTA
 
 
 class MonolithicSPRFlow:

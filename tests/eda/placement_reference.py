@@ -6,7 +6,7 @@ paths replaced — per-site legality checks in the legalizer, per-move
 full rescans of every touched net in the annealer — captured *after*
 the three PR-7 bugfixes landed (shared ``bin_index`` binning, cooling
 decay moved after the acceptance test, ``pad is not None`` presence
-checks), so the equivalence suite compares both in-tree kernels against
+checks), so the equivalence suite compares the in-tree kernels against
 the frozen historical behavior rather than against the code under test.
 Not a test module — no ``test_`` prefix, so pytest does not collect it.
 """
@@ -257,14 +257,3 @@ class ReferenceAnnealingRefiner:
         for i, nm in enumerate(names):
             placement.positions[nm] = (pos_x[i], pos_y[i])
         return placement.hpwl()
-
-
-#: live scalar kernels frozen by this module, checked by lint rule R011
-#: ("<root-relative live path>::<qualname>" -> reference qualname); a
-#: drifted pair is a lint error until the reference is re-frozen
-FROZEN_PAIRS = {
-    "src/repro/eda/placement.py::QuadraticPlacer._spread":
-        "ReferenceQuadraticPlacer._spread",
-    "src/repro/eda/placement.py::AnnealingRefiner._anneal_scalar.net_hpwl":
-        "ReferenceAnnealingRefiner.refine.net_hpwl",
-}

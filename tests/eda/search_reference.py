@@ -13,7 +13,8 @@ The bit-identity guarantee of the ``go_with_the_winners`` /
 ``AdaptiveMultistart`` façades rests on these kernels consuming the
 shared rng stream in exactly the historical order; any edit to the live
 copies in :mod:`repro.dse.strategies.landscape` breaks that guarantee
-unless this reference is deliberately re-frozen (lint rule R011).
+unless this reference is deliberately re-frozen, and
+``tests/dse/test_equivalence.py`` fails until it is.
 """
 
 from __future__ import annotations
@@ -90,16 +91,3 @@ def _consensus_start(
         np.where(votes < 0.5 - 1e-9, False, rng.random(problem.n_nodes) < 0.5),
     )
     return _rebalance(problem, start.astype(bool), rng)
-
-
-#: live scalar kernels frozen by this module, checked by lint rule R011
-#: ("<root-relative live path>::<qualname>" -> reference qualname); a
-#: drifted pair is a lint error until the reference is re-frozen
-FROZEN_PAIRS = {
-    "src/repro/dse/strategies/landscape.py::_anneal_steps":
-        "_anneal_steps",
-    "src/repro/dse/strategies/landscape.py::_rebalance":
-        "_rebalance",
-    "src/repro/dse/strategies/landscape.py::_consensus_start":
-        "_consensus_start",
-}

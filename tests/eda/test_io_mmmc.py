@@ -15,7 +15,7 @@ from repro.eda.mmmc import (
 )
 from repro.eda.netlist import NetlistError
 from repro.eda.synthesis import DesignSpec, synthesize
-from repro.eda.timing import SLOW, SignoffSTA
+from repro.eda.sta import SLOW, SignoffSTA
 
 
 # ------------------------------------------------------------------ verilog

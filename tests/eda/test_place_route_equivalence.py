@@ -1,12 +1,13 @@
-"""Vectorized placement/routing kernels vs the frozen scalar references.
+"""Placement/routing kernels vs the frozen scalar references.
 
-Triple equivalence, mirroring the STA suite: for every kernel the
-struct-of-arrays fast path (``vectorize=True``), the in-tree scalar
-path (``vectorize=False``), and the frozen post-bugfix reference
-(``tests/eda/placement_reference.py`` / ``routing_reference.py``) must
-agree **bitwise** — positions, HPWL, demand grids, congestion maps, and
-DRV trajectories — across three designs (one with a macro) and three
-seeds, with and without net-weight overlays.
+For every kernel the live struct-of-arrays implementation and the
+frozen post-bugfix reference (``tests/eda/placement_reference.py`` /
+``routing_reference.py``) must agree **bitwise** — positions, HPWL,
+demand grids, congestion maps, and DRV trajectories — across three
+designs (one with a macro) and three seeds, with and without net-weight
+overlays, off-square gcell grids, and non-default detailed-router knobs
+under a kill-policy ``stop_callback``.  The references are the only
+oracle: there is no second live copy of any kernel.
 """
 
 from __future__ import annotations
@@ -50,9 +51,16 @@ def _floorplanned(design: str):
 
 @functools.lru_cache(maxsize=None)
 def _placed(design: str, seed: int):
-    """One legalized placement per (design, seed), placed by the fast path."""
+    """One legalized placement per (design, seed), placed by the live placer."""
     netlist, fp = _floorplanned(design)
     return QuadraticPlacer().place(netlist, fp, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _congestion(design: str, seed: int, tracks: float):
+    """The gcell congestion map the detailed router starts from."""
+    placement = _placed(design, seed)
+    return GlobalRouter(tracks_per_um=tracks).route(placement, seed=seed).congestion_map()
 
 
 def _weights(netlist):
@@ -67,17 +75,33 @@ def _positions_equal(a, b):
         assert pos == b.positions[name], name
 
 
+def _assert_groute_equal(fast, reference):
+    assert np.array_equal(fast.demand_h, reference.demand_h)
+    assert np.array_equal(fast.demand_v, reference.demand_v)
+    assert fast.wirelength == reference.wirelength
+    assert fast.capacity_h == reference.capacity_h
+    assert fast.capacity_v == reference.capacity_v
+    assert np.array_equal(fast.congestion_map(), reference.congestion_map())
+    assert fast.overflow == reference.overflow
+    assert fast.max_congestion == reference.max_congestion
+
+
+def _assert_droute_equal(fast, reference):
+    assert fast.drvs_per_iteration == reference.drvs_per_iteration
+    assert (fast.success, fast.iterations_run, fast.stopped_early) == \
+        (reference.success, reference.iterations_run, reference.stopped_early)
+    assert fast.metadata == reference.metadata
+
+
 # ----------------------------------------------------------------- placer
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_placer_triple_equivalence(design, seed):
     netlist, fp = _floorplanned(design)
-    fast = QuadraticPlacer(vectorize=True).place(netlist, fp, seed=seed)
-    scalar = QuadraticPlacer(vectorize=False).place(netlist, fp, seed=seed)
+    fast = QuadraticPlacer().place(netlist, fp, seed=seed)
     reference = ReferenceQuadraticPlacer().place(netlist, fp, seed=seed)
-    _positions_equal(fast, scalar)
     _positions_equal(fast, reference)
-    assert fast.hpwl() == scalar.hpwl() == reference.hpwl()
+    assert fast.hpwl() == reference.hpwl()
     fast.validate()
 
 
@@ -89,19 +113,14 @@ def test_annealer_triple_equivalence(design, seed, weighted):
     base = _placed(design, seed)
     weights = _weights(base.netlist) if weighted else None
     p_fast = copy.deepcopy(base)
-    p_scalar = copy.deepcopy(base)
     p_ref = copy.deepcopy(base)
-    fast = AnnealingRefiner(moves_per_cell=8, vectorize=True)
-    scalar = AnnealingRefiner(moves_per_cell=8, vectorize=False)
+    fast = AnnealingRefiner(moves_per_cell=8)
     reference = ReferenceAnnealingRefiner(moves_per_cell=8)
     h_fast = fast.refine(p_fast, seed=seed + 1, net_weights=weights)
-    h_scalar = scalar.refine(p_scalar, seed=seed + 1, net_weights=weights)
     h_ref = reference.refine(p_ref, seed=seed + 1, net_weights=weights)
-    assert h_fast == h_scalar == h_ref
-    _positions_equal(p_fast, p_scalar)
+    assert h_fast == h_ref
     _positions_equal(p_fast, p_ref)
     # the evaluated temperature schedules agree too
-    assert fast.last_schedule == scalar.last_schedule
     assert fast.last_schedule.first_temperature == reference.last_first_temperature
     assert fast.last_schedule.last_temperature == reference.last_last_temperature
     assert fast.last_schedule.n_evaluated == reference.last_n_evaluated
@@ -113,40 +132,70 @@ def test_annealer_triple_equivalence(design, seed, weighted):
 @pytest.mark.parametrize("tracks", (16.0, 6.0))
 def test_groute_triple_equivalence(design, seed, tracks):
     placement = _placed(design, seed)
-    fast = GlobalRouter(tracks_per_um=tracks, vectorize=True).route(placement, seed=seed)
-    scalar = GlobalRouter(tracks_per_um=tracks, vectorize=False).route(placement, seed=seed)
-    reference = ReferenceGlobalRouter(tracks_per_um=tracks).route(placement, seed=seed)
-    for other in (scalar, reference):
-        assert np.array_equal(fast.demand_h, other.demand_h)
-        assert np.array_equal(fast.demand_v, other.demand_v)
-        assert fast.wirelength == other.wirelength
-        assert fast.capacity_h == other.capacity_h
-        assert fast.capacity_v == other.capacity_v
-        assert np.array_equal(fast.congestion_map(), other.congestion_map())
-        assert fast.overflow == other.overflow
-        assert fast.max_congestion == other.max_congestion
+    _assert_groute_equal(
+        GlobalRouter(tracks_per_um=tracks).route(placement, seed=seed),
+        ReferenceGlobalRouter(tracks_per_um=tracks).route(placement, seed=seed),
+    )
 
 
 def test_groute_segments_identical_on_nondefault_grid():
-    """The lexsort segment build matches the per-net build off-square too."""
-    placement = _placed("datapath", 3)
-    fast_router = GlobalRouter(nx=9, ny=21)
-    scalar_router = GlobalRouter(nx=9, ny=21)
-    assert fast_router._segments_fast(placement) == \
-        scalar_router._segments_scalar(placement)
+    """The lexsort segment build (and the negotiation over it) matches
+    the per-net reference off-square too, on 9x21 and 11x13 grids."""
+    for design in sorted(SPECS):
+        placement = _placed(design, 3)
+        for nx, ny in ((9, 21), (11, 13)):
+            _assert_groute_equal(
+                GlobalRouter(nx=nx, ny=ny).route(placement, seed=3),
+                ReferenceGlobalRouter(nx=nx, ny=ny).route(placement, seed=3),
+            )
 
 
 # --------------------------------------------------------- detailed route
 @pytest.mark.parametrize("design", sorted(SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_droute_triple_equivalence(design, seed):
-    placement = _placed(design, seed)
-    congestion = GlobalRouter(tracks_per_um=7.0).route(placement, seed=seed).congestion_map()
-    fast = DetailedRouter(vectorize=True).route(congestion, seed=seed)
-    scalar = DetailedRouter(vectorize=False).route(congestion, seed=seed)
-    reference = ReferenceDetailedRouter().route(congestion, seed=seed)
-    assert fast.drvs_per_iteration == scalar.drvs_per_iteration
-    assert fast.drvs_per_iteration == reference.drvs_per_iteration
-    assert (fast.success, fast.iterations_run, fast.stopped_early) == \
-        (reference.success, reference.iterations_run, reference.stopped_early)
-    assert fast.metadata == reference.metadata
+    congestion = _congestion(design, seed, 7.0)
+    _assert_droute_equal(
+        DetailedRouter().route(congestion, seed=seed),
+        ReferenceDetailedRouter().route(congestion, seed=seed),
+    )
+
+
+def _stop_when_drvs_rise(history):
+    """A kill policy in miniature: stop as soon as an iteration adds DRVs."""
+    return len(history) > 1 and history[-1] > history[-2]
+
+
+DROUTE_KNOBS = (
+    {},
+    {"effort": 0.3, "shock_prob": 1.0, "max_iterations": 35},
+    {"effort": 1.0, "shock_prob": 0.0, "spill_rate": 0.9},
+)
+
+
+@pytest.mark.parametrize("knobs", DROUTE_KNOBS, ids=("default", "shocky", "spilly"))
+@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_droute_equivalence_with_stop_callback(design, seed, knobs):
+    """Non-default knobs and the kill-policy path stop identically."""
+    congestion = _congestion(design, seed, 5.0)
+    _assert_droute_equal(
+        DetailedRouter(**knobs).route(congestion, seed=seed,
+                                      stop_callback=_stop_when_drvs_rise),
+        ReferenceDetailedRouter(**knobs).route(congestion, seed=seed,
+                                               stop_callback=_stop_when_drvs_rise),
+    )
+
+
+def test_droute_stop_callback_cases_do_stop_early():
+    """The callback cases above exercise the early-stop branch, not only
+    full-length runs."""
+    stopped = 0
+    for knobs in DROUTE_KNOBS:
+        for design in sorted(SPECS):
+            for seed in SEEDS:
+                result = DetailedRouter(**knobs).route(
+                    _congestion(design, seed, 5.0), seed=seed,
+                    stop_callback=_stop_when_drvs_rise)
+                stopped += result.stopped_early
+    assert 0 < stopped < len(DROUTE_KNOBS) * len(SPECS) * len(SEEDS)

@@ -6,7 +6,7 @@ import pytest
 from repro.eda.cts import ClockTreeSynthesizer
 from repro.eda.opt import TimingOptimizer
 from repro.eda.power import estimate_power, ir_drop_analysis
-from repro.eda.timing import GraphSTA
+from repro.eda.sta import GraphSTA
 
 
 # ------------------------------------------------------------------ power

@@ -108,13 +108,23 @@ def test_fresh_equivalence_without_skew_or_congestion(small_netlist, small_place
     assert_reports_identical(got, want)
 
 
-# ------------------------------------------ vectorized vs scalar kernel
-def assert_graph_states_identical(vec, scalar):
-    """Every propagated state map agrees key-for-key, bit-for-bit."""
-    for attr in ("_arrival", "_arrival_min", "_slew", "_pred"):
-        got = dict(getattr(vec, attr).items())
-        want = dict(getattr(scalar, attr).items())
-        assert got == want, attr
+# ------------------------------------- vectorized vs per-node kernel
+#: every per-net map the kernel propagates
+STATE_MAPS = ("_arrival", "_arrival_min", "_slew", "_pred", "_net_load")
+
+
+def assert_per_node_recompute_is_identity(graph):
+    """Recomputing every node through the per-node ``_compute_*``
+    methods (the incremental-update kernel) after a vectorized full
+    propagation leaves every per-net map bitwise unchanged.
+
+    The frozen engines only return reports, so this is the oracle for
+    per-net state: the two live kernels must agree node for node.
+    """
+    before = {attr: dict(getattr(graph, attr).items()) for attr in STATE_MAPS}
+    assert graph.update(list(graph.netlist.instances)) == len(graph.netlist.instances)
+    for attr in STATE_MAPS:
+        assert dict(getattr(graph, attr).items()) == before[attr], attr
 
 
 @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -123,23 +133,17 @@ def test_vectorized_graph_kernel_matches_scalar_and_reference(
     small_netlist, small_placement, small_congestion, skews, corner, check_hold
 ):
     new_corner, ref_corner = CORNERS[corner]
-    engine = GraphSTA(new_corner)
-    graphs = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=check_hold,
-            vectorize=vectorize,
-        )
-        g.full_propagate()
-        graphs[vectorize] = g
-    assert_graph_states_identical(graphs[True], graphs[False])
+    g = GraphSTA(new_corner).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=check_hold,
+    )
+    g.full_propagate()
     want = ref.GraphSTA(ref_corner).analyze(
         small_netlist, small_placement, 1100.0, skews, small_congestion,
         check_hold=check_hold,
     )
-    assert_reports_identical(graphs[True].report(1100.0), want)
-    assert_reports_identical(graphs[False].report(1100.0), want)
+    assert_reports_identical(g.report(1100.0), want)
+    assert_per_node_recompute_is_identity(g)
 
 
 @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -149,42 +153,36 @@ def test_vectorized_signoff_kernel_matches_scalar_and_reference(
     small_netlist, small_placement, small_congestion, skews, corner, pba, check_hold
 ):
     new_corner, ref_corner = CORNERS[corner]
-    engine = SignoffSTA(new_corner, pba=pba)
-    graphs = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=check_hold,
-            vectorize=vectorize,
-        )
-        g.full_propagate()
-        graphs[vectorize] = g
-    assert_graph_states_identical(graphs[True], graphs[False])
+    g = SignoffSTA(new_corner, pba=pba).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=check_hold,
+    )
+    g.full_propagate()
     want = ref.SignoffSTA(ref_corner, pba=pba).analyze(
         small_netlist, small_placement, 1100.0, skews, small_congestion,
         check_hold=check_hold,
     )
-    assert_reports_identical(graphs[True].report(1100.0), want)
-    assert_reports_identical(graphs[False].report(1100.0), want)
+    assert_reports_identical(g.report(1100.0), want)
+    assert_per_node_recompute_is_identity(g)
 
 
 def test_vectorized_kernel_charges_identical_proxy(
     small_netlist, small_placement, small_congestion, skews
 ):
-    """The SoA kernel counts the same ops as the scalar loop — the
+    """The SoA kernel counts the same ops as the historical engine — the
     runtime-proxy cost model must not notice the implementation."""
-    engine = SignoffSTA(SLOW)
-    stats = {}
-    for vectorize in (True, False):
-        g = engine.build_graph(
-            small_netlist, small_placement, skews=skews,
-            congestion=small_congestion, check_hold=True, vectorize=vectorize,
-        )
-        g.full_propagate()
-        g.report(1100.0)
-        stats[vectorize] = g.stats
-    assert stats[True].proxy_executed == stats[False].proxy_executed
-    assert stats[True].proxy_full_equivalent == stats[False].proxy_full_equivalent
+    g = SignoffSTA(SLOW).build_graph(
+        small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=True,
+    )
+    g.full_propagate()
+    g.report(1100.0)
+    want = ref.SignoffSTA(ref.SLOW).analyze(
+        small_netlist, small_placement, 1100.0, skews, small_congestion,
+        check_hold=True,
+    )
+    assert g.stats.proxy_executed == want.runtime_proxy
+    assert g.stats.proxy_full_equivalent == want.runtime_proxy
 
 
 # ----------------------------------------------------------- optimizer loop

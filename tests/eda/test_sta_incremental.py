@@ -31,7 +31,10 @@ from repro.eda.sta import (
     TimingTopology,
 )
 from repro.eda.synthesis import DesignSpec, synthesize
-from tests.eda.test_sta_equivalence import assert_reports_identical
+from tests.eda.test_sta_equivalence import (
+    assert_per_node_recompute_is_identity,
+    assert_reports_identical,
+)
 
 CLOCK = 1100.0
 
@@ -102,65 +105,28 @@ def test_random_edit_walk_matches_full_propagate(
     assert graph.stats.proxy_saved > 0
 
 
-@pytest.mark.parametrize("engine_cls,corner", [
-    (GraphSTA, TYPICAL),
-    (SignoffSTA, SLOW),
-])
-@pytest.mark.parametrize("edit_seed", [1, 13])
-def test_edit_walk_vectorized_tracks_scalar_kernel(engine_cls, corner, edit_seed):
-    """Two live kernels — SoA and scalar — walk the same random edit
-    sequence; after every update both report bit-identically to each
-    other and to a from-scratch scalar analysis."""
-    nl, pl = _fresh_design(90, 12, 8, 61)
-    rng = np.random.default_rng(edit_seed)
-    skews = {
-        inst.name: float(rng.normal(0.0, 3.0))
-        for inst in nl.sequential_instances()
-    }
-    engine = engine_cls(corner)
-    vec = engine.build_graph(nl, pl, skews=skews, check_hold=True,
-                             vectorize=True)
-    scalar = engine.build_graph(nl, pl, skews=skews, check_hold=True,
-                                vectorize=False)
-    vec.full_propagate()
-    scalar.full_propagate()
-    vec.report(CLOCK)  # drain the full-propagate ops
-    scalar.report(CLOCK)
-    for step in range(8):
-        touched = [_random_swap(nl, rng)]
-        vec.update(touched)
-        scalar.update(touched)
-        r_vec = vec.report(CLOCK)
-        r_scalar = scalar.report(CLOCK)
-        assert_reports_identical(r_vec, r_scalar)
-        scratch = engine.analyze(nl, pl, CLOCK, skews, check_hold=True)
-        assert_reports_identical(r_vec, scratch, compare_proxy=False)
-
-
 def test_buffer_splice_vectorized_tracks_scalar_kernel():
     """Structural edits (buffer splices) re-propagate through the
-    façade-backed state identically in both kernels — including nets
-    the splice makes newly present/absent."""
+    façade-backed state of a vectorized propagation — including nets
+    the splice makes newly present — to the from-scratch result, and
+    leave a state the per-node kernel reproduces bit for bit."""
     nl, pl = _fresh_design(70, 10, 6, 34)
     buffer_cell = nl.library.pick("BUF", 1, "HVT")
     engine = SignoffSTA(SLOW)
-    vec = engine.build_graph(nl, pl, check_hold=True, vectorize=True)
-    scalar = engine.build_graph(nl, pl, check_hold=True, vectorize=False)
-    vec.full_propagate()
-    scalar.full_propagate()
-    vec.report(CLOCK)  # drain the full-propagate ops
-    scalar.report(CLOCK)
+    graph = engine.build_graph(nl, pl, check_hold=True)
+    graph.full_propagate()
+    graph.report(CLOCK)  # drain the full-propagate ops
     flops = [i.name for i in nl.sequential_instances()][:4]
     for k, flop_name in enumerate(flops):
         d_net = nl.instances[flop_name].input_nets[0]
         buf = nl.insert_buffer(f"vsplice_{k}", buffer_cell, d_net, flop_name, 0)
         pl.positions[buf.name] = pl.positions[flop_name]
-        vec.update([buf.name])
-        scalar.update([buf.name])
-        assert_reports_identical(vec.report(CLOCK), scalar.report(CLOCK))
+        graph.update([buf.name])
         scratch = engine.analyze(nl, pl, CLOCK, check_hold=True)
-        assert_reports_identical(vec.report(CLOCK), scratch,
+        assert_reports_identical(graph.report(CLOCK), scratch,
                                  compare_proxy=False)
+        assert_per_node_recompute_is_identity(graph)
+        graph.report(CLOCK)  # drain the recompute's ops
 
 
 def test_batched_edits_match_full_propagate(small_netlist, small_placement,

@@ -15,7 +15,7 @@ from repro.eda.steiner import (
     rsmt_length,
     total_wirelength,
 )
-from repro.eda.timing import GraphSTA, SignoffSTA
+from repro.eda.sta import GraphSTA, SignoffSTA
 
 
 # ------------------------------------------------------------------ steiner

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eda.netlist import Netlist
-from repro.eda.timing import (
+from repro.eda.sta import (
     Corner,
     FAST,
     GraphSTA,
