@@ -16,7 +16,8 @@ from repro.core.doomed import (
     MDPCardLearner,
     evaluate_policy,
 )
-from repro.core.search import BisectionProblem, go_with_the_winners
+from repro.core.search import BisectionProblem
+from repro.dse import DSEEngine
 
 
 def test_ablation_fill_in_rules(benchmark, train_corpus, test_corpus):
@@ -86,13 +87,11 @@ def test_ablation_gwtw_survivors(benchmark):
     def sweep():
         out = {}
         for fraction in fractions:
-            costs = [
-                go_with_the_winners(
-                    problem, n_threads=8, n_stages=16, steps_per_stage=25,
-                    survivor_fraction=fraction, seed=s,
-                ).best_cost
-                for s in range(5)
-            ]
+            gwtw = DSEEngine(strategy="gwtw", params={
+                "n_threads": 8, "n_stages": 16, "steps_per_stage": 25,
+                "survivor_fraction": fraction,
+            })
+            costs = [gwtw.run(problem, seed=s).best_score for s in range(5)]
             out[fraction] = float(np.mean(costs))
         return out
 

@@ -14,8 +14,9 @@ from conftest import print_header
 
 from repro.bench import RouterLogCorpus
 from repro.core.doomed import MDPCardLearner, make_stop_callback
-from repro.core.orchestration import TrajectoryExplorer, default_option_tree
+from repro.core.orchestration import default_option_tree
 from repro.core.orchestration.explorer import default_score
+from repro.dse import DSEEngine, SearchSpace
 from repro.eda.flow import SPRFlow
 from repro.eda.synthesis import DesignSpec
 
@@ -35,11 +36,12 @@ def test_fig5_option_tree(benchmark):
     # stage 2+3: orchestrated search with pruning vs random sampling
     train = RouterLogCorpus.artificial(n=300, seed=55)
     card = MDPCardLearner().fit(train)
-    explorer = TrajectoryExplorer(
-        tree=tree, n_concurrent=4, n_rounds=3,
-        stop_callback=make_stop_callback(card, consecutive=2),
+    explorer = DSEEngine(
+        space=SearchSpace(tree=tree), strategy="explorer",
+        kill_policy=make_stop_callback(card, consecutive=2),
+        params={"n_concurrent": 4, "n_rounds": 3},
     )
-    result = benchmark.pedantic(explorer.explore, args=(SPEC,),
+    result = benchmark.pedantic(explorer.run, args=(SPEC,),
                                 kwargs={"seed": 1}, rounds=1, iterations=1)
 
     # random baseline at the same run budget

@@ -11,14 +11,8 @@ equal local-search budget.
 import numpy as np
 from conftest import print_header
 
-from repro.core.search import (
-    AdaptiveMultistart,
-    BisectionProblem,
-    big_valley_correlation,
-    go_with_the_winners,
-    independent_multistart,
-)
-from repro.core.search.multistart import random_multistart
+from repro.core.search import BisectionProblem, big_valley_correlation
+from repro.dse import DSEEngine
 
 N_SEEDS = 8
 
@@ -32,14 +26,13 @@ def _problem():
 def test_fig6a_gwtw(benchmark):
     problem = _problem()
 
+    budget = {"n_threads": 8, "n_stages": 16, "steps_per_stage": 25}
+    gwtw = DSEEngine(strategy="gwtw", params=budget)
+    plain = DSEEngine(strategy="independent", params=budget)
+
     def run_pair(seed):
-        gwtw = go_with_the_winners(
-            problem, n_threads=8, n_stages=16, steps_per_stage=25, seed=seed
-        )
-        plain = independent_multistart(
-            problem, n_threads=8, n_stages=16, steps_per_stage=25, seed=seed
-        )
-        return gwtw.best_cost, plain.best_cost
+        return (gwtw.run(problem, seed=seed).best_score,
+                plain.run(problem, seed=seed).best_score)
 
     first = benchmark.pedantic(run_pair, args=(0,), rounds=1, iterations=1)
     pairs = [first] + [run_pair(seed) for seed in range(1, N_SEEDS)]
@@ -72,10 +65,12 @@ def test_fig6b_adaptive_multistart(benchmark):
         print(f"  cost={costs[idx]:>6.0f}  distance={problem.distance(minima[idx], best):>4}")
     print(f"\nbig-valley correlation corr(cost, distance) = {corr:.2f}")
 
-    ams = AdaptiveMultistart(n_initial=12, n_adaptive_rounds=4, starts_per_round=4)
+    ams = DSEEngine(strategy="multistart", params={
+        "n_initial": 12, "n_adaptive_rounds": 4, "starts_per_round": 4})
     budget = 12 + 4 * 4
-    adaptive = [ams.run(problem, seed=s).best_cost for s in range(N_SEEDS)]
-    random_ = [random_multistart(problem, budget, seed=s).best_cost for s in range(N_SEEDS)]
+    rms = DSEEngine(strategy="random", params={"n_starts": budget})
+    adaptive = [ams.run(problem, seed=s).best_score for s in range(N_SEEDS)]
+    random_ = [rms.run(problem, seed=s).best_score for s in range(N_SEEDS)]
     print(f"adaptive multistart best (mean over {N_SEEDS} seeds): {np.mean(adaptive):.1f}")
     print(f"random multistart best   (same {budget}-search budget): {np.mean(random_):.1f}")
 

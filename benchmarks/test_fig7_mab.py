@@ -14,7 +14,6 @@ from conftest import print_header
 
 from repro.bench import pulpino_profile
 from repro.core.bandit import (
-    BatchBanditScheduler,
     EpsilonGreedy,
     FlowArmEnvironment,
     Softmax,
@@ -22,10 +21,19 @@ from repro.core.bandit import (
     ThompsonSampling,
     expected_total_regret,
 )
+from repro.dse import DSEEngine
 
 FREQUENCIES = [0.40, 0.48, 0.56, 0.64, 0.70, 0.76, 0.82, 0.88, 0.94, 1.00]
 N_ITERATIONS = 40
 N_CONCURRENT = 5
+
+
+def schedule(policy, env):
+    """One Fig 7 campaign: N_ITERATIONS x N_CONCURRENT tool runs."""
+    return DSEEngine(
+        strategy="bandit",
+        params={"n_iterations": N_ITERATIONS, "n_concurrent": N_CONCURRENT},
+    ).run((policy, env))
 
 
 def test_fig7_mab_trajectory(benchmark):
@@ -36,14 +44,13 @@ def test_fig7_mab_trajectory(benchmark):
         seed=7,
     )
     policy = ThompsonSampling(env.n_arms, seed=8)
-    scheduler = BatchBanditScheduler(N_ITERATIONS, N_CONCURRENT)
 
-    result = benchmark.pedantic(scheduler.run, args=(policy, env),
+    result = benchmark.pedantic(schedule, args=(policy, env),
                                 rounds=1, iterations=1)
 
     print_header("Figure 7: TS-sampled target frequency vs iteration")
     print(f"{'iter':>5} {'sampled frequencies (GHz; * = successful)':<52} {'best':>6}")
-    best_trace = result.best_reward_by_iteration()
+    best_trace = result.trace
     records_by_iter = {}
     for rec in result.records:
         records_by_iter.setdefault(rec.iteration, []).append(rec)
@@ -57,7 +64,8 @@ def test_fig7_mab_trajectory(benchmark):
 
     total_pulls = np.bincount([r.arm for r in result.records], minlength=len(FREQUENCIES))
     print("\npulls per arm:", dict(zip([f"{f:.2f}" for f in FREQUENCIES], total_pulls.tolist())))
-    print(f"successful samples: {result.n_successes}/{len(result.records)}")
+    n_successes = result.n_runs - result.n_failed
+    print(f"successful samples: {n_successes}/{len(result.records)}")
 
     # shape targets: adaptivity and concentration
     late = [r for r in result.records if r.iteration >= N_ITERATIONS * 3 // 4]
@@ -66,9 +74,8 @@ def test_fig7_mab_trajectory(benchmark):
     early_success = sum(r.success for r in early) / len(early)
     print(f"success rate: early {early_success:.2f} -> late {late_success:.2f}")
     assert late_success >= early_success  # it learned
-    assert 0 < result.n_successes < len(result.records)  # the wall is inside the sweep
-    trace = result.best_reward_by_iteration()
-    assert trace == sorted(trace)
+    assert 0 < n_successes < len(result.records)  # the wall is inside the sweep
+    assert best_trace == sorted(best_trace)
     # TS concentrates late pulls on a few good arms while still exploring
     late_arms = [r.arm for r in late]
     top_two = np.bincount(late_arms, minlength=len(FREQUENCIES)).argsort()[-2:]
@@ -99,7 +106,7 @@ def test_fig7_ts_robustness(benchmark):
             regrets = []
             for seed in range(6):
                 env = SyntheticBanditEnvironment(probs, values, seed=seed)
-                result = BatchBanditScheduler(40, 5).run(factory(6, seed + 1), env)
+                result = schedule(factory(6, seed + 1), env)
                 regrets.append(expected_total_regret(result, env.true_means))
             means.append(float(np.mean(regrets)))
         return means

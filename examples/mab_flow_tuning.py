@@ -13,11 +13,8 @@ Usage::
 import numpy as np
 
 from repro.bench import pulpino_profile
-from repro.core.bandit import (
-    BatchBanditScheduler,
-    FlowArmEnvironment,
-    ThompsonSampling,
-)
+from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
+from repro.dse import DSEEngine
 
 FREQUENCIES = [0.45, 0.55, 0.65, 0.72, 0.78, 0.84, 0.92]
 MAX_AREA = 300.0  # um^2
@@ -30,13 +27,14 @@ def main() -> None:
         spec, FREQUENCIES, max_area=MAX_AREA, max_power=MAX_POWER, seed=1
     )
     policy = ThompsonSampling(env.n_arms, seed=2)
-    scheduler = BatchBanditScheduler(n_iterations=25, n_concurrent=5)
+    campaign = DSEEngine(strategy="bandit",
+                         params={"n_iterations": 25, "n_concurrent": 5})
 
     print(f"arms (target GHz): {FREQUENCIES}")
     print(f"constraints: area <= {MAX_AREA} um^2, power <= {MAX_POWER} uW")
     print("running 25 iterations x 5 concurrent SP&R flows...\n")
 
-    result = scheduler.run(policy, env)
+    result = campaign.run((policy, env))
 
     print(f"{'iter':>5}  sampled targets (* = met constraints)")
     by_iter = {}

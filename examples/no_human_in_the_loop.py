@@ -26,10 +26,11 @@ import numpy as np
 
 from repro.bench import RouterLogCorpus, pulpino_profile
 from repro.bench.generators import artificial_profile
-from repro.core.bandit import BatchBanditScheduler, FlowArmEnvironment, ThompsonSampling
+from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
 from repro.core.doomed import MDPCardLearner, make_stop_callback
 from repro.core.orchestration import TimingClosureRobot
 from repro.core.prediction import FloorplanDoomPredictor
+from repro.dse import DSEEngine
 from repro.eda import FlowOptions, SPRFlow
 from repro.eda.floorplan import make_floorplan
 from repro.eda.library import make_default_library
@@ -77,7 +78,9 @@ def main() -> None:
     )
     env.flow = SPRFlow(stop_callback=guard)  # guarded tool runs
     policy = ThompsonSampling(env.n_arms, seed=4)
-    result = BatchBanditScheduler(n_iterations=10, n_concurrent=3).run(policy, env)
+    result = DSEEngine(
+        strategy="bandit", params={"n_iterations": 10, "n_concurrent": 3}
+    ).run((policy, env))
     # exploit: the fastest arm the campaign showed to be reliably feasible
     pulls = np.bincount([r.arm for r in result.records], minlength=env.n_arms)
     wins = np.zeros(env.n_arms)
@@ -92,7 +95,7 @@ def main() -> None:
         rate = wins[i] / pulls[i] if pulls[i] else float("nan")
         print(f"    {freq:.2f} GHz: {int(pulls[i])} runs, success {rate:.0%}"
               if pulls[i] else f"    {freq:.2f} GHz: unexplored")
-    print(f"    {result.n_successes}/{len(result.records)} runs met constraints; "
+    print(f"    {result.n_runs - result.n_failed}/{result.n_runs} runs met constraints; "
           f"chosen target: {target:.2f} GHz")
 
     # 4. robot closes timing if the chosen point is marginal

@@ -166,11 +166,8 @@ def _close_metrics(executor) -> None:
 
 def _cmd_mab(args) -> int:
     from repro.bench.generators import design_profile
-    from repro.core.bandit import (
-        BatchBanditScheduler,
-        FlowArmEnvironment,
-        ThompsonSampling,
-    )
+    from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
+    from repro.dse import DSEEngine
 
     spec = design_profile(args.design)
     frequencies = [float(f) for f in args.arms.split(",")]
@@ -179,9 +176,13 @@ def _cmd_mab(args) -> int:
     policy = ThompsonSampling(env.n_arms, seed=args.seed + 1)
     with _make_executor(args) as executor:
         try:
-            result = BatchBanditScheduler(args.iterations, args.concurrent,
-                                          executor=executor).run(policy, env)
-            print(f"{result.n_successes}/{len(result.records)} successful runs")
+            result = DSEEngine(
+                strategy="bandit", executor=executor,
+                params={"n_iterations": args.iterations,
+                        "n_concurrent": args.concurrent},
+            ).run((policy, env), seed=args.seed)
+            print(f"{result.n_runs - result.n_failed}/{result.n_runs} "
+                  f"successful runs")
             best = int(policy.posterior_mean().argmax())
             print(f"recommended target: {frequencies[best]:.2f} GHz")
             print(f"executor: {executor.stats.summary()}")
@@ -193,16 +194,16 @@ def _cmd_mab(args) -> int:
 
 def _cmd_explore(args) -> int:
     from repro.bench.generators import design_profile
-    from repro.core.orchestration import TrajectoryExplorer
+    from repro.dse import DSEEngine
 
     spec = design_profile(args.design)
     with _make_executor(args) as executor:
         try:
-            explorer = TrajectoryExplorer(
-                n_concurrent=args.concurrent, n_rounds=args.rounds,
-                executor=executor,
-            )
-            result = explorer.explore(spec, seed=args.seed)
+            result = DSEEngine(
+                strategy="explorer", executor=executor,
+                params={"n_concurrent": args.concurrent,
+                        "n_rounds": args.rounds},
+            ).run(spec, seed=args.seed)
             print(f"{result.n_runs} runs over {args.rounds} rounds "
                   f"({result.n_pruned} pruned, {result.n_failed} failed), "
                   f"best score {result.best_score:.4f}")

@@ -6,6 +6,9 @@ of T iterations with N concurrent tool runs (licenses) per iteration is
 spent by a sampling policy that balances exploration and exploitation.
 Thompson Sampling is the paper's recommended policy; softmax and
 ε-greedy are the compared alternatives, plus UCB1 and uniform baselines.
+A campaign runs a ``(policy, environment)`` pair through the DSE
+engine: ``DSEEngine(strategy="bandit", params={"n_iterations": T,
+"n_concurrent": N}).run((policy, env), seed=...)``.
 """
 
 from repro.core.bandit.policies import (
@@ -24,8 +27,7 @@ from repro.core.bandit.environment import (
     FlowArmEnvironment,
     SyntheticBanditEnvironment,
 )
-from repro.core.bandit.scheduler import BanditRunRecord, BatchBanditScheduler, ScheduleResult
-from repro.core.bandit.regret import cumulative_regret, expected_total_regret
+from repro.core.bandit.regret import BanditRunRecord, cumulative_regret, expected_total_regret
 
 __all__ = [
     "BanditPolicy",
@@ -40,8 +42,6 @@ __all__ = [
     "BanditEnvironment",
     "FlowArmEnvironment",
     "SyntheticBanditEnvironment",
-    "BatchBanditScheduler",
-    "ScheduleResult",
     "BanditRunRecord",
     "cumulative_regret",
     "expected_total_regret",

@@ -6,9 +6,11 @@
 - :mod:`robots` — stage-1 "robot engineers": expert-system automata
   that execute a design task to completion with no human (DRC fixing,
   timing closure, memory placement).
-- :mod:`explorer` — stage-2/3 orchestration: concurrent trajectory
-  search with winner cloning, plus doomed-run pruning; and a stage-4
-  tabular reinforcement learner over flow-repair actions.
+- :mod:`explorer` — the flow score that trajectory campaigns rank by,
+  and a stage-4 tabular reinforcement learner over flow-repair actions.
+  Stage-2/3 orchestration (concurrent trajectory search with winner
+  cloning, plus doomed-run pruning) is the ``"explorer"`` strategy of
+  :class:`repro.dse.DSEEngine`.
 """
 
 from repro.core.orchestration.tree import FlowOptionTree, FlowStepOptions, default_option_tree
@@ -18,11 +20,7 @@ from repro.core.orchestration.robots import (
     RobotReport,
     TimingClosureRobot,
 )
-from repro.core.orchestration.explorer import (
-    ExplorationResult,
-    TrajectoryExplorer,
-    FlowRepairAgent,
-)
+from repro.core.orchestration.explorer import FlowRepairAgent
 
 __all__ = [
     "FlowOptionTree",
@@ -32,7 +30,5 @@ __all__ = [
     "TimingClosureRobot",
     "MemoryPlacementRobot",
     "RobotReport",
-    "TrajectoryExplorer",
-    "ExplorationResult",
     "FlowRepairAgent",
 ]

@@ -1,11 +1,11 @@
-"""Stages 2-4 of ML insertion (paper Fig 5(b)).
+"""Flow scoring and stage 4 of ML insertion (paper Fig 5(b)).
 
-- Stage 2 (*orchestration of search*): :class:`TrajectoryExplorer` runs
-  N concurrent flow trajectories per round and clones perturbed copies
-  of the winners into the losers' slots — GWTW applied to whole flows.
-- Stage 3 (*pruning via predictors*): the explorer accepts a doomed-run
-  stop callback; pruned runs release their licenses early and the saved
-  runtime is accounted.
+- :func:`default_score` ranks flow runs for every trajectory campaign;
+  it is the ``"score"`` objective of :mod:`repro.dse`.  Stages 2 and 3
+  (concurrent trajectory search that clones the winners, and pruning
+  via doomed-run predictors) are the engine's ``"explorer"`` strategy
+  and its ``kill_policy``:
+  ``DSEEngine(strategy="explorer", kill_policy=...).run(spec, seed=...)``.
 - Stage 4 (*reinforcement learning*): :class:`FlowRepairAgent` learns a
   tabular Q-policy over flow-repair actions (which knob to escalate
   given the failure signature) from its own rollouts.
@@ -13,38 +13,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.orchestration.tree import FlowOptionTree, default_option_tree
-from repro.core.parallel import FlowExecutionError, FlowExecutor
 from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
 from repro.eda.synthesis import DesignSpec
-
-
-@dataclass
-class ExplorationResult:
-    """Outcome of a trajectory-space search.
-
-    ``runtime_proxy_executed``/``stage_hits`` report the executor's
-    saved-work accounting for this exploration (deltas over the
-    campaign): with the stage-prefix cache on, executed work is the
-    changed-suffix cost only, so ``total_runtime_proxy -
-    runtime_proxy_executed`` is what prefix reuse saved.
-    """
-
-    best_result: Optional[FlowResult]
-    best_score: float
-    n_runs: int
-    n_pruned: int
-    total_runtime_proxy: float
-    score_trace: List[float] = field(default_factory=list)
-    n_failed: int = 0
-    failures: List[FlowExecutionError] = field(default_factory=list)
-    runtime_proxy_executed: float = 0.0
-    stage_hits: int = 0
 
 
 def default_score(result: FlowResult) -> float:
@@ -58,75 +32,6 @@ def default_score(result: FlowResult) -> float:
     if not result.routed:
         penalty += min(1.0, result.final_drvs / 10000.0)
     return -penalty
-
-
-class TrajectoryExplorer:
-    """GWTW over flow trajectories under a license budget.
-
-    With an :class:`~repro.core.parallel.FlowExecutor`, each round's
-    ``n_concurrent`` runs execute as one submitted batch — real
-    parallelism across worker processes, with caching deduplicating
-    revisited trajectory points.  Without one, a private serial
-    executor is used; results are bit-identical either way because
-    run seeds are pre-drawn in slot order before any run launches.
-
-    Stage-cache note: the explorer draws a fresh seed per slot per
-    round (required for bit-identity with the historical serial loop),
-    and a new seed changes every stage's derived step seeds — so an
-    executor's ``stage_cache=True`` only pays off here on revisited
-    ``(trajectory, seed)`` points, like the whole-run cache.  The big
-    wins belong to fixed-seed suffix-knob sweeps (see
-    ``benchmarks/stage_cache_benchmark.py``); the saved-work deltas are
-    still reported either way.
-    """
-
-    def __init__(
-        self,
-        tree: Optional[FlowOptionTree] = None,
-        n_concurrent: int = 5,
-        n_rounds: int = 6,
-        survivor_fraction: float = 0.4,
-        score: Callable[[FlowResult], float] = default_score,
-        stop_callback=None,
-        executor: Optional[FlowExecutor] = None,
-    ):
-        if n_concurrent < 2:
-            raise ValueError("need at least 2 concurrent runs to clone winners")
-        if n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
-        if not 0.0 < survivor_fraction < 1.0:
-            raise ValueError("survivor_fraction must be in (0, 1)")
-        self.tree = tree or default_option_tree()
-        self.n_concurrent = n_concurrent
-        self.n_rounds = n_rounds
-        self.survivor_fraction = survivor_fraction
-        self.score = score
-        self.stop_callback = stop_callback
-        self.executor = executor
-
-    def explore(self, spec: DesignSpec, seed: int = 0) -> ExplorationResult:
-        """Façade over the declarative engine's ``"explorer"`` strategy
-        (:mod:`repro.dse`).  rng stream, job seeds and scoring are
-        bit-identical to the historical in-place loop — the surrogate
-        proposer stays off on this path because it changes the draw
-        pattern."""
-        from repro.dse.engine import DSEEngine
-        from repro.dse.objective import resolve_objective
-        from repro.dse.space import SearchSpace
-
-        engine = DSEEngine(
-            space=SearchSpace(tree=self.tree),
-            objective=resolve_objective(self.score),
-            strategy="explorer",
-            executor=self.executor,
-            kill_policy=self.stop_callback,
-            params={
-                "n_concurrent": self.n_concurrent,
-                "n_rounds": self.n_rounds,
-                "survivor_fraction": self.survivor_fraction,
-            },
-        )
-        return engine.run(spec, seed=seed).to_exploration_result()
 
 
 class FlowRepairAgent:

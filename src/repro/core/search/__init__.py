@@ -8,22 +8,19 @@ thread while terminating other threads, might be applied.  Adaptive
 multistart strategies, which exploit an inherent 'big valley' structure
 in optimization cost landscapes ... are also of interest."
 
-Both are implemented over a netlist-bisection landscape (the classic
-domain of the paper's refs [5][12]) and over generic optimization
-threads, so the orchestration layer can reuse them on flow
-trajectories.
+This package holds the netlist-bisection landscape both are measured
+on (the classic domain of the paper's refs [5][12]) and
+:mod:`~repro.core.search.parallel_place`, GWTW over the substrate's own
+placement annealer.  The landscape searchers are strategies of
+:class:`repro.dse.DSEEngine`: ``"gwtw"`` and its no-cloning control
+``"independent"`` (Fig 6(a)), and ``"multistart"`` and its all-random
+control ``"random"`` (Fig 6(b)), each run as
+``DSEEngine(strategy=..., params=...).run(problem, seed=...)``.
 """
 
 from repro.core.search.landscape import BisectionProblem, big_valley_correlation
-from repro.core.search.gwtw import GWTWResult, go_with_the_winners, independent_multistart
-from repro.core.search.multistart import AdaptiveMultistart, MultistartResult
 
 __all__ = [
     "BisectionProblem",
     "big_valley_correlation",
-    "GWTWResult",
-    "go_with_the_winners",
-    "independent_multistart",
-    "AdaptiveMultistart",
-    "MultistartResult",
 ]

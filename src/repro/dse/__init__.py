@@ -1,8 +1,8 @@
 """Declarative design-space exploration (paper Fig 5(b), unified).
 
-The four campaign layers that grew up as silos — GWTW trajectory
-exploration, batched bandits, adaptive multistart and GWTW annealing —
-are plugins of one engine here.  A campaign is declared as:
+GWTW trajectory exploration, batched bandits, adaptive multistart and
+GWTW annealing are plugins of one engine here, sharing its budget,
+executor and metrics reporting.  A campaign is declared as:
 
 - a :class:`~repro.dse.space.SearchSpace` (which knobs, which values),
 - an :class:`~repro.dse.objective.Objective` (what "better" means,
@@ -16,11 +16,8 @@ on the shared engine: surrogate-guided candidate proposal
 (:mod:`repro.dse.surrogate`) and online doomed-run killing
 (:mod:`repro.dse.kill`) through the executor's ``stop_callback`` path.
 
-The legacy entry points (``TrajectoryExplorer.explore``,
-``BatchBanditScheduler.run``, ``AdaptiveMultistart.run``,
-``go_with_the_winners``, ...) remain as thin façades over this engine
-and stay bit-identical to their historical behavior — see
-``docs/dse.md`` for the migration table.
+:meth:`DSEEngine.run` is the only search entrypoint; ``docs/dse.md``
+maps each removed pre-engine call to its engine call.
 """
 
 from repro.dse.budget import Budget, BudgetTracker

@@ -2,8 +2,8 @@
 
 A :class:`Budget` declares the limits; a :class:`BudgetTracker` is the
 mutable per-campaign ledger strategies charge against.  All limits are
-optional — the default budget is unlimited, which is what the legacy
-façades use (their budgets are their own round/iteration counts).
+optional — the default budget is unlimited, in which case a campaign
+is bounded by its strategy's own round/iteration counts.
 
 Determinism note: only ``max_wall_s`` consults the clock, and
 strategies check it *between* batches — a wall-exhausted campaign stops

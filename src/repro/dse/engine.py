@@ -1,14 +1,12 @@
 """The declarative design-space-exploration engine.
 
-One entrypoint for every searcher the repo grew organically: a
-:class:`DSEEngine` binds a :class:`~repro.dse.space.SearchSpace`, an
+One entrypoint for every searcher: a :class:`DSEEngine` binds a
+:class:`~repro.dse.space.SearchSpace`, an
 :class:`~repro.dse.objective.Objective`, a :class:`~repro.dse.budget.Budget`
-and a registered strategy, runs the campaign, and returns a unified
-:class:`~repro.dse.result.DSEResult`.  The historical entrypoints
-(``TrajectoryExplorer.explore``, ``BatchBanditScheduler.run``,
-``AdaptiveMultistart.run``, ``go_with_the_winners`` ...) are façades
-over this engine and stay bit-identical to their pre-refactor
-behavior.
+and a registered strategy, runs the campaign, and returns a
+:class:`~repro.dse.result.DSEResult`.  Strategy parameters (rounds,
+threads, iterations ...) travel in ``params``; each strategy documents
+its keys and defaults.
 
 Two campaign-level services plug in here rather than per strategy:
 
@@ -136,6 +134,8 @@ class DSEEngine:
         from repro.metrics.collector import QueueTransmitter
 
         collector.start()
+        if isinstance(task, tuple):  # (policy, env): the env's design, if any
+            task = getattr(task[1], "spec", None)
         design = getattr(task, "name", None) or "landscape"
         run_id = f"dse-{result.method}-{0 if seed is None else int(seed)}"
         tx = QueueTransmitter(collector.queue, design, run_id, tool="dse")

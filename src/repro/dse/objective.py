@@ -3,8 +3,9 @@
 Every strategy ranks candidates through :meth:`Objective.key` — a
 higher-is-better float — while :meth:`Objective.value` reports the
 raw objective in its natural units (area stays area, whatever the
-direction).  The built-in ``"score"`` objective is exactly the
-historical explorer score, so façade campaigns rank bit-identically.
+direction).  The built-in ``"score"`` objective is
+:func:`~repro.core.orchestration.explorer.default_score`, the flow
+score the trajectory campaigns of paper Fig 5 rank by.
 """
 
 from __future__ import annotations

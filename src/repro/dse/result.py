@@ -1,13 +1,13 @@
-"""The unified campaign outcome: :class:`DSEResult`.
+"""The campaign outcome: :class:`DSEResult`.
 
-One dataclass normalizes what the four legacy result types each named
-differently: the optimization trace (``score_trace`` vs ``cost_trace``),
-the per-candidate values (``all_costs``), the method tag, and the
-executor's saved-work accounting.  The legacy dataclasses stay — the
-``to_*`` converters rebuild them bit-identically for the back-compat
-façades — and the legacy field names survive here as deprecated alias
-properties, so code written against any one silo reads a
-:class:`DSEResult` unchanged.
+Every strategy returns one dataclass: the best-so-far ``trace``, the
+per-candidate ``all_scores``, the run and failure counts, the method
+tag (the strategy's registry name) and the executor's saved-work
+accounting.  Strategy-specific payloads ride in optional fields —
+``best_assign`` and ``total_moves`` for the landscape searchers,
+``records`` (one :class:`~repro.core.bandit.regret.BanditRunRecord`
+per pull), ``n_iterations`` and ``n_concurrent`` for the bandit,
+``pareto`` for flow campaigns.
 """
 
 from __future__ import annotations
@@ -19,17 +19,6 @@ import numpy as np
 
 from repro.eda.flow import FlowResult
 
-#: registry strategy name -> the method tag its legacy dataclass used
-LEGACY_METHOD_NAMES = {
-    "explorer": "explorer",
-    "bandit": "bandit",
-    "sweep": "sweep",
-    "gwtw": "gwtw",
-    "independent": "multistart",   # GWTWResult's baseline tag
-    "multistart": "adaptive",      # MultistartResult's adaptive tag
-    "random": "random",
-}
-
 
 @dataclass
 class DSEResult:
@@ -40,7 +29,10 @@ class DSEResult:
     lives in the objective, not the result.  ``runtime_proxy_executed``
     is the executor's actually-paid work delta for this campaign, and
     ``kill_proxy_saved`` the router proxy the online kill policy
-    avoided on the ``n_killed`` terminated runs.
+    avoided on the ``n_killed`` terminated runs.  For a bandit campaign
+    ``trace`` is the best single-pull reward after each iteration,
+    ``sum(all_scores)`` the total reward and ``n_runs - n_failed`` the
+    number of successful pulls.
     """
 
     method: str
@@ -65,82 +57,3 @@ class DSEResult:
     records: List = field(default_factory=list)
     pareto: List[FlowResult] = field(default_factory=list)
     surrogate_fit: Optional[float] = None
-
-    # ------------------------------------------------- deprecated aliases
-    @property
-    def score_trace(self) -> List[float]:
-        """Deprecated alias of :attr:`trace` (ExplorationResult name)."""
-        return self.trace
-
-    @property
-    def cost_trace(self) -> List[float]:
-        """Deprecated alias of :attr:`trace` (GWTWResult name)."""
-        return self.trace
-
-    @property
-    def all_costs(self) -> List[float]:
-        """Deprecated alias of :attr:`all_scores` (MultistartResult name)."""
-        return self.all_scores
-
-    @property
-    def best_cost(self) -> float:
-        """Deprecated alias of :attr:`best_score` (landscape-result name)."""
-        return self.best_score
-
-    @property
-    def n_local_searches(self) -> int:
-        """Deprecated alias of :attr:`n_runs` (MultistartResult name)."""
-        return self.n_runs
-
-    @property
-    def legacy_method(self) -> str:
-        """The method tag the pre-refactor dataclass would have carried."""
-        return LEGACY_METHOD_NAMES.get(self.method, self.method)
-
-    # --------------------------------------------------- façade converters
-    def to_exploration_result(self):
-        from repro.core.orchestration.explorer import ExplorationResult
-
-        return ExplorationResult(
-            best_result=self.best_result,
-            best_score=self.best_score,
-            n_runs=self.n_runs,
-            n_pruned=self.n_pruned,
-            total_runtime_proxy=self.total_runtime_proxy,
-            score_trace=list(self.trace),
-            n_failed=self.n_failed,
-            failures=list(self.failures),
-            runtime_proxy_executed=self.runtime_proxy_executed,
-            stage_hits=self.stage_hits,
-        )
-
-    def to_multistart_result(self):
-        from repro.core.search.multistart import MultistartResult
-
-        return MultistartResult(
-            best_cost=self.best_score,
-            best_assign=self.best_assign,
-            all_costs=list(self.all_scores),
-            n_local_searches=self.n_runs,
-            method=self.legacy_method,
-        )
-
-    def to_gwtw_result(self):
-        from repro.core.search.gwtw import GWTWResult
-
-        return GWTWResult(
-            best_cost=self.best_score,
-            best_assign=self.best_assign,
-            cost_trace=list(self.trace),
-            total_moves=self.total_moves,
-            method=self.legacy_method,
-        )
-
-    def to_schedule_result(self):
-        from repro.core.bandit.scheduler import ScheduleResult
-
-        return ScheduleResult(
-            records=list(self.records),
-            n_iterations=self.n_iterations,
-            n_concurrent=self.n_concurrent,
-        )

@@ -3,11 +3,11 @@
 A :class:`SearchSpace` wraps a
 :class:`~repro.core.orchestration.tree.FlowOptionTree` — the flow-step
 option menus of paper Fig 5(a) — and optionally a set of
-design-generator knobs.  Its ``sample``/``perturb`` draw order is the
-contract the trajectory strategy's bit-identity with the historical
-:class:`~repro.core.orchestration.explorer.TrajectoryExplorer` rests
-on: one ``rng.integers`` draw per option in step order for a sample,
-and exactly three draws (step, option, value) for a perturbation.
+design-generator knobs.  Its ``sample``/``perturb`` draw order is part
+of the trajectory strategy's determinism contract (same seed, same
+campaign, at any worker count): one ``rng.integers`` draw per option in
+step order for a sample, and exactly three draws (step, option, value)
+for a perturbation.
 """
 
 from __future__ import annotations

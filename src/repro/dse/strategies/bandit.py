@@ -1,23 +1,25 @@
 """The "bandit" strategy: batched bandit scheduling as an engine plugin.
 
-The historical :class:`BatchBanditScheduler.run` loop, bit-identical:
-per iteration the policy selects ``n_concurrent`` arms, the
-environment pulls them as one batch (through the engine's executor
-when it has one), and the policy updates with every reward before the
-next iteration.
+The paper's Fig 7 loop ("40 iterations and 5 concurrent samples (tool
+runs) per iteration"): per iteration the policy selects
+``n_concurrent`` arms, one per license, the environment pulls them as
+one batch (through the engine's executor when it has one), and the
+policy updates with every reward before the next iteration.
 
-The task is either an explicit ``(policy, environment)`` pair — the
-façade path — or a :class:`~repro.eda.synthesis.DesignSpec`, in which
-case a :class:`FlowArmEnvironment` over the search space's
+The task is either an explicit ``(policy, environment)`` pair, as
+``repro mab`` and the Fig 7 benchmarks pass, or a
+:class:`~repro.eda.synthesis.DesignSpec`, in which case a
+:class:`FlowArmEnvironment` over the search space's
 ``target_clock_ghz`` menu and a Thompson-sampling policy are built
-from the campaign seed (the declarative ``repro dse`` path).
+from the campaign seed (the declarative ``repro dse`` path).  Only the
+second reads the seed.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.core.bandit.scheduler import BanditRunRecord
+from repro.core.bandit.regret import BanditRunRecord
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
 
@@ -26,8 +28,10 @@ from repro.dse.result import DSEResult
 class BanditStrategy(Strategy):
     """Batched bandit over tool-run arms.
 
-    Params: ``n_iterations``, ``n_concurrent`` (both >= 1), and for
-    the declarative path ``max_area`` / ``max_power`` constraints.
+    Params: ``n_iterations`` (default 40), ``n_concurrent`` (5), both
+    >= 1, and for the declarative path ``max_area`` / ``max_power``
+    constraints.  One :class:`BanditRunRecord` per pull lands in
+    ``records``.
     """
 
     name = "bandit"

@@ -1,13 +1,15 @@
 """Landscape strategies: annealing and multistart over bisection.
 
-The historical :func:`go_with_the_winners` / :func:`independent_multistart`
-(paper Fig 6(a)) and :class:`AdaptiveMultistart` / :func:`random_multistart`
-(Fig 6(b)) loops, re-homed as engine plugins.  The kernels
-``_anneal_steps``, ``_rebalance`` and ``_consensus_start`` are checked
-at runtime against their frozen copies in
-``tests/eda/search_reference.py`` by ``tests/dse/test_equivalence.py``;
-rng streams match the pre-refactor code draw for draw, so the façades
-stay bit-identical.
+Go-with-the-winners annealing and its no-cloning control (paper
+Fig 6(a), strategies ``"gwtw"`` and ``"independent"``), and adaptive
+multistart and its all-random control (Fig 6(b), ``"multistart"`` and
+``"random"``).  The task is a
+:class:`~repro.core.search.landscape.BisectionProblem`; the best cut is
+``best_score``/``best_assign``.  The kernels ``_anneal_steps``,
+``_rebalance`` and ``_consensus_start`` are checked at runtime against
+their frozen copies in ``tests/eda/search_reference.py`` by
+``tests/dse/test_equivalence.py``, so an edit that moves an rng draw or
+a float fails there.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import List
 
 import numpy as np
 
+from repro.core.parallel import FlowExecutionError
 from repro.core.search.landscape import BisectionProblem
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
@@ -95,7 +98,13 @@ def _local_search_job(problem: BisectionProblem, start: np.ndarray, seed: int) -
 
 
 class _AnnealingStrategy(Strategy):
-    """Shared GWTW/independent loop; subclasses decide about cloning."""
+    """Shared GWTW/independent loop; subclasses decide about cloning.
+
+    Params: ``n_threads`` (default 8), ``n_stages`` (10),
+    ``steps_per_stage`` (60), ``t_start`` (3.0) and, for GWTW,
+    ``survivor_fraction`` in (0, 1) (0.5).  Every stage charges
+    ``n_threads`` runs to the budget.
+    """
 
     clone_winners = True
 
@@ -172,7 +181,16 @@ class IndependentAnnealingStrategy(_AnnealingStrategy):
 
 @register_strategy
 class AdaptiveMultistartStrategy(Strategy):
-    """Boese-Kahng-Muddu adaptive multistart (elite-consensus starts)."""
+    """Boese-Kahng-Muddu adaptive multistart (elite-consensus starts).
+
+    Params: ``n_initial`` random starts (>= 2, default 12), then
+    ``n_adaptive_rounds`` (4) rounds of ``starts_per_round`` (4)
+    consensus starts built from the best ``elite_size`` (>= 2, 5)
+    minima.  With an executor, each round's local searches fan across
+    its workers under pre-drawn child seeds (identical at any worker
+    count; a different stream than without one).  Failed searches count
+    in ``n_runs`` and ``n_failed`` and land in ``failures``.
+    """
 
     name = "multistart"
 
@@ -189,6 +207,7 @@ class AdaptiveMultistartStrategy(Strategy):
         rng = np.random.default_rng(ctx.seed)
         pool: List[np.ndarray] = []
         costs: List[float] = []
+        failures: List[FlowExecutionError] = []
 
         def add(minimum: np.ndarray) -> None:
             pool.append(minimum)
@@ -198,7 +217,9 @@ class AdaptiveMultistartStrategy(Strategy):
             tasks = [(problem, start, int(rng.integers(0, 2**31 - 1)))
                      for start in starts]
             for minimum in executor.map(_local_search_job, tasks):
-                if isinstance(minimum, np.ndarray):
+                if isinstance(minimum, FlowExecutionError):
+                    failures.append(minimum)
+                else:
                     add(minimum)
 
         if executor is None:
@@ -206,6 +227,8 @@ class AdaptiveMultistartStrategy(Strategy):
                 add(problem.local_search(problem.random_solution(rng), rng))
         else:
             run_batch([problem.random_solution(rng) for _ in range(n_initial)])
+        if not costs:
+            raise RuntimeError("every local search failed to execute")
         n_searches = n_initial
         ctx.tracker.charge_runs(n_initial)
 
@@ -224,8 +247,6 @@ class AdaptiveMultistartStrategy(Strategy):
             n_searches += starts_per_round
             ctx.tracker.charge_runs(starts_per_round)
 
-        if not costs:
-            raise RuntimeError("every local search failed to execute")
         best_idx = int(np.argmin(costs))
         return DSEResult(
             method=self.name,
@@ -234,12 +255,18 @@ class AdaptiveMultistartStrategy(Strategy):
             best_assign=pool[best_idx],
             all_scores=costs,
             n_runs=n_searches,
+            n_failed=len(failures),
+            failures=failures,
         )
 
 
 @register_strategy
 class RandomMultistartStrategy(Strategy):
-    """Equal-budget baseline: every start is random."""
+    """Equal-budget baseline: every start is random.
+
+    Params: ``n_starts`` (>= 1, default 12).  Executor fan-out and
+    failure accounting as for ``"multistart"``.
+    """
 
     name = "random"
 
@@ -249,6 +276,7 @@ class RandomMultistartStrategy(Strategy):
             raise ValueError("need at least 1 start")
         executor = ctx.executor
         rng = np.random.default_rng(ctx.seed)
+        failures: List[FlowExecutionError] = []
         if executor is None:
             pool = [problem.local_search(problem.random_solution(rng), rng)
                     for _ in range(n_starts)]
@@ -257,8 +285,9 @@ class RandomMultistartStrategy(Strategy):
             for _ in range(n_starts):
                 start = problem.random_solution(rng)
                 tasks.append((problem, start, int(rng.integers(0, 2**31 - 1))))
-            pool = [m for m in executor.map(_local_search_job, tasks)
-                    if isinstance(m, np.ndarray)]
+            outcomes = executor.map(_local_search_job, tasks)
+            failures = [m for m in outcomes if isinstance(m, FlowExecutionError)]
+            pool = [m for m in outcomes if not isinstance(m, FlowExecutionError)]
             if not pool:
                 raise RuntimeError("every local search failed to execute")
         ctx.tracker.charge_runs(n_starts)
@@ -271,4 +300,6 @@ class RandomMultistartStrategy(Strategy):
             best_assign=pool[best_idx],
             all_scores=costs,
             n_runs=n_starts,
+            n_failed=len(failures),
+            failures=failures,
         )

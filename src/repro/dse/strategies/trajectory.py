@@ -1,13 +1,21 @@
 """The "explorer" strategy: GWTW over whole flow trajectories.
 
-This is the historical :class:`TrajectoryExplorer.explore` loop,
-re-homed as an engine plugin.  With the surrogate disabled (the façade
-path) its rng stream, job seeds and bookkeeping are bit-identical to
-the pre-refactor implementation: trajectories sample in slot order,
-per-round run seeds are pre-drawn before any launch, and each refill
-perturbation costs exactly three rng draws.  A surrogate changes the
-draw pattern (several candidate perturbations per refill slot), which
-is why only explicit engine campaigns enable it.
+Stage 2 of the paper's ML insertion (Fig 5(b)): ``n_concurrent`` flow
+trajectories run per round and perturbed copies of the winners replace
+the losers.  With a kill policy it is stage 3 as well: doomed runs
+release their licenses early.  Without a surrogate the rng stream is
+fixed: trajectories sample in slot order, per-round run seeds are
+pre-drawn before any launch, and each refill perturbation costs
+exactly three rng draws, so a campaign is bit-identical at any worker
+count and with or without caches.  A surrogate changes the draw
+pattern (several candidate perturbations per refill slot), so it is
+opt-in per campaign.
+
+With an executor's ``stage_cache=True`` a fresh seed per slot per round
+changes every stage's derived step seeds, so the prefix cache only pays
+off here on revisited ``(trajectory, seed)`` points, like the whole-run
+cache; ``runtime_proxy_executed`` and ``stage_hits`` report the saved
+work either way.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ def _was_pruned(run: FlowResult) -> bool:
 class TrajectoryStrategy(Strategy):
     """Clone-the-winners search over the flow-option tree.
 
-    Params: ``n_concurrent`` (licenses per round, >= 2), ``n_rounds``,
-    ``survivor_fraction`` in (0, 1).
+    Params: ``n_concurrent`` (licenses per round, >= 2, default 5),
+    ``n_rounds`` (6), ``survivor_fraction`` in (0, 1) (0.4).
     """
 
     name = "explorer"
@@ -63,8 +71,8 @@ class TrajectoryStrategy(Strategy):
         for _ in range(n_rounds):
             if ctx.tracker.exhausted:
                 break
-            # seeds drawn in slot order *before* launching keeps the rng
-            # stream identical to the historical serial loop
+            # seeds drawn in slot order *before* launching keep the rng
+            # stream independent of the worker count
             seeds = [int(rng.integers(0, 2**31 - 1)) for _ in trajectories]
             jobs = [
                 FlowJob(task, space.to_flow_options(trajectory), job_seed)

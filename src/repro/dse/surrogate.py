@@ -12,7 +12,7 @@ observations the strategy feeds it.
 The proposer is deterministic: models are seeded, candidate draws come
 from the campaign rng, and ties break on the first candidate — but a
 surrogate-guided campaign consumes a *different* rng stream than a
-blind one, so the legacy façades never enable it.
+blind one, so it is opt-in per campaign (``DSEEngine(surrogate=...)``).
 """
 
 from __future__ import annotations

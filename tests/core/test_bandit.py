@@ -1,4 +1,4 @@
-"""Bandit policies, environments, scheduler, regret."""
+"""Bandit policies, environments, batched campaigns, regret."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandit import (
-    BatchBanditScheduler,
     EpsilonGreedy,
     GaussianThompsonSampling,
     Softmax,
@@ -17,6 +16,16 @@ from repro.core.bandit import (
     cumulative_regret,
     expected_total_regret,
 )
+from repro.dse import DSEEngine
+
+
+def schedule(policy, env, n_iterations=40, n_concurrent=5):
+    """One batched bandit campaign through the DSE engine."""
+    return DSEEngine(
+        strategy="bandit",
+        params={"n_iterations": n_iterations, "n_concurrent": n_concurrent},
+    ).run((policy, env))
+
 
 ALL_POLICIES = [
     lambda n, s: ThompsonSampling(n, seed=s),
@@ -112,44 +121,31 @@ def test_environment_validation():
         SyntheticBanditEnvironment([1.5])
 
 
-# --------------------------------------------------------------- scheduler
+# ---------------------------------------------------------------- campaign
 def test_scheduler_budget_accounting():
     env = SyntheticBanditEnvironment([0.2, 0.8], seed=1)
     policy = ThompsonSampling(2, seed=2)
-    result = BatchBanditScheduler(n_iterations=10, n_concurrent=3).run(policy, env)
-    assert len(result.records) == 30
+    result = schedule(policy, env, n_iterations=10, n_concurrent=3)
+    assert len(result.records) == result.n_runs == 30
     assert result.n_iterations == 10
     assert policy.total_pulls == 30
+    assert result.all_scores == [r.reward for r in result.records]
+    assert result.n_runs - result.n_failed == sum(r.success for r in result.records)
 
 
 def test_scheduler_arm_mismatch_rejected():
     env = SyntheticBanditEnvironment([0.5, 0.5], seed=0)
     with pytest.raises(ValueError):
-        BatchBanditScheduler().run(ThompsonSampling(3, seed=0), env)
+        schedule(ThompsonSampling(3, seed=0), env)
 
 
 def test_best_reward_trace_monotone():
     env = SyntheticBanditEnvironment([0.3, 0.9], seed=3)
-    result = BatchBanditScheduler(20, 2).run(ThompsonSampling(2, seed=4), env)
-    trace = result.best_reward_by_iteration()
+    result = schedule(ThompsonSampling(2, seed=4), env, 20, 2)
+    trace = result.trace
     assert len(trace) == 20
     assert all(a <= b for a, b in zip(trace, trace[1:]))
-
-
-def test_arms_by_iteration_shape():
-    env = SyntheticBanditEnvironment([0.5, 0.5], seed=5)
-    result = BatchBanditScheduler(8, 4).run(UniformRandom(2, seed=6), env)
-    arms = result.arms_by_iteration()
-    assert len(arms) == 8
-    assert all(len(a) == 4 for a in arms)
-
-
-def test_mean_reward_tail():
-    env = SyntheticBanditEnvironment([0.0, 1.0], seed=7)
-    result = BatchBanditScheduler(20, 2).run(ThompsonSampling(2, seed=8), env)
-    assert 0.0 <= result.mean_reward_tail(0.25) <= 1.0
-    with pytest.raises(ValueError):
-        result.mean_reward_tail(0.0)
+    assert trace[-1] == result.best_score == max(result.all_scores)
 
 
 # ------------------------------------------------------------------ regret
@@ -160,13 +156,13 @@ def test_regret_zero_for_oracle():
         def select(self):
             return 1
 
-    result = BatchBanditScheduler(10, 2).run(Oracle(2, seed=0), env)
+    result = schedule(Oracle(2, seed=0), env, 10, 2)
     assert expected_total_regret(result, env.true_means) == 0.0
 
 
 def test_regret_positive_for_uniform():
     env = SyntheticBanditEnvironment([0.2, 0.9], seed=10)
-    result = BatchBanditScheduler(20, 2).run(UniformRandom(2, seed=1), env)
+    result = schedule(UniformRandom(2, seed=1), env, 20, 2)
     regret = cumulative_regret(result, env.true_means)
     assert regret[-1] > 0
     assert all(a <= b + 1e-12 for a, b in zip(regret, regret[1:]))
@@ -175,7 +171,7 @@ def test_regret_positive_for_uniform():
 def test_thompson_beats_uniform_on_regret():
     def total(policy_cls, seed):
         env = SyntheticBanditEnvironment([0.1, 0.5, 0.9], seed=seed)
-        result = BatchBanditScheduler(40, 5).run(policy_cls(3, seed=seed + 1), env)
+        result = schedule(policy_cls(3, seed=seed + 1), env)
         return expected_total_regret(result, env.true_means)
 
     ts = np.mean([total(ThompsonSampling, s) for s in range(5)])
@@ -200,7 +196,7 @@ def test_thompson_robustness_claim():
             regrets = []
             for seed in range(4):
                 env = SyntheticBanditEnvironment(probs, seed=seed)
-                result = BatchBanditScheduler(40, 5).run(factory(4, seed + 1), env)
+                result = schedule(factory(4, seed + 1), env)
                 regrets.append(expected_total_regret(result, env.true_means))
             worsts.append(np.mean(regrets))
         return max(worsts)
@@ -217,5 +213,5 @@ def test_thompson_robustness_claim():
 def test_property_rewards_bounded(seed):
     env = SyntheticBanditEnvironment([0.3, 0.6, 0.9], seed=seed)
     policy = ThompsonSampling(3, seed=seed)
-    result = BatchBanditScheduler(10, 2).run(policy, env)
+    result = schedule(policy, env, 10, 2)
     assert all(0.0 <= r.reward <= 1.0 for r in result.records)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.bandit import (
-    BatchBanditScheduler,
     BayesUCB,
     SlidingWindowThompson,
     SyntheticBanditEnvironment,
@@ -13,6 +12,15 @@ from repro.core.bandit import (
     expected_total_regret,
 )
 from repro.core.bandit.policies import _norm_ppf
+from repro.dse import DSEEngine
+
+
+def schedule(policy, env, n_iterations):
+    """A 5-license batched bandit campaign through the DSE engine."""
+    return DSEEngine(
+        strategy="bandit",
+        params={"n_iterations": n_iterations, "n_concurrent": 5},
+    ).run((policy, env))
 
 
 def test_norm_ppf_known_values():
@@ -44,7 +52,7 @@ def test_new_policies_converge(cls, kwargs):
 def test_bayes_ucb_beats_uniform():
     def total(cls, seed):
         env = SyntheticBanditEnvironment([0.2, 0.5, 0.9], seed=seed)
-        res = BatchBanditScheduler(40, 5).run(cls(3, seed=seed + 1), env)
+        res = schedule(cls(3, seed=seed + 1), env, 40)
         return expected_total_regret(res, env.true_means)
 
     bucb = np.mean([total(BayesUCB, s) for s in range(6)])
@@ -83,7 +91,7 @@ def test_sliding_window_recovers_from_drift():
     def recovery_reward(cls, seed, **kw):
         env = _FlippingEnv(seed)
         policy = cls(6, seed=seed + 1, **kw)
-        result = BatchBanditScheduler(200, 5).run(policy, env)
+        result = schedule(policy, env, 200)
         window = [r.reward for r in result.records if 110 <= r.iteration < 150]
         return float(np.mean(window))
 

@@ -10,9 +10,9 @@ from repro.core.orchestration import (
     FlowStepOptions,
     MemoryPlacementRobot,
     TimingClosureRobot,
-    TrajectoryExplorer,
     default_option_tree,
 )
+from repro.dse import DSEEngine
 from repro.eda.flow import FlowOptions
 from repro.eda.floorplan import Floorplan
 from repro.eda.synthesis import DesignSpec
@@ -123,20 +123,19 @@ def test_robot_validation():
 
 # --------------------------------------------------------------- explorer
 def test_explorer_finds_successful_trajectory(robot_spec):
-    explorer = TrajectoryExplorer(n_concurrent=3, n_rounds=2)
-    result = explorer.explore(robot_spec, seed=6)
+    explorer = DSEEngine(strategy="explorer",
+                         params={"n_concurrent": 3, "n_rounds": 2})
+    result = explorer.run(robot_spec, seed=6)
     assert result.n_runs == 6
     assert result.best_result is not None
-    assert result.score_trace == sorted(result.score_trace)  # monotone best
+    assert result.trace == sorted(result.trace)  # monotone best
 
 
-def test_explorer_validation():
-    with pytest.raises(ValueError):
-        TrajectoryExplorer(n_concurrent=1)
-    with pytest.raises(ValueError):
-        TrajectoryExplorer(n_rounds=0)
-    with pytest.raises(ValueError):
-        TrajectoryExplorer(survivor_fraction=0.0)
+def test_explorer_validation(robot_spec):
+    for params in ({"n_concurrent": 1}, {"n_rounds": 0},
+                   {"survivor_fraction": 0.0}):
+        with pytest.raises(ValueError):
+            DSEEngine(strategy="explorer", params=params).run(robot_spec)
 
 
 # ----------------------------------------------------------------- stage 4

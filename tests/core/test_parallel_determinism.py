@@ -11,15 +11,10 @@ import numpy as np
 import pytest
 
 from repro.bench.characterize import characterize
-from repro.core.bandit import (
-    BatchBanditScheduler,
-    FlowArmEnvironment,
-    ThompsonSampling,
-)
-from repro.core.orchestration import TrajectoryExplorer
+from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
 from repro.core.parallel import FlowExecutor
-from repro.core.search import AdaptiveMultistart, BisectionProblem
-from repro.core.search.multistart import random_multistart
+from repro.core.search import BisectionProblem
+from repro.dse import DSEEngine
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +23,24 @@ def pool4():
         yield executor
 
 
+def _explore(spec, seed, executor):
+    return DSEEngine(
+        strategy="explorer", executor=executor,
+        params={"n_concurrent": 3, "n_rounds": 2},
+    ).run(spec, seed=seed)
+
+
+def _schedule(policy, env, n_iterations, n_concurrent, executor=None):
+    return DSEEngine(
+        strategy="bandit", executor=executor,
+        params={"n_iterations": n_iterations, "n_concurrent": n_concurrent},
+    ).run((policy, env))
+
+
 def test_explorer_is_worker_count_invariant(small_spec, pool4):
-    serial = TrajectoryExplorer(
-        n_concurrent=3, n_rounds=2, executor=FlowExecutor(n_workers=1, cache=None)
-    ).explore(small_spec, seed=6)
-    parallel = TrajectoryExplorer(
-        n_concurrent=3, n_rounds=2, executor=pool4
-    ).explore(small_spec, seed=6)
-    assert serial.score_trace == parallel.score_trace
+    serial = _explore(small_spec, 6, FlowExecutor(n_workers=1, cache=None))
+    parallel = _explore(small_spec, 6, pool4)
+    assert serial.trace == parallel.trace
     assert serial.best_score == parallel.best_score
     assert serial.best_result == parallel.best_result
     assert (serial.n_runs, serial.n_pruned) == (parallel.n_runs, parallel.n_pruned)
@@ -45,13 +50,13 @@ def test_bandit_schedule_is_worker_count_invariant(small_spec, pool4):
     def campaign(executor):
         env = FlowArmEnvironment(small_spec, [0.5, 0.7], seed=3)
         policy = ThompsonSampling(2, seed=4)
-        result = BatchBanditScheduler(3, 2, executor=executor).run(policy, env)
-        return result, env
+        return _schedule(policy, env, 3, 2, executor), env
 
     serial_result, serial_env = campaign(FlowExecutor(n_workers=1, cache=None))
     parallel_result, parallel_env = campaign(pool4)
     assert serial_result.records == parallel_result.records
-    assert serial_result.total_reward == parallel_result.total_reward
+    assert serial_result.all_scores == parallel_result.all_scores
+    assert serial_result.trace == parallel_result.trace
     # the environment trace (every QoR) matches too
     assert len(serial_env.history) == len(parallel_env.history)
     for a, b in zip(serial_env.history, parallel_env.history):
@@ -61,11 +66,10 @@ def test_bandit_schedule_is_worker_count_invariant(small_spec, pool4):
 def test_bandit_executor_path_matches_plain_pulls(small_spec):
     """The executor path must equal the historical serial pull() loop."""
     env_plain = FlowArmEnvironment(small_spec, [0.5, 0.7], seed=3)
-    plain = BatchBanditScheduler(2, 2).run(ThompsonSampling(2, seed=4), env_plain)
+    plain = _schedule(ThompsonSampling(2, seed=4), env_plain, 2, 2)
     env_exec = FlowArmEnvironment(small_spec, [0.5, 0.7], seed=3)
-    threaded = BatchBanditScheduler(
-        2, 2, executor=FlowExecutor(n_workers=1, cache=None)
-    ).run(ThompsonSampling(2, seed=4), env_exec)
+    threaded = _schedule(ThompsonSampling(2, seed=4), env_exec, 2, 2,
+                         FlowExecutor(n_workers=1, cache=None))
     assert plain.records == threaded.records
 
 
@@ -77,22 +81,30 @@ def problem():
 
 
 def test_random_multistart_is_worker_count_invariant(problem, pool4):
-    serial = random_multistart(problem, 6, seed=2,
-                               executor=FlowExecutor(n_workers=1, cache=None))
-    parallel = random_multistart(problem, 6, seed=2, executor=pool4)
-    assert serial.best_cost == parallel.best_cost
-    assert serial.all_costs == parallel.all_costs
+    def run(executor):
+        return DSEEngine(strategy="random", executor=executor,
+                         params={"n_starts": 6}).run(problem, seed=2)
+
+    serial = run(FlowExecutor(n_workers=1, cache=None))
+    parallel = run(pool4)
+    assert serial.best_score == parallel.best_score
+    assert serial.all_scores == parallel.all_scores
     assert np.array_equal(serial.best_assign, parallel.best_assign)
 
 
 def test_adaptive_multistart_is_worker_count_invariant(problem, pool4):
-    ams = AdaptiveMultistart(n_initial=4, n_adaptive_rounds=2, starts_per_round=2,
-                             elite_size=2)
-    serial = ams.run(problem, seed=7, executor=FlowExecutor(n_workers=1, cache=None))
-    parallel = ams.run(problem, seed=7, executor=pool4)
-    assert serial.all_costs == parallel.all_costs
+    def run(executor):
+        return DSEEngine(
+            strategy="multistart", executor=executor,
+            params={"n_initial": 4, "n_adaptive_rounds": 2,
+                    "starts_per_round": 2, "elite_size": 2},
+        ).run(problem, seed=7)
+
+    serial = run(FlowExecutor(n_workers=1, cache=None))
+    parallel = run(pool4)
+    assert serial.all_scores == parallel.all_scores
     assert np.array_equal(serial.best_assign, parallel.best_assign)
-    assert serial.n_local_searches == parallel.n_local_searches == 4 + 2 * 2
+    assert serial.n_runs == parallel.n_runs == 4 + 2 * 2
 
 
 def test_characterize_is_worker_count_invariant(pool4):
@@ -107,9 +119,8 @@ def test_characterize_is_worker_count_invariant(pool4):
 def test_cached_campaign_matches_uncached(small_spec):
     """Cache hits must be observationally identical to fresh runs."""
     cached = FlowExecutor(n_workers=1, cache=True)
-    explorer = TrajectoryExplorer(n_concurrent=3, n_rounds=2, executor=cached)
-    first = explorer.explore(small_spec, seed=9)
-    second = explorer.explore(small_spec, seed=9)  # identical campaign
+    first = _explore(small_spec, 9, cached)
+    second = _explore(small_spec, 9, cached)  # identical campaign
     assert first.best_result == second.best_result
-    assert first.score_trace == second.score_trace
+    assert first.trace == second.trace
     assert cached.stats.cache_hit_rate >= 0.45  # second pass was ~free

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.search import (
-    AdaptiveMultistart,
-    BisectionProblem,
-    big_valley_correlation,
-    go_with_the_winners,
-    independent_multistart,
-)
-from repro.core.search.multistart import random_multistart
+from repro.core.search import BisectionProblem, big_valley_correlation
+from repro.dse import DSEEngine
+
+
+def _search(problem, strategy, seed, **params):
+    return DSEEngine(strategy=strategy, params=params).run(problem, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -79,49 +77,52 @@ def test_big_valley_exists(problem):
 
 
 def test_gwtw_beats_or_matches_multistart(problem):
-    gwtw = [go_with_the_winners(problem, n_threads=8, n_stages=16,
-                                steps_per_stage=25, seed=s).best_cost for s in range(4)]
-    plain = [independent_multistart(problem, n_threads=8, n_stages=16,
-                                    steps_per_stage=25, seed=s).best_cost for s in range(4)]
+    budget = {"n_threads": 8, "n_stages": 16, "steps_per_stage": 25}
+    gwtw = [_search(problem, "gwtw", s, **budget).best_score for s in range(4)]
+    plain = [_search(problem, "independent", s, **budget).best_score
+             for s in range(4)]
     assert np.mean(gwtw) <= np.mean(plain) + 1.5
 
 
 def test_gwtw_trace_monotone(problem):
-    result = go_with_the_winners(problem, n_threads=4, n_stages=6, seed=3)
-    assert all(a >= b for a, b in zip(result.cost_trace, result.cost_trace[1:]))
+    result = _search(problem, "gwtw", 3, n_threads=4, n_stages=6)
+    assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
     assert result.total_moves > 0
     assert problem.is_balanced(result.best_assign)
 
 
 def test_gwtw_validation(problem):
     with pytest.raises(ValueError):
-        go_with_the_winners(problem, n_threads=1)
+        _search(problem, "gwtw", 0, n_threads=1)
     with pytest.raises(ValueError):
-        go_with_the_winners(problem, survivor_fraction=1.0)
+        _search(problem, "gwtw", 0, survivor_fraction=1.0)
 
 
 def test_adaptive_multistart_beats_random(problem):
     """Equal local-search budget: consensus starts find better minima."""
-    ams = AdaptiveMultistart(n_initial=12, n_adaptive_rounds=4, starts_per_round=4)
+    ams = DSEEngine(strategy="multistart", params={
+        "n_initial": 12, "n_adaptive_rounds": 4, "starts_per_round": 4})
     budget = 12 + 4 * 4
-    a = [ams.run(problem, seed=s).best_cost for s in range(5)]
-    r = [random_multistart(problem, budget, seed=s).best_cost for s in range(5)]
+    a = [ams.run(problem, seed=s).best_score for s in range(5)]
+    r = [_search(problem, "random", s, n_starts=budget).best_score
+         for s in range(5)]
     assert np.mean(a) <= np.mean(r) + 1.0
 
 
 def test_adaptive_multistart_bookkeeping(problem):
-    ams = AdaptiveMultistart(n_initial=6, n_adaptive_rounds=2, starts_per_round=3)
-    result = ams.run(problem, seed=7)
-    assert result.n_local_searches == 6 + 2 * 3
-    assert len(result.all_costs) == result.n_local_searches
-    assert result.best_cost == min(result.all_costs)
+    result = _search(problem, "multistart", 7, n_initial=6,
+                     n_adaptive_rounds=2, starts_per_round=3)
+    assert result.n_runs == 6 + 2 * 3
+    assert len(result.all_scores) == result.n_runs
+    assert result.n_failed == 0 and result.failures == []
+    assert result.best_score == min(result.all_scores)
     assert problem.is_balanced(result.best_assign)
 
 
-def test_adaptive_multistart_validation():
+def test_adaptive_multistart_validation(problem):
     with pytest.raises(ValueError):
-        AdaptiveMultistart(n_initial=1)
+        _search(problem, "multistart", 0, n_initial=1)
     with pytest.raises(ValueError):
-        AdaptiveMultistart(elite_size=1)
+        _search(problem, "multistart", 0, elite_size=1)
     with pytest.raises(ValueError):
-        random_multistart(None, 0)
+        _search(problem, "random", 0, n_starts=0)

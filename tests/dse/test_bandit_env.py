@@ -7,12 +7,12 @@ import warnings
 import pytest
 
 from repro.core.bandit import (
-    BatchBanditScheduler,
     FlowArmEnvironment,
     SyntheticBanditEnvironment,
     ThompsonSampling,
 )
 from repro.core.parallel import FlowExecutor
+from repro.dse import DSEEngine
 
 
 def test_synthetic_env_warns_when_given_an_executor():
@@ -32,14 +32,15 @@ def test_synthetic_env_is_quiet_without_executor():
 
 
 def test_scheduler_surfaces_the_warning(small_spec):
-    """The full scheduler path warns too — a campaign that believes it
-    is parallel finds out it is not."""
+    """The full bandit campaign path warns too — a campaign that
+    believes it is parallel finds out it is not."""
     env = SyntheticBanditEnvironment([0.4, 0.8], seed=1)
     with FlowExecutor(n_workers=1, cache=None) as executor:
         with pytest.warns(RuntimeWarning, match="executor is ignored"):
-            result = BatchBanditScheduler(2, 2, executor=executor).run(
-                ThompsonSampling(2, seed=2), env
-            )
+            result = DSEEngine(
+                strategy="bandit", executor=executor,
+                params={"n_iterations": 2, "n_concurrent": 2},
+            ).run((ThompsonSampling(2, seed=2), env))
     assert len(result.records) == 4
 
 

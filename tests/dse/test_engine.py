@@ -1,11 +1,17 @@
-"""DSEEngine: strategy registry, result normalization, dse.* reporting."""
+"""DSEEngine: strategy registry, result normalization, failure accounting,
+dse.* reporting."""
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import FlowExecutor
+from repro.core.bandit import (
+    FlowArmEnvironment,
+    SyntheticBanditEnvironment,
+    ThompsonSampling,
+)
+from repro.core.parallel import FlowExecutionError, FlowExecutor
 from repro.core.search import BisectionProblem
-from repro.dse import DSEEngine, DSEResult, available_strategies
+from repro.dse import DSEEngine, available_strategies
 from repro.dse.registry import get_strategy, load_builtin_strategies
 from repro.metrics import MetricsCollector, MetricsServer
 from repro.metrics.schema import DSE_CAMPAIGN_METRICS
@@ -50,16 +56,76 @@ def test_engine_runs_landscape_strategy():
     assert result.total_moves == 4 * 3 * 20
 
 
-def test_dse_result_aliases():
-    result = DSEResult(method="independent", objective="cut_cost",
-                       best_score=7.0, trace=[9.0, 7.0],
-                       all_scores=[9.0, 7.0], n_runs=4)
-    assert result.score_trace is result.trace
-    assert result.cost_trace is result.trace
-    assert result.all_costs is result.all_scores
-    assert result.best_cost == result.best_score == 7.0
-    assert result.n_local_searches == result.n_runs == 4
-    assert result.legacy_method == "multistart"  # GWTWResult baseline tag
+class _CrashingProblem(BisectionProblem):
+    """Local search crashes on every start with node 0 on side True
+    (module level so a process pool could pickle it)."""
+
+    def local_search(self, start, rng):
+        if start[0]:
+            raise RuntimeError("injected local-search crash")
+        return super().local_search(start, rng)
+
+
+MULTISTART_CAMPAIGNS = [
+    ("random", {"n_starts": 8}),
+    ("multistart", {"n_initial": 4, "n_adaptive_rounds": 2,
+                    "starts_per_round": 2, "elite_size": 2}),
+]
+
+
+def _crashing_campaign(strategy, params, seed):
+    problem = _CrashingProblem.random_community(
+        n_nodes=48, n_communities=6, p_in=0.6, p_out=0.06, seed=1
+    )
+    with FlowExecutor(n_workers=1, cache=None, max_retries=0) as executor:
+        return DSEEngine(strategy=strategy, executor=executor,
+                         params=params).run(problem, seed=seed)
+
+
+@pytest.mark.parametrize("strategy,params", MULTISTART_CAMPAIGNS)
+def test_failed_local_searches_are_counted(strategy, params):
+    result = _crashing_campaign(strategy, params, seed=0)
+    assert result.n_runs == 8
+    assert 0 < result.n_failed < result.n_runs
+    assert result.n_runs == len(result.all_scores) + result.n_failed
+    assert len(result.failures) == result.n_failed
+    assert all(isinstance(f, FlowExecutionError) for f in result.failures)
+    assert result.best_score == min(result.all_scores)
+
+
+@pytest.mark.parametrize("strategy,params", MULTISTART_CAMPAIGNS)
+def test_all_initial_searches_failing_is_a_typed_error(strategy, params):
+    # at seed 5 every initial start puts node 0 on side True
+    with pytest.raises(RuntimeError, match="every local search failed"):
+        _crashing_campaign(strategy, params, seed=5)
+
+
+def _collect_bandit_campaign(env, seed):
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None,
+                          collector=collector) as executor:
+            DSEEngine(
+                strategy="bandit", executor=executor,
+                params={"n_iterations": 1, "n_concurrent": 2},
+            ).run((ThompsonSampling(2, seed=4), env), seed=seed)
+        collector.flush()
+    return server
+
+
+def test_bandit_summary_lands_under_the_env_design(small_spec):
+    server = _collect_bandit_campaign(
+        FlowArmEnvironment(small_spec, [0.5, 0.7], seed=3), seed=5)
+    runs = server.runs(small_spec.name)
+    assert "dse-bandit-5" in runs
+    assert len(runs) == 3  # two flow runs and the campaign summary
+    assert server.runs("landscape") == []
+    assert server.run_vector("dse-bandit-5")["dse.runs"] == 2
+    # an environment without a spec keeps the generic design name
+    env = SyntheticBanditEnvironment([0.4, 0.8], seed=1)
+    with pytest.warns(RuntimeWarning, match="executor is ignored"):
+        server = _collect_bandit_campaign(env, seed=5)
+    assert server.runs("landscape") == ["dse-bandit-5"]
 
 
 def test_campaign_summary_lands_in_metrics_server(small_spec):

@@ -1,20 +1,21 @@
 """Frozen copies of the landscape-search annealing kernels (the golden
-reference for the façade equivalence tests).
+reference for ``tests/dse/test_equivalence.py``).
 
 These are the literal ``_anneal_steps`` / ``_rebalance`` /
 ``_consensus_start`` kernels as they stood in the pre-``repro.dse``
 modules (``repro.core.search.gwtw`` and ``repro.core.search.multistart``),
 kept verbatim — same rng draw order, same float expressions — so the
-equivalence suite compares the refactored strategy plugins against the
+equivalence suite compares the live strategy kernels against the
 historical behavior rather than against the code under test.  Not a
 test module — no ``test_`` prefix, so pytest does not collect it.
 
-The bit-identity guarantee of the ``go_with_the_winners`` /
-``AdaptiveMultistart`` façades rests on these kernels consuming the
-shared rng stream in exactly the historical order; any edit to the live
-copies in :mod:`repro.dse.strategies.landscape` breaks that guarantee
-unless this reference is deliberately re-frozen, and
-``tests/dse/test_equivalence.py`` fails until it is.
+The ``"gwtw"``, ``"independent"``, ``"multistart"`` and ``"random"``
+strategies of :class:`repro.dse.DSEEngine` reproduce the historical
+landscape searches only while these kernels consume the shared rng
+stream in exactly the historical order; any edit to the live copies in
+:mod:`repro.dse.strategies.landscape` breaks that unless this reference
+is deliberately re-frozen, and ``tests/dse/test_equivalence.py`` fails
+until it is.
 """
 
 from __future__ import annotations

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bench import RouterLogCorpus, pulpino_profile
-from repro.core.bandit import (
-    BatchBanditScheduler,
-    FlowArmEnvironment,
-    ThompsonSampling,
-)
+from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
 from repro.core.doomed import MDPCardLearner, evaluate_policy, make_stop_callback
 from repro.core.correlation import MiscorrelationModel, build_correlation_dataset
+from repro.dse import DSEEngine
 from repro.eda.flow import FlowOptions, SPRFlow
 from repro.eda.synthesis import DesignSpec
 from repro.metrics import DataMiner, InstrumentedFlow, MetricsServer
@@ -34,8 +31,10 @@ def test_mab_over_real_flow(tiny_spec):
         seed=0,
     )
     policy = ThompsonSampling(env.n_arms, seed=1)
-    result = BatchBanditScheduler(n_iterations=6, n_concurrent=2).run(policy, env)
-    assert result.total_reward > 0
+    result = DSEEngine(
+        strategy="bandit", params={"n_iterations": 6, "n_concurrent": 2},
+    ).run((policy, env))
+    assert sum(result.all_scores) > 0
     assert len(env.history) == 12
     # the hopeless 6GHz arm must not dominate late pulls
     late = [r.arm for r in result.records if r.iteration >= 3]
