@@ -220,7 +220,9 @@ class SPRFlow:
 
         The entry point partition-driven flows use: each block netlist
         (already extracted) goes through floorplan -> place -> CTS ->
-        route -> opt -> signoff on its own.
+        route -> opt -> signoff on its own.  The flow works on a private
+        copy: ``netlist`` itself is never modified, so repeating a call
+        repeats its result.
 
         ``result_seed`` is the seed *reported* in the result (and its
         log header): :meth:`run` reports the caller's flow seed so

@@ -710,9 +710,10 @@ class TimingGraph:
         for i, inst in enumerate(netlist.instances.values()):
             cell = inst.cell
             entry = rows_by_id.get(id(cell))
-            # the identity check guards deepcopied graphs (stage cache):
-            # a copied registry keeps the original objects' ids as keys,
-            # and a new cell may be allocated at one of those addresses
+            # the identity check guards copied graphs (stage-cache
+            # snapshots are pickled): a copied registry keeps the
+            # original objects' ids as keys, and a new cell may be
+            # allocated at one of those addresses
             if entry is not None and entry[1] is not cell:
                 entry = None
             if entry is None:

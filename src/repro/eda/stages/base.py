@@ -48,8 +48,9 @@ class PipelineState:
     artifacts of every stage before it.  Note the aliasing contract:
     ``placement.netlist`` *is* ``netlist`` (the optimizer resizes cells
     in place and signoff sees the resized design through either
-    reference), so snapshots must be deep-copied with a shared memo —
-    ``copy.deepcopy`` of the whole state preserves this.
+    reference), so a snapshot must copy the whole state through one
+    shared memo — the stage cache pickles the state in one
+    ``pickle.dumps``, which preserves this.
     """
 
     result: FlowResult
@@ -63,8 +64,8 @@ class PipelineState:
     opt: Optional[OptResult] = None
     droute: Optional[DetailedRouteResult] = None
     #: corner-independent STA structure (levels, net lengths), built at
-    #: CTS and shared by every downstream timing query.  Deep-copying
-    #: the state preserves its aliasing onto ``netlist``/``placement``.
+    #: CTS and shared by every downstream timing query.  Pickling the
+    #: whole state preserves its aliasing onto ``netlist``/``placement``.
     timing_topology: Optional[TimingTopology] = None
     #: the optimizer's live incremental kernel (graph engine view)
     timing_graph: Optional[TimingGraph] = None

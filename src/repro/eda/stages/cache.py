@@ -16,11 +16,16 @@ that agree on a prefix's knob slices and seeds share that prefix's
 state bit-for-bit — the cached :class:`PipelineState` snapshot can be
 resumed from directly.
 
-Snapshots are deep-copied on both ``put`` and ``get`` because later
-stages mutate artifacts in place (the optimizer resizes netlist cells,
-the refiner moves placements); ``copy.deepcopy`` of the whole state
-preserves the ``placement.netlist is netlist`` aliasing signoff relies
-on.
+Snapshots are stored as pickled bytes, taken once in ``put``, and
+every ``get`` unpickles a private copy, because later stages mutate
+artifacts in place (the optimizer resizes netlist cells, the refiner
+moves placements).  One pickle of the whole state shares one memo, so
+the ``placement.netlist is netlist`` aliasing signoff relies on — and
+the timing topology's and graph's aliasing onto both — survives the
+round trip, and every float and ndarray comes back bit-exact.  A
+snapshot costs its bytes, not a Python-level walk over every netlist
+object.  The bytes never leave the process (no disk, no IPC): the
+cache only unpickles what its own ``put`` wrote.
 
 One process-global instance (:func:`configure_stage_cache` /
 :func:`get_stage_cache`) serves :func:`run_flow_job_staged` so pool
@@ -30,9 +35,9 @@ across the jobs they execute without any cross-process traffic.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
+import pickle
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Union
@@ -74,17 +79,20 @@ class StageCache:
     """In-memory LRU of :class:`PipelineState` snapshots by prefix key.
 
     Thread-safe (one lock around the LRU and the counters); entries are
-    deep-copied in both directions so callers can never mutate a cached
-    snapshot.  ``hits``/``misses`` count probes per stage name — the
-    campaign-level saved-work accounting instead travels with each job
-    in its :class:`~repro.eda.stages.runner.StageReport`.
+    pickled once on ``put`` and unpickled afresh on every ``get``
+    (outside the lock), so callers can never mutate a cached snapshot
+    and no two callers share an object.  ``hits``/``misses`` count
+    probes per stage name — the campaign-level saved-work accounting
+    instead travels with each job in its
+    :class:`~repro.eda.stages.runner.StageReport`.
     """
 
     def __init__(self, max_entries: int = 64):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, PipelineState]" = OrderedDict()
+        #: prefix key -> pickled PipelineState
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
@@ -96,16 +104,16 @@ class StageCache:
 
     def get(self, key: str, stage_name: str) -> Optional[PipelineState]:
         with self._lock:
-            state = self._entries.get(key)
-            if state is None:
+            blob = self._entries.get(key)
+            if blob is None:
                 self.misses[stage_name] = self.misses.get(stage_name, 0) + 1
                 return None
             self._entries.move_to_end(key)
             self.hits[stage_name] = self.hits.get(stage_name, 0) + 1
-            return copy.deepcopy(state)
+        return pickle.loads(blob)
 
     def put(self, key: str, stage_name: str, state: PipelineState) -> None:
-        snapshot = copy.deepcopy(state)
+        snapshot = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             self._entries[key] = snapshot
             self._entries.move_to_end(key)

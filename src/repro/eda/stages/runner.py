@@ -16,6 +16,7 @@ its deepest cached prefix.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -143,7 +144,8 @@ def execute_pipeline(
     snapshot and re-runs only the suffix; every executed cacheable
     stage's post-state is snapshotted for later jobs.  An externally
     supplied ``synth_log`` (partition-driven flows) is not part of any
-    key, so such runs bypass the cache entirely.
+    key, so such runs bypass the cache entirely.  A ``Netlist`` design
+    is copied, never modified.
     """
     kind, stages, stage_seeds = plan_stages(design, seed)
     if synth_log is not None:
@@ -179,7 +181,12 @@ def execute_pipeline(
         )
         state = PipelineState(result=result)
         if kind == "netlist":
-            state.netlist = design
+            # stages mutate the netlist in place (the optimizer resizes
+            # cells), so implement a private copy and leave the
+            # caller's untouched; one pickle round trip, as for a
+            # stage-cache snapshot
+            state.netlist = pickle.loads(
+                pickle.dumps(design, protocol=pickle.HIGHEST_PROTOCOL))
             if synth_log is not None:
                 result.logs.append(synth_log)
         else:

@@ -1,7 +1,9 @@
 """Shared fixtures: a library, a small design, and its placed/routed views.
 
 Session-scoped where construction is expensive; tests must not mutate
-shared fixtures (mutating tests build their own objects).
+shared fixtures (mutating tests build their own objects).  The netlist
+and placement fixtures enforce this: they fail at teardown if any test
+changed them.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.parallel.cache import design_fingerprint
 from repro.eda.floorplan import make_floorplan
 from repro.eda.library import make_default_library
 from repro.eda.placement import QuadraticPlacer
@@ -36,7 +39,11 @@ def small_spec():
 
 @pytest.fixture(scope="session")
 def small_netlist(library, small_spec):
-    return synthesize(small_spec, library, effort=0.5, seed=7)
+    netlist = synthesize(small_spec, library, effort=0.5, seed=7)
+    fingerprint = design_fingerprint(netlist)
+    yield netlist
+    assert design_fingerprint(netlist) == fingerprint, \
+        "a test mutated the shared small_netlist fixture"
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +53,11 @@ def small_floorplan(small_netlist):
 
 @pytest.fixture(scope="session")
 def small_placement(small_netlist, small_floorplan):
-    return QuadraticPlacer().place(small_netlist, small_floorplan, seed=3)
+    placement = QuadraticPlacer().place(small_netlist, small_floorplan, seed=3)
+    positions = dict(placement.positions)
+    yield placement
+    assert placement.positions == positions, \
+        "a test mutated the shared small_placement fixture"
 
 
 @pytest.fixture(scope="session")

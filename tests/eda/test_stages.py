@@ -48,11 +48,36 @@ def test_staged_run_matches_monolith(small_spec, options, seed):
 @pytest.mark.parametrize("seed", [0, 11])
 def test_staged_implement_matches_monolith(small_netlist, seed):
     options = FlowOptions(target_clock_ghz=0.5)
-    # implementation mutates the netlist in place -> one copy per run
-    staged = SPRFlow().implement(copy.deepcopy(small_netlist), options, seed=seed)
+    # the staged flow implements a private copy; the frozen monolith
+    # still mutates its input in place, so it gets its own
+    staged = SPRFlow().implement(small_netlist, options, seed=seed)
     golden = MonolithicSPRFlow().implement(
         copy.deepcopy(small_netlist), options, seed=seed)
     assert staged == golden
+
+
+def test_netlist_job_leaves_its_input_untouched(library, small_spec):
+    """A Netlist job implements a private copy of its input: the caller's
+    netlist keeps its fingerprint, so a repeat run repeats the result and
+    two jobs sharing one netlist agree at any worker count."""
+    from repro.core.parallel import FlowExecutor, FlowJob
+    from repro.core.parallel.cache import design_fingerprint
+    from repro.eda.synthesis import synthesize
+
+    netlist = synthesize(small_spec, library, effort=0.5, seed=7)
+    fingerprint = design_fingerprint(netlist)
+    options = FlowOptions(target_clock_ghz=1.2)
+    first = SPRFlow().implement(netlist, options, seed=3)
+    assert design_fingerprint(netlist) == fingerprint
+    assert SPRFlow().implement(netlist, options, seed=3) == first
+
+    jobs = [FlowJob(netlist, options, seed) for seed in (3, 4)]
+    serial = FlowExecutor(n_workers=1, cache=None).run_jobs(jobs)
+    with FlowExecutor(n_workers=2, cache=None) as pool:
+        parallel = pool.run_jobs(jobs)
+    assert serial == parallel
+    assert serial[0] == first
+    assert design_fingerprint(netlist) == fingerprint
 
 
 def test_stage_structure():
@@ -210,13 +235,32 @@ def test_stage_cache_counts_and_lru(small_spec):
 
 
 def test_stage_cache_isolation_between_jobs(small_spec):
-    """Cached states are deepcopied both ways: a later job mutating its
-    netlist (the optimizer resizes cells in place) must not corrupt the
-    cached prefix another job will resume from."""
+    """Every get unpickles a private copy of the snapshot put stored: a
+    later job mutating its netlist (the optimizer resizes cells in
+    place) must not corrupt the cached prefix another job will resume
+    from."""
+    from repro.core.parallel.cache import design_fingerprint
+
     cache = StageCache()
     base = FlowOptions()
     golden = execute_pipeline(small_spec, base.with_(opt_passes=12), 3)
     execute_pipeline(small_spec, base, 3, cache=cache)
+    # two gets of one key hand out distinct objects; mutating the first
+    # leaves the second intact
+    groute_key = stage_prefix_keys(small_spec, base, 3)[-3]
+    first = cache.get(groute_key, "groute")
+    second = cache.get(groute_key, "groute")
+    assert first is not second
+    fingerprint = design_fingerprint(second.netlist)
+    positions = dict(second.placement.positions)
+    name, inst = next(iter(first.netlist.instances.items()))
+    other = next(c for c in first.netlist.library.variants(inst.cell.function)
+                 if c.name != inst.cell.name)
+    first.netlist.replace_cell(name, other)
+    first.placement.positions[name] = (-1.0, -1.0)
+    assert design_fingerprint(first.netlist) != fingerprint
+    assert design_fingerprint(second.netlist) == fingerprint
+    assert second.placement.positions == positions
     # two different opt suffixes resumed from the same groute prefix
     heavy = execute_pipeline(small_spec, base.with_(opt_passes=12), 3, cache=cache)
     light = execute_pipeline(small_spec, base.with_(opt_passes=3), 3, cache=cache)
@@ -241,9 +285,12 @@ def test_stage_cache_round_trips_ndarray_backed_timing_state(small_spec):
 
     The opt stage leaves a live vectorized ``TimingGraph`` (array-backed
     arrival/slew maps, an id-keyed cell-attribute registry, a lazy SoA
-    topology) in the snapshot; deep-copying it on put/get must produce a
-    kernel that keeps answering incremental queries bit-identically —
-    including after cell swaps, which stress the copied registry.
+    topology) in the snapshot; the pickle round trip through put/get
+    must keep every alias between the artifacts (else ``TimingGraph``
+    would quietly rebuild its topology on the next construction) and
+    produce a kernel that keeps answering incremental queries
+    bit-identically — including after cell swaps, which stress the
+    copied registry.
     """
     from repro.eda.sta import GraphSTA
 
@@ -255,8 +302,14 @@ def test_stage_cache_round_trips_ndarray_backed_timing_state(small_spec):
     assert cached_state is not None
     graph = cached_state.timing_graph
     assert graph is not None
-    # the copied kernel aliases the copied netlist, not the original
+    # the copied kernel aliases the copied netlist, not the original,
+    # and every artifact shares the resumed netlist and placement
     assert graph.netlist is cached_state.netlist
+    assert cached_state.placement.netlist is cached_state.netlist
+    topology = cached_state.timing_topology
+    assert topology.netlist is cached_state.netlist
+    assert topology.placement is cached_state.placement
+    assert graph.topology is topology
     nl, pl = cached_state.netlist, cached_state.placement
     want = GraphSTA().analyze(nl, pl, 1100.0, graph.skews,
                               check_hold=graph.check_hold)
