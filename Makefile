@@ -11,16 +11,16 @@ test:
 
 # Determinism & parallel-safety static analysis (rule catalog:
 # docs/static-analysis.md).  --strict: any finding fails, including
-# warnings and stale suppressions.  --project enables the cross-file
-# rules (R009-R012) over the import/call graph; the content-hash cache
-# (.repro-lint-cache.json) makes warm re-runs near-instant.
+# warnings and stale suppressions.  Every run is whole-program: the
+# cross-file rules run over the import/call graph; the content-hash
+# cache (.repro-lint-cache.json) makes warm re-runs near-instant.  The
+# examples drive executors and pool payloads, so they are linted too.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --strict \
-		--project src/repro
+		src/repro examples
 
-# Analyzer cache smoke: cold vs warm project lint over src/repro must
-# produce identical reports with a >=5x warm speedup and zero cache
-# misses.
+# Lint cache smoke: cold vs warm lint over src/repro must produce
+# identical reports with a >=5x warm speedup and zero cache misses.
 lint-perf:
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) \
 		benchmarks/lint_perf_benchmark.py --smoke

@@ -1,6 +1,6 @@
-"""Lint analyzer benchmark: cold vs warm ``repro lint --project``.
+"""Lint analyzer benchmark: cold vs warm ``repro lint``.
 
-The whole-program analyzer keeps a content-hash incremental cache
+The analyzer keeps a content-hash incremental cache
 (``.repro-lint-cache.json``): a warm run re-parses nothing, rebuilds
 the project context from cached per-file summaries, and must produce a
 report **identical** to the cold run (the cross-file rules consume
@@ -74,13 +74,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else args.repeats
 
-    from repro.analysis import LintConfig, lint_project_paths
+    from repro.analysis import LintConfig, lint_paths
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="lint-bench-") as tmp:
         cache_path = os.path.join(tmp, "lint-cache.json")
-        config = LintConfig(strict=True, project=True,
-                            project_root=REPO_ROOT, cache_path=cache_path)
+        config = LintConfig(strict=True, project_root=REPO_ROOT,
+                            cache_path=cache_path)
 
         cold_s = float("inf")
         cold = None
@@ -88,14 +88,14 @@ def main(argv=None) -> int:
             if os.path.exists(cache_path):
                 os.unlink(cache_path)
             t0 = time.perf_counter()
-            cold = lint_project_paths(args.paths, config)
+            cold = lint_paths(args.paths, config)
             cold_s = min(cold_s, time.perf_counter() - t0)
         # one priming run wrote the cache above; now measure warm
         warm_s = float("inf")
         warm = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            warm = lint_project_paths(args.paths, config)
+            warm = lint_paths(args.paths, config)
             warm_s = min(warm_s, time.perf_counter() - t0)
 
         cache = warm.project_stats["cache"]
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
                             f"{args.min_speedup:.1f}x floor")
 
         n_files = warm.n_files
-        print(f"lint --project over {n_files} files: "
+        print(f"lint over {n_files} files: "
               f"cold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms "
               f"({speedup:.1f}x), warm cache {cache['hits']} hit(s) / "
               f"{cache['misses']} miss(es), "

@@ -6,14 +6,16 @@ the :class:`~repro.core.parallel.FlowExecutor` process pool.  This
 package encodes those invariants as an AST-based rule pack — unseeded
 global RNGs, unguarded module state, nondeterministic iteration,
 wall-clock reads, unpicklable pool payloads, METRICS vocabulary drift,
-swallowed exceptions, undocumented CLI flags — and runs them over the
-tree in CI (``make lint`` / ``repro lint --strict --project src/repro``).
+swallowed exceptions, undocumented CLI flags, inconsistent lock
+discipline, non-atomic shared writes, RNG state crossing the pool —
+and runs them over the tree in CI (``make lint`` /
+``repro lint --strict src/repro examples``).
 
-``--project`` mode (:mod:`repro.analysis.project`) additionally builds
-the whole-program import/call graph from per-file summaries, enables
-the cross-file rules (R009 lock discipline, R010 shared-write
-atomicity, R012 RNG-across-boundary), and keeps a content-hash
-incremental cache so warm runs only re-analyze changed files.
+Every run is whole-program: :mod:`repro.analysis.project` boils each
+file down to a summary, builds the import/call graph from the
+summaries, and feeds it to the cross-file rules (R006, R008, R009,
+R010, R012).  A content-hash incremental cache lets warm runs replay
+unchanged files instead of re-parsing them.
 
 Suppress a finding inline with a justified allow-comment::
 
@@ -24,10 +26,10 @@ rule.
 """
 
 from repro.analysis.engine import (
-    Analyzer,
     LintConfig,
     discover_files,
     find_project_root,
+    lint_modules,
     lint_paths,
 )
 from repro.analysis.findings import Finding, LintReport, Severity
@@ -36,13 +38,10 @@ from repro.analysis.project import (
     ModuleSummary,
     ProjectContext,
     build_context,
-    lint_project_modules,
-    lint_project_paths,
     summarize_module,
 )
 from repro.analysis.registry import (
     ModuleInfo,
-    ProjectInfo,
     Rule,
     all_rules,
     get_rule,
@@ -52,7 +51,6 @@ from repro.analysis.reporting import format_human, format_json, to_dict
 from repro.analysis.suppressions import Suppression, find_suppressions
 
 __all__ = [
-    "Analyzer",
     "Finding",
     "LintCache",
     "LintConfig",
@@ -60,7 +58,6 @@ __all__ = [
     "ModuleInfo",
     "ModuleSummary",
     "ProjectContext",
-    "ProjectInfo",
     "Rule",
     "Severity",
     "Suppression",
@@ -72,9 +69,8 @@ __all__ = [
     "format_human",
     "format_json",
     "get_rule",
+    "lint_modules",
     "lint_paths",
-    "lint_project_modules",
-    "lint_project_paths",
     "register_rule",
     "summarize_module",
     "to_dict",

@@ -1,26 +1,33 @@
-"""The analyzer: files -> parsed modules -> rules -> report.
+"""The analyzer: files -> per-file analyses -> project context -> report.
 
-Drives the whole pass: gathers ``.py`` files deterministically, parses
-them, runs every enabled rule's module and project hooks, applies
-inline suppressions, and returns a :class:`~repro.analysis.findings.LintReport`
-sorted by (path, line, rule).  ``repro lint`` and ``make lint`` are
-thin wrappers around :func:`lint_paths`.
+Drives the whole pass: gathers ``.py`` files deterministically, runs
+every enabled rule's module hook and the summarizer on each parsed file
+(or replays both from the content-hash cache), builds the
+whole-program :class:`~repro.analysis.project.ProjectContext`, runs the
+context hooks over it, applies inline suppressions, and returns a
+:class:`~repro.analysis.findings.LintReport` sorted by
+(path, line, rule).  ``repro lint`` and ``make lint`` are thin wrappers
+around :func:`lint_paths`; :func:`lint_modules` runs the same pipeline
+over in-memory modules.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.findings import (
-    PARSE_ERROR_RULE,
-    Finding,
-    LintReport,
-    Severity,
+from repro.analysis.findings import LintReport, Severity
+from repro.analysis.project import (
+    FileAnalysis,
+    LintCache,
+    build_context,
+    content_hash,
+    pack_signature,
+    summarize_module,
 )
-from repro.analysis.registry import ModuleInfo, ProjectInfo, Rule, all_rules
+from repro.analysis.registry import ModuleInfo, Rule, all_rules
 from repro.analysis.suppressions import apply_suppressions, find_suppressions
 
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", "build", "dist"}
@@ -35,8 +42,7 @@ class LintConfig:
     fail_on: Severity = Severity.ERROR      # exit nonzero at/above this
     strict: bool = False                     # fail on ANY active finding
     project_root: Optional[str] = None       # repo root (docs/, README.md)
-    project: bool = False                    # whole-program mode (R009-R012)
-    use_cache: bool = True                   # incremental cache (project mode)
+    use_cache: bool = True                   # incremental per-file cache
     cache_path: Optional[str] = None         # default: <root>/.repro-lint-cache.json
 
     def enabled_rules(self) -> List[Rule]:
@@ -108,99 +114,118 @@ def _rel_path(path: str, root: Optional[str]) -> str:
     return path.replace(os.sep, "/")
 
 
-class Analyzer:
-    """One configured lint pass; reusable across file sets."""
-
-    def __init__(self, config: Optional[LintConfig] = None):
-        self.config = config or LintConfig()
-        self.rules = self.config.enabled_rules()
-
-    # ------------------------------------------------------------ entry
-    def lint_paths(self, paths: Sequence[str]) -> LintReport:
-        files = discover_files(paths)
-        root = self.config.project_root or (
-            find_project_root(paths[0]) if paths else os.getcwd()
-        )
-        modules: List[ModuleInfo] = []
-        parse_failures: List[Finding] = []
-        for path in files:
-            rel = _rel_path(path, root)
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                parse_failures.append(Finding(
-                    rule_id=PARSE_ERROR_RULE,
-                    severity=Severity.ERROR,
-                    path=rel,
-                    line=exc.lineno or 1,
-                    message=f"file does not parse: {exc.msg}",
-                ))
-                continue
-            modules.append(ModuleInfo(path=rel, source=source, tree=tree))
-        report = self._run(ProjectInfo(root=root, modules=modules))
-        report.findings.extend(parse_failures)
-        report.findings.sort(key=lambda f: f.sort_key)
-        report.n_files = len(files)
-        return report
-
-    def lint_source(self, source: str, path: str = "snippet.py",
-                    root: Optional[str] = None) -> LintReport:
-        """Lint one in-memory module (the test fixtures' entry point)."""
-        tree = ast.parse(source, filename=path)
-        module = ModuleInfo(path=path, source=source, tree=tree)
-        report = self._run(ProjectInfo(root=root or os.getcwd(),
-                                       modules=[module]))
-        report.n_files = 1
-        return report
-
-    # ------------------------------------------------------------ internals
-    def _run(self, project: ProjectInfo) -> LintReport:
-        by_module: Dict[str, List[Finding]] = {
-            module.path: [] for module in project.modules
-        }
-        for rule in self.rules:
-            for module in project.modules:
-                self._collect(rule.check_module(module), by_module)
-            self._collect(rule.check_project(project), by_module)
-
-        report = LintReport(
-            rule_ids=tuple(rule.rule_id for rule in self.rules)
-        )
-        module_paths = set()
-        for module in project.modules:
-            module_paths.add(module.path)
-            suppressions = find_suppressions(module.source, module.tree)
-            active, silenced = apply_suppressions(
-                by_module[module.path], suppressions, module.path
-            )
-            report.findings.extend(active)
-            report.suppressed.extend(silenced)
-        for path, findings in by_module.items():
-            if path not in module_paths:  # defensive: no source to check
-                report.findings.extend(findings)
-        report.findings.sort(key=lambda f: f.sort_key)
-        report.suppressed.sort(key=lambda f: f.sort_key)
-        return report
-
-    @staticmethod
-    def _collect(findings: Iterable[Finding],
-                 by_module: Dict[str, List[Finding]]) -> None:
-        for finding in findings:
-            # findings for files outside the linted set (defensive) are kept
-            by_module.setdefault(finding.path, []).append(finding)
-
-
 def lint_paths(paths: Sequence[str],
                config: Optional[LintConfig] = None) -> LintReport:
-    """Convenience: configure, run, report.
+    """Lint files and directories: the ``repro lint`` entry point.
 
-    With ``config.project`` set, dispatches to the whole-program
-    analyzer (:func:`repro.analysis.project.lint_project_paths`) —
-    summary-based cross-file rules plus the incremental cache.
+    A file whose content hash is unchanged since the last run replays
+    its per-file analysis from the cache (``config.use_cache``); every
+    other file is parsed and analyzed afresh.  The cross-file rules
+    always see the whole program, so warm and cold reports are
+    identical.
     """
-    if config is not None and config.project:
-        from repro.analysis.project import lint_project_paths
-        return lint_project_paths(paths, config)
-    return Analyzer(config).lint_paths(paths)
+    config = config or LintConfig()
+    rules = config.enabled_rules()
+    files = discover_files(paths)
+    root = config.project_root or (
+        find_project_root(paths[0]) if paths else os.getcwd()
+    )
+    cache_path = None
+    if config.use_cache:
+        cache_path = config.cache_path or os.path.join(
+            root, ".repro-lint-cache.json")
+    cache = LintCache(cache_path,
+                      pack_signature([rule.rule_id for rule in rules]))
+
+    analyses: Dict[str, FileAnalysis] = {}
+    for path in files:
+        rel = _rel_path(path, root)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        sha = content_hash(raw)
+        analysis = cache.lookup(rel, sha)
+        if analysis is None:
+            analysis = _analyze_source(raw.decode("utf-8"), path, rel, rules)
+            cache.store(rel, sha, analysis)
+        analyses[rel] = analysis
+    cache.prune(analyses)
+
+    report = _lint(rules, root, analyses, cache)
+    cache.save()
+    report.n_files = len(files)
+    return report
+
+
+def lint_modules(modules: Sequence[ModuleInfo], root: str,
+                 config: Optional[LintConfig] = None) -> LintReport:
+    """Lint in-memory modules (the fixtures' entry point): the same
+    pipeline as :func:`lint_paths`, without files or a cache."""
+    config = config or LintConfig()
+    rules = config.enabled_rules()
+    analyses = {module.path: _analyze_module(module, rules)
+                for module in modules}
+    report = _lint(rules, root, analyses, cache=None)
+    report.n_files = len(modules)
+    return report
+
+
+def _analyze_source(source: str, path: str, rel: str,
+                    rules: Sequence[Rule]) -> FileAnalysis:
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return FileAnalysis.parse_error(
+            rel, exc.lineno or 1, f"file does not parse: {exc.msg}")
+    return _analyze_module(ModuleInfo(path=rel, source=source, tree=tree),
+                           rules)
+
+
+def _analyze_module(module: ModuleInfo,
+                    rules: Sequence[Rule]) -> FileAnalysis:
+    """Everything one file contributes, computed from its AST alone."""
+    findings = [finding for rule in rules
+                for finding in rule.check_module(module)]
+    findings.sort(key=lambda f: f.sort_key)
+    return FileAnalysis(
+        summary=summarize_module(module),
+        findings=findings,
+        suppressions=find_suppressions(module.source, module.tree),
+    )
+
+
+def _lint(rules: Sequence[Rule], root: str,
+          analyses: Mapping[str, FileAnalysis],
+          cache: Optional[LintCache]) -> LintReport:
+    """Context rules over the whole program, then per-file suppression.
+
+    Module-rule and context-rule findings merge per file before the
+    file's suppressions apply; parse errors are never suppressible.
+    """
+    parsed = {rel: analysis for rel, analysis in analyses.items()
+              if analysis.summary is not None}
+    context = build_context(
+        root, {rel: analysis.summary for rel, analysis in parsed.items()},
+        cache=cache)
+    by_path = {rel: list(analysis.findings)
+               for rel, analysis in parsed.items()}
+    report = LintReport(rule_ids=tuple(rule.rule_id for rule in rules))
+    for rule in rules:
+        for finding in rule.check_context(context):
+            if finding.path in by_path:
+                by_path[finding.path].append(finding)
+            else:
+                report.findings.append(finding)  # outside the linted set
+
+    for rel in sorted(by_path):
+        merged = sorted(by_path[rel], key=lambda f: f.sort_key)
+        active, silenced = apply_suppressions(
+            merged, parsed[rel].suppressions, rel)
+        report.findings.extend(active)
+        report.suppressed.extend(silenced)
+    for analysis in analyses.values():
+        if analysis.summary is None:
+            report.findings.extend(analysis.findings)
+    report.findings.sort(key=lambda f: f.sort_key)
+    report.suppressed.sort(key=lambda f: f.sort_key)
+    report.project_stats = context.stats()
+    return report

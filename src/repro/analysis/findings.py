@@ -104,7 +104,7 @@ class LintReport:
     suppressed: list = field(default_factory=list)     # silenced findings
     n_files: int = 0
     rule_ids: tuple = ()
-    #: graph/cache statistics from ``--project`` mode (None otherwise)
+    #: project-graph and cache statistics (None until a driver sets them)
     project_stats: Optional[dict] = None
 
     def count_at_least(self, severity: Severity) -> int:

@@ -1,7 +1,7 @@
 """Whole-program analysis: summaries, graphs and the incremental cache.
 
-``repro lint --project`` grows the per-file rule pack into a
-whole-program pass.  The layer has three parts:
+``repro lint`` (:mod:`repro.analysis.engine`) is a whole-program pass
+built on three parts, all defined here:
 
 - **Per-file summaries** (:class:`ModuleSummary`): one deterministic
   AST walk per file extracts everything the cross-file rules need —
@@ -21,8 +21,9 @@ whole-program pass.  The layer has three parts:
   against this object.
 
 - **The incremental cache** (:class:`LintCache`): content-hash-keyed
-  per-file entries holding the summary, the raw (pre-suppression)
-  module-rule findings and the parsed suppressions.  The cache key is
+  per-file :class:`FileAnalysis` entries holding the summary, the raw
+  (pre-suppression) module-rule findings and the parsed suppressions.
+  An entry that does not decode is a miss.  The cache key is
   the file's SHA-256 plus a pack signature (rule ids +
   :data:`ANALYSIS_CACHE_VERSION`), so editing one file re-analyzes only
   that file and bumping the version constant invalidates everything.
@@ -42,36 +43,27 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import dotted_name, import_aliases, resolve_call_target
-from repro.analysis.engine import (
-    LintConfig,
-    _rel_path,
-    discover_files,
-    find_project_root,
-)
-from repro.analysis.findings import (
-    PARSE_ERROR_RULE,
-    Finding,
-    LintReport,
-    Severity,
-)
+from repro.analysis.findings import PARSE_ERROR_RULE, Finding, Severity
 from repro.analysis.registry import ModuleInfo
-from repro.analysis.suppressions import (
-    Suppression,
-    apply_suppressions,
-    find_suppressions,
+# one source of truth for what the summaries extract: the vocabulary
+# regex and emit-method set (R006), the CLI flag extractor (R008) and
+# the executor-boundary method names (R005)
+from repro.analysis.rules.cli_docs import _cli_flags
+from repro.analysis.rules.metrics_vocab import (
+    _EMIT_METHODS,
+    _NAME_RE,
+    _extract_vocabulary,
 )
+from repro.analysis.rules.pickle_safety import _BOUNDARY_METHODS
+from repro.analysis.suppressions import Suppression
 
 #: bump when summaries, fixpoints or any rule's logic change shape —
 #: stale caches are then discarded wholesale instead of replaying
 #: findings the current pack would no longer produce
 ANALYSIS_CACHE_VERSION = 1
-
-#: executor-surface method names whose arguments cross the process
-#: boundary (kept in sync with rules/pickle_safety.py)
-BOUNDARY_METHODS = {"run_jobs", "run_one", "map", "submit"}
 
 #: calls that construct an explicit RNG generator object
 _RNG_CONSTRUCTORS = {"numpy.random.default_rng", "random.Random",
@@ -352,16 +344,6 @@ class _Summarizer:
                     s.mutable_globals[stmt.target.id] = stmt.lineno
 
     def _collect_metric_material(self, tree: ast.Module) -> None:
-        # lazily import to keep a single source of truth for the
-        # vocabulary regex and emit-method set (rule R006) and the CLI
-        # flag extractor (rule R008)
-        from repro.analysis.rules.cli_docs import _cli_flags
-        from repro.analysis.rules.metrics_vocab import (
-            _EMIT_METHODS,
-            _NAME_RE,
-            _extract_vocabulary,
-        )
-
         literals: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and \
@@ -656,7 +638,7 @@ class _Summarizer:
     def _record_boundary(self, node: ast.Call, fn: FunctionSummary,
                          locals_, cls) -> None:
         if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in BOUNDARY_METHODS):
+                and node.func.attr in _BOUNDARY_METHODS):
             return
         method = node.func.attr
         stack = list(node.args) + [kw.value for kw in node.keywords]
@@ -1004,23 +986,72 @@ def build_context(root: str, summaries: Dict[str, ModuleSummary],
 
 
 # ------------------------------------------------------------------- cache
-class LintCache:
-    """Content-hash-keyed per-file cache for ``repro lint --project``.
+@dataclass
+class FileAnalysis:
+    """Everything one file contributes to a lint run; one cache entry.
 
-    One JSON file holds, per analyzed path: the file's SHA-256, the raw
-    (pre-suppression) module-rule findings, the parsed suppressions and
-    the :class:`ModuleSummary`.  A warm run re-analyzes only files whose
-    hash changed; everything cross-file is recomputed from summaries, so
-    warm findings are identical to a cold run by construction.  The
-    whole file is discarded when the pack signature (enabled rules +
-    :data:`ANALYSIS_CACHE_VERSION`) changes.
+    ``summary`` is None when the file does not parse, and ``findings``
+    then holds the single parse-error finding (never suppressible).
+    Otherwise ``findings`` are the raw (pre-suppression) module-rule
+    findings, sorted.
     """
 
-    def __init__(self, path: Optional[str], signature: str,
-                 enabled: bool = True):
+    summary: Optional[ModuleSummary]
+    findings: List[Finding]
+    suppressions: List[Suppression] = field(default_factory=list)
+
+    @classmethod
+    def parse_error(cls, path: str, line: int,
+                    message: str) -> "FileAnalysis":
+        return cls(summary=None, findings=[Finding(
+            rule_id=PARSE_ERROR_RULE, severity=Severity.ERROR,
+            path=path, line=line, message=message)])
+
+    def to_dict(self) -> dict:
+        if self.summary is None:
+            error = self.findings[0]
+            return {"error": {"line": error.line, "message": error.message}}
+        return {
+            "summary": self.summary.to_dict(),
+            "findings": [f.to_dict() for f in self.findings],
+            "suppressions": [[s.line, list(s.rule_ids), s.justification,
+                              s.end_line] for s in self.suppressions],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict, path: str) -> "FileAnalysis":
+        error = data.get("error")
+        if error is not None:
+            return cls.parse_error(path, int(error["line"]),
+                                   error["message"])
+        return cls(
+            summary=ModuleSummary.from_dict(data["summary"]),
+            findings=[Finding.from_dict(f) for f in data["findings"]],
+            suppressions=[Suppression(line=line, rule_ids=tuple(rules),
+                                      justification=just, end_line=end)
+                          for line, rules, just, end
+                          in data["suppressions"]],
+        )
+
+
+class LintCache:
+    """Content-hash-keyed per-file cache for ``repro lint``.
+
+    One JSON file holds, per analyzed path: the file's SHA-256 and its
+    :class:`FileAnalysis` (raw module-rule findings, parsed
+    suppressions, :class:`ModuleSummary`).  A warm run re-analyzes only
+    files whose hash changed; everything cross-file is recomputed from
+    summaries, so warm findings are identical to a cold run by
+    construction.  The whole file is discarded when the pack signature
+    (enabled rules + :data:`ANALYSIS_CACHE_VERSION`) changes; a file or
+    entry that does not decode reads as a miss and is overwritten on
+    :meth:`save`.  A ``path`` of None disables the cache.
+    """
+
+    def __init__(self, path: Optional[str], signature: str):
         self.path = path
         self.signature = signature
-        self.enabled = enabled and path is not None
+        self.enabled = path is not None
         self.hits = 0
         self.misses = 0
         self._files: Dict[str, dict] = {}
@@ -1034,7 +1065,8 @@ class LintCache:
                 data = json.load(fh)
         except (OSError, ValueError):
             return
-        if data.get("version") != ANALYSIS_CACHE_VERSION or \
+        if not isinstance(data, dict) or \
+                data.get("version") != ANALYSIS_CACHE_VERSION or \
                 data.get("signature") != self.signature:
             return
         files = data.get("files")
@@ -1042,26 +1074,29 @@ class LintCache:
             self._files = files
 
     # -------------------------------------------------------------- files
-    def lookup(self, rel_path: str, sha: str) -> Optional[dict]:
-        entry = self._files.get(rel_path) if self.enabled else None
-        if entry is not None and entry.get("sha") == sha:
-            self.hits += 1
-            return entry
+    def lookup(self, rel_path: str, sha: str) -> Optional[FileAnalysis]:
+        entry = self._files.get(rel_path)
+        if isinstance(entry, dict) and entry.get("sha") == sha:
+            try:
+                analysis = FileAnalysis.from_dict(entry, rel_path)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                pass  # corrupt entry: a miss, re-analyzed and overwritten
+            else:
+                self.hits += 1
+                return analysis
         self.misses += 1
         return None
 
-    def store(self, rel_path: str, sha: str, entry: dict) -> None:
+    def store(self, rel_path: str, sha: str, analysis: FileAnalysis) -> None:
         if not self.enabled:
             return
-        entry = dict(entry)
+        entry = analysis.to_dict()
         entry["sha"] = sha
         self._files[rel_path] = entry
         self._dirty = True
 
-    def prune(self, keep: Sequence[str]) -> None:
+    def prune(self, keep: Iterable[str]) -> None:
         """Drop entries for files no longer in the linted set."""
-        if not self.enabled:
-            return
         keep_set = set(keep)
         stale = [p for p in self._files if p not in keep_set]
         for p in stale:
@@ -1098,162 +1133,3 @@ def content_hash(data: bytes) -> str:
 def pack_signature(rule_ids: Sequence[str]) -> str:
     payload = f"{ANALYSIS_CACHE_VERSION}:{','.join(sorted(rule_ids))}"
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------- driver
-def _serialize_suppressions(sups: List[Suppression]) -> list:
-    return [[s.line, list(s.rule_ids), s.justification, s.end_line]
-            for s in sups]
-
-
-def _deserialize_suppressions(data: list) -> List[Suppression]:
-    return [Suppression(line=line, rule_ids=tuple(rules),
-                        justification=just, end_line=end)
-            for line, rules, just, end in data]
-
-
-def lint_project_paths(paths: Sequence[str],
-                       config: Optional[LintConfig] = None) -> LintReport:
-    """The ``--project`` entry point: incremental whole-program lint."""
-    config = config or LintConfig()
-    rules = config.enabled_rules()
-    files = discover_files(paths)
-    root = config.project_root or (
-        find_project_root(paths[0]) if paths else os.getcwd()
-    )
-    signature = pack_signature([rule.rule_id for rule in rules])
-    cache_path = None
-    if config.use_cache:
-        cache_path = config.cache_path or os.path.join(
-            root, ".repro-lint-cache.json")
-    cache = LintCache(cache_path, signature, enabled=config.use_cache)
-
-    summaries: Dict[str, ModuleSummary] = {}
-    raw_findings: Dict[str, List[Finding]] = {}
-    suppressions: Dict[str, List[Suppression]] = {}
-    parse_failures: List[Finding] = []
-    rel_paths: List[str] = []
-
-    for path in files:
-        rel = _rel_path(path, root)
-        rel_paths.append(rel)
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        sha = content_hash(raw)
-        entry = cache.lookup(rel, sha)
-        if entry is not None:
-            error = entry.get("error")
-            if error is not None:
-                parse_failures.append(Finding(
-                    rule_id=PARSE_ERROR_RULE, severity=Severity.ERROR,
-                    path=rel, line=int(error["line"]),
-                    message=error["message"]))
-                continue
-            summaries[rel] = ModuleSummary.from_dict(entry["summary"])
-            raw_findings[rel] = [Finding.from_dict(f)
-                                 for f in entry["findings"]]
-            suppressions[rel] = _deserialize_suppressions(
-                entry["suppressions"])
-            continue
-        source = raw.decode("utf-8")
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            message = f"file does not parse: {exc.msg}"
-            parse_failures.append(Finding(
-                rule_id=PARSE_ERROR_RULE, severity=Severity.ERROR,
-                path=rel, line=exc.lineno or 1, message=message))
-            cache.store(rel, sha, {
-                "error": {"line": exc.lineno or 1, "message": message}})
-            continue
-        module = ModuleInfo(path=rel, source=source, tree=tree)
-        findings: List[Finding] = []
-        for rule in rules:
-            findings.extend(rule.check_module(module))
-        findings.sort(key=lambda f: f.sort_key)
-        sups = find_suppressions(source, tree)
-        summary = summarize_module(module)
-        summaries[rel] = summary
-        raw_findings[rel] = findings
-        suppressions[rel] = sups
-        cache.store(rel, sha, {
-            "summary": summary.to_dict(),
-            "findings": [f.to_dict() for f in findings],
-            "suppressions": _serialize_suppressions(sups),
-        })
-
-    cache.prune(rel_paths)
-    context = build_context(root, summaries, cache=cache)
-    context_findings: List[Finding] = []
-    for rule in rules:
-        context_findings.extend(rule.check_context(context))
-    cache.save()
-
-    by_path: Dict[str, List[Finding]] = {rel: [] for rel in summaries}
-    passthrough: List[Finding] = []
-    for finding in context_findings:
-        if finding.path in by_path:
-            by_path[finding.path].append(finding)
-        else:
-            passthrough.append(finding)  # defensive: outside linted set
-
-    report = LintReport(rule_ids=tuple(rule.rule_id for rule in rules))
-    for rel in sorted(summaries):
-        merged = raw_findings.get(rel, []) + by_path[rel]
-        merged.sort(key=lambda f: f.sort_key)
-        active, silenced = apply_suppressions(
-            merged, suppressions.get(rel, []), rel)
-        report.findings.extend(active)
-        report.suppressed.extend(silenced)
-    report.findings.extend(passthrough)
-    report.findings.extend(parse_failures)
-    report.findings.sort(key=lambda f: f.sort_key)
-    report.suppressed.sort(key=lambda f: f.sort_key)
-    report.n_files = len(files)
-    report.project_stats = context.stats()
-    return report
-
-
-def lint_project_modules(modules: Sequence[ModuleInfo], root: str,
-                         config: Optional[LintConfig] = None) -> LintReport:
-    """Project-mode lint over in-memory modules (the fixtures' entry
-    point): no cache, same summary-based pipeline as the file driver."""
-    config = config or LintConfig()
-    rules = config.enabled_rules()
-    summaries: Dict[str, ModuleSummary] = {}
-    raw_findings: Dict[str, List[Finding]] = {}
-    suppressions: Dict[str, List[Suppression]] = {}
-    for module in modules:
-        findings: List[Finding] = []
-        for rule in rules:
-            findings.extend(rule.check_module(module))
-        findings.sort(key=lambda f: f.sort_key)
-        summaries[module.path] = summarize_module(module)
-        raw_findings[module.path] = findings
-        suppressions[module.path] = find_suppressions(module.source,
-                                                      module.tree)
-    context = build_context(root, summaries, cache=None)
-    context_findings: List[Finding] = []
-    for rule in rules:
-        context_findings.extend(rule.check_context(context))
-
-    by_path: Dict[str, List[Finding]] = {rel: [] for rel in summaries}
-    passthrough: List[Finding] = []
-    for finding in context_findings:
-        if finding.path in by_path:
-            by_path[finding.path].append(finding)
-        else:
-            passthrough.append(finding)
-    report = LintReport(rule_ids=tuple(rule.rule_id for rule in rules))
-    for rel in sorted(summaries):
-        merged = raw_findings[rel] + by_path[rel]
-        merged.sort(key=lambda f: f.sort_key)
-        active, silenced = apply_suppressions(merged, suppressions[rel], rel)
-        report.findings.extend(active)
-        report.suppressed.extend(silenced)
-    report.findings.extend(passthrough)
-    report.findings.sort(key=lambda f: f.sort_key)
-    report.suppressed.sort(key=lambda f: f.sort_key)
-    report.n_files = len(modules)
-    report.project_stats = context.stats()
-    return report

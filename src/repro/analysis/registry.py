@@ -2,9 +2,10 @@
 
 A rule is a class with a unique ``R\\d{3}`` id, a default severity and
 two hooks: :meth:`Rule.check_module` (called once per parsed file) and
-:meth:`Rule.check_project` (called once with every file in view — for
-cross-file invariants like vocabulary drift or undocumented CLI flags).
-Registering is one decorator::
+:meth:`Rule.check_context` (called once per run with the whole-program
+:class:`~repro.analysis.project.ProjectContext` — for cross-file
+invariants like lock discipline, vocabulary drift or undocumented CLI
+flags).  Registering is one decorator::
 
     @register_rule
     class MyRule(Rule):
@@ -44,24 +45,6 @@ class ModuleInfo:
         if not self.lines:
             self.lines = self.source.splitlines()
 
-    @property
-    def name(self) -> str:
-        return self.path.rsplit("/", 1)[-1]
-
-
-@dataclass
-class ProjectInfo:
-    """The whole linted file set plus repo context for cross-file rules."""
-
-    root: str                      # absolute repo root (docs/ + README live here)
-    modules: List[ModuleInfo] = field(default_factory=list)
-
-    def module_named(self, filename: str) -> Optional[ModuleInfo]:
-        for module in self.modules:
-            if module.name == filename:
-                return module
-        return None
-
 
 class Rule:
     """Base class: one enforced invariant, one id, one severity."""
@@ -74,18 +57,15 @@ class Rule:
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, project: ProjectInfo) -> Iterable[Finding]:
-        return ()
-
     def check_context(self, context) -> Iterable[Finding]:
-        """Whole-program hook, ``--project`` mode only.
+        """Whole-program hook.
 
         ``context`` is a :class:`repro.analysis.project.ProjectContext`
         built from per-file summaries (import graph, symbol table, call
         graph, lock-context fixpoints).  Rules implementing this hook
         see the whole program even on warm incremental runs, where
-        unchanged files are never re-parsed.  In project mode this hook
-        *replaces* :meth:`check_project` (which needs full ASTs).
+        unchanged files are never re-parsed — so they must work from
+        summaries, never ASTs.
         """
         return ()
 

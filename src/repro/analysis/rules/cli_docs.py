@@ -15,7 +15,7 @@ import os
 from typing import Dict
 
 from repro.analysis.findings import Severity
-from repro.analysis.registry import ModuleInfo, ProjectInfo, Rule, register_rule
+from repro.analysis.registry import ModuleInfo, Rule, register_rule
 
 
 def _cli_flags(cli: ModuleInfo) -> Dict[str, int]:
@@ -61,24 +61,7 @@ class UndocumentedCliFlagRule(Rule):
         "under docs/ (docs/cli.md is the canonical reference)"
     )
 
-    def check_project(self, project: ProjectInfo):
-        cli = project.module_named("cli.py")
-        if cli is None:
-            return
-        flags = _cli_flags(cli)
-        if not flags:
-            return
-        docs = _docs_text(project.root)
-        for flag in sorted(flags):
-            if flag not in docs:
-                yield self.finding(
-                    cli, flags[flag],
-                    f"CLI flag '{flag}' is not mentioned in README.md or "
-                    f"any doc under docs/; document it (docs/cli.md)",
-                )
-
     def check_context(self, context):
-        """Summary-based variant for ``--project`` mode (no ASTs)."""
         for path, summary in context.summaries.items():
             if path.rsplit("/", 1)[-1] != "cli.py" or not summary.cli_flags:
                 continue

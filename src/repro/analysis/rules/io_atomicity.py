@@ -1,4 +1,4 @@
-"""R010: non-atomic writes to shared files (project mode).
+"""R010: non-atomic writes to shared files (cross-file).
 
 Worker processes, reruns and concurrent flows all touch the same
 cache/stats/metrics files.  A plain ``open(path, "w")`` to one of those
@@ -47,7 +47,7 @@ class SharedWriteAtomicityRule(Rule):
     severity = Severity.ERROR
     description = (
         "writes to shared cache/stats/metrics files must be append-mode, "
-        "flock-serialized, or tmp-write + os.replace (--project mode)"
+        "flock-serialized, or tmp-write + os.replace"
     )
 
     def check_context(self, context):

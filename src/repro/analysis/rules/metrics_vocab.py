@@ -7,25 +7,26 @@ METRICS lesson (2): one name, one meaning.  Two drift modes break it:
 - the schema defines a name nothing ever emits — dead vocabulary that
   readers (the miner, dashboards) wait on forever.
 
-The rule resolves the vocabulary from the *linted* project's
-``metrics/schema.py`` when present (AST-extracted, so fixtures can
-carry their own mini-schema), else from the installed
+The rule works from the per-file summaries.  The vocabulary is the
+``VOCABULARY`` dict of the *linted* project's ``metrics/schema.py``
+when present (AST-extracted by the summarizer, so fixtures can carry
+their own mini-schema), else the installed
 :mod:`repro.metrics.schema`.  Emitters are literal first arguments to
 ``.send(...)`` / ``.record(...)`` / ``.emit(...)``; the no-emitter
 check also accepts any string literal elsewhere in the project (the
 flow wrappers route names through mapping dicts like
-``_STEP_METRICS``), and is skipped entirely when the schema module is
-not part of the linted set.
+``_STEP_METRICS``), and is skipped entirely when no linted
+``metrics/schema.py`` defines a ``VOCABULARY`` dict.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.analysis.findings import Severity
-from repro.analysis.registry import ModuleInfo, ProjectInfo, Rule, register_rule
+from repro.analysis.registry import ModuleInfo, Rule, register_rule
 
 _EMIT_METHODS = {"send", "record", "emit"}
 # kept in sync with repro.metrics.schema._NAME_RE: one or more
@@ -58,66 +59,7 @@ class MetricsVocabularyRule(Rule):
         "and every vocabulary entry needs an emitter"
     )
 
-    def check_project(self, project: ProjectInfo):
-        schema = None
-        for module in project.modules:
-            if module.path.endswith("metrics/schema.py"):
-                schema = module
-                break
-        vocabulary = _extract_vocabulary(schema) if schema is not None else None
-        if vocabulary is None:
-            try:
-                from repro.metrics.schema import VOCABULARY
-            except ImportError:  # pragma: no cover - repro is importable here
-                return
-            vocabulary = {name: 0 for name in VOCABULARY}
-
-        emitted: Set[str] = set()
-        referenced: Set[str] = set()
-        unknown: List[Tuple[ModuleInfo, int, str]] = []
-        for module in project.modules:
-            if schema is not None and module is schema:
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Constant) and \
-                        isinstance(node.value, str) and \
-                        _NAME_RE.match(node.value):
-                    referenced.add(node.value)
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _EMIT_METHODS
-                        and node.args):
-                    continue
-                first = node.args[0]
-                if not (isinstance(first, ast.Constant)
-                        and isinstance(first.value, str)):
-                    continue
-                name = first.value
-                if not _NAME_RE.match(name):
-                    continue  # e.g. a file path; not a metric name
-                emitted.add(name)
-                if name not in vocabulary:
-                    unknown.append((module, first.lineno, name))
-
-        for module, line, name in unknown:
-            yield self.finding(
-                module, line,
-                f"metric '{name}' is not in the METRICS vocabulary "
-                f"(repro.metrics.schema.VOCABULARY); records with it are "
-                f"rejected at transmission time",
-            )
-        if schema is not None:
-            for name in sorted(vocabulary):
-                if name not in emitted and name not in referenced:
-                    yield self.finding(
-                        schema, vocabulary[name],
-                        f"vocabulary entry '{name}' has no emitter anywhere "
-                        f"in the linted tree; remove it or emit it",
-                        severity=Severity.WARNING,
-                    )
-
     def check_context(self, context):
-        """Summary-based variant for ``--project`` mode (no ASTs)."""
         schema_path = None
         for path in context.summaries:
             if path.endswith("metrics/schema.py"):

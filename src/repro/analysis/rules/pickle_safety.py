@@ -23,6 +23,8 @@ from repro.analysis.astutil import import_aliases, resolve_call_target
 from repro.analysis.findings import Severity
 from repro.analysis.registry import ModuleInfo, Rule, register_rule
 
+#: executor-surface method names whose arguments cross the process
+#: boundary (the summarizer's R012 payload scan uses the same set)
 _BOUNDARY_METHODS = {"run_jobs", "run_one", "map", "submit"}
 _UNPICKLABLE_CALLS = {
     "threading.Lock": "a threading.Lock",

@@ -1,4 +1,4 @@
-"""R009: inconsistent lock discipline on shared state (project mode).
+"""R009: inconsistent lock discipline on shared state (cross-file).
 
 A module global or instance attribute that is mutated under a lock at
 one site must be mutated under a lock at *every* site — a single
@@ -40,7 +40,7 @@ class LockDisciplineRule(Rule):
     severity = Severity.ERROR
     description = (
         "shared state guarded by a lock at one mutation site must be "
-        "guarded at every mutation site (interprocedural, --project mode)"
+        "guarded at every mutation site (interprocedural)"
     )
 
     def check_context(self, context):

@@ -1,4 +1,4 @@
-"""R012: RNG state crossing the process boundary (project mode).
+"""R012: RNG state crossing the process boundary (cross-file).
 
 The repo's determinism charter hands every worker its own
 ``SeedSequence.spawn`` child; two shapes quietly break that and only
@@ -38,7 +38,7 @@ class RngBoundaryRule(Rule):
     description = (
         "RNG generators must not cross the executor process boundary, "
         "and worker-side code must not construct unseeded RNGs "
-        "(interprocedural, --project mode)"
+        "(interprocedural)"
     )
 
     def check_context(self, context):

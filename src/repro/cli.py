@@ -482,7 +482,6 @@ def _cmd_lint(args) -> int:
         ignore=args.ignore.split(",") if args.ignore else (),
         fail_on=Severity.parse(args.fail_on),
         strict=args.strict,
-        project=args.project,
         use_cache=not args.no_cache,
     )
     try:
@@ -516,6 +515,8 @@ def _cmd_cache_stats(args) -> int:
             with open(os.path.join(args.dir, name)) as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
+            data = None
+        if not isinstance(data, dict):
             corrupt += 1
             continue
         entries += 1
@@ -533,6 +534,8 @@ def _cmd_cache_stats(args) -> int:
         with open(stats_path) as fh:
             stats = json.load(fh)
     except (OSError, ValueError):
+        stats = None
+    if not isinstance(stats, dict):
         print("no cache-stats.json (no campaign has closed an executor "
               "over this directory yet)")
         return 0
@@ -792,12 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the rule catalog and exit")
     lint.add_argument("--verbose", action="store_true",
                       help="also print suppressed findings")
-    lint.add_argument("--project", action="store_true",
-                      help="whole-program mode: build the import/call graph "
-                           "once and enable the cross-file rules (R009-R012)")
     lint.add_argument("--no-cache", action="store_true",
-                      help="with --project: ignore and do not write the "
-                           "incremental cache (.repro-lint-cache.json)")
+                      help="ignore and do not write the incremental cache "
+                           "(.repro-lint-cache.json)")
     lint.set_defaults(func=_cmd_lint)
 
     cost = sub.add_parser("cost", help="ITRS design-cost projection")

@@ -143,8 +143,9 @@ class ResultCache:
                 try:
                     with open(path) as fh:
                         data = json.load(fh)
-                    if data.pop("schema", None) != CACHE_SCHEMA:
-                        return None  # stale or future layout: a miss
+                    if not isinstance(data, dict) or \
+                            data.pop("schema", None) != CACHE_SCHEMA:
+                        return None  # corrupt, stale or future layout: a miss
                     result = flow_result_from_dict(data)
                 except (ValueError, KeyError, TypeError):
                     return None  # corrupt entry: treat as a miss

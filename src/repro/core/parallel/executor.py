@@ -349,6 +349,8 @@ class FlowExecutor:
                         prior = json.load(fh)
                 except (OSError, ValueError):
                     prior = {}
+                if not isinstance(prior, dict):
+                    prior = {}  # corrupt: rewritten with this run's counters
                 for key, value in payload.items():
                     if isinstance(value, dict):
                         merged = dict(prior.get(key, {}) or {})

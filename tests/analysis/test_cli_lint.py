@@ -88,22 +88,15 @@ def test_lint_verbose_prints_suppressed(tmp_path, capsys):
     assert "(suppressed)" in capsys.readouterr().out
 
 
-def test_shipped_tree_is_lint_clean_strict(capsys):
-    """Acceptance criterion: `repro lint --strict src/repro` exits 0."""
-    src = os.path.join(REPO_ROOT, "src", "repro")
-    assert main(["lint", "--strict", src]) == 0, capsys.readouterr().out
-
-
 def test_lint_project_mode_exit_and_stats_line(violating_file, capsys):
-    assert main(["lint", "--project", "--no-cache", violating_file]) == 1
+    assert main(["lint", "--no-cache", violating_file]) == 1
     out = capsys.readouterr().out
     assert "R001 error:" in out
     assert "project graph:" in out
 
 
 def test_lint_project_json_carries_graph_stats(violating_file, capsys):
-    main(["lint", "--project", "--no-cache", "--format", "json",
-          violating_file])
+    main(["lint", "--no-cache", "--format", "json", violating_file])
     data = json.loads(capsys.readouterr().out)
     assert "project" in data
     assert data["project"]["files"] == 1
@@ -114,18 +107,32 @@ def test_lint_project_writes_and_reuses_cache(tmp_path, capsys):
     (tmp_path / "pyproject.toml").write_text("")
     path = tmp_path / "mod.py"
     path.write_text("def f():\n    return 1\n")
-    assert main(["lint", "--project", str(path)]) == 0
+    assert main(["lint", str(path)]) == 0
     cache = tmp_path / ".repro-lint-cache.json"
     assert cache.is_file()
     capsys.readouterr()
-    assert main(["lint", "--project", "--format", "json", str(path)]) == 0
+    assert main(["lint", "--format", "json", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["project"]["cache"] == {"hits": 1, "misses": 0}
 
 
-def test_shipped_tree_is_project_lint_clean_strict(capsys):
-    """Acceptance criterion: `repro lint --strict --project src/repro`
-    exits 0 with the cross-file rules R009-R012 enabled."""
+def test_shipped_tree_is_lint_clean_strict(capsys):
+    """Acceptance criterion: `repro lint --strict src/repro` exits 0 with
+    every rule enabled, the cross-file rules R009-R012 included.  The
+    cache is off so the test never writes the repo's own cache file."""
     src = os.path.join(REPO_ROOT, "src", "repro")
-    assert main(["lint", "--strict", "--project", "--no-cache", src]) == 0, \
+    assert main(["lint", "--strict", "--no-cache", src]) == 0, \
         capsys.readouterr().out
+
+
+def test_shipped_tree_is_project_lint_clean_strict(capsys):
+    """Acceptance criterion: `make lint`'s tree, `src/repro` plus the
+    examples that drive executors and pool payloads, lints clean with
+    every rule and no cache."""
+    paths = [os.path.join(REPO_ROOT, "src", "repro"),
+             os.path.join(REPO_ROOT, "examples")]
+    assert main(["lint", "--strict", "--no-cache", "--format", "json",
+                 *paths]) == 0, capsys.readouterr().out
+    data = json.loads(capsys.readouterr().out)
+    assert data["findings"] == []
+    assert data["project"]["files"] > 0

@@ -8,7 +8,6 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    Analyzer,
     Finding,
     LintConfig,
     ModuleInfo,
@@ -17,6 +16,7 @@ from repro.analysis import (
     find_suppressions,
     format_human,
     format_json,
+    lint_modules,
     lint_paths,
     to_dict,
 )
@@ -24,9 +24,15 @@ from repro.analysis import (
 VIOLATION = "import random\nx = random.random()\n"
 
 
+def lint_source(source, config):
+    source = textwrap.dedent(source)
+    module = ModuleInfo(path="snippet.py", source=source,
+                        tree=ast.parse(source))
+    return lint_modules([module], root=os.getcwd(), config=config)
+
+
 def analyze(source, **cfg):
-    config = LintConfig(**{"select": ["R001"], **cfg})
-    return Analyzer(config).lint_source(textwrap.dedent(source))
+    return lint_source(source, LintConfig(**{"select": ["R001"], **cfg}))
 
 
 # ------------------------------------------------------------ suppressions
@@ -132,7 +138,7 @@ def test_multi_rule_suppression():
         "# repro: allow[R001, R003] -- fixture exercises both\n"
         "x = [n for n in os.listdir('.') if random.random() > 0.5]\n"
     )
-    report = Analyzer(LintConfig(select=["R001", "R003"])).lint_source(source)
+    report = lint_source(source, LintConfig(select=["R001", "R003"]))
     assert report.findings == []
     assert len(report.suppressed) == 2
 
@@ -157,7 +163,7 @@ def test_strict_fails_on_warnings():
 
 def test_select_unknown_rule_raises():
     with pytest.raises(ValueError, match="unknown rule"):
-        Analyzer(LintConfig(select=["R999"]))
+        analyze("x = 1\n", select=["R999"])
 
 
 def test_ignore_drops_rule():
@@ -199,8 +205,9 @@ def test_deterministic_output(tmp_path):
     (tmp_path / "pyproject.toml").write_text("")
     for name in ("m1.py", "m2.py"):
         (tmp_path / name).write_text(VIOLATION)
-    runs = [format_json(lint_paths([str(tmp_path)],
-                                   LintConfig(select=["R001"])))
+    # cache off: the JSON report carries the cache hit/miss counters
+    config = LintConfig(select=["R001"], use_cache=False)
+    runs = [format_json(lint_paths([str(tmp_path)], config))
             for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 

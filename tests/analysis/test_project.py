@@ -5,12 +5,12 @@ import json
 import random
 import textwrap
 
-from repro.analysis import LintConfig, ModuleInfo, lint_paths
+import pytest
+
+from repro.analysis import LintConfig, ModuleInfo, lint_modules, lint_paths
 from repro.analysis.project import (
     ModuleSummary,
     build_context,
-    lint_project_modules,
-    lint_project_paths,
     module_name_for,
     summarize_module,
 )
@@ -174,8 +174,8 @@ def test_report_is_deterministic_under_discovery_order():
     for seed in range(4):
         shuffled = list(modules)
         random.Random(seed).shuffle(shuffled)
-        report = lint_project_modules(shuffled, root="/tmp",
-                                      config=LintConfig(select=["R009"]))
+        report = lint_modules(shuffled, root="/tmp",
+                              config=LintConfig(select=["R009"]))
         if baseline is None:
             baseline = keys(report)
             assert baseline, "fixture should produce an R009 finding"
@@ -208,18 +208,17 @@ def _write_project(tmp_path):
 
 def _cfg(tmp_path, **kw):
     kw.setdefault("select", ["R001", "R002", "R009"])
-    kw.setdefault("project", True)
     kw.setdefault("project_root", str(tmp_path))
     return LintConfig(**kw)
 
 
 def test_warm_run_hits_cache_and_matches_cold(tmp_path):
     pkg = _write_project(tmp_path)
-    cold = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    cold = lint_paths([str(pkg)], _cfg(tmp_path))
     assert cold.project_stats["cache"] == {"hits": 0, "misses": 3}
     assert (tmp_path / ".repro-lint-cache.json").is_file()
 
-    warm = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    warm = lint_paths([str(pkg)], _cfg(tmp_path))
     assert warm.project_stats["cache"] == {"hits": 3, "misses": 0}
     assert keys(warm) == keys(cold)
     assert any(f.rule_id == "R009" for f in warm.findings)
@@ -227,30 +226,28 @@ def test_warm_run_hits_cache_and_matches_cold(tmp_path):
 
 def test_editing_one_file_reanalyzes_only_it(tmp_path):
     pkg = _write_project(tmp_path)
-    cold = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    cold = lint_paths([str(pkg)], _cfg(tmp_path))
     # fix the race in b.py: delete the unguarded mutation
     (pkg / "b.py").write_text("def naked(k):\n    return k\n")
-    warm = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    warm = lint_paths([str(pkg)], _cfg(tmp_path))
     assert warm.project_stats["cache"] == {"hits": 2, "misses": 1}
     assert not any(f.rule_id == "R009" for f in warm.findings)
     # and the fresh result matches a from-scratch run
-    scratch = lint_project_paths([str(pkg)],
-                                 _cfg(tmp_path, use_cache=False))
+    scratch = lint_paths([str(pkg)], _cfg(tmp_path, use_cache=False))
     assert keys(warm) == keys(scratch)
     assert cold.project_stats["cache"]["misses"] == 3
 
 
 def test_rule_selection_change_invalidates_cache(tmp_path):
     pkg = _write_project(tmp_path)
-    lint_project_paths([str(pkg)], _cfg(tmp_path))
-    other = lint_project_paths([str(pkg)],
-                               _cfg(tmp_path, select=["R009", "R010"]))
+    lint_paths([str(pkg)], _cfg(tmp_path))
+    other = lint_paths([str(pkg)], _cfg(tmp_path, select=["R009", "R010"]))
     assert other.project_stats["cache"]["misses"] == 3
 
 
 def test_no_cache_mode_writes_nothing(tmp_path):
     pkg = _write_project(tmp_path)
-    lint_project_paths([str(pkg)], _cfg(tmp_path, use_cache=False))
+    lint_paths([str(pkg)], _cfg(tmp_path, use_cache=False))
     assert not (tmp_path / ".repro-lint-cache.json").exists()
 
 
@@ -263,29 +260,57 @@ def test_cache_replays_suppressions_and_parse_errors(tmp_path):
             STATE[k] = 2  # repro: allow[R009] -- single-writer by contract
     """))
     (pkg / "broken.py").write_text("def oops(:\n")
-    cold = lint_project_paths([str(pkg)], _cfg(tmp_path))
-    warm = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    cold = lint_paths([str(pkg)], _cfg(tmp_path))
+    warm = lint_paths([str(pkg)], _cfg(tmp_path))
     for report in (cold, warm):
         assert [f.rule_id for f in report.suppressed] == ["R009"]
         assert [f.rule_id for f in report.findings] == ["E000"]
     assert warm.project_stats["cache"]["misses"] == 0
 
 
-def test_project_mode_agrees_with_classic_on_module_rules(tmp_path):
-    pkg = _write_project(tmp_path)
-    classic = lint_paths(
-        [str(pkg)], LintConfig(select=["R001", "R002", "R003", "R004"],
-                               project_root=str(tmp_path)))
-    project = lint_project_paths(
-        [str(pkg)], _cfg(tmp_path, select=["R001", "R002", "R003", "R004"],
-                         use_cache=False))
-    assert keys(project) == keys(classic)
+def _drop_from_entries(field):
+    def corrupt(data):
+        for entry in data["files"].values():
+            del entry[field]
+        return data
+    return corrupt
 
 
-def test_corrupt_cache_file_is_tolerated(tmp_path):
+def _parse_error_with_bad_line(data):
+    for path, entry in data["files"].items():
+        data["files"][path] = {"sha": entry["sha"],
+                               "error": {"line": "x", "message": "m"}}
+    return data
+
+
+#: a cache file's text, or an edit of a valid cache file's data; each
+#: must read as all misses and be overwritten by the next save
+CORRUPT_CACHES = {
+    "not-json": "{not json",
+    "top-level-array": "[1, 2]",
+    "entry-without-summary": _drop_from_entries("summary"),
+    "entry-without-findings": _drop_from_entries("findings"),
+    "entry-without-suppressions": _drop_from_entries("suppressions"),
+    "error-line-not-int": _parse_error_with_bad_line,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CACHES))
+def test_corrupt_cache_file_is_tolerated(tmp_path, case):
     pkg = _write_project(tmp_path)
-    (tmp_path / ".repro-lint-cache.json").write_text("{not json")
-    report = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    cache_file = tmp_path / ".repro-lint-cache.json"
+    corrupt = CORRUPT_CACHES[case]
+    if callable(corrupt):
+        lint_paths([str(pkg)], _cfg(tmp_path))
+        corrupt = json.dumps(corrupt(json.loads(cache_file.read_text())))
+    cache_file.write_text(corrupt)
+    fresh = lint_paths([str(pkg)], _cfg(tmp_path, use_cache=False))
+
+    report = lint_paths([str(pkg)], _cfg(tmp_path))
     assert report.project_stats["cache"] == {"hits": 0, "misses": 3}
-    warm = lint_project_paths([str(pkg)], _cfg(tmp_path))
+    assert (report.findings, report.suppressed) == \
+        (fresh.findings, fresh.suppressed)
+    warm = lint_paths([str(pkg)], _cfg(tmp_path))
     assert warm.project_stats["cache"] == {"hits": 3, "misses": 0}
+    assert (warm.findings, warm.suppressed) == \
+        (fresh.findings, fresh.suppressed)

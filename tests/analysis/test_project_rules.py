@@ -5,8 +5,7 @@ suppressions."""
 import ast
 import textwrap
 
-from repro.analysis import LintConfig, ModuleInfo
-from repro.analysis.project import lint_project_modules, lint_project_paths
+from repro.analysis import LintConfig, ModuleInfo, engine, lint_paths
 
 
 def make_module(path, source):
@@ -16,8 +15,8 @@ def make_module(path, source):
 
 def lint_modules(rule_id, sources, root="/tmp"):
     modules = [make_module(path, src) for path, src in sources.items()]
-    return lint_project_modules(modules, root=root,
-                                config=LintConfig(select=[rule_id]))
+    return engine.lint_modules(modules, root=root,
+                               config=LintConfig(select=[rule_id]))
 
 
 def rule_findings(report, rule_id):
@@ -348,7 +347,18 @@ def test_r012_suppressed_with_justification():
     assert [f.rule_id for f in report.suppressed] == ["R012"]
 
 
-# ---------------------------------------------- R006/R008 in project mode
+# ------------------------------------ R006/R008 from the per-file cache
+def lint_cold_then_warm(tmp_path, pkg, rule_id):
+    """Lint ``pkg`` with the cache on, twice: the second run replays
+    every file's summary from the cache written by the first."""
+    config = LintConfig(select=[rule_id], project_root=str(tmp_path))
+    cold = lint_paths([str(pkg)], config)
+    warm = lint_paths([str(pkg)], config)
+    assert warm.project_stats["cache"]["misses"] == 0
+    assert warm.findings == cold.findings
+    return warm
+
+
 def test_r006_fires_in_project_mode(tmp_path):
     pkg = tmp_path / "proj"
     (pkg / "metrics").mkdir(parents=True)
@@ -359,10 +369,7 @@ def test_r006_fires_in_project_mode(tmp_path):
         def report(tx):
             tx.send("bogus.metric", 1.0)
     """))
-    report = lint_project_paths(
-        [str(pkg)], LintConfig(select=["R006"], project=True,
-                               use_cache=False,
-                               project_root=str(tmp_path)))
+    report = lint_cold_then_warm(tmp_path, pkg, "R006")
     messages = [f.message for f in report.findings]
     assert any("bogus.metric" in m for m in messages)
     assert any("'flow.area' has no emitter" in m for m in messages)
@@ -376,9 +383,6 @@ def test_r008_fires_in_project_mode(tmp_path):
         def build(sub):
             sub.add_argument("--undocumented-flag", type=int)
     """))
-    report = lint_project_paths(
-        [str(pkg)], LintConfig(select=["R008"], project=True,
-                               use_cache=False,
-                               project_root=str(tmp_path)))
+    report = lint_cold_then_warm(tmp_path, pkg, "R008")
     assert any("'--undocumented-flag'" in f.message
                for f in report.findings)

@@ -1,16 +1,31 @@
 """Rule-pack coverage: every rule fires on its violating fixture, stays
 quiet on the clean twin, and honors a justified inline suppression."""
 
+import ast
+import os
 import textwrap
 
 import pytest
 
-from repro.analysis import Analyzer, LintConfig, all_rules
+from repro.analysis import (
+    LintConfig,
+    ModuleInfo,
+    all_rules,
+    lint_modules,
+    lint_paths,
+)
 
 
 def lint_snippet(rule_id, source):
-    analyzer = Analyzer(LintConfig(select=[rule_id]))
-    return analyzer.lint_source(textwrap.dedent(source))
+    source = textwrap.dedent(source)
+    module = ModuleInfo(path="snippet.py", source=source,
+                        tree=ast.parse(source))
+    return lint_modules([module], root=os.getcwd(),
+                        config=LintConfig(select=[rule_id]))
+
+
+def lint_project(proj, rule_id):
+    return lint_paths([proj], LintConfig(select=[rule_id], use_cache=False))
 
 
 # (rule id, violating snippet, clean snippet); the violating line for
@@ -198,7 +213,7 @@ def make_metrics_project(tmp_path, emit_name, schema_names):
 
 def test_r006_unknown_metric_name(tmp_path):
     proj = make_metrics_project(tmp_path, "bogus.metric", ["flow.area"])
-    report = Analyzer(LintConfig(select=["R006"])).lint_paths([proj])
+    report = lint_project(proj, "R006")
     messages = [f.message for f in report.findings]
     assert any("bogus.metric" in m and "not in the METRICS" in m
                for m in messages)
@@ -208,8 +223,25 @@ def test_r006_unknown_metric_name(tmp_path):
 
 def test_r006_clean_project(tmp_path):
     proj = make_metrics_project(tmp_path, "flow.area", ["flow.area"])
-    report = Analyzer(LintConfig(select=["R006"])).lint_paths([proj])
+    report = lint_project(proj, "R006")
     assert report.findings == []
+
+
+def test_r006_schema_without_vocabulary_dict(tmp_path):
+    # a schema module with no VOCABULARY dict: emitters are checked
+    # against the installed vocabulary, and no installed entry is
+    # reported as dead (the linted tree is not its emitter set)
+    proj = make_metrics_project(tmp_path, "flow.area", ["flow.area"])
+    schema = tmp_path / "proj" / "metrics" / "schema.py"
+    schema.write_text('NAMES = ("flow.area",)\n')
+    assert lint_project(proj, "R006").findings == []
+
+    (tmp_path / "proj" / "emitter.py").write_text(
+        'def report(tx):\n    tx.send("bogus.metric", 1.0)\n')
+    findings = lint_project(proj, "R006").findings
+    assert [(f.path, f.line) for f in findings] == [("proj/emitter.py", 2)]
+    assert "'bogus.metric' is not in the METRICS vocabulary" in \
+        findings[0].message
 
 
 def test_r006_mapping_dict_counts_as_emitter(tmp_path):
@@ -218,7 +250,7 @@ def test_r006_mapping_dict_counts_as_emitter(tmp_path):
     (tmp_path / "proj" / "wrappers.py").write_text(
         '_STEP = {("synth", "area"): "synth.area"}\n'
     )
-    report = Analyzer(LintConfig(select=["R006"])).lint_paths([proj])
+    report = lint_project(proj, "R006")
     assert report.findings == []
 
 
@@ -242,14 +274,14 @@ def make_cli_project(tmp_path, documented):
 
 def test_r008_undocumented_flag_detected(tmp_path):
     proj = make_cli_project(tmp_path, documented=["--alpha"])
-    report = Analyzer(LintConfig(select=["R008"])).lint_paths([proj])
+    report = lint_project(proj, "R008")
     assert [f for f in report.findings if "'--beta-mode'" in f.message]
     assert not [f for f in report.findings if "'--alpha'" in f.message]
 
 
 def test_r008_all_documented_passes(tmp_path):
     proj = make_cli_project(tmp_path, documented=["--alpha", "--beta-mode"])
-    report = Analyzer(LintConfig(select=["R008"])).lint_paths([proj])
+    report = lint_project(proj, "R008")
     assert report.findings == []
 
 

@@ -68,9 +68,13 @@ def test_result_cache_disk_tier(small_spec, tmp_path):
 
 
 def test_result_cache_corrupt_disk_entry_is_a_miss(tmp_path):
-    (tmp_path / "bad.json").write_text("{not json")
+    # malformed JSON, and valid JSON that is not an object
+    payloads = ["{not json", "[1, 2]", "null", "42", '"x"']
+    for i, payload in enumerate(payloads):
+        (tmp_path / f"bad{i}.json").write_text(payload)
     cache = ResultCache(cache_dir=str(tmp_path))
-    assert cache.get("bad") is None
+    for i, payload in enumerate(payloads):
+        assert cache.get(f"bad{i}") is None, payload
 
 
 def test_result_cache_unserializable_put_leaks_nothing(tmp_path):
@@ -391,6 +395,19 @@ def test_executor_persists_stage_stats(small_spec, tmp_path):
     with open(tmp_path / "cache-stats.json") as fh:
         merged = json.load(fh)
     assert merged["jobs_submitted"] == stats["jobs_submitted"] * 2
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"x"'])
+def test_executor_close_rewrites_non_object_stats_file(tmp_path, payload):
+    import json
+
+    (tmp_path / "cache-stats.json").write_text(payload)
+    executor = FlowExecutor(n_workers=1, cache=True, cache_dir=str(tmp_path))
+    executor.stats.jobs_submitted = 3
+    executor.close()  # must not raise: stats persistence never fails
+    with open(tmp_path / "cache-stats.json") as fh:
+        stats = json.load(fh)
+    assert stats["jobs_submitted"] == 3
 
 
 def test_executor_stage_cache_validation():

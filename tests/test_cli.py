@@ -130,6 +130,17 @@ def test_cache_stats_flags_stale_schemas(capsys, tmp_path):
     assert "no cache-stats.json" in out
 
 
+def test_cache_stats_counts_non_object_files_as_unreadable(capsys, tmp_path):
+    for i, payload in enumerate(["null", "42", '"x"', "[1, 2]"]):
+        (tmp_path / f"bad{i}.json").write_text(payload)
+    (tmp_path / "cache-stats.json").write_text("[1, 2]")
+    assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "0 disk entries" in out
+    assert "4 unreadable entries" in out
+    assert "no cache-stats.json" in out
+
+
 def test_cache_stats_missing_dir(capsys, tmp_path):
     assert main(["cache", "stats", "--dir", str(tmp_path / "nope")]) == 1
 
