@@ -50,6 +50,11 @@ class FlowOptions:
     power_recovery: bool = True
 
     def __post_init__(self):
+        for knob in ("placer_moves_per_cell", "router_max_iterations",
+                     "opt_passes", "opt_cells_per_pass"):
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{knob} must be an integer, got {value!r}")
         if not self.target_clock_ghz > 0 or not np.isfinite(self.target_clock_ghz):
             raise ValueError("target_clock_ghz must be positive and finite")
         if not 0.0 <= self.synth_effort <= 1.0:
@@ -64,8 +69,8 @@ class FlowOptions:
             raise ValueError("spread_strength must be in (0, 10]")
         if not 0.0 <= self.cts_effort <= 1.0:
             raise ValueError("cts_effort must be in [0, 1]")
-        if not self.router_tracks_per_um > 0:
-            raise ValueError("router_tracks_per_um must be positive")
+        if not self.router_tracks_per_um > 0 or not np.isfinite(self.router_tracks_per_um):
+            raise ValueError("router_tracks_per_um must be positive and finite")
         if not 0.0 <= self.router_effort <= 1.0:
             raise ValueError("router_effort must be in [0, 1]")
         if self.router_max_iterations < 1:

@@ -161,23 +161,23 @@ class TimingOptimizer:
         return result
 
     # ------------------------------------------------------------------
-    def _output_load(self, netlist, placement, inst) -> float:
-        """Capacitance the instance drives (pins + wire)."""
+    def _output_load(self, netlist, inst, wire_length: float) -> float:
+        """Capacitance the instance drives (pins + ``wire_length`` of wire)."""
         lib = netlist.library
         net = netlist.nets[inst.output_net]
         load = sum(netlist.instances[s].cell.input_cap for s, _ in net.sinks)
-        load += lib.wire_c_per_um * placement.net_length(inst.output_net)
+        load += lib.wire_c_per_um * wire_length
         return load
 
-    def _upsize_gain(self, netlist, placement, inst, new_cell) -> float:
-        """Estimated path-delay change (negative = faster) of a swap.
+    def _upsize_gain(self, netlist, inst, load: float, new_cell) -> float:
+        """Estimated path-delay change (negative = faster) of a swap,
+        given the ``load`` the instance drives.
 
         Accounts for both the cell's own drive improvement and the
         penalty its larger input pins inflict on predecessor stages —
         blind upsizing on deeply-failing designs otherwise backfires.
         """
         cell = inst.cell
-        load = self._output_load(netlist, placement, inst)
         delta_self = (
             (new_cell.intrinsic_delay - cell.intrinsic_delay)
             + (new_cell.drive_resistance - cell.drive_resistance) * load
@@ -215,18 +215,22 @@ class TimingOptimizer:
         rng.shuffle(candidates)
         scored = []
         lib = netlist.library
-        for inst_name in candidates:
+        wire_lengths = placement.net_lengths(
+            [netlist.instances[name].output_net for name in candidates]
+        ).tolist()
+        for inst_name, wire_length in zip(candidates, wire_lengths):
             inst = netlist.instances[inst_name]
             cell = inst.cell
+            load = self._output_load(netlist, inst, wire_length)
             best = None
             drive_idx = DRIVE_STRENGTHS.index(cell.drive)
             if drive_idx + 1 < len(DRIVE_STRENGTHS):
                 upsized = lib.resize(cell, DRIVE_STRENGTHS[drive_idx + 1])
-                gain = self._upsize_gain(netlist, placement, inst, upsized)
+                gain = self._upsize_gain(netlist, inst, load, upsized)
                 best = (gain, inst_name, upsized, "upsize")
             if cell.vt != "LVT":
                 faster = lib.swap_vt(cell, "LVT")
-                gain = self._upsize_gain(netlist, placement, inst, faster)
+                gain = self._upsize_gain(netlist, inst, load, faster)
                 if best is None or gain < best[0]:
                     best = (gain, inst_name, faster, "vt")
             if best is not None and best[0] < -1e-9:

@@ -27,15 +27,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.eda.floorplan import Floorplan, ROW_HEIGHT
-from repro.eda.grid import bin_index
+from repro.eda.grid import bin_indices
 from repro.eda.netlist import Netlist
 
 _CLIQUE_CAP = 8  # clique model samples at most this many pins per net
+
+
+def left_sum(values: np.ndarray) -> float:
+    """``0.0 + v[0] + v[1] + ...`` evaluated strictly left to right.
+
+    The running total of a scalar ``total += v`` loop.  ``np.sum`` and
+    ``np.dot`` add pairwise from 8 elements and ``np.add.reduceat``
+    folds ``v[s] + (v[s+1] + ...)``, so only ``np.add.accumulate``
+    reproduces it bit for bit.
+    """
+    if values.shape[0] == 0:
+        return 0.0
+    # + 0.0 turns the all-(-0.0) total into the loop's +0.0
+    return np.add.accumulate(values)[-1].item() + 0.0
 
 
 @dataclass
@@ -48,55 +63,70 @@ class Placement:
 
     def hpwl(self) -> float:
         """Total half-perimeter wirelength over all signal nets (um)."""
-        total = 0.0
-        for net_name, pts in self._net_points().items():
-            if len(pts) < 2:
-                continue
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return total
+        return left_sum(self.net_lengths())
 
     def net_length(self, net_name: str) -> float:
         """HPWL of one net (um)."""
-        pts = self._points_for(net_name)
-        if len(pts) < 2:
-            return 0.0
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
+        return self.net_lengths((net_name,)).item()
 
-    def _points_for(self, net_name: str) -> List[Tuple[float, float]]:
-        net = self.netlist.nets[net_name]
-        pts = []
-        if net.driver is not None:
-            pts.append(self.positions[net.driver])
-        for inst_name, _ in net.sinks:
-            pts.append(self.positions[inst_name])
-        pad = self.floorplan.pad_positions.get(net_name)
-        if pad is not None:
-            pts.append(pad)
-        return pts
+    def net_lengths(self, net_names: Optional[Sequence[str]] = None) -> np.ndarray:
+        """HPWL (um) of each of ``net_names`` (default: every signal net,
+        i.e. all but the clock, in netlist order).
 
-    def _net_points(self) -> Dict[str, List[Tuple[float, float]]]:
-        skip = {self.netlist.clock_net}
-        return {
-            name: self._points_for(name)
-            for name in self.netlist.nets
-            if name not in skip
-        }
+        A net's pins are its driver, its sinks and its IO pad; a net
+        with fewer than two pins has length 0.  Per net this is
+        ``(max x - min x) + (max y - min y)``: extremes are exact in any
+        order, so one segmented reduction over a pin CSR gives the same
+        bits as a per-net loop.
+        """
+        nets = self.netlist.nets
+        if net_names is None:
+            clock = self.netlist.clock_net
+            net_names = [name for name in nets if name != clock]
+        positions = self.positions
+        pads = self.floorplan.pad_positions
+        points: List[Tuple[float, float]] = []
+        counts: List[int] = []
+        for name in net_names:
+            net = nets[name]
+            start = len(points)
+            if net.driver is not None:
+                points.append(positions[net.driver])
+            points += [positions[s] for s, _ in net.sinks]
+            pad = pads.get(name)
+            if pad is not None:
+                points.append(pad)
+            counts.append(len(points) - start)
+        lengths = np.zeros(len(counts))
+        if not points:
+            return lengths
+        xy = np.fromiter(chain.from_iterable(points), dtype=float,
+                         count=2 * len(points)).reshape(-1, 2)
+        sizes = np.array(counts)
+        pinned = sizes > 0
+        starts = (np.cumsum(sizes) - sizes)[pinned]
+        # a one-pin net spans 0.0 + 0.0, the same 0.0 a loop would skip to
+        span = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
+        lengths[pinned] = span[:, 0] + span[:, 1]
+        return lengths
 
     def density_map(self, nx: int = 16, ny: int = 16) -> np.ndarray:
-        """Cell-area utilization per bin (1.0 = bin completely full)."""
+        """Cell-area utilization per bin (1.0 = bin completely full).
+
+        Areas add into their bins in ``positions`` order (``np.bincount``
+        accumulates left to right), as a per-instance loop would.
+        """
         if nx < 1 or ny < 1:
             raise ValueError("grid dimensions must be >= 1")
-        grid = np.zeros((ny, nx))
-        bx = self.floorplan.width / nx
-        by = self.floorplan.height / ny
-        for name, (x, y) in self.positions.items():
-            i = bin_index(x, self.floorplan.width, nx)
-            j = bin_index(y, self.floorplan.height, ny)
-            grid[j, i] += self.netlist.instances[name].cell.area
+        fp = self.floorplan
+        bx = fp.width / nx
+        by = fp.height / ny
+        instances = self.netlist.instances
+        xy = np.array(list(self.positions.values()), dtype=float).reshape(-1, 2)
+        areas = [instances[name].cell.area for name in self.positions]
+        bins = (bin_indices(xy[:, 1], fp.height, ny) * nx
+                + bin_indices(xy[:, 0], fp.width, nx))
+        grid = np.bincount(bins, weights=areas, minlength=ny * nx).reshape(ny, nx)
         return grid / (bx * by)
 
     def validate(self) -> None:

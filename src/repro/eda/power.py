@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.eda.netlist import Netlist
-from repro.eda.placement import Placement
+from repro.eda.placement import Placement, left_sum
 
 VDD = 0.8  # volts
 DEFAULT_ACTIVITY = 0.15  # toggle probability per cycle
@@ -53,23 +53,33 @@ def estimate_power(
     With a placement, wire capacitance from actual net lengths is
     included; otherwise only pin caps switch.  Energy bookkeeping:
     ``P_dyn = activity * f * (C * V^2 + internal switch energy)``.
+
+    Per-net pin caps add up by ``np.bincount`` and the dynamic total is
+    one left fold over the per-net then per-instance terms
+    (:func:`~repro.eda.placement.left_sum`): every float operation of
+    the per-net loop frozen in ``tests/eda/power_reference.py``, in
+    the same order.
     """
     if frequency_ghz <= 0:
         raise ValueError("frequency must be positive")
     if not 0.0 < activity <= 1.0:
         raise ValueError("activity must be in (0, 1]")
     lib = netlist.library
-    dynamic = 0.0
-    for net_name, net in netlist.nets.items():
-        if net_name == netlist.clock_net:
-            continue
-        cap = sum(netlist.instances[s].cell.input_cap for s, _ in net.sinks)
-        if placement is not None:
-            cap += lib.wire_c_per_um * placement.net_length(net_name)
-        # fF * V^2 * GHz -> uW
-        dynamic += activity * frequency_ghz * cap * VDD * VDD
-    for inst in netlist.instances.values():
-        dynamic += activity * frequency_ghz * inst.cell.switch_energy
+    nets = netlist.nets
+    instances = netlist.instances
+    clock_net = netlist.clock_net
+    signal = [name for name in nets if name != clock_net]
+    sinks = [nets[name].sinks for name in signal]
+    pin_caps = [instances[s].cell.input_cap for pins in sinks for s, _ in pins]
+    pin_nets = np.repeat(np.arange(len(signal)), [len(pins) for pins in sinks])
+    cap = np.bincount(pin_nets, weights=pin_caps, minlength=len(signal))
+    if placement is not None:
+        cap = cap + lib.wire_c_per_um * placement.net_lengths(signal)
+    switching = activity * frequency_ghz
+    energies = np.array([inst.cell.switch_energy for inst in instances.values()])
+    # fF * V^2 * GHz -> uW
+    dynamic = left_sum(np.concatenate((switching * cap * VDD * VDD,
+                                       switching * energies)))
 
     # the clock net toggles every cycle and reaches every flop
     n_flops = len(netlist.sequential_instances())
@@ -96,6 +106,12 @@ def ir_drop_analysis(
 
     Pads (ideal supplies) sit on the four corners.  Returns the droop
     map as a fraction of VDD; also attaches it to ``power``.
+
+    Each Jacobi sweep reads a bin's four neighbours through index
+    arrays built once and adds them up, down, left, right, in that
+    order; the source term ``(current * sheet_resistance) * 1e-3`` is
+    computed once.  The frozen per-sweep ``np.pad`` loop in
+    ``tests/eda/power_reference.py`` must agree bit for bit.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -107,16 +123,19 @@ def ir_drop_analysis(
         return drop
     # current per bin proportional to its share of total power
     current = density / total_density * (power.total / VDD)  # uA
-    drop = np.zeros((grid, grid))
-    pads = [(0, 0), (0, grid - 1), (grid - 1, 0), (grid - 1, grid - 1)]
+    source = (current * sheet_resistance * 1e-3).ravel()
+    # flat indices of each bin's up, down, left and right neighbour,
+    # edge bins repeating themselves (np.pad's "edge" mode, applied once)
+    cells = np.pad(np.arange(grid * grid).reshape(grid, grid), 1, mode="edge")
+    neighbours = np.stack([cells[:-2, 1:-1], cells[2:, 1:-1],
+                           cells[1:-1, :-2], cells[1:-1, 2:]]).reshape(4, -1)
+    pads = [0, grid - 1, (grid - 1) * grid, grid * grid - 1]
+    drop = np.zeros(grid * grid)
+    near = np.empty_like(neighbours, dtype=float)
     for _ in range(n_relax):
-        padded = np.pad(drop, 1, mode="edge")
-        neighbor_avg = (
-            padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
-        ) / 4.0
-        drop = neighbor_avg + current * sheet_resistance * 1e-3
-        for j, i in pads:
-            drop[j, i] = 0.0
-    drop = drop / VDD
+        np.take(drop, neighbours, out=near)
+        drop = (near[0] + near[1] + near[2] + near[3]) / 4.0 + source
+        drop[pads] = 0.0
+    drop = drop.reshape(grid, grid) / VDD
     power.ir_drop_map = drop
     return drop

@@ -365,12 +365,20 @@ class DetailedRouter:
         lam = self.drv_seed_rate * (excess * 10.0) ** 1.5 + 0.3 * cong
         violations = rng.poisson(lam).astype(float)
 
+        # per-gcell rates are fixed for the run: fixes succeed where the
+        # gcell has routing slack, and fixes in congested neighborhoods
+        # spill into adjacent gcells instead of removing violations
+        p_fix = np.clip(self.effort * _sigmoid(6.0 * (1.0 - cong) + 0.5), 0.0, 1.0)
+        p_spill = np.clip(
+            self.spill_rate * _sigmoid(8.0 * (_box_mean(cong) - 1.0)), 0.0, 1.0
+        )
+
         history: List[int] = [int(violations.sum())]
         stopped = False
         iterations = 0
         for _ in range(self.max_iterations):
             iterations += 1
-            violations = self._iterate(violations, cong, rng)
+            violations = self._iterate(violations, cong, p_fix, p_spill, rng)
             history.append(int(violations.sum()))
             if stop_callback is not None and stop_callback(list(history)):
                 stopped = True
@@ -391,17 +399,16 @@ class DetailedRouter:
         )
 
     def _iterate(
-        self, violations: np.ndarray, cong: np.ndarray, rng: np.random.Generator
+        self,
+        violations: np.ndarray,
+        cong: np.ndarray,
+        p_fix: np.ndarray,
+        p_spill: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        # fix probability: high where the gcell has routing slack
-        slack = 1.0 - cong
-        p_fix = self.effort * _sigmoid(6.0 * slack + 0.5)
-        fixed = rng.binomial(violations.astype(int), np.clip(p_fix, 0.0, 1.0))
-        # rip-up spillover: fixes in congested neighborhoods push DRVs
-        # into adjacent gcells instead of removing them
-        neighborhood = _box_mean(cong)
-        p_spill = self.spill_rate * _sigmoid(8.0 * (neighborhood - 1.0))
-        spilled = rng.binomial(fixed, np.clip(p_spill, 0.0, 1.0))
+        """One rip-up-and-reroute pass at the run's fix and spill rates."""
+        fixed = rng.binomial(violations.astype(int), p_fix)
+        spilled = rng.binomial(fixed, p_spill)
         remaining = violations - fixed
         incoming = _scatter_to_neighbors(spilled, rng)
         out = np.maximum(0.0, remaining + incoming)
@@ -435,17 +442,21 @@ def _scatter_to_neighbors(counts: np.ndarray, rng: np.random.Generator) -> np.nd
 
     The batched draw (``rng.multinomial`` over the whole count vector)
     consumes the generator stream exactly like the historical per-cell
-    loop, so both produce identical scatters from the same seed.
+    loop, so both produce identical scatters from the same seed.  Draws
+    off the grid fold back onto the edge gcell; the moved counts are
+    whole numbers, so ``np.bincount`` adds them up exactly.
     """
-    out = np.zeros_like(counts, dtype=float)
     ny, nx = counts.shape
-    js, is_ = np.nonzero(counts)
-    if js.size == 0:
-        return out
-    n_per_cell = counts[js, is_].astype(int)
-    draws = rng.multinomial(n_per_cell, [0.25] * 4)
-    for d, (dj, di) in enumerate(((0, 1), (0, -1), (1, 0), (-1, 0))):
-        tj = np.clip(js + dj, 0, ny - 1)
-        ti = np.clip(is_ + di, 0, nx - 1)
-        np.add.at(out, (tj, ti), draws[:, d])
-    return out
+    cells = np.flatnonzero(counts)
+    if cells.size == 0:
+        return np.zeros((ny, nx))
+    draws = rng.multinomial(counts.ravel()[cells].astype(int), [0.25] * 4)
+    js, is_ = np.divmod(cells, nx)
+    targets = np.concatenate((
+        js * nx + np.minimum(is_ + 1, nx - 1),  # (0, +1)
+        js * nx + np.maximum(is_ - 1, 0),  # (0, -1)
+        np.minimum(js + 1, ny - 1) * nx + is_,  # (+1, 0)
+        np.maximum(js - 1, 0) * nx + is_,  # (-1, 0)
+    ))
+    out = np.bincount(targets, weights=draws.T.ravel(), minlength=ny * nx)
+    return out.reshape(ny, nx)

@@ -14,7 +14,9 @@ Full propagation is vectorized: the topology exposes a struct-of-arrays
 view (:class:`_TopoSoA` — per-net rows, a CSR of combinational fanin
 edges sorted by level, sink segments for load accumulation) and
 ``full_propagate`` evaluates whole levels at a time with numpy segment
-reductions.  Dirty-cone ``update`` runs per node — cones are small, and
+reductions.  ``report`` reads the same per-net rows as columns and
+walks every endpoint's worst path at once over the ``pred`` array.
+Dirty-cone ``update`` runs per node — cones are small, and
 the per-node ``_compute_*`` methods remain the single definition the
 vector kernel must match (recomputing every node through them after a
 full propagation leaves all state bitwise unchanged).
@@ -25,9 +27,11 @@ value is computed by the *same float expressions in the same order*
 as the pre-refactor ``_BaseSTA.analyze``.  The vectorized kernel keeps
 that contract because
 
-- ``np.bincount``/``np.add.reduceat`` accumulate strictly left-to-right
-  (no pairwise summation), matching the Python ``sum`` over each net's
-  sinks and the per-node input loops;
+- sums go through ``np.bincount``, which accumulates strictly left to
+  right (no pairwise summation), matching the per-node loops over each
+  net's sinks and each node's inputs; ``np.add.reduceat`` would not
+  (it returns ``a[s] + (a[s+1] + ...)``), so only the exact
+  ``np.maximum``/``np.minimum.reduceat`` reduce segments;
 - per-level elementwise expressions are written with the same
   association order as the per-node methods, so each float operation is
   the identical IEEE-754 operation;
@@ -66,6 +70,10 @@ from repro.eda.netlist import Netlist
 from repro.eda.placement import Placement
 from repro.eda.sta.policy import DelayPolicy
 from repro.eda.sta.report import PI_SLEW, PO_LOAD, EndpointTiming, TimingReport
+
+#: steps a report's worst-path walk takes at most (a guard against pred
+#: cycles; levelized state has none)
+_TRACE_LIMIT = 10_000
 
 
 @dataclass
@@ -137,12 +145,12 @@ class _NetIndex:
 class _NetValueMap:
     """``{net name: float}`` façade over a flat per-net value array.
 
-    Implements the dict surface the per-node compute methods and
-    ``report()`` use (``get``/``[]``/``in``/iteration), with presence
-    tracked in a boolean mask so absent keys behave exactly like
-    missing dict entries.  Rows come from a shared :class:`_NetIndex`;
-    writes to nets spliced in after construction grow the backing
-    arrays on demand.
+    Implements the dict surface the per-node compute methods use
+    (``get``/``[]``/``in``/iteration), with presence tracked in a
+    boolean mask so absent keys behave exactly like missing dict
+    entries; ``report()`` reads whole columns instead.  Rows come from
+    a shared :class:`_NetIndex`; writes to nets spliced in after
+    construction grow the backing arrays on demand.
     """
 
     __slots__ = ("_index", "values", "mask", "fill")
@@ -212,6 +220,14 @@ class _NetValueMap:
     def items(self):
         for key in self:
             yield key, self.values.item(self._index.ids[key])
+
+    def column(self, n: int, default: float) -> np.ndarray:
+        """Values of rows ``0..n-1``, ``default`` where a net is absent."""
+        out = np.full(n, default)
+        m = min(n, self.values.shape[0])
+        present = self.mask[:m]
+        out[:m][present] = self.values[:m][present]
+        return out
 
 
 class _NetPredMap:
@@ -293,6 +309,14 @@ class _NetPredMap:
     def __len__(self) -> int:
         return int(self.mask.sum())
 
+    def column(self, n: int) -> np.ndarray:
+        """Pred rows of rows ``0..n-1``: -1 where absent or ``None``."""
+        out = np.full(n, -1, dtype=np.int64)
+        m = min(n, self.rows.shape[0])
+        present = self.mask[:m]
+        out[:m][present] = self.rows[:m][present]
+        return out
+
 
 @dataclass
 class _LevelSegment:
@@ -327,9 +351,18 @@ class _TopoSoA:
     sink_inst_rows: np.ndarray
     po_rows: np.ndarray  # rows of primary-output nets
     net_driver_rows: np.ndarray  # driver instance position per net, -1 for PIs
-    # sequential startpoints, in netlist instance order
+    # per-net columns the report's path walk reads: the topology's net
+    # lengths (0.0 for the clock), Netlist.net_fanout, and whether a
+    # combinational instance drives the net (the walk continues)
+    net_len: np.ndarray
+    fanout: np.ndarray
+    comb_driven: np.ndarray
+    inst_names: np.ndarray  # instance names by netlist position (object)
+    # sequential startpoints, in netlist instance order, and the rows of
+    # their D nets (the setup endpoints)
     seq_inst_rows: np.ndarray
     seq_out_rows: np.ndarray
+    seq_d_rows: np.ndarray
     seq_names: List[str]
     # combinational nodes, stably sorted by level; fanin CSR excludes
     # clock-net inputs but preserves each node's input-pin order
@@ -377,12 +410,8 @@ class TimingTopology:
     def rebuild(self) -> None:
         netlist = self.netlist
         self.order = netlist.combinational_order()
-        net_len: Dict[str, float] = {}
-        for net_name in netlist.nets:
-            if net_name == netlist.clock_net:
-                continue
-            net_len[net_name] = self.placement.net_length(net_name)
-        self.net_len = net_len
+        signal = [name for name in netlist.nets if name != netlist.clock_net]
+        self.net_len = dict(zip(signal, self.placement.net_lengths(signal).tolist()))
         level: Dict[str, int] = {}
         for name in self.order:
             inst = netlist.instances[name]
@@ -414,26 +443,35 @@ class TimingTopology:
         sink_net_rows: List[int] = []
         sink_inst_rows: List[int] = []
         net_driver_rows = np.full(n_nets, -1, dtype=np.intp)
+        net_len = np.zeros(n_nets)
+        fanout = np.zeros(n_nets, dtype=np.int64)
+        comb_driven = np.zeros(n_nets, dtype=bool)
         for net_name, net in netlist.nets.items():
             row = ids[net_name]
+            fanout[row] = len(net.sinks)
             if net.driver is not None:
                 net_driver_rows[row] = inst_pos[net.driver]
+                comb_driven[row] = not netlist.instances[net.driver].cell.is_sequential
             if net_name == clock:
                 continue
+            net_len[row] = self.net_len.get(net_name, 0.0)
             for sink_name, _pin in net.sinks:
                 sink_net_rows.append(row)
                 sink_inst_rows.append(inst_pos[sink_name])
+        fanout[[ids[n] for n in netlist.primary_outputs]] += 1
         po_rows = np.array(
             [ids[n] for n in netlist.primary_outputs if n != clock], dtype=np.intp
         )
 
         seq_inst_rows: List[int] = []
         seq_out_rows: List[int] = []
+        seq_d_rows: List[int] = []
         seq_names: List[str] = []
         for i, inst in enumerate(netlist.instances.values()):
             if inst.cell.is_sequential:
                 seq_inst_rows.append(i)
                 seq_out_rows.append(ids[inst.output_net])
+                seq_d_rows.append(ids[inst.input_nets[0]])
                 seq_names.append(inst.name)
 
         # combinational nodes, stably sorted by level so each level is
@@ -491,8 +529,13 @@ class TimingTopology:
             sink_inst_rows=np.array(sink_inst_rows, dtype=np.intp),
             po_rows=po_rows,
             net_driver_rows=net_driver_rows,
+            net_len=net_len,
+            fanout=fanout,
+            comb_driven=comb_driven,
+            inst_names=np.array(list(netlist.instances), dtype=object),
             seq_inst_rows=np.array(seq_inst_rows, dtype=np.intp),
             seq_out_rows=np.array(seq_out_rows, dtype=np.intp),
+            seq_d_rows=np.array(seq_d_rows, dtype=np.intp),
             seq_names=seq_names,
             comb_inst_rows=comb_inst_rows,
             comb_out_rows=comb_out_rows,
@@ -577,8 +620,12 @@ class TimingGraph:
 
     def _net_load_of(self, net_name: str) -> float:
         netlist = self.netlist
-        net = netlist.nets[net_name]
-        load = sum(netlist.instances[s].cell.input_cap for s, _ in net.sinks)
+        instances = netlist.instances
+        # an explicit left fold: the full pass's np.bincount order (the
+        # builtin sum() is compensated from Python 3.12 on)
+        load = 0.0
+        for s, _ in netlist.nets[net_name].sinks:
+            load += instances[s].cell.input_cap
         if net_name in netlist.primary_outputs:
             load += PO_LOAD
         load += (
@@ -771,12 +818,7 @@ class TimingGraph:
         wf = policy.corner.wire_factor
 
         cap, intr, dres, ssens, sintr, sres = self._cell_columns()
-        net_len_map = topo.net_len
-        net_len = np.fromiter(
-            (net_len_map.get(name, 0.0) for name in index.names),
-            dtype=float,
-            count=n_nets,
-        )
+        net_len = soa.net_len
         launch = np.fromiter(
             (self.skews.get(name, 0.0) for name in soa.seq_names),
             dtype=float,
@@ -1069,101 +1111,79 @@ class TimingGraph:
 
         Charges the policy's runtime proxy for the propagation ops
         accumulated since the last report plus the per-endpoint work,
-        then lets the policy post-process (PBA).
+        then lets the policy post-process (PBA).  Reads the propagated
+        state as per-net columns and walks every endpoint's worst path
+        at once; a topology left stale by buffer splices is rebuilt
+        first, as :meth:`full_propagate` does.
         """
         if clock_period <= 0:
             raise ValueError("clock period must be positive")
         if not self._propagated:
             raise RuntimeError("full_propagate() must run before report()")
+        if self.topology.stale:
+            self.topology.rebuild()
         netlist = self.netlist
         lib = netlist.library
         policy = self.policy
         corner = policy.corner
-        net_len = self.topology.net_len
-        skews = self.skews
-        arrival = self._arrival
-        arrival_min = self._arrival_min
-        slew = self._slew
-        pred = self._pred
-        ops = self._ops_pending
+        soa = self.topology.soa
+        ids = self.topology.net_index.ids
+        n_nets = soa.n_nets
+        arrival = self._arrival.column(n_nets, 0.0)
+        slew = self._slew.column(n_nets, PI_SLEW)
 
+        # endpoints: DFF D inputs in netlist order, then primary outputs
+        d_rows = soa.seq_d_rows
+        po_names = list(netlist.primary_outputs)
+        ep_rows = np.concatenate(
+            (d_rows, np.array([ids[po] for po in po_names], dtype=np.intp))
+        )
+        depth, wire_total, fan_max, paths = self._trace(soa, ep_rows)
+
+        d_len = soa.net_len[d_rows]
+        w_delay = policy.wire_delay_batch(
+            d_len,
+            np.array([netlist.instances[name].cell.input_cap for name in soa.seq_names]),
+            lib,
+        )
+        cong = self._net_congestion(soa)
+        d_cong = np.zeros(d_rows.shape[0]) if cong is None else cong[d_rows]
+        setup_arrival = arrival[d_rows] + (w_delay + policy.si_bump_batch(d_len, d_cong))
+        capture = np.array([self.skews.get(name, 0.0) for name in soa.seq_names])
+        setup_required = clock_period + capture - DFF_SETUP * corner.delay_factor
+        if self.check_hold:
+            a_min = self._arrival_min.column(n_nets, 0.0)[d_rows]
+            hold_required = capture + DFF_HOLD * corner.delay_factor
+            hold_slack = (a_min + w_delay * policy.early_derate()) - hold_required
+        else:
+            hold_slack = np.full(d_rows.shape[0], np.inf)
+
+        n_setup = d_rows.shape[0]
+        n_po = len(po_names)
+        arr = np.concatenate((setup_arrival, arrival[ep_rows[n_setup:]]))
+        required = np.concatenate((setup_required, np.full(n_po, clock_period)))
+        # one column per EndpointTiming field, in field order
+        fields = zip(
+            [f"{name}/D" for name in soa.seq_names] + [f"{po}/PO" for po in po_names],
+            ["setup"] * n_setup + ["output"] * n_po,
+            arr.tolist(),
+            setup_required.tolist() + [clock_period] * n_po,
+            (required - arr).tolist(),
+            depth.tolist(),
+            wire_total.tolist(),
+            (arr - wire_total).tolist(),
+            fan_max.tolist(),
+            slew[ep_rows].tolist(),
+            hold_slack.tolist() + [float("inf")] * n_po,
+        )
         report = TimingReport(
             engine=policy.engine_name, corner=corner.name, clock_period=clock_period
         )
-
-        def trace(net_name: str) -> Tuple[int, float, float, int, List[str]]:
-            """Walk worst path backwards: (depth, wire_delay, cell_delay, max_fanout, instances)."""
-            depth = 0
-            wire_total = 0.0
-            fan_max = 0
-            insts: List[str] = []
-            cur: Optional[str] = net_name
-            visited = 0
-            while cur is not None and visited < 10_000:
-                visited += 1
-                fan_max = max(fan_max, netlist.net_fanout(cur))
-                wire_total += net_len.get(cur, 0.0) * lib.wire_r_per_um
-                driver = netlist.nets[cur].driver
-                if driver is None or netlist.instances[driver].cell.is_sequential:
-                    break
-                insts.append(driver)
-                depth += 1
-                cur = pred.get(cur)
-            return depth, wire_total, 0.0, fan_max, insts
-
-        # endpoints: DFF D inputs
-        for inst in netlist.sequential_instances():
-            d_net = inst.input_nets[0]
-            a = arrival.get(d_net, 0.0)
-            w_delay = policy.wire_delay(net_len.get(d_net, 0.0), inst.cell.input_cap, lib)
-            w_delay += policy.si_bump(net_len.get(d_net, 0.0), self._congestion_at(d_net))
-            a = a + w_delay
-            capture = skews.get(inst.name, 0.0)
-            required = clock_period + capture - DFF_SETUP * corner.delay_factor
-            hold_slack = float("inf")
-            if self.check_hold:
-                a_min = arrival_min.get(d_net, 0.0)
-                w_min = policy.wire_delay(
-                    net_len.get(d_net, 0.0), inst.cell.input_cap, lib
-                ) * policy.early_derate()
-                hold_required = capture + DFF_HOLD * corner.delay_factor
-                hold_slack = (a_min + w_min) - hold_required
-            depth, wire_total, _, fan_max, path_insts = trace(d_net)
-            ep = EndpointTiming(
-                endpoint=f"{inst.name}/D",
-                kind="setup",
-                arrival=a,
-                required=required,
-                slack=required - a,
-                path_depth=depth,
-                path_wire_delay=wire_total,
-                path_cell_delay=a - wire_total,
-                path_max_fanout=fan_max,
-                path_slew=slew.get(d_net, PI_SLEW),
-                hold_slack=hold_slack,
-            )
+        for values, path in zip(fields, paths):
+            ep = EndpointTiming(*values)
             report.endpoints[ep.endpoint] = ep
-            report.paths[ep.endpoint] = path_insts
-            ops += 2
-        # endpoints: primary outputs
-        for po in netlist.primary_outputs:
-            a = arrival.get(po, 0.0)
-            depth, wire_total, _, fan_max, path_insts = trace(po)
-            ep = EndpointTiming(
-                endpoint=f"{po}/PO",
-                kind="output",
-                arrival=a,
-                required=clock_period,
-                slack=clock_period - a,
-                path_depth=depth,
-                path_wire_delay=wire_total,
-                path_cell_delay=a - wire_total,
-                path_max_fanout=fan_max,
-                path_slew=slew.get(po, PI_SLEW),
-            )
-            report.endpoints[ep.endpoint] = ep
-            report.paths[ep.endpoint] = path_insts
-            ops += 2
+            report.paths[ep.endpoint] = path
+        ops = self._ops_pending + 2 * (n_setup + n_po)
 
         report.runtime_proxy = policy.runtime_proxy(ops)
         report = policy.finalize_report(report)
@@ -1175,3 +1195,49 @@ class TimingGraph:
         )
         self._ops_pending = 0
         return report
+
+    def _trace(
+        self, soa: _TopoSoA, ep_rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[List[str]]]:
+        """Walk every endpoint's worst path backwards at once.
+
+        Per endpoint: path depth, wire delay, max fanout and the
+        instances on the path.  One step visits a net (fanout, wire
+        delay ``net_len * wire_r``, added in walk order) and stops at a
+        primary input or a flop output; otherwise it records the
+        driver and moves to the driver's worst input net (``pred``).
+        """
+        pred = self._pred.column(soa.n_nets)
+        wire_r = self.netlist.library.wire_r_per_um
+        n_ep = ep_rows.shape[0]
+        depth = np.zeros(n_ep, dtype=np.int64)
+        wire = np.zeros(n_ep)
+        fan = np.zeros(n_ep, dtype=np.int64)
+        hop_eps: List[np.ndarray] = []
+        hop_insts: List[np.ndarray] = []
+        live = np.arange(n_ep)
+        cur = ep_rows
+        for _ in range(_TRACE_LIMIT):
+            if live.shape[0] == 0:
+                break
+            fan[live] = np.maximum(fan[live], soa.fanout[cur])
+            wire[live] = wire[live] + soa.net_len[cur] * wire_r
+            on = soa.comb_driven[cur]
+            live = live[on]
+            cur = cur[on]
+            hop_eps.append(live)
+            hop_insts.append(soa.net_driver_rows[cur])
+            depth[live] += 1
+            cur = pred[cur]
+            keep = cur >= 0
+            live = live[keep]
+            cur = cur[keep]
+        if hop_eps:
+            eps = np.concatenate(hop_eps)
+            insts = np.concatenate(hop_insts)[np.argsort(eps, kind="stable")]
+            flat = soa.inst_names[insts].tolist()
+        else:
+            flat = []
+        ends = np.cumsum(depth).tolist()
+        paths = [flat[end - d:end] for end, d in zip(ends, depth.tolist())]
+        return depth, wire, fan, paths

@@ -18,10 +18,12 @@ bit-identical to the pre-refactor engines (enforced against
 Each scalar hook has a ``*_batch`` companion consumed by the
 vectorized kernel.  Batch methods are written with the *same
 association order* as their scalar counterparts (numpy elementwise
-ops round identically to the scalar float ops), and segment merges
-use ``np.add.reduceat``/``np.maximum.reduceat``, whose strictly
-sequential accumulation matches the scalar left-to-right loops —
-that is what keeps vectorized results bitwise equal to scalar ones.
+ops round identically to the scalar float ops).  Segment merges use
+``np.maximum.reduceat`` (a maximum is exact in any order) and, for
+sums, ``np.bincount`` over segment ids, which adds left to right like
+the scalar loops.  ``np.add.reduceat`` is not a left fold: it returns
+``a[s] + (a[s+1] + ...)``.  That is what keeps vectorized results
+bitwise equal to scalar ones.
 """
 
 from __future__ import annotations
@@ -151,11 +153,14 @@ class SignoffDelayPolicy(DelayPolicy):
     def merge_slew_batch(
         self, slews: np.ndarray, starts: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        # RMS per segment.  np.add.reduceat sums strictly sequentially,
-        # and np.mean's pairwise summation degenerates to the same
-        # sequential sum below 8 elements (cells have <= 3 inputs), so
-        # this is bitwise equal to the scalar merge_slew per node.
-        return np.sqrt(np.add.reduceat(slews**2, starts) / counts)
+        # RMS per segment.  The segments tile ``slews`` in order, and
+        # np.bincount over segment ids sums each one left to right;
+        # np.mean's pairwise summation degenerates to the same left
+        # fold below 8 elements (cells have <= 3 inputs), so this is
+        # bitwise equal to the scalar merge_slew per node.
+        segment = np.repeat(np.arange(counts.shape[0]), counts)
+        sums = np.bincount(segment, weights=slews**2, minlength=counts.shape[0])
+        return np.sqrt(sums / counts)
 
     def early_derate(self) -> float:
         return 0.92  # early OCV: fast paths may be faster than nominal

@@ -210,9 +210,11 @@ class _BaseSTA:
         for net_name, net in netlist.nets.items():
             if net_name == netlist.clock_net:
                 continue
-            load = sum(
-                netlist.instances[s].cell.input_cap for s, _ in net.sinks
-            )
+            # explicit left fold (the historical 3.10/3.11 ``sum()``
+            # order): Python 3.12's ``sum()`` over floats is compensated
+            load = 0.0
+            for s, _ in net.sinks:
+                load += netlist.instances[s].cell.input_cap
             if net_name in netlist.primary_outputs:
                 load += PO_LOAD
             length = placement.net_length(net_name)

@@ -113,12 +113,27 @@ def test_flow_options_validation():
     (dict(opt_cells_per_pass=0), "opt_cells_per_pass"),
     (dict(opt_guardband=-1.0), "opt_guardband"),
     (dict(power_recovery=1), "power_recovery"),
+    (dict(router_tracks_per_um=float("inf")), "router_tracks_per_um"),
+] + [
+    # integer knobs reject non-integers up front, where a float used to
+    # pass and raise TypeError inside place, opt or droute
+    ({knob: bad}, knob)
+    for knob in ("placer_moves_per_cell", "router_max_iterations",
+                 "opt_passes", "opt_cells_per_pass")
+    for bad in (2.5, 8.0, float("nan"), float("inf"))
 ])
 def test_every_knob_is_validated(bad, message):
     """All 14 knobs reject out-of-range values at construction, with
     the knob name in the message — not deep inside a flow step."""
     with pytest.raises(ValueError, match=message):
         FlowOptions(**bad)
+
+
+def test_integer_knobs_accept_numpy_integers():
+    options = FlowOptions(placer_moves_per_cell=np.int64(4),
+                          router_max_iterations=np.int32(10))
+    assert options.placer_moves_per_cell == 4
+    assert options.router_max_iterations == 10
 
 
 def test_reported_seed_reproduces_the_run(small_spec):

@@ -209,6 +209,44 @@ def test_full_propagate_after_splices_rebuilds_topology():
                              engine.analyze(nl, pl, CLOCK))
 
 
+def test_si_walk_reports_on_stale_topology():
+    """Every splice leaves the shared topology stale until the next
+    report; with SI on (a congestion map), hold checks and PBA, each
+    report of an interleaved swap/splice walk must still be bitwise the
+    from-scratch analysis — the ``fix_hold`` loop's access pattern."""
+    nl, pl = _fresh_design(80, 12, 7, 61)
+    rng = np.random.default_rng(13)
+    congestion = rng.uniform(0.2, 1.6, size=(12, 12))
+    skews = {
+        inst.name: float(rng.normal(0.0, 3.0))
+        for inst in nl.sequential_instances()
+    }
+    buffer_cell = nl.library.pick("BUF", 1, "HVT")
+    engine = SignoffSTA(SLOW, pba=True)
+    graph = engine.build_graph(nl, pl, skews=skews, congestion=congestion,
+                               check_hold=True)
+    graph.full_propagate()
+    graph.report(CLOCK)  # drain the full-propagate ops
+    flops = [i.name for i in nl.sequential_instances()]
+    splices = 0
+    for step in range(8):
+        touched = [_random_swap(nl, rng)]
+        if step % 2:
+            flop_name = flops[(3 * step) % len(flops)]
+            d_net = nl.instances[flop_name].input_nets[0]
+            buf = nl.insert_buffer(f"si_{step}", buffer_cell, d_net, flop_name, 0)
+            pl.positions[buf.name] = pl.positions[flop_name]
+            touched.append(buf.name)
+            splices += 1
+            assert graph.topology.stale
+        graph.update(touched)
+        incremental = graph.report(CLOCK)
+        scratch = engine.analyze(nl, pl, CLOCK, skews, congestion, check_hold=True)
+        assert_reports_identical(incremental, scratch, compare_proxy=False)
+        assert any(path for path in incremental.paths.values())
+    assert splices == 4
+
+
 # ------------------------------------------------------------- error paths
 def test_update_before_propagate_raises(small_netlist, small_placement):
     graph = GraphSTA().build_graph(small_netlist, small_placement)
@@ -321,6 +359,28 @@ def test_signoff_policy_hooks():
     assert policy.full_runtime_proxy(10) == 60.0 * 1.8  # PBA depth sweep
 
 
+def test_signoff_merge_slew_batch_is_a_left_fold():
+    """The batched RMS slew merge sums each segment left to right, as
+    the scalar ``merge_slew`` does: ``np.add.reduceat`` would return
+    ``a[s] + (a[s+1] + a[s+2])``, one ulp off on this triple."""
+    policy = SignoffDelayPolicy(SLOW)
+    triple = [9.10214031217829, 13.755350780445726, 15.455350780445725]
+    merged = policy.merge_slew_batch(
+        np.array(triple), np.array([0]), np.array([3])
+    )
+    assert merged.tolist() == [policy.merge_slew(triple)]
+
+    rng = np.random.default_rng(8)
+    counts = rng.integers(1, 4, size=400)
+    slews = rng.uniform(5.0, 60.0, size=int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    merged = policy.merge_slew_batch(slews, starts, counts).tolist()
+    assert merged == [
+        policy.merge_slew(slews[a:a + n].tolist())
+        for a, n in zip(starts.tolist(), counts.tolist())
+    ]
+
+
 def test_signoff_policy_validation():
     with pytest.raises(ValueError):
         SignoffDelayPolicy(TYPICAL, si_factor=-0.1)
@@ -338,6 +398,44 @@ def test_base_policy_wire_delay_is_elmore():
     r = lib.wire_r_per_um * 40.0 * SLOW.wire_factor
     c_wire = lib.wire_c_per_um * 40.0 * SLOW.wire_factor
     assert policy.wire_delay(40.0, 6.0, lib) == r * (c_wire / 2.0 + 6.0)
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Python 3.12's ``sum()``: Neumaier-compensated once a float shows up."""
+    items = list(iterable)
+    if not any(isinstance(x, float) for x in items) or not all(
+        isinstance(x, (int, float)) for x in items
+    ):
+        return _BUILTIN_SUM(items, start)
+    total = float(start)
+    compensation = 0.0
+    for x in items:
+        x = float(x)
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
+_BUILTIN_SUM = sum
+
+
+def test_per_node_recompute_is_identity_under_compensated_sum(monkeypatch):
+    """Net loads are explicit left folds, so the per-node recompute keeps
+    matching the full pass's ``np.bincount`` on Python 3.12, whose
+    ``sum()`` over floats is compensated (emulated here on any version)."""
+    import builtins
+
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert sum([0.1] * 10) == 1.0  # the emulation is active
+    for seed in (21, 77):
+        nl, pl = _fresh_design(90, 12, 8, seed)
+        graph = SignoffSTA(SLOW).build_graph(nl, pl, check_hold=True)
+        graph.full_propagate()
+        assert_per_node_recompute_is_identity(graph)
 
 
 # ----------------------------------------------------------- report helpers
