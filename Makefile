@@ -14,10 +14,14 @@ test:
 # warnings and stale suppressions.  Every run is whole-program: the
 # cross-file rules run over the import/call graph; the content-hash
 # cache (.repro-lint-cache.json) makes warm re-runs near-instant.  The
-# examples drive executors and pool payloads, so they are linted too.
+# examples drive executors and pool payloads, so they are linted too,
+# and so are the frozen reference kernels and the kernel benchmarks
+# that drive them: an unordered iteration or an unseeded RNG there
+# would make the bitwise equivalence suites and the benchmark gates
+# flaky.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --strict \
-		src/repro examples
+		src/repro examples tests/eda/*_reference.py benchmarks/*_benchmark.py
 
 # Lint cache smoke: cold vs warm lint over src/repro must produce
 # identical reports with a >=5x warm speedup and zero cache misses.

@@ -8,24 +8,23 @@ through placement and global routing, then times ``full_propagate`` on
 two kernels from the same inputs:
 
 - the live struct-of-arrays numpy kernel;
-- :func:`propagate_per_node`, the historical scalar dict-and-loop full
-  propagation kept here verbatim as an honest comparator: plain dicts,
-  no array façades, every node through the live per-node
-  ``TimingGraph._compute_*`` methods (the ones incremental ``update``
-  runs).  The frozen engine in ``tests/eda/sta_reference.py`` cannot
-  serve: it only times propagate and report together.
+- ``PerNodeTimingGraph``, the historical per-node kernel frozen in
+  ``tests/eda/sta_reference.py`` as an honest comparator: plain dicts,
+  every node through its own ``_compute_*`` call.  The frozen engines
+  there cannot serve: they only time propagate and report together.
 
 Checks (exit code 1 on failure):
 
-- every propagated state map (late/early arrivals, slews, predecessor
-  chains, net loads) and the resulting :class:`TimingReport` are
-  **bit-identical** across the two kernels, for both engines at the
-  signoff corner mix;
+- every propagated per-net column (late/early arrivals, slews,
+  predecessor chains, net loads) is **bit-identical** across the two
+  kernels, and the live report equals the frozen engine's, for both
+  engines at the signoff corner mix;
 - the vectorized kernel is >= 5x faster on ``full_propagate``.
 
 ``--json PATH`` merges a machine-readable summary into ``PATH`` under
 the ``"vectorized"`` key (see ``make bench-trajectory``); ``--smoke``
-reduces repetitions for CI while keeping every assertion.
+reduces repetitions for CI while keeping every assertion.  The script
+puts the repository root on ``sys.path`` to import the frozen kernel.
 
 Usage::
 
@@ -38,9 +37,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-import types
 
 import numpy as np
 
@@ -51,83 +50,26 @@ from repro.eda.library import make_default_library
 from repro.eda.placement import QuadraticPlacer
 from repro.eda.routing import GlobalRouter
 from repro.eda.sta import PI_SLEW, GraphSTA, SignoffSTA, SLOW
-from repro.eda.sta.graph import _NetPredMap, _NetValueMap
 from repro.eda.synthesis import synthesize
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.eda import sta_reference as ref  # noqa: E402
+
 CLOCK = 1100.0
-STATE_MAPS = ("_arrival", "_arrival_min", "_slew", "_pred", "_net_load")
+#: live engine -> the frozen engine whose hooks drive the per-node kernel
+FROZEN = {"graph": ref.GraphSTA(ref.SLOW), "signoff": ref.SignoffSTA(ref.SLOW)}
 
 
-def propagate_per_node(self) -> int:
-    """The historical per-node full propagation loop (comparator).
-
-    Bound onto one :class:`~repro.eda.sta.TimingGraph` by
-    :func:`build_graph` in place of its vectorized kernel, so
-    ``full_propagate()`` keeps its bookkeeping and only the kernel
-    differs.
-    """
-    netlist = self.netlist
-    topo = self.topology
-    ops = 0
-
-    self._net_load = {}
-    for net_name in netlist.nets:
-        if net_name == netlist.clock_net:
-            continue
-        self._net_load[net_name] = self._net_load_of(net_name)
-
-    self._arrival = {}
-    self._slew = {}
-    self._pred = {}
-    self._arrival_min = {}
-    for pi in netlist.primary_inputs:
-        if pi == netlist.clock_net:
-            continue
-        self._arrival[pi] = 0.0
-        self._slew[pi] = PI_SLEW
-        self._pred[pi] = None
-    for inst in netlist.sequential_instances():
-        ops += self._compute_seq(inst)
-    for name in topo.order:
-        ops += self._compute_comb(netlist.instances[name])
-
-    if self.check_hold:
-        for pi in netlist.primary_inputs:
-            if pi != netlist.clock_net:
-                self._arrival_min[pi] = 0.0
-        for inst in netlist.sequential_instances():
-            self._compute_seq_min(inst)
-        for name in topo.order:
-            ops += self._compute_comb_min(netlist.instances[name])
-
-    return ops
-
-
-def publish_columns(graph) -> None:
-    """Move the per-node kernel's dict state behind the kernel's array
-    façades, which ``TimingGraph.report`` reads as per-net columns.
-    Runs after (never inside) a timed propagation."""
-    index = graph.topology.net_index
-    for attr, fill in (("_net_load", 0.0), ("_arrival", 0.0),
-                       ("_slew", PI_SLEW), ("_arrival_min", 0.0)):
-        columns = _NetValueMap(index, fill=fill)
-        for net_name, value in getattr(graph, attr).items():
-            columns[net_name] = value
-        setattr(graph, attr, columns)
-    preds = _NetPredMap(index)
-    for net_name, pred in graph._pred.items():
-        preds[net_name] = pred
-    graph._pred = preds
-
-
-def build_graph(engine, netlist, placement, skews, congestion, per_node: bool):
-    """``engine``'s timing graph, with the per-node loop as its
-    full-propagation kernel when ``per_node``."""
+def build_kernels(engine, netlist, placement, skews, congestion):
+    """``engine``'s timing graph and the per-node kernel over the same
+    inputs, both checking hold."""
     graph = engine.build_graph(netlist, placement, skews=skews,
                                congestion=congestion, check_hold=True)
-    if per_node:
-        graph._propagate_vectorized = types.MethodType(propagate_per_node, graph)
-    return graph
+    per_node = ref.PerNodeTimingGraph(
+        FROZEN[engine.engine_name], netlist, placement, skews=skews,
+        congestion=congestion, check_hold=True,
+    )
+    return graph, per_node
 
 
 def build_state(seed: int):
@@ -153,9 +95,23 @@ def time_full_propagate(graph, repeats: int) -> float:
     return best
 
 
-def states_identical(vec, scalar) -> bool:
-    for attr in STATE_MAPS:
-        if dict(getattr(vec, attr).items()) != dict(getattr(scalar, attr).items()):
+def states_identical(graph, per_node) -> bool:
+    """Each per-net array of the live kernel equals the per-node dict
+    bit for bit; a net absent from a dict holds the fill value."""
+    index = graph.topology.net_index
+    names = index.names
+    columns = (
+        ("load", graph._load, [per_node.net_load.get(n, 0.0) for n in names]),
+        ("arrival", graph._arrival, [per_node.arrival.get(n, 0.0) for n in names]),
+        ("slew", graph._slew, [per_node.slew.get(n, PI_SLEW) for n in names]),
+        ("arrival_min", graph._arrival_min,
+         [per_node.arrival_min.get(n, 0.0) for n in names]),
+        ("pred", graph._pred, [index.ids.get(per_node.pred.get(n), -1) for n in names]),
+    )
+    for attr, got, want in columns:
+        want = np.array(want, dtype=got.dtype)
+        if got.shape != want.shape or not np.array_equal(
+                got.view(np.int64), want.view(np.int64)):
             print(f"FAIL: {attr} differs between kernels")
             return False
     return True
@@ -207,30 +163,27 @@ def main(argv=None) -> int:
     # --- bit-identity across both engines --------------------------------
     identical = True
     for engine in (GraphSTA(SLOW), SignoffSTA(SLOW)):
-        pair = {}
-        for per_node in (False, True):
-            g = build_graph(engine, netlist, placement, skews, congestion, per_node)
-            g.full_propagate()
-            pair[per_node] = g
-        if not states_identical(pair[False], pair[True]):
+        graph, per_node = build_kernels(engine, netlist, placement, skews,
+                                        congestion)
+        graph.full_propagate()
+        per_node.full_propagate()
+        if not states_identical(graph, per_node):
             identical = False
-        publish_columns(pair[True])
-        if not reports_identical(pair[False].report(CLOCK),
-                                 pair[True].report(CLOCK)):
-            print(f"FAIL: {engine.engine_name} reports differ between kernels")
+        want = FROZEN[engine.engine_name].analyze(
+            netlist, placement, CLOCK, skews, congestion, check_hold=True)
+        if not reports_identical(graph.report(CLOCK), want):
+            print(f"FAIL: {engine.engine_name} report differs from the "
+                  "frozen engine")
             identical = False
     if identical:
-        print("bit-identical: state maps and reports, both engines "
+        print("bit-identical: per-net columns and reports, both engines "
               "(signoff corner, hold + PBA)")
 
     # --- wall clock -------------------------------------------------------
-    signoff = SignoffSTA(SLOW)
-    t_vec = time_full_propagate(
-        build_graph(signoff, netlist, placement, skews, congestion, False),
-        repeats)
-    t_scalar = time_full_propagate(
-        build_graph(signoff, netlist, placement, skews, congestion, True),
-        repeats)
+    graph, per_node = build_kernels(SignoffSTA(SLOW), netlist, placement,
+                                    skews, congestion)
+    t_vec = time_full_propagate(graph, repeats)
+    t_scalar = time_full_propagate(per_node, repeats)
     speedup = t_scalar / t_vec if t_vec > 0 else float("inf")
     print(f"full_propagate: per-node={t_scalar * 1e3:.2f} ms  "
           f"vectorized={t_vec * 1e3:.2f} ms  -> {speedup:.1f}x")

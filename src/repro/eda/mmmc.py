@@ -128,8 +128,6 @@ class MMMCAnalyzer:
         congestion=None,
         topology: Optional[TimingTopology] = None,
     ) -> MMMCReport:
-        if clock_period <= 0:
-            raise ValueError("clock period must be positive")
         if (
             topology is None
             or topology.netlist is not netlist

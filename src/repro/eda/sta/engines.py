@@ -87,9 +87,8 @@ class _BaseSTA:
         ``check_hold`` additionally propagates early (minimum) arrivals
         and populates per-endpoint hold slacks (same-edge check:
         earliest data arrival must exceed capture skew + hold time).
+        The clock period must be positive and finite.
         """
-        if clock_period <= 0:
-            raise ValueError("clock period must be positive")
         graph = self.build_graph(
             netlist, placement, skews=skews, congestion=congestion, check_hold=check_hold
         )

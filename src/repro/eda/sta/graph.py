@@ -1,70 +1,73 @@
-"""The incremental STA kernel: a levelized timing graph over a netlist.
+"""The STA kernel: a levelized timing graph over a netlist.
 
 :class:`TimingGraph` is the artifact the rest of the substrate queries
 for timing.  It is constructed once from (netlist, placement,
 congestion) plus a delay-model policy, propagates arrivals with
 :meth:`TimingGraph.full_propagate`, and then answers *edits* with
-:meth:`TimingGraph.update` — dirty-set invalidation that re-levels and
-re-propagates only the forward fanout cones (and predecessor load
-deltas) of the touched instances.  ``runtime_proxy`` is charged by the
-nodes actually propagated, so the Fig-8 cost axis stays honest while
-an optimizer loop queries timing incrementally.
+:meth:`TimingGraph.update`, which re-propagates only the forward
+fanout cones (and predecessor load deltas) of the touched instances.
+``runtime_proxy`` is charged by the nodes actually propagated, so the
+Fig-8 cost axis stays honest while an optimizer loop queries timing
+incrementally.
 
-Full propagation is vectorized: the topology exposes a struct-of-arrays
-view (:class:`_TopoSoA` — per-net rows, a CSR of combinational fanin
-edges sorted by level, sink segments for load accumulation) and
-``full_propagate`` evaluates whole levels at a time with numpy segment
-reductions.  ``report`` reads the same per-net rows as columns and
-walks every endpoint's worst path at once over the ``pred`` array.
-Dirty-cone ``update`` runs per node — cones are small, and
-the per-node ``_compute_*`` methods remain the single definition the
-vector kernel must match (recomputing every node through them after a
-full propagation leaves all state bitwise unchanged).
+Both entry points run one level-synchronous kernel over a
+struct-of-arrays view of the topology (:class:`_TopoSoA` — per-net
+rows, a CSR of combinational fanin edges sorted by level, sink
+segments for load accumulation).  Per-net state is five plain arrays
+indexed by net row: load, late arrival, slew, worst predecessor and
+early arrival.  ``full_propagate`` computes every node; ``update``
+computes the nodes it seeds plus, level by level, every
+combinational node one of whose fanin nets moved.  ``report`` reads
+the same arrays and walks every endpoint's worst path at once over the
+``pred`` array.
 
 Bit-identity with the historical full-run engines is a hard contract
-(enforced against ``tests/eda/sta_reference.py``): every per-node
-value is computed by the *same float expressions in the same order*
-as the pre-refactor ``_BaseSTA.analyze``.  The vectorized kernel keeps
-that contract because
+(enforced against ``tests/eda/sta_reference.py``, which also keeps the
+per-node kernel this one replaced as the oracle for per-net state and
+for the incremental work accounting): every value is computed by the
+*same float expressions in the same order* as the pre-refactor
+``_BaseSTA.analyze``.  The kernel keeps that contract because
 
 - sums go through ``np.bincount``, which accumulates strictly left to
   right (no pairwise summation), matching the per-node loops over each
   net's sinks and each node's inputs; ``np.add.reduceat`` would not
   (it returns ``a[s] + (a[s+1] + ...)``), so only the exact
   ``np.maximum``/``np.minimum.reduceat`` reduce segments;
-- per-level elementwise expressions are written with the same
-  association order as the per-node methods, so each float operation is
-  the identical IEEE-754 operation;
+- elementwise expressions keep the per-node association order, so each
+  float operation is the identical IEEE-754 operation;
 - level-by-level evaluation is equivalent to topological-order
   evaluation (every input of a level-L node is produced at a lower
   level, by a sequential output, or at a primary input).
 
-An incremental update stops propagating exactly where recomputed
-``(arrival, slew)`` values are bitwise unchanged — recomputing a node
-whose inputs are bitwise identical reproduces its old value bitwise,
-so pruned cones cannot diverge from a from-scratch run.
+An update stops propagating exactly where a recomputed node's
+``(arrival, slew, early arrival)`` is bitwise unchanged: recomputing a
+node whose inputs are bitwise identical reproduces its old value, so
+pruned cones cannot diverge from a from-scratch run.  The
+arrival-independent columns (loads, slews, wire delays, merged slews,
+gate delays) are recomputed for the whole graph; outside the dirty set
+they equal the stored values bit for bit.
 
 Invalidation rules (see docs/substrate.md for the narrative version):
 
 - **cell swap** (``replace_cell``): dirty = the instance itself plus
   the drivers of its input nets (their output load changed through the
   new input capacitance).  Net lengths are untouched.
-- **buffer splice** (``insert_buffer``): the spliced net's length and
-  load both change, so dirty = the new buffer, the spliced net's
-  driver, and *all* of its combinational sinks (their input wire
-  delays see the new length); the buffer is levelized into the graph
-  and downstream levels are raised along the forward cone only.
+- **buffer splice** (``insert_buffer``): the nets the buffer touches
+  change length and load, so dirty = the new buffer, the drivers of
+  those nets and *all* of their combinational readers (their input
+  wire delays see the new lengths).  ``update`` first rebuilds the
+  stale topology, which levelizes the buffer.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.eda.grid import bin_index, bin_indices
+from repro.eda.grid import bin_indices
 from repro.eda.library import DFF_CLK_TO_Q, DFF_HOLD, DFF_SETUP
 from repro.eda.netlist import Netlist
 from repro.eda.placement import Placement
@@ -133,190 +136,6 @@ class _NetIndex:
                 ids[name] = len(names)
                 names.append(name)
 
-    def add(self, name: str) -> int:
-        row = self.ids.get(name)
-        if row is None:
-            row = len(self.names)
-            self.ids[name] = row
-            self.names.append(name)
-        return row
-
-
-class _NetValueMap:
-    """``{net name: float}`` façade over a flat per-net value array.
-
-    Implements the dict surface the per-node compute methods use
-    (``get``/``[]``/``in``/iteration), with presence tracked in a
-    boolean mask so absent keys behave exactly like missing dict
-    entries; ``report()`` reads whole columns instead.  Rows come from
-    a shared :class:`_NetIndex`; writes to nets spliced in after
-    construction grow the backing arrays on demand.
-    """
-
-    __slots__ = ("_index", "values", "mask", "fill")
-
-    def __init__(
-        self,
-        index: _NetIndex,
-        fill: float = 0.0,
-        values: Optional[np.ndarray] = None,
-        mask: Optional[np.ndarray] = None,
-    ):
-        self._index = index
-        self.fill = fill
-        n = len(index)
-        self.values = np.full(n, fill, dtype=float) if values is None else values
-        self.mask = np.zeros(n, dtype=bool) if mask is None else mask
-
-    def _grow(self) -> None:
-        n = len(self._index)
-        old = self.values.shape[0]
-        size = max(n, 2 * old, 8)
-        values = np.full(size, self.fill, dtype=float)
-        values[:old] = self.values
-        mask = np.zeros(size, dtype=bool)
-        mask[:old] = self.mask[:old]
-        self.values = values
-        self.mask = mask
-
-    def __getitem__(self, key: str) -> float:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.values.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        return self.values.item(row)
-
-    def get(self, key: str, default=None):
-        row = self._index.ids.get(key)
-        if row is None or row >= self.values.shape[0] or not self.mask[row]:
-            return default
-        return self.values.item(row)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        row = self._index.add(key)
-        if row >= self.values.shape[0]:
-            self._grow()
-        self.values[row] = value
-        self.mask[row] = True
-
-    def __delitem__(self, key: str) -> None:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.values.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        self.mask[row] = False
-
-    def __contains__(self, key: str) -> bool:
-        row = self._index.ids.get(key)
-        return row is not None and row < self.values.shape[0] and bool(self.mask[row])
-
-    def __iter__(self) -> Iterator[str]:
-        names = self._index.names
-        for row in range(min(len(names), self.values.shape[0])):
-            if self.mask[row]:
-                yield names[row]
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    def items(self):
-        for key in self:
-            yield key, self.values.item(self._index.ids[key])
-
-    def column(self, n: int, default: float) -> np.ndarray:
-        """Values of rows ``0..n-1``, ``default`` where a net is absent."""
-        out = np.full(n, default)
-        m = min(n, self.values.shape[0])
-        present = self.mask[:m]
-        out[:m][present] = self.values[:m][present]
-        return out
-
-
-class _NetPredMap:
-    """``{net name: Optional[net name]}`` façade over a per-net int array.
-
-    Row value ``-1`` encodes an explicit ``None`` entry (startpoints);
-    presence is tracked separately in ``mask`` like :class:`_NetValueMap`.
-    """
-
-    __slots__ = ("_index", "rows", "mask")
-
-    def __init__(
-        self,
-        index: _NetIndex,
-        rows: Optional[np.ndarray] = None,
-        mask: Optional[np.ndarray] = None,
-    ):
-        self._index = index
-        n = len(index)
-        self.rows = np.full(n, -1, dtype=np.int64) if rows is None else rows
-        self.mask = np.zeros(n, dtype=bool) if mask is None else mask
-
-    def _grow(self) -> None:
-        n = len(self._index)
-        old = self.rows.shape[0]
-        size = max(n, 2 * old, 8)
-        rows = np.full(size, -1, dtype=np.int64)
-        rows[:old] = self.rows
-        mask = np.zeros(size, dtype=bool)
-        mask[:old] = self.mask[:old]
-        self.rows = rows
-        self.mask = mask
-
-    def _decode(self, row: int) -> Optional[str]:
-        value = self.rows.item(row)
-        return None if value < 0 else self._index.names[value]
-
-    def __getitem__(self, key: str) -> Optional[str]:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.rows.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        return self._decode(row)
-
-    def get(self, key: str, default=None):
-        row = self._index.ids.get(key)
-        if row is None or row >= self.rows.shape[0] or not self.mask[row]:
-            return default
-        return self._decode(row)
-
-    def __setitem__(self, key: str, value: Optional[str]) -> None:
-        row = self._index.add(key)
-        if row >= self.rows.shape[0]:
-            self._grow()
-        self.rows[row] = -1 if value is None else self._index.add(value)
-        self.mask[row] = True
-
-    def __delitem__(self, key: str) -> None:
-        row = self._index.ids.get(key)
-        if row is None or row >= self.rows.shape[0] or not self.mask[row]:
-            raise KeyError(key)
-        self.mask[row] = False
-
-    def __contains__(self, key: str) -> bool:
-        row = self._index.ids.get(key)
-        return row is not None and row < self.rows.shape[0] and bool(self.mask[row])
-
-    def __iter__(self) -> Iterator[str]:
-        names = self._index.names
-        for row in range(min(len(names), self.rows.shape[0])):
-            if self.mask[row]:
-                yield names[row]
-
-    def items(self) -> Iterator[Tuple[str, Optional[str]]]:
-        names = self._index.names
-        for row in range(min(len(names), self.rows.shape[0])):
-            if self.mask[row]:
-                yield names[row], self._decode(row)
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    def column(self, n: int) -> np.ndarray:
-        """Pred rows of rows ``0..n-1``: -1 where absent or ``None``."""
-        out = np.full(n, -1, dtype=np.int64)
-        m = min(n, self.rows.shape[0])
-        present = self.mask[:m]
-        out[:m][present] = self.rows[:m][present]
-        return out
-
 
 @dataclass
 class _LevelSegment:
@@ -343,7 +162,6 @@ class _TopoSoA:
     """
 
     n_nets: int
-    clock_row: int  # row of the clock net, or -1
     # load accumulation: one entry per (non-clock net, sink pin), in
     # net order then sink order — the accumulation order of the per-net
     # Python sum
@@ -383,6 +201,14 @@ class _TopoSoA:
     @property
     def n_comb_edges(self) -> int:
         return self.fanin_src.shape[0]
+
+
+def _pad(column: np.ndarray, n: int, fill) -> np.ndarray:
+    """``column`` extended to ``n`` rows with ``fill``."""
+    if column.shape[0] >= n:
+        return column
+    tail = np.full(n - column.shape[0], fill, dtype=column.dtype)
+    return np.concatenate((column, tail))
 
 
 class TimingTopology:
@@ -524,7 +350,6 @@ class TimingTopology:
 
         return _TopoSoA(
             n_nets=n_nets,
-            clock_row=ids.get(clock, -1) if clock is not None else -1,
             sink_net_rows=np.array(sink_net_rows, dtype=np.intp),
             sink_inst_rows=np.array(sink_inst_rows, dtype=np.intp),
             po_rows=po_rows,
@@ -552,10 +377,10 @@ class TimingGraph:
     """Levelized arrival/slew state for one (netlist, placement, policy).
 
     ``full_propagate()`` computes every node exactly as the historical
-    engines did, vectorized over struct-of-arrays state;
-    ``update(changed)`` recomputes only the dirty cone, node by node;
-    ``report(clock_period)`` materializes endpoint slacks and charges
-    the policy's runtime proxy for the operations since the last query.
+    engines did; ``update(changed)`` recomputes only the dirty cone with
+    the same level-synchronous kernel; ``report(clock_period)``
+    materializes endpoint slacks and charges the policy's runtime proxy
+    for the operations since the last query.
     """
 
     def __init__(
@@ -582,147 +407,24 @@ class TimingGraph:
             topology = TimingTopology(netlist, placement)
         self.topology = topology
         self.stats = StaStats()
-        # per-net propagation state: array-backed dict façades once
-        # full_propagate() has run
-        self._net_load: Dict[str, float] = {}
-        self._arrival: Dict[str, float] = {}
-        self._slew: Dict[str, float] = {}
-        self._pred: Dict[str, Optional[str]] = {}
-        self._arrival_min: Dict[str, float] = {}
-        self._known: set = set()  # instance names levelized into the graph
+        # per-net propagation state, indexed by net row.  A row the
+        # kernel has not computed (the clock, a net spliced in since the
+        # last propagation) holds the fill value 0.0, PI_SLEW or -1.
+        self._load = np.zeros(0)
+        self._arrival = np.zeros(0)
+        self._slew = np.zeros(0)
+        self._pred = np.zeros(0, dtype=np.int64)  # worst input net row, -1 if none
+        self._arrival_min = np.zeros(0)  # early arrivals (hold)
+        # instances at positions below this were in the netlist at the
+        # last propagation; update() treats the others as splices
+        self._n_known = 0
         self._propagated = False
         self._ops_pending = 0  # propagation ops since the last report()
-        self._full_ops = 0  # ops one from-scratch propagation costs today
         # cell-attribute registry for the vectorized gather; entries
         # hold the Cell object so a row can never alias a recycled id()
         self._cell_rows: Dict[int, Tuple[int, object]] = {}
         self._cell_data: List[Tuple[float, ...]] = []
         self._cell_matrix: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # per-node recomputation: these are the *only* places arrival/slew
-    # values are produced by incremental update; the vectorized kernel
-    # mirrors each expression with identical association order, which is
-    # what makes bit-identity structural rather than coincidental.
-    def _congestion_at(self, net_name: str) -> float:
-        if self.congestion is None:
-            return 0.0
-        ny, nx = self.congestion.shape
-        placement = self.placement
-        fp = placement.floorplan
-        net = placement.netlist.nets.get(net_name)
-        if net is None or net.driver is None:
-            return 0.0
-        x, y = placement.positions[net.driver]
-        i = bin_index(x, fp.width, nx)
-        j = bin_index(y, fp.height, ny)
-        return float(self.congestion[j, i])
-
-    def _net_load_of(self, net_name: str) -> float:
-        netlist = self.netlist
-        instances = netlist.instances
-        # an explicit left fold: the full pass's np.bincount order (the
-        # builtin sum() is compensated from Python 3.12 on)
-        load = 0.0
-        for s, _ in netlist.nets[net_name].sinks:
-            load += instances[s].cell.input_cap
-        if net_name in netlist.primary_outputs:
-            load += PO_LOAD
-        load += (
-            netlist.library.wire_c_per_um
-            * self.topology.net_len[net_name]
-            * self.policy.corner.wire_factor
-        )
-        return load
-
-    def _compute_seq(self, inst) -> int:
-        policy = self.policy
-        out = inst.output_net
-        launch = self.skews.get(inst.name, 0.0)
-        q_delay = DFF_CLK_TO_Q * policy.corner.delay_factor * policy.stage_derate()
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        self._arrival[out] = (
-            launch + q_delay + cell.drive_resistance * load * policy.corner.delay_factor
-        )
-        self._slew[out] = cell.output_slew(load)
-        self._pred[out] = None
-        return 1
-
-    def _compute_comb(self, inst) -> int:
-        policy = self.policy
-        netlist = self.netlist
-        lib = netlist.library
-        net_len = self.topology.net_len
-        out = inst.output_net
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        best_arr = -np.inf
-        best_net = None
-        in_slews = []
-        ops = 0
-        for net_name in inst.input_nets:
-            if net_name == netlist.clock_net:
-                continue
-            a_in = self._arrival.get(net_name, 0.0)
-            s_in = self._slew.get(net_name, PI_SLEW)
-            in_slews.append(s_in)
-            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
-            w_delay += policy.si_bump(
-                net_len.get(net_name, 0.0), self._congestion_at(net_name)
-            )
-            cand = a_in + w_delay
-            ops += 1
-            if cand > best_arr:
-                best_arr = cand
-                best_net = net_name
-        s_in = policy.merge_slew(in_slews) if in_slews else PI_SLEW
-        gate_delay = cell.delay(load, s_in) * policy.corner.delay_factor * policy.stage_derate()
-        self._arrival[out] = best_arr + gate_delay
-        self._slew[out] = cell.output_slew(load)
-        self._pred[out] = best_net
-        return ops
-
-    def _compute_seq_min(self, inst) -> None:
-        policy = self.policy
-        out = inst.output_net
-        launch = self.skews.get(inst.name, 0.0)
-        load = self._net_load.get(out, 0.0)
-        self._arrival_min[out] = (
-            launch
-            + (DFF_CLK_TO_Q + inst.cell.drive_resistance * load)
-            * policy.corner.delay_factor
-            * policy.early_derate()
-        )
-
-    def _compute_comb_min(self, inst) -> int:
-        policy = self.policy
-        netlist = self.netlist
-        lib = netlist.library
-        net_len = self.topology.net_len
-        early = policy.early_derate()
-        out = inst.output_net
-        load = self._net_load.get(out, 0.0)
-        cell = inst.cell
-        fastest = np.inf
-        for net_name in inst.input_nets:
-            if net_name == netlist.clock_net:
-                continue
-            a_in = self._arrival_min.get(net_name, 0.0)
-            w_delay = policy.wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
-            fastest = min(fastest, a_in + w_delay * early)
-        if np.isinf(fastest):
-            fastest = 0.0
-        gate_delay = cell.delay(load, PI_SLEW) * policy.corner.delay_factor * early
-        self._arrival_min[out] = fastest + gate_delay
-        return 1
-
-    def _node_state(self, out_net: str) -> Tuple:
-        return (
-            self._arrival.get(out_net),
-            self._slew.get(out_net),
-            self._arrival_min.get(out_net),
-        )
 
     # ------------------------------------------------------------------
     def full_propagate(self) -> int:
@@ -735,16 +437,71 @@ class TimingGraph:
         """
         if self.topology.stale:
             self.topology.rebuild()
-        ops = self._propagate_vectorized()
-        self._known = set(self.netlist.instances)
+        n_nets = self.topology.soa.n_nets
+        self._arrival = np.zeros(n_nets)
+        self._pred = np.full(n_nets, -1, dtype=np.int64)
+        self._arrival_min = np.zeros(n_nets)
+        ops, _ = self._propagate()
+        self._n_known = len(self.netlist.instances)
         self._propagated = True
-        self._full_ops = ops
         self._ops_pending = ops
         self.stats.full_propagates += 1
         return ops
 
+    def update(self, changed: Iterable[str]) -> int:
+        """Re-propagate the forward cones of ``changed`` instances.
+
+        ``changed`` names instances whose cell was swapped
+        (``replace_cell``) or that were newly spliced in
+        (``insert_buffer``).  Returns the number of nodes recomputed;
+        the corresponding ops are charged to the next ``report()``.
+        Propagation of a cone stops at nodes whose recomputed
+        ``(arrival, slew, early arrival)`` state is bitwise unchanged.
+        """
+        if not self._propagated:
+            raise RuntimeError("full_propagate() must run before update()")
+        soa = self._sync()
+        netlist = self.netlist
+        ids = self.topology.net_index.ids
+        clock = netlist.clock_net
+        drivers = soa.net_driver_rows
+        seeded = np.zeros(len(netlist.instances), dtype=bool)
+        moved = np.zeros(soa.n_nets, dtype=bool)
+        for name in changed:
+            inst = netlist.instances[name]
+            out = ids[inst.output_net]
+            rows = [ids[n] for n in inst.input_nets if n != clock]
+            if drivers[out] >= self._n_known:
+                # splice: the nets it touches change length and load,
+                # which moves every combinational reader's wire delay
+                rows.append(out)
+                moved[rows] = True
+            seeded[drivers[out]] = True
+            # the drivers of its input nets see a new load
+            row_drivers = drivers[rows]
+            seeded[row_drivers[row_drivers >= 0]] = True
+        ops, nodes = self._propagate(seeded, moved)
+        self._n_known = len(netlist.instances)
+        self._ops_pending += ops
+        self.stats.incremental_updates += 1
+        self.stats.nodes_propagated += nodes
+        return nodes
+
+    def _sync(self) -> _TopoSoA:
+        """Rebuild a topology left stale by buffer splices and give the
+        net rows added since the last propagation their fill values."""
+        if self.topology.stale:
+            self.topology.rebuild()
+        soa = self.topology.soa
+        n = soa.n_nets
+        self._load = _pad(self._load, n, 0.0)
+        self._arrival = _pad(self._arrival, n, 0.0)
+        self._slew = _pad(self._slew, n, PI_SLEW)
+        self._pred = _pad(self._pred, n, -1)
+        self._arrival_min = _pad(self._arrival_min, n, 0.0)
+        return soa
+
     # ------------------------------------------------------------------
-    # vectorized full propagation
     def _cell_columns(self) -> Tuple[np.ndarray, ...]:
         """Per-instance cell attribute columns, gathered fresh each
         propagation (cell swaps don't bump ``structure_version``, so
@@ -806,17 +563,33 @@ class TimingGraph:
         cong[driven] = inst_cong[soa.net_driver_rows[driven]]
         return cong
 
-    def _propagate_vectorized(self) -> int:
+    def _propagate(
+        self,
+        seeded: Optional[np.ndarray] = None,
+        moved: Optional[np.ndarray] = None,
+    ) -> Tuple[int, int]:
+        """The level-synchronous kernel behind both entry points.
+
+        Without arguments every node is computed (a full pass).
+        Otherwise ``seeded`` flags instances by netlist position and
+        ``moved`` flags net rows: a sequential node is computed when
+        seeded, a combinational node when seeded or when one of its
+        fanin nets moved, and a computed node whose (arrival, slew,
+        early arrival) differs from the stored value moves its output
+        net.  Returns ``(ops, nodes computed)``.
+        """
         netlist = self.netlist
-        topo = self.topology
         policy = self.policy
         lib = netlist.library
-        soa = topo.soa
-        index = topo.net_index
+        soa = self.topology.soa
         n_nets = soa.n_nets
         df = policy.corner.delay_factor
         wf = policy.corner.wire_factor
+        hold = self.check_hold
+        full = seeded is None
 
+        # arrival-independent columns, whole-graph: for a node outside
+        # the dirty set they equal its stored values bit for bit
         cap, intr, dres, ssens, sintr, sres = self._cell_columns()
         net_len = soa.net_len
         launch = np.fromiter(
@@ -826,8 +599,8 @@ class TimingGraph:
         )
 
         # net loads: sequential bincount accumulation == the per-node
-        # left-to-right Python sum over each net's sinks, then PO pin
-        # load, then the wire term — same order, same expressions
+        # left-to-right sum over each net's sinks, then PO pin load,
+        # then the wire term — same order, same expressions
         loads = np.bincount(
             soa.sink_net_rows,
             weights=cap[soa.sink_inst_rows],
@@ -836,36 +609,30 @@ class TimingGraph:
         loads[soa.po_rows] += PO_LOAD
         loads = loads + lib.wire_c_per_um * net_len * wf
 
-        # slews are arrival-independent: PI_SLEW at startpoint inputs,
-        # cell.output_slew(load) at every instance output
+        # slews: PI_SLEW at startpoint inputs, cell.output_slew(load) at
+        # every instance output
         slew = np.full(n_nets, PI_SLEW)
-        seq_loads = loads[soa.seq_out_rows]
-        slew[soa.seq_out_rows] = sintr[soa.seq_inst_rows] + sres[soa.seq_inst_rows] * seq_loads
+        si = soa.seq_inst_rows
+        so = soa.seq_out_rows
+        seq_loads = loads[so]
+        slew[so] = sintr[si] + sres[si] * seq_loads
         ci = soa.comb_inst_rows
         comb_loads = loads[soa.comb_out_rows]
         slew[soa.comb_out_rows] = sintr[ci] + sres[ci] * comb_loads
 
-        # launch arrivals at sequential outputs
-        arrival = np.zeros(n_nets)
-        pred = np.full(n_nets, -1, dtype=np.int64)
-        q_delay = DFF_CLK_TO_Q * df * policy.stage_derate()
-        arrival[soa.seq_out_rows] = (
-            launch + q_delay + dres[soa.seq_inst_rows] * seq_loads * df
-        )
-
-        # per-edge wire + SI delay (arrival-independent): the load seen
-        # by the wire is the receiving pin's input cap
+        # per-edge wire + SI delay: the load seen by the wire is the
+        # receiving pin's input cap
         e_src = soa.fanin_src
-        fanin_counts = soa.fanin_ptr[1:] - soa.fanin_ptr[:-1]
-        e_cap = np.repeat(cap[ci], fanin_counts)
+        fanin_ptr = soa.fanin_ptr
+        e_cap = np.repeat(cap[ci], fanin_ptr[1:] - fanin_ptr[:-1])
         e_len = net_len[e_src]
         e_wire_pure = policy.wire_delay_batch(e_len, e_cap, lib)
         cong = self._net_congestion(soa)
         e_cong = np.zeros(e_src.shape[0]) if cong is None else cong[e_src]
         e_wire = e_wire_pure + policy.si_bump_batch(e_len, e_cong)
 
-        # merged input slews and gate delays per comb node (global):
-        # nodes with no non-clock fanin fall back to PI_SLEW
+        # merged input slews and gate delays per comb node: nodes with
+        # no non-clock fanin fall back to PI_SLEW
         merged = np.full(soa.n_comb, PI_SLEW)
         if soa.ne_starts.size:
             merged[soa.ne_node_offsets] = policy.merge_slew_batch(
@@ -873,237 +640,93 @@ class TimingGraph:
             )
         gate = (intr[ci] + dres[ci] * comb_loads + ssens[ci] * merged) * df * policy.stage_derate()
 
-        # level-by-level late-arrival propagation
-        for seg in soa.levels:
-            n_lv = seg.hi - seg.lo
-            best = np.full(n_lv, -np.inf)
-            pred_lv = np.full(n_lv, -1, dtype=np.int64)
-            if seg.rel_starts.size:
-                src_lv = e_src[seg.elo : seg.ehi]
-                cand = arrival[src_lv] + e_wire[seg.elo : seg.ehi]
-                seg_max = np.maximum.reduceat(cand, seg.rel_starts)
-                best[seg.ne_offsets] = seg_max
-                # first input achieving the max == the per-node strict-">"
-                # left-to-right winner
-                rep = np.repeat(seg_max, seg.ne_counts)
-                positions = np.arange(cand.shape[0])
-                masked = np.where(cand == rep, positions, cand.shape[0])
-                first = np.minimum.reduceat(masked, seg.rel_starts)
-                winners = np.where(seg_max > -np.inf, src_lv[first], -1)
-                pred_lv[seg.ne_offsets] = winners
-            out_lv = soa.comb_out_rows[seg.lo : seg.hi]
-            arrival[out_lv] = best + gate[seg.lo : seg.hi]
-            pred[out_lv] = pred_lv
-
-        ops = len(soa.seq_names) + soa.n_comb_edges
-
-        arrival_min: Optional[np.ndarray] = None
-        if self.check_hold:
+        q_delay = DFF_CLK_TO_Q * df * policy.stage_derate()
+        seq_arr = launch + q_delay + dres[si] * seq_loads * df
+        if hold:
             early = policy.early_derate()
-            arrival_min = np.zeros(n_nets)
-            arrival_min[soa.seq_out_rows] = (
-                launch + (DFF_CLK_TO_Q + dres[soa.seq_inst_rows] * seq_loads) * df * early
-            )
+            seq_min = launch + (DFF_CLK_TO_Q + dres[si] * seq_loads) * df * early
             e_hold = e_wire_pure * early
             gate_min = (intr[ci] + dres[ci] * comb_loads + ssens[ci] * PI_SLEW) * df * early
-            for seg in soa.levels:
-                n_lv = seg.hi - seg.lo
+
+        arrival = self._arrival
+        pred = self._pred
+        arrival_min = self._arrival_min
+        old_slew = self._slew
+
+        def store(out, arr, arr_min) -> None:
+            # in an update, a computed node whose state differs from the
+            # stored one moves its output net
+            if not full:
+                moves = (arr != arrival[out]) | (slew[out] != old_slew[out])
+                if hold:
+                    moves |= arr_min != arrival_min[out]
+                moved[out[moves]] = True
+            arrival[out] = arr
+            if hold:
+                arrival_min[out] = arr_min
+
+        # launch arrivals at sequential outputs (their pred stays -1)
+        seq = slice(None) if full else np.flatnonzero(seeded[si])
+        store(so[seq], seq_arr[seq], seq_min[seq] if hold else None)
+        ops = nodes = so[seq].shape[0]
+
+        # per comb node: seeded, then OR-ed with moved fanins level by level
+        comb_dirty = None if full else seeded[ci]
+        for seg in soa.levels:
+            n_lv = seg.hi - seg.lo
+            lv = slice(seg.lo, seg.hi)
+            edges = slice(seg.elo, seg.ehi)
+            starts, offsets, counts = seg.rel_starts, seg.ne_offsets, seg.ne_counts
+            if not full:
+                dirty = comb_dirty[lv]
+                if starts.size:
+                    dirty[offsets] |= np.logical_or.reduceat(moved[e_src[edges]], starts)
+                picked = np.flatnonzero(dirty)
+                if picked.shape[0] == 0:
+                    continue
+                if picked.shape[0] < n_lv:
+                    # gather the dirty nodes' fanin segments
+                    n_lv = picked.shape[0]
+                    lv = seg.lo + picked
+                    first_edge = fanin_ptr[lv]
+                    all_counts = fanin_ptr[lv + 1] - first_edge
+                    offsets = np.flatnonzero(all_counts)
+                    counts = all_counts[offsets]
+                    starts = np.cumsum(counts) - counts
+                    edges = np.repeat(first_edge[offsets] - starts, counts)
+                    edges += np.arange(edges.shape[0])
+            src = e_src[edges]
+            best = np.full(n_lv, -np.inf)
+            pred_lv = np.full(n_lv, -1, dtype=np.int64)
+            if starts.size:
+                cand = arrival[src] + e_wire[edges]
+                seg_max = np.maximum.reduceat(cand, starts)
+                best[offsets] = seg_max
+                # first input achieving the max == the per-node strict-">"
+                # left-to-right winner
+                rep = np.repeat(seg_max, counts)
+                positions = np.arange(cand.shape[0])
+                masked = np.where(cand == rep, positions, cand.shape[0])
+                first = np.minimum.reduceat(masked, starts)
+                pred_lv[offsets] = np.where(seg_max > -np.inf, src[first], -1)
+            min_lv = None
+            if hold:
                 fastest = np.full(n_lv, np.inf)
-                if seg.rel_starts.size:
-                    src_lv = e_src[seg.elo : seg.ehi]
-                    cand = arrival_min[src_lv] + e_hold[seg.elo : seg.ehi]
-                    fastest[seg.ne_offsets] = np.minimum.reduceat(cand, seg.rel_starts)
-                fastest = np.where(np.isinf(fastest), 0.0, fastest)
-                out_lv = soa.comb_out_rows[seg.lo : seg.hi]
-                arrival_min[out_lv] = fastest + gate_min[seg.lo : seg.hi]
-            ops += soa.n_comb
-
-        # publish array state behind the dict façades; presence matches
-        # the historical engine's dicts exactly (every non-clock net —
-        # each net is a primary input or an instance output)
-        mask = np.ones(n_nets, dtype=bool)
-        if soa.clock_row >= 0:
-            mask[soa.clock_row] = False
-        self._net_load = _NetValueMap(index, values=loads, mask=mask.copy())
-        self._arrival = _NetValueMap(index, values=arrival, mask=mask.copy())
-        self._slew = _NetValueMap(index, fill=PI_SLEW, values=slew, mask=mask.copy())
-        self._pred = _NetPredMap(index, rows=pred, mask=mask.copy())
-        if arrival_min is not None:
-            self._arrival_min = _NetValueMap(index, values=arrival_min, mask=mask.copy())
-        else:
-            self._arrival_min = _NetValueMap(index)
-        return ops
-
-    # ------------------------------------------------------------------
-    def _levelize_new(self, new_names: List[str]) -> None:
-        """Levelize instances spliced in since the last propagation and
-        raise downstream levels along their forward cones."""
-        netlist = self.netlist
-        level = self.topology.level
-        pending = list(new_names)
-        while pending:
-            progressed = []
-            stuck = []
-            for name in pending:
-                inst = netlist.instances[name]
-                if inst.cell.is_sequential:
-                    progressed.append(name)
-                    continue
-                best = 0
-                ok = True
-                for net_name in inst.input_nets:
-                    if net_name == netlist.clock_net:
-                        continue
-                    driver = netlist.nets[net_name].driver
-                    if driver is None or netlist.instances[driver].cell.is_sequential:
-                        continue
-                    if driver not in level:
-                        ok = False
-                        break
-                    best = max(best, level[driver])
-                if not ok:
-                    stuck.append(name)
-                    continue
-                level[name] = best + 1
-                progressed.append(name)
-            if not progressed:
-                raise RuntimeError(
-                    f"cannot levelize new instances {stuck}: "
-                    "combinational cycle or dangling driver"
-                )
-            pending = stuck
-        # raise levels forward so the worklist heap stays topological
-        queue = [n for n in new_names if n in level]
-        while queue:
-            name = queue.pop(0)
-            base = level[name]
-            out = netlist.instances[name].output_net
-            for sink_name, _ in netlist.nets[out].sinks:
-                sink = netlist.instances[sink_name]
-                if sink.cell.is_sequential:
-                    continue
-                if level[sink_name] <= base:
-                    level[sink_name] = base + 1
-                    queue.append(sink_name)
-
-    def update(self, changed: Iterable[str]) -> int:
-        """Re-propagate the forward cones of ``changed`` instances.
-
-        ``changed`` names instances whose cell was swapped
-        (``replace_cell``) or that were newly spliced in
-        (``insert_buffer``).  Returns the number of nodes recomputed;
-        the corresponding ops are charged to the next ``report()``.
-        Propagation of a cone stops at nodes whose recomputed
-        ``(arrival, slew)`` state is bitwise unchanged.
-        """
-        if not self._propagated:
-            raise RuntimeError("full_propagate() must run before update()")
-        netlist = self.netlist
-        names = sorted(set(changed))
-        new_names = [n for n in names if n not in self._known]
-        if new_names:
-            self._levelize_new(new_names)
-
-        # dirty sets as insertion-ordered dicts (deterministic iteration)
-        dirty_nets: Dict[str, None] = {}
-        dirty_seq: Dict[str, None] = {}
-        dirty_comb: Dict[str, None] = {}
-
-        def mark(inst_name: str) -> None:
-            if netlist.instances[inst_name].cell.is_sequential:
-                dirty_seq[inst_name] = None
-            else:
-                dirty_comb[inst_name] = None
-
-        for name in names:
-            inst = netlist.instances[name]
-            mark(name)
-            if name in self._known:
-                # cell swap: input caps changed -> predecessor loads change
-                for net_name in inst.input_nets:
-                    if net_name == netlist.clock_net:
-                        continue
-                    dirty_nets[net_name] = None
-                    driver = netlist.nets[net_name].driver
-                    if driver is not None:
-                        mark(driver)
-            else:
-                # splice: connected nets change length *and* load, which
-                # moves every sink's input wire delay
-                touched = [
-                    n for n in inst.input_nets if n != netlist.clock_net
-                ] + [inst.output_net]
-                for net_name in touched:
-                    self.topology.net_len[net_name] = self.placement.net_length(net_name)
-                    dirty_nets[net_name] = None
-                    net = netlist.nets[net_name]
-                    if net.driver is not None:
-                        mark(net.driver)
-                    for sink_name, _ in net.sinks:
-                        if not netlist.instances[sink_name].cell.is_sequential:
-                            mark(sink_name)
-                self._known.add(name)
-                # keep the full-run cost model current: a from-scratch
-                # propagation now also visits this instance
-                if inst.cell.is_sequential:
-                    self._full_ops += 1
-                else:
-                    self._full_ops += sum(
-                        1 for n in inst.input_nets if n != netlist.clock_net
+                if starts.size:
+                    fastest[offsets] = np.minimum.reduceat(
+                        arrival_min[src] + e_hold[edges], starts
                     )
-                    if self.check_hold:
-                        self._full_ops += 1
+                min_lv = np.where(np.isinf(fastest), 0.0, fastest) + gate_min[lv]
+                ops += n_lv
+            out = soa.comb_out_rows[lv]
+            store(out, best + gate[lv], min_lv)
+            pred[out] = pred_lv
+            ops += src.shape[0]
+            nodes += n_lv
 
-        for net_name in dirty_nets:
-            self._net_load[net_name] = self._net_load_of(net_name)
-
-        level = self.topology.level
-        ops = 0
-        nodes = 0
-        heap: List[Tuple[int, str]] = []
-        scheduled = set()
-        processed = set()
-
-        def schedule(inst_name: str) -> None:
-            if inst_name in scheduled or inst_name in processed:
-                return
-            scheduled.add(inst_name)
-            heapq.heappush(heap, (level[inst_name], inst_name))
-
-        def fanout_changed(out_net: str) -> None:
-            for sink_name, _ in netlist.nets[out_net].sinks:
-                if not netlist.instances[sink_name].cell.is_sequential:
-                    schedule(sink_name)
-
-        for name in dirty_seq:
-            inst = netlist.instances[name]
-            before = self._node_state(inst.output_net)
-            ops += self._compute_seq(inst)
-            if self.check_hold:
-                self._compute_seq_min(inst)
-            nodes += 1
-            if self._node_state(inst.output_net) != before:
-                fanout_changed(inst.output_net)
-
-        for name in dirty_comb:
-            schedule(name)
-        while heap:
-            _, name = heapq.heappop(heap)
-            scheduled.discard(name)
-            processed.add(name)
-            inst = netlist.instances[name]
-            before = self._node_state(inst.output_net)
-            ops += self._compute_comb(inst)
-            if self.check_hold:
-                ops += self._compute_comb_min(inst)
-            nodes += 1
-            if self._node_state(inst.output_net) != before:
-                fanout_changed(inst.output_net)
-
-        self._ops_pending += ops
-        self.stats.incremental_updates += 1
-        self.stats.nodes_propagated += nodes
-        return nodes
+        self._load = loads
+        self._slew = slew
+        return ops, nodes
 
     # ------------------------------------------------------------------
     def report(self, clock_period: float) -> TimingReport:
@@ -1114,23 +737,20 @@ class TimingGraph:
         then lets the policy post-process (PBA).  Reads the propagated
         state as per-net columns and walks every endpoint's worst path
         at once; a topology left stale by buffer splices is rebuilt
-        first, as :meth:`full_propagate` does.
+        first, as :meth:`full_propagate` and :meth:`update` do.
         """
-        if clock_period <= 0:
-            raise ValueError("clock period must be positive")
+        if not (clock_period > 0 and math.isfinite(clock_period)):
+            raise ValueError("clock period must be positive and finite")
         if not self._propagated:
             raise RuntimeError("full_propagate() must run before report()")
-        if self.topology.stale:
-            self.topology.rebuild()
+        soa = self._sync()
         netlist = self.netlist
         lib = netlist.library
         policy = self.policy
         corner = policy.corner
-        soa = self.topology.soa
         ids = self.topology.net_index.ids
-        n_nets = soa.n_nets
-        arrival = self._arrival.column(n_nets, 0.0)
-        slew = self._slew.column(n_nets, PI_SLEW)
+        arrival = self._arrival
+        slew = self._slew
 
         # endpoints: DFF D inputs in netlist order, then primary outputs
         d_rows = soa.seq_d_rows
@@ -1152,7 +772,7 @@ class TimingGraph:
         capture = np.array([self.skews.get(name, 0.0) for name in soa.seq_names])
         setup_required = clock_period + capture - DFF_SETUP * corner.delay_factor
         if self.check_hold:
-            a_min = self._arrival_min.column(n_nets, 0.0)[d_rows]
+            a_min = self._arrival_min[d_rows]
             hold_required = capture + DFF_HOLD * corner.delay_factor
             hold_slack = (a_min + w_delay * policy.early_derate()) - hold_required
         else:
@@ -1188,10 +808,15 @@ class TimingGraph:
         report.runtime_proxy = policy.runtime_proxy(ops)
         report = policy.finalize_report(report)
 
+        # a from-scratch propagation's ops: one per startpoint, one per
+        # fanin edge, and one per combinational node when hold is checked
+        full_ops = len(soa.seq_names) + soa.n_comb_edges
+        if self.check_hold:
+            full_ops += soa.n_comb
         endpoint_ops = 2 * len(report.endpoints)
         self.stats.proxy_executed += report.runtime_proxy
         self.stats.proxy_full_equivalent += policy.full_runtime_proxy(
-            self._full_ops + endpoint_ops
+            full_ops + endpoint_ops
         )
         self._ops_pending = 0
         return report
@@ -1207,7 +832,7 @@ class TimingGraph:
         primary input or a flop output; otherwise it records the
         driver and moves to the driver's worst input net (``pred``).
         """
-        pred = self._pred.column(soa.n_nets)
+        pred = self._pred
         wire_r = self.netlist.library.wire_r_per_um
         n_ep = ep_rows.shape[0]
         depth = np.zeros(n_ep, dtype=np.int64)

@@ -8,27 +8,23 @@ post-processing of the finished report (PBA).  The propagation
 lives in :class:`repro.eda.sta.graph.TimingGraph` and is shared; the
 policy is the only thing a new engine needs to supply.
 
-The two concrete policies reproduce the historical ``GraphSTA`` /
-``SignoffSTA`` hook methods (``_wire_delay`` / ``_si_bump`` /
-``_stage_derate`` / ``_early_derate`` / ``_merge_slew`` /
-``_runtime_proxy``) expression-for-expression, so reports stay
-bit-identical to the pre-refactor engines (enforced against
-``tests/eda/sta_reference.py``).
-
-Each scalar hook has a ``*_batch`` companion consumed by the
-vectorized kernel.  Batch methods are written with the *same
-association order* as their scalar counterparts (numpy elementwise
+The kernel evaluates whole columns at a time, so the delay hooks are
+the ``*_batch`` methods (``wire_delay_batch``, ``si_bump_batch``,
+``merge_slew_batch``) next to the scalar derates.  The two concrete
+policies reproduce the historical ``GraphSTA`` / ``SignoffSTA`` hook
+methods (``_wire_delay`` / ``_si_bump`` / ``_stage_derate`` /
+``_early_derate`` / ``_merge_slew`` / ``_runtime_proxy``, frozen in
+``tests/eda/sta_reference.py``) expression for expression, so reports
+stay bit-identical to the pre-refactor engines.  Batch methods keep
+the *same association order* as those scalar hooks (numpy elementwise
 ops round identically to the scalar float ops).  Segment merges use
 ``np.maximum.reduceat`` (a maximum is exact in any order) and, for
 sums, ``np.bincount`` over segment ids, which adds left to right like
 the scalar loops.  ``np.add.reduceat`` is not a left fold: it returns
-``a[s] + (a[s+1] + ...)``.  That is what keeps vectorized results
-bitwise equal to scalar ones.
+``a[s] + (a[s+1] + ...)``.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -43,19 +39,10 @@ class DelayPolicy:
     def __init__(self, corner: Corner = TYPICAL):
         self.corner = corner
 
-    def wire_delay(self, length: float, load: float, lib) -> float:
-        """Lumped Elmore: R_wire * (C_wire/2 + C_pins)."""
-        r = lib.wire_r_per_um * length * self.corner.wire_factor
-        c_wire = lib.wire_c_per_um * length * self.corner.wire_factor
-        return r * (c_wire / 2.0 + load)
-
-    def si_bump(self, length: float, congestion: float) -> float:
-        return 0.0
-
     def wire_delay_batch(
         self, lengths: np.ndarray, loads: np.ndarray, lib
     ) -> np.ndarray:
-        """Vectorized :meth:`wire_delay` (same expressions, same order)."""
+        """Lumped Elmore per wire: R_wire * (C_wire/2 + C_pins)."""
         r = lib.wire_r_per_um * lengths * self.corner.wire_factor
         c_wire = lib.wire_c_per_um * lengths * self.corner.wire_factor
         return r * (c_wire / 2.0 + loads)
@@ -63,13 +50,14 @@ class DelayPolicy:
     def si_bump_batch(
         self, lengths: np.ndarray, congestions: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`si_bump`."""
+        """Crosstalk delta per wire (none in the base model)."""
         return np.zeros_like(lengths)
 
     def merge_slew_batch(
         self, slews: np.ndarray, starts: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        """Per-segment :meth:`merge_slew` over a CSR of input slews.
+        """Merged input slew per segment of a CSR of input slews (the
+        worst slew in the base model).
 
         ``starts`` are the first-edge offsets of *non-empty* segments
         (the caller substitutes the PI-slew fallback for empty ones);
@@ -83,9 +71,6 @@ class DelayPolicy:
     def early_derate(self) -> float:
         """Multiplier on early-path delays for hold analysis (<= 1)."""
         return 1.0
-
-    def merge_slew(self, slews: List[float]) -> float:
-        return max(slews)
 
     def runtime_proxy(self, ops: int) -> float:
         """Work units charged for ``ops`` propagation operations."""
@@ -133,31 +118,24 @@ class SignoffDelayPolicy(DelayPolicy):
         self.pba = pba
         self.pba_depth_credit = pba_depth_credit
 
-    def si_bump(self, length: float, congestion: float) -> float:
-        # coupling delta grows with wire length and local routing demand
-        return self.si_factor * length * 0.12 * max(0.0, congestion)
-
     def si_bump_batch(
         self, lengths: np.ndarray, congestions: np.ndarray
     ) -> np.ndarray:
+        # coupling delta grows with wire length and local routing demand
         return self.si_factor * lengths * 0.12 * np.maximum(0.0, congestions)
 
     def stage_derate(self) -> float:
         return self.ocv_derate
 
-    def merge_slew(self, slews: List[float]) -> float:
-        # effective slew: closer to RMS than worst-case (less pessimistic)
-        arr = np.asarray(slews)
-        return float(np.sqrt(np.mean(arr**2)))
-
     def merge_slew_batch(
         self, slews: np.ndarray, starts: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        # RMS per segment.  The segments tile ``slews`` in order, and
+        # effective slew: the RMS per segment, less pessimistic than the
+        # worst case.  The segments tile ``slews`` in order, and
         # np.bincount over segment ids sums each one left to right;
-        # np.mean's pairwise summation degenerates to the same left
-        # fold below 8 elements (cells have <= 3 inputs), so this is
-        # bitwise equal to the scalar merge_slew per node.
+        # np.mean's pairwise summation degenerates to the same left fold
+        # below 8 elements (cells have <= 3 inputs), so this is bitwise
+        # equal to the historical scalar merge per node.
         segment = np.repeat(np.arange(counts.shape[0]), counts)
         sums = np.bincount(segment, weights=slews**2, minlength=counts.shape[0])
         return np.sqrt(sums / counts)

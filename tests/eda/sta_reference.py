@@ -7,8 +7,10 @@ This is the literal ``repro.eda.timing`` module (plus the literal
 refactor, kept verbatim — same float expressions, same ops accounting,
 same report construction order — so the equivalence suite compares the
 new kernel against the historical behavior rather than against the
-code under test.  Not a test module — no ``test_`` prefix, so pytest
-does not collect it.
+code under test.  Its last section freezes the per-node STA kernel
+(:class:`PerNodeTimingGraph`), the oracle for the live kernel's per-net
+state and incremental work accounting.  Not a test module — no
+``test_`` prefix, so pytest does not collect it.
 
 Original module docstring:
 
@@ -709,3 +711,439 @@ class ReferenceTimingOptimizer:
                 result.downsizes += 1
                 changed = True
         return changed
+
+
+# ----------------------------------------------------------------------
+# Frozen copy of the per-node STA kernel: ``repro.eda.sta.graph``'s
+# ``TimingGraph`` before ``update()`` moved onto the struct-of-arrays
+# level pass.  The per-node ``_compute_*`` methods, the heap-scheduled
+# dirty-cone ``update()`` with its ops accounting and the from-scratch
+# per-node loop, verbatim over plain dicts; the delay-model hooks are
+# the frozen engines' above (the same expressions as the live
+# policies).  The oracle for the live kernel's per-net state (load,
+# arrival, slew, pred, early arrival) and its incremental work
+# accounting.
+
+import heapq  # noqa: E402
+
+from repro.eda.grid import bin_index  # noqa: E402
+
+
+@dataclass
+class ReferenceStaStats:
+    """Work accounting (the live ``StaStats`` fields)."""
+
+    full_propagates: int = 0
+    incremental_updates: int = 0
+    nodes_propagated: int = 0  # nodes recomputed by incremental updates
+    proxy_executed: float = 0.0  # runtime_proxy actually charged
+    proxy_full_equivalent: float = 0.0  # what full re-runs would have cost
+
+
+class PerNodeTimingGraph:
+    """Levelized arrival/slew state, one node at a time.
+
+    ``engine`` is a frozen :class:`GraphSTA` or :class:`SignoffSTA`; its
+    corner and hooks are the delay model.  ``net_load``, ``arrival``,
+    ``slew``, ``pred`` and ``arrival_min`` map net names to the
+    propagated state; a net absent from a map was never computed.
+    """
+
+    def __init__(
+        self,
+        engine: _BaseSTA,
+        netlist: Netlist,
+        placement: Placement,
+        skews: Optional[Dict[str, float]] = None,
+        congestion: Optional[np.ndarray] = None,
+        check_hold: bool = False,
+    ):
+        self.engine = engine
+        self.netlist = netlist
+        self.placement = placement
+        self.skews = skews or {}
+        self.congestion = congestion
+        self.check_hold = check_hold
+        self.stats = ReferenceStaStats()
+        self.order: List[str] = []
+        self.level: Dict[str, int] = {}
+        self.net_len: Dict[str, float] = {}
+        self.structure_version = -1
+        self.net_load: Dict[str, float] = {}
+        self.arrival: Dict[str, float] = {}
+        self.slew: Dict[str, float] = {}
+        self.pred: Dict[str, Optional[str]] = {}
+        self.arrival_min: Dict[str, float] = {}
+        self._known: set = set()  # instance names levelized into the graph
+        self._propagated = False
+        self._ops_pending = 0  # propagation ops since the last report
+        self._full_ops = 0  # ops one from-scratch propagation costs today
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Topological order, levels and net lengths (``TimingTopology``)."""
+        netlist = self.netlist
+        self.order = netlist.combinational_order()
+        signal = [name for name in netlist.nets if name != netlist.clock_net]
+        self.net_len = dict(zip(signal, self.placement.net_lengths(signal).tolist()))
+        level: Dict[str, int] = {}
+        for name in self.order:
+            inst = netlist.instances[name]
+            best = 0
+            for net_name in inst.input_nets:
+                driver = netlist.nets[net_name].driver
+                if driver is not None and not netlist.instances[driver].cell.is_sequential:
+                    best = max(best, level[driver])
+            level[name] = best + 1
+        self.level = level
+        self.structure_version = netlist.structure_version
+
+    # ------------------------------------------------------------------
+    def _congestion_at(self, net_name: str) -> float:
+        if self.congestion is None:
+            return 0.0
+        ny, nx = self.congestion.shape
+        placement = self.placement
+        fp = placement.floorplan
+        net = placement.netlist.nets.get(net_name)
+        if net is None or net.driver is None:
+            return 0.0
+        x, y = placement.positions[net.driver]
+        i = bin_index(x, fp.width, nx)
+        j = bin_index(y, fp.height, ny)
+        return float(self.congestion[j, i])
+
+    def _net_load_of(self, net_name: str) -> float:
+        netlist = self.netlist
+        instances = netlist.instances
+        # an explicit left fold: the full pass's np.bincount order (the
+        # builtin sum() is compensated from Python 3.12 on)
+        load = 0.0
+        for s, _ in netlist.nets[net_name].sinks:
+            load += instances[s].cell.input_cap
+        if net_name in netlist.primary_outputs:
+            load += PO_LOAD
+        load += (
+            netlist.library.wire_c_per_um
+            * self.net_len[net_name]
+            * self.engine.corner.wire_factor
+        )
+        return load
+
+    def _compute_seq(self, inst) -> int:
+        engine = self.engine
+        out = inst.output_net
+        launch = self.skews.get(inst.name, 0.0)
+        q_delay = DFF_CLK_TO_Q * engine.corner.delay_factor * engine._stage_derate()
+        load = self.net_load.get(out, 0.0)
+        cell = inst.cell
+        self.arrival[out] = (
+            launch + q_delay + cell.drive_resistance * load * engine.corner.delay_factor
+        )
+        self.slew[out] = cell.output_slew(load)
+        self.pred[out] = None
+        return 1
+
+    def _compute_comb(self, inst) -> int:
+        engine = self.engine
+        netlist = self.netlist
+        lib = netlist.library
+        net_len = self.net_len
+        out = inst.output_net
+        load = self.net_load.get(out, 0.0)
+        cell = inst.cell
+        best_arr = -np.inf
+        best_net = None
+        in_slews = []
+        ops = 0
+        for net_name in inst.input_nets:
+            if net_name == netlist.clock_net:
+                continue
+            a_in = self.arrival.get(net_name, 0.0)
+            s_in = self.slew.get(net_name, PI_SLEW)
+            in_slews.append(s_in)
+            w_delay = engine._wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
+            w_delay += engine._si_bump(
+                net_len.get(net_name, 0.0), self._congestion_at(net_name)
+            )
+            cand = a_in + w_delay
+            ops += 1
+            if cand > best_arr:
+                best_arr = cand
+                best_net = net_name
+        s_in = engine._merge_slew(in_slews) if in_slews else PI_SLEW
+        gate_delay = (
+            cell.delay(load, s_in) * engine.corner.delay_factor * engine._stage_derate()
+        )
+        self.arrival[out] = best_arr + gate_delay
+        self.slew[out] = cell.output_slew(load)
+        self.pred[out] = best_net
+        return ops
+
+    def _compute_seq_min(self, inst) -> None:
+        engine = self.engine
+        out = inst.output_net
+        launch = self.skews.get(inst.name, 0.0)
+        load = self.net_load.get(out, 0.0)
+        self.arrival_min[out] = (
+            launch
+            + (DFF_CLK_TO_Q + inst.cell.drive_resistance * load)
+            * engine.corner.delay_factor
+            * engine._early_derate()
+        )
+
+    def _compute_comb_min(self, inst) -> int:
+        engine = self.engine
+        netlist = self.netlist
+        lib = netlist.library
+        net_len = self.net_len
+        early = engine._early_derate()
+        out = inst.output_net
+        load = self.net_load.get(out, 0.0)
+        cell = inst.cell
+        fastest = np.inf
+        for net_name in inst.input_nets:
+            if net_name == netlist.clock_net:
+                continue
+            a_in = self.arrival_min.get(net_name, 0.0)
+            w_delay = engine._wire_delay(net_len.get(net_name, 0.0), cell.input_cap, lib)
+            fastest = min(fastest, a_in + w_delay * early)
+        if np.isinf(fastest):
+            fastest = 0.0
+        gate_delay = cell.delay(load, PI_SLEW) * engine.corner.delay_factor * early
+        self.arrival_min[out] = fastest + gate_delay
+        return 1
+
+    def _node_state(self, out_net: str) -> Tuple:
+        return (
+            self.arrival.get(out_net),
+            self.slew.get(out_net),
+            self.arrival_min.get(out_net),
+        )
+
+    # ------------------------------------------------------------------
+    def full_propagate(self) -> int:
+        """Propagate every node from scratch, one at a time; returns ops."""
+        if self.structure_version != self.netlist.structure_version:
+            self._rebuild()
+        netlist = self.netlist
+        ops = 0
+
+        self.net_load = {}
+        for net_name in netlist.nets:
+            if net_name == netlist.clock_net:
+                continue
+            self.net_load[net_name] = self._net_load_of(net_name)
+
+        self.arrival = {}
+        self.slew = {}
+        self.pred = {}
+        self.arrival_min = {}
+        for pi in netlist.primary_inputs:
+            if pi == netlist.clock_net:
+                continue
+            self.arrival[pi] = 0.0
+            self.slew[pi] = PI_SLEW
+            self.pred[pi] = None
+        for inst in netlist.sequential_instances():
+            ops += self._compute_seq(inst)
+        for name in self.order:
+            ops += self._compute_comb(netlist.instances[name])
+
+        if self.check_hold:
+            for pi in netlist.primary_inputs:
+                if pi != netlist.clock_net:
+                    self.arrival_min[pi] = 0.0
+            for inst in netlist.sequential_instances():
+                self._compute_seq_min(inst)
+            for name in self.order:
+                ops += self._compute_comb_min(netlist.instances[name])
+
+        self._known = set(netlist.instances)
+        self._propagated = True
+        self._full_ops = ops
+        self._ops_pending = ops
+        self.stats.full_propagates += 1
+        return ops
+
+    def _levelize_new(self, new_names: List[str]) -> None:
+        """Levelize instances spliced in since the last propagation and
+        raise downstream levels along their forward cones."""
+        netlist = self.netlist
+        level = self.level
+        pending = list(new_names)
+        while pending:
+            progressed = []
+            stuck = []
+            for name in pending:
+                inst = netlist.instances[name]
+                if inst.cell.is_sequential:
+                    progressed.append(name)
+                    continue
+                best = 0
+                ok = True
+                for net_name in inst.input_nets:
+                    if net_name == netlist.clock_net:
+                        continue
+                    driver = netlist.nets[net_name].driver
+                    if driver is None or netlist.instances[driver].cell.is_sequential:
+                        continue
+                    if driver not in level:
+                        ok = False
+                        break
+                    best = max(best, level[driver])
+                if not ok:
+                    stuck.append(name)
+                    continue
+                level[name] = best + 1
+                progressed.append(name)
+            if not progressed:
+                raise RuntimeError(
+                    f"cannot levelize new instances {stuck}: "
+                    "combinational cycle or dangling driver"
+                )
+            pending = stuck
+        # raise levels forward so the worklist heap stays topological
+        queue = [n for n in new_names if n in level]
+        while queue:
+            name = queue.pop(0)
+            base = level[name]
+            out = netlist.instances[name].output_net
+            for sink_name, _ in netlist.nets[out].sinks:
+                sink = netlist.instances[sink_name]
+                if sink.cell.is_sequential:
+                    continue
+                if level[sink_name] <= base:
+                    level[sink_name] = base + 1
+                    queue.append(sink_name)
+
+    def update(self, changed) -> int:
+        """Re-propagate the forward cones of ``changed`` instances; returns
+        the number of nodes recomputed."""
+        if not self._propagated:
+            raise RuntimeError("full_propagate() must run before update()")
+        netlist = self.netlist
+        names = sorted(set(changed))
+        new_names = [n for n in names if n not in self._known]
+        if new_names:
+            self._levelize_new(new_names)
+
+        # dirty sets as insertion-ordered dicts (deterministic iteration)
+        dirty_nets: Dict[str, None] = {}
+        dirty_seq: Dict[str, None] = {}
+        dirty_comb: Dict[str, None] = {}
+
+        def mark(inst_name: str) -> None:
+            if netlist.instances[inst_name].cell.is_sequential:
+                dirty_seq[inst_name] = None
+            else:
+                dirty_comb[inst_name] = None
+
+        for name in names:
+            inst = netlist.instances[name]
+            mark(name)
+            if name in self._known:
+                # cell swap: input caps changed -> predecessor loads change
+                for net_name in inst.input_nets:
+                    if net_name == netlist.clock_net:
+                        continue
+                    dirty_nets[net_name] = None
+                    driver = netlist.nets[net_name].driver
+                    if driver is not None:
+                        mark(driver)
+            else:
+                # splice: connected nets change length *and* load, which
+                # moves every sink's input wire delay
+                touched = [
+                    n for n in inst.input_nets if n != netlist.clock_net
+                ] + [inst.output_net]
+                for net_name in touched:
+                    self.net_len[net_name] = self.placement.net_length(net_name)
+                    dirty_nets[net_name] = None
+                    net = netlist.nets[net_name]
+                    if net.driver is not None:
+                        mark(net.driver)
+                    for sink_name, _ in net.sinks:
+                        if not netlist.instances[sink_name].cell.is_sequential:
+                            mark(sink_name)
+                self._known.add(name)
+                # keep the full-run cost model current: a from-scratch
+                # propagation now also visits this instance
+                if inst.cell.is_sequential:
+                    self._full_ops += 1
+                else:
+                    self._full_ops += sum(
+                        1 for n in inst.input_nets if n != netlist.clock_net
+                    )
+                    if self.check_hold:
+                        self._full_ops += 1
+
+        for net_name in dirty_nets:
+            self.net_load[net_name] = self._net_load_of(net_name)
+
+        level = self.level
+        ops = 0
+        nodes = 0
+        heap: List[Tuple[int, str]] = []
+        scheduled = set()
+        processed = set()
+
+        def schedule(inst_name: str) -> None:
+            if inst_name in scheduled or inst_name in processed:
+                return
+            scheduled.add(inst_name)
+            heapq.heappush(heap, (level[inst_name], inst_name))
+
+        def fanout_changed(out_net: str) -> None:
+            for sink_name, _ in netlist.nets[out_net].sinks:
+                if not netlist.instances[sink_name].cell.is_sequential:
+                    schedule(sink_name)
+
+        for name in dirty_seq:
+            inst = netlist.instances[name]
+            before = self._node_state(inst.output_net)
+            ops += self._compute_seq(inst)
+            if self.check_hold:
+                self._compute_seq_min(inst)
+            nodes += 1
+            if self._node_state(inst.output_net) != before:
+                fanout_changed(inst.output_net)
+
+        for name in dirty_comb:
+            schedule(name)
+        while heap:
+            _, name = heapq.heappop(heap)
+            scheduled.discard(name)
+            processed.add(name)
+            inst = netlist.instances[name]
+            before = self._node_state(inst.output_net)
+            ops += self._compute_comb(inst)
+            if self.check_hold:
+                ops += self._compute_comb_min(inst)
+            nodes += 1
+            if self._node_state(inst.output_net) != before:
+                fanout_changed(inst.output_net)
+
+        self._ops_pending += ops
+        self.stats.incremental_updates += 1
+        self.stats.nodes_propagated += nodes
+        return nodes
+
+    def charge_report(self) -> None:
+        """The work accounting of one report: the ops since the last
+        report plus two per endpoint, against what a from-scratch run
+        would have charged (PBA multiplies both by 1.8)."""
+        netlist = self.netlist
+        endpoints = [f"{inst.name}/D" for inst in netlist.sequential_instances()]
+        endpoints += [f"{po}/PO" for po in netlist.primary_outputs]
+        ops = self._ops_pending + 2 * len(endpoints)
+        endpoint_ops = 2 * len(dict.fromkeys(endpoints))
+        self.stats.proxy_executed += self._proxy(ops)
+        self.stats.proxy_full_equivalent += self._proxy(self._full_ops + endpoint_ops)
+        self._ops_pending = 0
+
+    def _proxy(self, ops: int) -> float:
+        proxy = self.engine._runtime_proxy(ops)
+        if getattr(self.engine, "pba", False):
+            proxy *= 1.8
+        return proxy

@@ -111,16 +111,18 @@ def test_density_sta_and_congestion_weights_bin_identically(
             small_netlist.instances[name].cell.area, 0.0
         )
 
-    # STA congestion lookup: _congestion_at reads the helper's gcell
+    # STA congestion lookup: _net_congestion reads the helper's gcell
     graph = GraphSTA().build_graph(
         small_netlist, placement, congestion=small_congestion
     )
+    net_cong = graph._net_congestion(graph.topology.soa)
+    ids = graph.topology.net_index.ids
     for net_name, net in small_netlist.nets.items():
         if net.driver is None:
             continue
         x, y = placement.positions[net.driver]
         j, i = _sta_bin(graph, x, y)
-        assert graph._congestion_at(net_name) == float(small_congestion[j, i])
+        assert net_cong[ids[net_name]] == float(small_congestion[j, i])
 
     # congestion_net_weights: a net's worst congestion is the max over
     # the helper-binned bbox of its pins

@@ -1,5 +1,7 @@
 """Power analysis, clock tree synthesis, and the timing optimizer."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -150,10 +152,23 @@ def test_guardband_forces_extra_work(library):
     assert run(150.0) > run(0.0)
 
 
-def test_optimizer_validation():
+def test_optimizer_validation(small_netlist, small_placement):
     with pytest.raises(ValueError):
         TimingOptimizer(max_passes=0)
     with pytest.raises(ValueError):
         TimingOptimizer(guardband=-1.0)
     with pytest.raises(ValueError):
         TimingOptimizer(cells_per_pass=0)
+    # counts are integers >= 1; the guardband is finite (a NaN one
+    # would edit nothing, an infinite one would upsize forever)
+    for kwargs in ({"max_passes": 2.5}, {"max_passes": True},
+                   {"max_passes": float("nan")}, {"cells_per_pass": 2.5},
+                   {"cells_per_pass": True}, {"guardband": float("nan")},
+                   {"guardband": float("inf")}):
+        with pytest.raises(ValueError):
+            TimingOptimizer(**kwargs)
+    TimingOptimizer(max_passes=np.int64(3), cells_per_pass=np.int32(4))
+    nl, pl = copy.deepcopy((small_netlist, small_placement))
+    for period in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TimingOptimizer().optimize(nl, pl, period, GraphSTA())

@@ -16,6 +16,7 @@ from repro.eda.mmmc import DEFAULT_VIEWS, AnalysisView, MMMCAnalyzer, MMMCReport
 from repro.eda.opt import TimingOptimizer
 from repro.eda.sta import (
     FAST,
+    PI_SLEW,
     SLOW,
     TYPICAL,
     GraphSTA,
@@ -108,23 +109,41 @@ def test_fresh_equivalence_without_skew_or_congestion(small_netlist, small_place
     assert_reports_identical(got, want)
 
 
-# ------------------------------------- vectorized vs per-node kernel
-#: every per-net map the kernel propagates
-STATE_MAPS = ("_arrival", "_arrival_min", "_slew", "_pred", "_net_load")
+# ------------------------------------------ array kernel vs per-node kernel
+def assert_columns_match_per_node(graph, oracle):
+    """Each per-net array of the live kernel equals the per-node oracle's
+    dict bit for bit; a net absent from a dict holds the fill value."""
+    index = graph.topology.net_index
+    names = index.names
+    pred = [
+        -1 if oracle.pred.get(name) is None else index.ids[oracle.pred[name]]
+        for name in names
+    ]
+    for attr, got, want in (
+        ("load", graph._load, [oracle.net_load.get(n, 0.0) for n in names]),
+        ("arrival", graph._arrival, [oracle.arrival.get(n, 0.0) for n in names]),
+        ("slew", graph._slew, [oracle.slew.get(n, PI_SLEW) for n in names]),
+        ("arrival_min", graph._arrival_min,
+         [oracle.arrival_min.get(n, 0.0) for n in names]),
+        ("pred", graph._pred, pred),
+    ):
+        want = np.array(want, dtype=got.dtype)
+        assert got.shape == want.shape, attr
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, (attr, [names[row] for row in differ[:5]])
 
 
-def assert_per_node_recompute_is_identity(graph):
-    """Recomputing every node through the per-node ``_compute_*``
-    methods (the incremental-update kernel) after a vectorized full
-    propagation leaves every per-net map bitwise unchanged.
+def assert_state_matches_per_node(graph, oracle):
+    """The live kernel's per-net state equals the per-node oracle's, and
+    stays equal when both recompute every node.
 
-    The frozen engines only return reports, so this is the oracle for
-    per-net state: the two live kernels must agree node for node.
+    The frozen engines only return reports, so the per-node kernel in
+    ``sta_reference`` is the oracle for per-net state.
     """
-    before = {attr: dict(getattr(graph, attr).items()) for attr in STATE_MAPS}
-    assert graph.update(list(graph.netlist.instances)) == len(graph.netlist.instances)
-    for attr in STATE_MAPS:
-        assert dict(getattr(graph, attr).items()) == before[attr], attr
+    assert_columns_match_per_node(graph, oracle)
+    everything = list(graph.netlist.instances)
+    assert graph.update(everything) == oracle.update(everything) == len(everything)
+    assert_columns_match_per_node(graph, oracle)
 
 
 @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -143,7 +162,12 @@ def test_vectorized_graph_kernel_matches_scalar_and_reference(
         check_hold=check_hold,
     )
     assert_reports_identical(g.report(1100.0), want)
-    assert_per_node_recompute_is_identity(g)
+    oracle = ref.PerNodeTimingGraph(
+        ref.GraphSTA(ref_corner), small_netlist, small_placement, skews=skews,
+        congestion=small_congestion, check_hold=check_hold,
+    )
+    oracle.full_propagate()
+    assert_state_matches_per_node(g, oracle)
 
 
 @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -163,7 +187,12 @@ def test_vectorized_signoff_kernel_matches_scalar_and_reference(
         check_hold=check_hold,
     )
     assert_reports_identical(g.report(1100.0), want)
-    assert_per_node_recompute_is_identity(g)
+    oracle = ref.PerNodeTimingGraph(
+        ref.SignoffSTA(ref_corner, pba=pba), small_netlist, small_placement,
+        skews=skews, congestion=small_congestion, check_hold=check_hold,
+    )
+    oracle.full_propagate()
+    assert_state_matches_per_node(g, oracle)
 
 
 def test_vectorized_kernel_charges_identical_proxy(
@@ -199,7 +228,6 @@ def test_incremental_optimizer_matches_reference(
 
     live = TimingOptimizer(guardband=guardband).optimize(
         nl_a, pl_a, period, GraphSTA(), skews, small_congestion, seed,
-        incremental=True,
     )
     golden = ref.ReferenceTimingOptimizer(guardband=guardband).optimize(
         nl_b, pl_b, period, ref.GraphSTA(), skews, small_congestion, seed,
@@ -237,7 +265,7 @@ def test_incremental_optimizer_saves_proxy(
 ):
     nl, pl = copy.deepcopy((small_netlist, small_placement))
     result = TimingOptimizer().optimize(
-        nl, pl, 600.0, GraphSTA(), skews, small_congestion, 0, incremental=True
+        nl, pl, 600.0, GraphSTA(), skews, small_congestion, 0
     )
     stats = result.sta_stats
     assert stats is not None
@@ -248,28 +276,11 @@ def test_incremental_optimizer_saves_proxy(
     assert stats.proxy_executed < stats.proxy_full_equivalent
 
 
-def test_non_incremental_optimizer_matches_reference_and_charges_full(
-    small_netlist, small_placement, small_congestion, skews
-):
-    nl_a, pl_a = copy.deepcopy((small_netlist, small_placement))
-    nl_b, pl_b = copy.deepcopy((small_netlist, small_placement))
-    live = TimingOptimizer().optimize(
-        nl_a, pl_a, 600.0, GraphSTA(), skews, small_congestion, 0, incremental=False
-    )
-    golden = ref.ReferenceTimingOptimizer().optimize(
-        nl_b, pl_b, 600.0, ref.GraphSTA(), skews, small_congestion, 0
-    )
-    assert live.history == golden.history
-    assert_reports_identical(live.final_report, golden.final_report)
-    assert live.sta_stats.incremental_updates == 0
-    assert live.sta_stats.proxy_saved == 0.0
-
-
 def test_fix_hold_matches_reference(library):
     nl_a, pl_a, skews_a = _skewed_setup(library)
     nl_b, pl_b, skews_b = _skewed_setup(library)
     inserted = TimingOptimizer().fix_hold(
-        nl_a, pl_a, 1500.0, GraphSTA(), skews=skews_a, incremental=True
+        nl_a, pl_a, 1500.0, GraphSTA(), skews=skews_a
     )
     golden = ref.ReferenceTimingOptimizer().fix_hold(
         nl_b, pl_b, 1500.0, ref.GraphSTA(), skews=skews_b
@@ -347,8 +358,9 @@ def test_mmmc_shared_topology_is_equivalent(
 
 
 def test_mmmc_rejects_bad_period(small_netlist, small_placement):
-    with pytest.raises(ValueError):
-        MMMCAnalyzer().analyze(small_netlist, small_placement, 0.0)
+    for period in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MMMCAnalyzer().analyze(small_netlist, small_placement, period)
 
 
 def test_mmmc_worst_view_tie_breaks_deterministically():

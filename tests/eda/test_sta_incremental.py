@@ -5,11 +5,15 @@ swaps, buffer splices), ``TimingGraph.update(changed)`` followed by
 ``report()`` is **bitwise identical** to throwing the graph away and
 running ``full_propagate()`` from scratch — while charging a smaller
 runtime proxy.  Random seeded edit walks across designs, corners and
-engines exercise that property; the rest covers the kernel's error
-paths, its :class:`StaStats` accounting, and the delay-policy hooks.
+engines exercise that property, and walks that drive the frozen
+per-node kernel (``sta_reference.PerNodeTimingGraph``) through the same
+edits pin down every per-net array and the work accounting; the rest
+covers the kernel's error paths, its :class:`StaStats` accounting, and
+the delay-policy hooks.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,9 +35,11 @@ from repro.eda.sta import (
     TimingTopology,
 )
 from repro.eda.synthesis import DesignSpec, synthesize
+from tests.eda import sta_reference as ref
 from tests.eda.test_sta_equivalence import (
-    assert_per_node_recompute_is_identity,
+    assert_columns_match_per_node,
     assert_reports_identical,
+    assert_state_matches_per_node,
 )
 
 CLOCK = 1100.0
@@ -72,6 +78,18 @@ def _random_swap(netlist, rng):
     raise RuntimeError("no applicable edit found")
 
 
+def _random_flop_resize(netlist, rng):
+    """Resize one random flop to another drive strength; return the name."""
+    flops = [i.name for i in netlist.sequential_instances()]
+    name = flops[int(rng.integers(0, len(flops)))]
+    cell = netlist.instances[name].cell
+    drives = [d for d in DRIVE_STRENGTHS if d != cell.drive]
+    netlist.replace_cell(
+        name, netlist.library.resize(cell, drives[int(rng.integers(0, len(drives)))])
+    )
+    return name
+
+
 # ------------------------------------------------------- the core property
 @pytest.mark.parametrize("engine_cls,corner", [
     (GraphSTA, TYPICAL),
@@ -96,6 +114,8 @@ def test_random_edit_walk_matches_full_propagate(
     graph.report(CLOCK)  # drain the full-propagate ops
     for step in range(12):
         touched = [_random_swap(nl, rng)]
+        if step % 3 == 1:
+            touched.append(_random_flop_resize(nl, rng))
         graph.update(touched)
         incremental = graph.report(CLOCK)
         scratch = engine.analyze(nl, pl, CLOCK, skews, check_hold=True)
@@ -106,26 +126,33 @@ def test_random_edit_walk_matches_full_propagate(
 
 
 def test_buffer_splice_vectorized_tracks_scalar_kernel():
-    """Structural edits (buffer splices) re-propagate through the
-    façade-backed state of a vectorized propagation — including nets
-    the splice makes newly present — to the from-scratch result, and
-    leave a state the per-node kernel reproduces bit for bit."""
+    """Structural edits (buffer splices) re-propagate the array state of
+    a full propagation — including rows the splice adds — to the
+    from-scratch result, and to the per-node kernel's state bit for
+    bit."""
     nl, pl = _fresh_design(70, 10, 6, 34)
+    nl_ref, pl_ref = copy.deepcopy((nl, pl))
     buffer_cell = nl.library.pick("BUF", 1, "HVT")
     engine = SignoffSTA(SLOW)
     graph = engine.build_graph(nl, pl, check_hold=True)
     graph.full_propagate()
     graph.report(CLOCK)  # drain the full-propagate ops
+    oracle = ref.PerNodeTimingGraph(ref.SignoffSTA(ref.SLOW), nl_ref, pl_ref,
+                                    check_hold=True)
+    oracle.full_propagate()
     flops = [i.name for i in nl.sequential_instances()][:4]
     for k, flop_name in enumerate(flops):
-        d_net = nl.instances[flop_name].input_nets[0]
-        buf = nl.insert_buffer(f"vsplice_{k}", buffer_cell, d_net, flop_name, 0)
-        pl.positions[buf.name] = pl.positions[flop_name]
-        graph.update([buf.name])
+        for netlist, placement, kernel in ((nl, pl, graph),
+                                           (nl_ref, pl_ref, oracle)):
+            d_net = netlist.instances[flop_name].input_nets[0]
+            buf = netlist.insert_buffer(f"vsplice_{k}", buffer_cell, d_net,
+                                        flop_name, 0)
+            placement.positions[buf.name] = placement.positions[flop_name]
+            kernel.update([buf.name])
         scratch = engine.analyze(nl, pl, CLOCK, check_hold=True)
         assert_reports_identical(graph.report(CLOCK), scratch,
                                  compare_proxy=False)
-        assert_per_node_recompute_is_identity(graph)
+        assert_state_matches_per_node(graph, oracle)
         graph.report(CLOCK)  # drain the recompute's ops
 
 
@@ -247,6 +274,89 @@ def test_si_walk_reports_on_stale_topology():
     assert splices == 4
 
 
+# ----------------------------------------- the per-node kernel as oracle
+def _walk_edits(netlist, placement, rng, step):
+    """One walk step: 1-4 random cell swaps or flop resizes with the
+    first repeated, and on every third step a buffer splice.  Splices
+    take turns: in front of a flop's D pin at the flop (hold fixing),
+    and in front of a gate's first input, whose net is a primary input
+    every other time, with the buffer moved off the gate (a repeater,
+    so the spliced net changes length).  Returns the touched names."""
+    touched = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.25:
+            touched.append(_random_flop_resize(netlist, rng))
+        else:
+            touched.append(_random_swap(netlist, rng))
+    if step % 3 == 2:
+        kind = (step // 3) % 3
+        if kind == 0:
+            sinks = [i.name for i in netlist.sequential_instances()]
+        else:
+            pis = set(netlist.primary_inputs)
+            on_pi = kind == 2
+            sinks = [
+                n for n, i in netlist.instances.items()
+                if not i.cell.is_sequential and (i.input_nets[0] in pis) == on_pi
+            ]
+        sink = sinks[int(rng.integers(0, len(sinks)))]
+        buf = netlist.insert_buffer(
+            f"walk_buf_{step}", netlist.library.pick("BUF", 1, "HVT"),
+            netlist.instances[sink].input_nets[0], sink, 0,
+        )
+        x, y = placement.positions[sink]
+        if kind:
+            x, y = x + float(rng.uniform(5.0, 20.0)), y + float(rng.uniform(5.0, 20.0))
+        placement.positions[buf.name] = (x, y)
+        touched.append(buf.name)
+    return touched + touched[:1]
+
+
+@pytest.mark.parametrize("engine_cls,ref_cls,corner,ref_corner", [
+    (GraphSTA, ref.GraphSTA, TYPICAL, ref.TYPICAL),
+    (GraphSTA, ref.GraphSTA, SLOW, ref.SLOW),
+    (SignoffSTA, ref.SignoffSTA, FAST, ref.FAST),
+    (SignoffSTA, ref.SignoffSTA, SLOW, ref.SLOW),
+])
+@pytest.mark.parametrize("check_hold", [False, True])
+@pytest.mark.parametrize("si", [False, True])
+def test_edit_walk_matches_per_node_kernel(
+    engine_cls, ref_cls, corner, ref_corner, check_hold, si
+):
+    """The same edits, applied to deep copies, drive the live kernel and
+    the frozen per-node kernel.  After every step ``update()`` returns
+    the same node count and every per-net array equals the oracle's
+    dict; at the end the work accounting matches field for field."""
+    nl, pl = _fresh_design(90, 12, 8, 41)
+    rng = np.random.default_rng(17)
+    skews = {
+        inst.name: float(rng.normal(0.0, 3.0))
+        for inst in nl.sequential_instances()
+    }
+    congestion = rng.uniform(0.2, 1.6, size=(10, 10)) if si else None
+    nl_ref, pl_ref = copy.deepcopy((nl, pl))
+    graph = engine_cls(corner).build_graph(
+        nl, pl, skews=skews, congestion=congestion, check_hold=check_hold
+    )
+    oracle = ref.PerNodeTimingGraph(
+        ref_cls(ref_corner), nl_ref, pl_ref, skews=skews,
+        congestion=congestion, check_hold=check_hold,
+    )
+    assert graph.full_propagate() == oracle.full_propagate()
+    assert_columns_match_per_node(graph, oracle)
+    for step in range(15):
+        touched = _walk_edits(nl, pl, np.random.default_rng(100 + step), step)
+        assert _walk_edits(
+            nl_ref, pl_ref, np.random.default_rng(100 + step), step
+        ) == touched
+        assert graph.update(touched) == oracle.update(touched)
+        assert_columns_match_per_node(graph, oracle)
+        graph.report(CLOCK)
+        oracle.charge_report()
+    assert dataclasses.asdict(graph.stats) == dataclasses.asdict(oracle.stats)
+    assert graph.stats.nodes_propagated > 0
+
+
 # ------------------------------------------------------------- error paths
 def test_update_before_propagate_raises(small_netlist, small_placement):
     graph = GraphSTA().build_graph(small_netlist, small_placement)
@@ -263,8 +373,13 @@ def test_report_before_propagate_raises(small_netlist, small_placement):
 def test_report_rejects_bad_period(small_netlist, small_placement):
     graph = GraphSTA().build_graph(small_netlist, small_placement)
     graph.full_propagate()
-    with pytest.raises(ValueError):
-        graph.report(0.0)
+    # a NaN or infinite period would report every endpoint as met
+    for period in (0.0, -5.0, float("nan"), float("inf"), np.float64("nan")):
+        with pytest.raises(ValueError):
+            graph.report(period)
+        for engine in (GraphSTA(), SignoffSTA()):
+            with pytest.raises(ValueError):
+                engine.analyze(small_netlist, small_placement, period)
 
 
 # ---------------------------------------------------------- stats accounting
@@ -338,10 +453,13 @@ def test_topology_staleness_tracks_structure_version(small_netlist, small_placem
 def test_graph_policy_defaults():
     policy = GraphDelayPolicy(TYPICAL)
     assert policy.engine_name == "graph"
-    assert policy.si_bump(100.0, 0.9) == 0.0
+    assert policy.si_bump_batch(np.array([100.0]), np.array([0.9])).tolist() == [0.0]
     assert policy.stage_derate() == 1.0
     assert policy.early_derate() == 1.0
-    assert policy.merge_slew([3.0, 7.0, 5.0]) == 7.0
+    merged = policy.merge_slew_batch(
+        np.array([3.0, 7.0, 5.0, 2.0]), np.array([0, 3]), np.array([3, 1])
+    )
+    assert merged.tolist() == [7.0, 2.0]
     assert policy.runtime_proxy(42) == 42.0
     assert policy.full_runtime_proxy(42) == 42.0
 
@@ -349,26 +467,29 @@ def test_graph_policy_defaults():
 def test_signoff_policy_hooks():
     policy = SignoffDelayPolicy(SLOW, si_factor=0.5, ocv_derate=1.06, pba=True)
     assert policy.engine_name == "signoff"
-    assert policy.si_bump(10.0, 0.5) == 0.5 * 10.0 * 0.12 * 0.5
-    assert policy.si_bump(10.0, -1.0) == 0.0  # congestion clamped at zero
+    bumps = policy.si_bump_batch(np.array([10.0, 10.0]), np.array([0.5, -1.0]))
+    # congestion is clamped at zero
+    assert bumps.tolist() == [0.5 * 10.0 * 0.12 * 0.5, 0.0]
     assert policy.stage_derate() == 1.06
     assert policy.early_derate() == 0.92  # fixed early OCV
-    rms = policy.merge_slew([3.0, 4.0])
-    assert rms == float(np.sqrt(np.mean(np.array([3.0, 4.0]) ** 2)))
+    rms = policy.merge_slew_batch(np.array([3.0, 4.0]), np.array([0]), np.array([2]))
+    assert rms.tolist() == [float(np.sqrt(np.mean(np.array([3.0, 4.0]) ** 2)))]
     assert policy.runtime_proxy(10) == 60.0
     assert policy.full_runtime_proxy(10) == 60.0 * 1.8  # PBA depth sweep
 
 
 def test_signoff_merge_slew_batch_is_a_left_fold():
     """The batched RMS slew merge sums each segment left to right, as
-    the scalar ``merge_slew`` does: ``np.add.reduceat`` would return
-    ``a[s] + (a[s+1] + a[s+2])``, one ulp off on this triple."""
+    the frozen engine's scalar ``_merge_slew`` does: ``np.add.reduceat``
+    would return ``a[s] + (a[s+1] + a[s+2])``, one ulp off on this
+    triple."""
     policy = SignoffDelayPolicy(SLOW)
+    scalar = ref.SignoffSTA(ref.SLOW)._merge_slew
     triple = [9.10214031217829, 13.755350780445726, 15.455350780445725]
     merged = policy.merge_slew_batch(
         np.array(triple), np.array([0]), np.array([3])
     )
-    assert merged.tolist() == [policy.merge_slew(triple)]
+    assert merged.tolist() == [scalar(triple)]
 
     rng = np.random.default_rng(8)
     counts = rng.integers(1, 4, size=400)
@@ -376,7 +497,7 @@ def test_signoff_merge_slew_batch_is_a_left_fold():
     starts = np.cumsum(counts) - counts
     merged = policy.merge_slew_batch(slews, starts, counts).tolist()
     assert merged == [
-        policy.merge_slew(slews[a:a + n].tolist())
+        scalar(slews[a:a + n].tolist())
         for a, n in zip(starts.tolist(), counts.tolist())
     ]
 
@@ -397,7 +518,8 @@ def test_base_policy_wire_delay_is_elmore():
     lib = make_default_library()
     r = lib.wire_r_per_um * 40.0 * SLOW.wire_factor
     c_wire = lib.wire_c_per_um * 40.0 * SLOW.wire_factor
-    assert policy.wire_delay(40.0, 6.0, lib) == r * (c_wire / 2.0 + 6.0)
+    delays = policy.wire_delay_batch(np.array([40.0]), np.array([6.0]), lib)
+    assert delays.tolist() == [r * (c_wire / 2.0 + 6.0)]
 
 
 def _compensated_sum(iterable, /, start=0):
@@ -424,8 +546,8 @@ _BUILTIN_SUM = sum
 
 
 def test_per_node_recompute_is_identity_under_compensated_sum(monkeypatch):
-    """Net loads are explicit left folds, so the per-node recompute keeps
-    matching the full pass's ``np.bincount`` on Python 3.12, whose
+    """Net loads are explicit left folds, so the per-node kernel keeps
+    matching the array pass's ``np.bincount`` on Python 3.12, whose
     ``sum()`` over floats is compensated (emulated here on any version)."""
     import builtins
 
@@ -435,7 +557,10 @@ def test_per_node_recompute_is_identity_under_compensated_sum(monkeypatch):
         nl, pl = _fresh_design(90, 12, 8, seed)
         graph = SignoffSTA(SLOW).build_graph(nl, pl, check_hold=True)
         graph.full_propagate()
-        assert_per_node_recompute_is_identity(graph)
+        oracle = ref.PerNodeTimingGraph(ref.SignoffSTA(ref.SLOW), nl, pl,
+                                        check_hold=True)
+        oracle.full_propagate()
+        assert_state_matches_per_node(graph, oracle)
 
 
 # ----------------------------------------------------------- report helpers

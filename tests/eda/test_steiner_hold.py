@@ -158,6 +158,15 @@ def test_fix_hold_respects_buffer_budget(library):
         TimingOptimizer().fix_hold(nl, pl, 1500.0, GraphSTA(), skews=skews, max_buffers=1)
     with pytest.raises(ValueError):
         TimingOptimizer().fix_hold(nl, pl, 1500.0, GraphSTA(), skews=skews, max_buffers=0)
+    # a NaN budget would be no budget at all: the design needs 6 buffers
+    for kwargs in ({"max_buffers": float("nan")}, {"max_buffers": 2.5},
+                   {"max_buffers": True}, {"max_passes": 2.5},
+                   {"max_passes": 0}):
+        nl, pl, skews = _skewed_setup(library)
+        with pytest.raises(ValueError):
+            TimingOptimizer().fix_hold(nl, pl, 1500.0, GraphSTA(), skews=skews,
+                                       **kwargs)
+        assert len(nl.instances) == len(_skewed_setup(library)[0].instances)
 
 
 # --------------------------------------------------------- buffer insertion
