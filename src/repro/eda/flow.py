@@ -65,8 +65,8 @@ class FlowOptions:
             raise ValueError("aspect_ratio must be in [0.1, 10]")
         if self.placer_moves_per_cell < 1:
             raise ValueError("placer_moves_per_cell must be >= 1")
-        if not 0.0 < self.spread_strength <= 10.0:
-            raise ValueError("spread_strength must be in (0, 10]")
+        if not 0.0 < self.spread_strength <= 1.0:
+            raise ValueError("spread_strength must be in (0, 1]")
         if not 0.0 <= self.cts_effort <= 1.0:
             raise ValueError("cts_effort must be in [0, 1]")
         if not self.router_tracks_per_um > 0 or not np.isfinite(self.router_tracks_per_um):

@@ -12,15 +12,20 @@ The annealer's move acceptance depends on its seed; this is one of the
 two real sources of the run-to-run "implementation noise" the paper's
 Fig 3 characterizes (the other is synthesis restructuring).
 
-Both stages run struct-of-arrays kernels: the legalizer builds its site
-grid with batched macro masking, and the annealer keeps int-indexed
-position arrays, a per-instance net-incidence table, and incrementally
-maintained per-net bounding boxes so a move costs O(touched nets)
-amortized instead of a rescan of every pin of every touched net.  Each
-is bitwise-identical to the historical per-object scalar loops — same
-RNG draw order, same float operations in the same order — which are
-frozen as ``tests/eda/placement_reference.py`` with an equivalence
-suite.
+Both stages run struct-of-arrays kernels.  The global placer walks the
+nets once (in net order, drawing the clique-cap samples) into COO
+arrays and folds them into the Laplacian with ``np.bincount``, instead
+of four numpy scalar updates per pin pair.  The legalizer builds its
+site grid with batched macro masking and prices a block of cells at a
+time against the sites still free, elementwise.  The annealer keeps
+int-indexed position arrays, a per-instance net-incidence table, and
+incrementally maintained per-net bounding boxes so a move costs
+O(touched nets) amortized instead of a rescan of every pin of every
+touched net.  Each is bitwise-identical to the historical per-object
+scalar loops — same RNG draw order, same float operations in the same
+order — which are frozen as ``tests/eda/placement_reference.py`` with
+an equivalence suite.  The two dense ``np.linalg.solve`` calls are the
+historical ones.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.eda.grid import bin_indices
 from repro.eda.netlist import Netlist
 
 _CLIQUE_CAP = 8  # clique model samples at most this many pins per net
+_LEGALIZE_BLOCK = 64  # cells whose site distances the legalizer computes at once
 
 
 def left_sum(values: np.ndarray) -> float:
@@ -154,50 +160,14 @@ class QuadraticPlacer:
     ) -> Placement:
         rng = np.random.default_rng(seed)
         names = list(netlist.instances)
-        index = {n: i for i, n in enumerate(names)}
         n = len(names)
         if n == 0:
             return Placement(netlist, floorplan, {})
-
-        lap = np.zeros((n, n))
-        bx = np.zeros(n)
-        by = np.zeros(n)
-        anchor = 1e-6  # regularize unconnected components
-        lap[np.diag_indices(n)] += anchor
-        cx, cy = floorplan.width / 2, floorplan.height / 2
-        bx += anchor * cx
-        by += anchor * cy
-
-        for net_name, net in netlist.nets.items():
-            if net_name == netlist.clock_net:
-                continue
-            members = []
-            if net.driver is not None:
-                members.append(index[net.driver])
-            members += [index[s] for s, _ in net.sinks]
-            members = list(dict.fromkeys(members))
-            pad = floorplan.pad_positions.get(net_name)
-            k = len(members) + (1 if pad is not None else 0)
-            if k < 2:
-                continue
-            w = 1.0 / (k - 1)
-            if len(members) > _CLIQUE_CAP:
-                members = [members[int(i)] for i in rng.choice(len(members), _CLIQUE_CAP, replace=False)]
-            for a_pos, a in enumerate(members):
-                for b in members[a_pos + 1 :]:
-                    lap[a, a] += w
-                    lap[b, b] += w
-                    lap[a, b] -= w
-                    lap[b, a] -= w
-                if pad is not None:
-                    lap[a, a] += w
-                    bx[a] += w * pad[0]
-                    by[a] += w * pad[1]
-
+        lap, bx, by = _assemble(netlist, floorplan, rng)
         xs = np.linalg.solve(lap, bx)
         ys = np.linalg.solve(lap, by)
         xs, ys = self._spread(xs, ys, floorplan)
-        positions = {name: (float(xs[i]), float(ys[i])) for name, i in index.items()}
+        positions = dict(zip(names, zip(xs.tolist(), ys.tolist())))
         placement = Placement(netlist, floorplan, positions)
         _legalize(placement, rng)
         return placement
@@ -213,6 +183,101 @@ class QuadraticPlacer:
         xs = (1 - alpha) * xs + alpha * rank_x
         ys = (1 - alpha) * ys + alpha * rank_y
         return np.clip(xs, 0, fp.width), np.clip(ys, 0, fp.height)
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, .., c - 1`` for each count ``c``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _clique_coo(netlist: Netlist, floorplan: Floorplan, rng: np.random.Generator):
+    """The clique net model as COO arrays, ordered by net.
+
+    Walks the signal nets in netlist order: dedupes each net's members
+    (driver first), weighs it ``1 / (k - 1)`` over its ``k`` pins (pad
+    included) and, above ``_CLIQUE_CAP`` members, samples the clique
+    with ``rng.choice`` in that order.  Returns the Laplacian entries
+    ``(rows, cols, vals)`` — per member pair ``+w`` on both diagonals
+    and ``-w`` off them, per member of a padded net one more ``+w`` —
+    grouped by net in net order, and the pad right-hand side
+    ``(rhs_rows, rhs_x, rhs_y)``, ``w * pad`` per member in net order.
+    """
+    index = {name: i for i, name in enumerate(netlist.instances)}
+    pads = floorplan.pad_positions
+    clock = netlist.clock_net
+    flat: List[int] = []  # every clique's members, net after net
+    sizes: List[int] = []
+    weights: List[float] = []
+    pad_xy: List[Tuple[float, float]] = []  # (nan, nan): no pad
+    for net_name, net in netlist.nets.items():
+        if net_name == clock:
+            continue
+        members = [] if net.driver is None else [index[net.driver]]
+        members += [index[s] for s, _ in net.sinks]
+        members = list(dict.fromkeys(members))
+        pad = pads.get(net_name)
+        k = len(members) + (1 if pad is not None else 0)
+        if k < 2:
+            continue
+        if len(members) > _CLIQUE_CAP:
+            sample = rng.choice(len(members), _CLIQUE_CAP, replace=False)
+            members = [members[i] for i in sample.tolist()]
+        flat += members
+        sizes.append(len(members))
+        weights.append(1.0 / (k - 1))
+        pad_xy.append((math.nan, math.nan) if pad is None else pad)
+
+    size = np.array(sizes, dtype=np.int64)
+    w = np.array(weights)
+    pad_xy = np.array(pad_xy, dtype=float).reshape(-1, 2)
+    member = np.array(flat, dtype=np.int64)
+    clique = np.repeat(np.arange(size.shape[0]), size)
+    # member pairs (first, second) of each clique, in the loop's order
+    later = size[clique] - 1 - _ranks(size)  # members after this one
+    first = np.repeat(np.arange(member.shape[0]), later)
+    second = first + 1 + _ranks(later)
+    a = member[first]
+    b = member[second]
+    pair_net = clique[first]
+    pair_w = w[pair_net]
+    padded = ~np.isnan(pad_xy[clique, 0])
+    pad_member = member[padded]
+    pad_net = clique[padded]
+    pad_w = w[pad_net]
+    order = np.argsort(np.concatenate((pair_net, pair_net, pair_net, pair_net, pad_net)),
+                       kind="stable")
+    rows = np.concatenate((a, b, a, b, pad_member))[order]
+    cols = np.concatenate((a, b, b, a, pad_member))[order]
+    vals = np.concatenate((pair_w, pair_w, -pair_w, -pair_w, pad_w))[order]
+    return (rows, cols, vals, pad_member,
+            pad_w * pad_xy[pad_net, 0], pad_w * pad_xy[pad_net, 1])
+
+
+def _assemble(netlist: Netlist, floorplan: Floorplan, rng: np.random.Generator):
+    """Dense Laplacian and right-hand sides of the quadratic wirelength.
+
+    Every entry starts from the anchor that regularizes unconnected
+    components, then adds the clique entries of :func:`_clique_coo` in
+    net order — the same additions in the same order as a per-pair
+    ``lap[a, b] -= w`` loop (``x + (-w)`` is ``x - w`` exactly, and the
+    entries one net adds to one element are all equal, so their order
+    inside the net does not matter).  ``np.bincount`` folds each
+    element's terms left to right from ``0.0``.
+    """
+    n = len(netlist.instances)
+    anchor = 1e-6  # regularize unconnected components
+    cx, cy = floorplan.width / 2, floorplan.height / 2
+    rows, cols, vals, rhs_rows, rhs_x, rhs_y = _clique_coo(netlist, floorplan, rng)
+    diagonal = np.arange(n) * (n + 1)
+    lap = np.bincount(np.concatenate((diagonal, rows * n + cols)),
+                      weights=np.concatenate((np.full(n, anchor), vals)),
+                      minlength=n * n).reshape(n, n)
+    rhs_index = np.concatenate((np.arange(n), rhs_rows))
+    bx = np.bincount(rhs_index, weights=np.concatenate((np.full(n, anchor * cx), rhs_x)),
+                     minlength=n)
+    by = np.bincount(rhs_index, weights=np.concatenate((np.full(n, anchor * cy), rhs_y)),
+                     minlength=n)
+    return lap, bx, by
 
 
 def _free_sites(fp: Floorplan, n_rows: int, sites_per_row: int,
@@ -235,9 +300,20 @@ def _free_sites(fp: Floorplan, n_rows: int, sites_per_row: int,
 
 
 def _legalize(placement: Placement, rng: np.random.Generator) -> None:
-    """Snap cells to row/site grid, one cell per site, avoiding macros."""
+    """Snap cells to row/site grid, one cell per site, avoiding macros.
+
+    Greedy nearest-site assignment in random (seed-dependent) order:
+    each cell takes the free site of least squared distance, the first
+    one in site order on a tie.  Cells go ``_LEGALIZE_BLOCK`` at a time:
+    the per-cell arithmetic, applied elementwise, prices the block
+    against the sites still free when it starts, in site order, and
+    each pick masks its column for the rest of the block, so every
+    row's minimum is the per-cell loop's.  A cell's start position is
+    read before it is written, so all are read up front.
+    """
     fp = placement.floorplan
-    names = list(placement.positions)
+    positions = placement.positions
+    names = list(positions)
     n = len(names)
     n_rows = fp.n_rows
     sites_per_row = max(1, int(np.ceil(n / n_rows * 1.25)))
@@ -247,17 +323,26 @@ def _legalize(placement: Placement, rng: np.random.Generator) -> None:
     if site_arr.shape[0] < n:
         raise ValueError("floorplan has fewer legal sites than cells")
 
-    # greedy nearest-site assignment in random order (seed-dependent)
-    order = list(rng.permutation(n))
-    taken = np.zeros(site_arr.shape[0], dtype=bool)
-    for idx in order:
-        name = names[idx]
-        x, y = placement.positions[name]
-        d2 = (site_arr[:, 0] - x) ** 2 + (site_arr[:, 1] - y) ** 2
-        d2[taken] = np.inf
-        best = int(np.argmin(d2))
-        taken[best] = True
-        placement.positions[name] = (float(site_arr[best, 0]), float(site_arr[best, 1]))
+    order = [names[i] for i in rng.permutation(n).tolist()]
+    start = np.array([positions[name] for name in order], dtype=float).reshape(-1, 2)
+    sites = list(map(tuple, site_arr.tolist()))
+    free = np.arange(site_arr.shape[0])
+    for lo in range(0, n, _LEGALIZE_BLOCK):
+        block = start[lo:lo + _LEGALIZE_BLOCK]
+        free_xy = site_arr[free]
+        d2 = free_xy[:, 0] - block[:, :1]
+        d2 **= 2  # in place: a block's distances are its largest arrays
+        dy = free_xy[:, 1] - block[:, 1:]
+        dy **= 2
+        d2 += dy
+        site_of = free.tolist()
+        picked = []
+        for row, name in zip(d2, order[lo:lo + _LEGALIZE_BLOCK]):
+            best = int(row.argmin())
+            d2[:, best] = np.inf
+            picked.append(best)
+            positions[name] = sites[site_of[best]]
+        free = np.delete(free, picked)
 
 
 @dataclass(frozen=True)

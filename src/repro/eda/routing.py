@@ -21,17 +21,19 @@ of Fig 9 emerge from the grid state rather than from curve templates.
 Both routers run struct-of-arrays kernels: segments come from one global
 lexsort + batched gcell binning, L-shape costs are evaluated over flat
 per-row/per-column demand lists — skipped entirely via per-row/column
-hot-edge counts when a row has no overflowed edge — and the detailed
-router's rip-up scatter draws one batched multinomial.  Each is
-bitwise-identical to the historical per-edge Python loops — same RNG
-draw order (tie-breaks and scatter draws), same float operations in the
-same order — which are frozen as ``tests/eda/routing_reference.py``
-with an equivalence suite over demand grids, congestion maps, and DRV
-trajectories.
+hot-edge counts when a row has no overflowed edge — the L-shape
+tie-breaks read bits from one batched ``integers(0, 2, size=...)``
+draw, and the detailed router's rip-up scatter draws one batched
+multinomial.  Each is bitwise-identical to the historical per-edge
+Python loops — same RNG values in the same order (tie-breaks and
+scatter draws), same float operations in the same order — which are
+frozen as ``tests/eda/routing_reference.py`` with an equivalence suite
+over demand grids, congestion maps, and DRV trajectories.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -104,11 +106,21 @@ class GlobalRouter:
         """``tracks_per_um`` is the routing supply density: edge capacity
         is the gcell boundary length times this (summing the usable
         metal layers), so supply scales with die size the way real
-        enablement does."""
+        enablement does.  ``nx``, ``ny`` (>= 2) and
+        ``negotiation_rounds`` (>= 0) are integers; ``tracks_per_um`` is
+        positive and finite, ``overflow_penalty`` finite and >= 0."""
+        for knob, value in (("nx", nx), ("ny", ny),
+                            ("negotiation_rounds", negotiation_rounds)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{knob} must be an integer, got {value!r}")
         if nx < 2 or ny < 2:
             raise ValueError("grid must be at least 2x2")
-        if tracks_per_um <= 0:
-            raise ValueError("tracks_per_um must be positive")
+        if negotiation_rounds < 0:
+            raise ValueError("negotiation_rounds must be >= 0")
+        if not (tracks_per_um > 0 and math.isfinite(tracks_per_um)):
+            raise ValueError("tracks_per_um must be positive and finite")
+        if not (overflow_penalty >= 0 and math.isfinite(overflow_penalty)):
+            raise ValueError("overflow_penalty must be finite and >= 0")
         self.nx = nx
         self.ny = ny
         self.tracks_per_um = tracks_per_um
@@ -209,6 +221,13 @@ class GlobalRouter:
         terms of cold edges is bitwise-safe (the accumulator never goes
         negative), so every cost, tie-break, and RNG draw matches the
         historical per-edge kernel exactly.
+
+        Each segment's sorted spans are computed once, not once per
+        pass.  A tie takes one bit, and a pass visits each segment once,
+        so ``n_segs * (1 + negotiation_rounds)`` bits drawn in one
+        ``rng.integers(0, 2, size=...)`` cover every tie: the batched
+        draw yields the values of that many single draws, and nothing
+        draws from ``rng`` afterwards.
         """
         nx, ny = self.nx, self.ny
         penalty = self.overflow_penalty
@@ -263,14 +282,18 @@ class GlobalRouter:
                 hot_v[col_idx] = hot
 
         n_segs = len(segments)
+        spans = [((ia, ib) if ia <= ib else (ib, ia))
+                 + ((ja, jb) if ja <= jb else (jb, ja))
+                 for ia, ja, ib, jb in segments]
+        # one bit per segment visit covers every tie (see above)
+        bits = rng.integers(0, 2, size=n_segs * (1 + self.negotiation_rounds)).tolist()
+        n_ties = 0
         hfs = [False] * n_segs
-        integers = rng.integers
         for pass_no in range(1 + self.negotiation_rounds):
             rip_up = pass_no > 0
             for s in range(n_segs):
                 ia, ja, ib, jb = segments[s]
-                ilo, ihi = (ia, ib) if ia <= ib else (ib, ia)
-                jlo, jhi = (ja, jb) if ja <= jb else (jb, ja)
+                ilo, ihi, jlo, jhi = spans[s]
                 if rip_up:
                     if hfs[s]:
                         commit(ja, ib, ilo, ihi, jlo, jhi, -1.0)
@@ -279,7 +302,8 @@ class GlobalRouter:
                 c_hf = run_cost_h(ja, ilo, ihi) + run_cost_v(ib, jlo, jhi)
                 c_vf = run_cost_v(ia, jlo, jhi) + run_cost_h(jb, ilo, ihi)
                 if abs(c_hf - c_vf) < 1e-9:
-                    hf = bool(integers(0, 2))
+                    hf = bits[n_ties] == 1
+                    n_ties += 1
                 else:
                     hf = c_hf < c_vf
                 if hf:

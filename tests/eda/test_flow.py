@@ -121,12 +121,21 @@ def test_flow_options_validation():
     for knob in ("placer_moves_per_cell", "router_max_iterations",
                  "opt_passes", "opt_cells_per_pass")
     for bad in (2.5, 8.0, float("nan"), float("inf"))
+] + [
+    # the placer takes [0, 1]: these used to construct, then fail at
+    # the place stage after synth and floorplan had run
+    (dict(spread_strength=bad), "spread_strength") for bad in (1.5, 2.0, 10.0)
 ])
 def test_every_knob_is_validated(bad, message):
     """All 14 knobs reject out-of-range values at construction, with
     the knob name in the message — not deep inside a flow step."""
     with pytest.raises(ValueError, match=message):
         FlowOptions(**bad)
+
+
+def test_full_spread_strength_runs(small_spec):
+    result = SPRFlow().run(small_spec, FlowOptions(spread_strength=1.0), seed=5)
+    assert result.area > 0
 
 
 def test_integer_knobs_accept_numpy_integers():

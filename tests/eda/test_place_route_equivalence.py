@@ -5,8 +5,11 @@ frozen post-bugfix reference (``tests/eda/placement_reference.py`` /
 ``routing_reference.py``) must agree **bitwise** — positions, HPWL,
 demand grids, congestion maps, and DRV trajectories — across three
 designs (one with a macro) and three seeds, with and without net-weight
-overlays, off-square gcell grids, and non-default detailed-router knobs
-under a kill-policy ``stop_callback``.  The references are the only
+overlays, off-square gcell grids, negotiation rounds from 0 to 5, and
+non-default detailed-router knobs under a kill-policy
+``stop_callback``.  The placer is also checked on the PHY benchmark
+profile (451 instances, several legalizer blocks) and on a high-fanout
+design whose nets exceed the clique cap.  The references are the only
 oracle: there is no second live copy of any kernel.
 """
 
@@ -18,9 +21,15 @@ import functools
 import numpy as np
 import pytest
 
+from repro.bench.generators import design_profile
 from repro.eda.floorplan import Macro, make_floorplan
 from repro.eda.library import make_default_library
-from repro.eda.placement import AnnealingRefiner, QuadraticPlacer
+from repro.eda.placement import (
+    _CLIQUE_CAP,
+    _LEGALIZE_BLOCK,
+    AnnealingRefiner,
+    QuadraticPlacer,
+)
 from repro.eda.routing import DetailedRouter, GlobalRouter
 from repro.eda.synthesis import DesignSpec, synthesize
 
@@ -38,10 +47,19 @@ SPECS = {
                             n_outputs=6, depth=10, locality=0.7),
 }
 
+#: the placer's designs add a benchmark profile and a high-fanout cloud
+#: (few sources, short reach: 8 nets above ``_CLIQUE_CAP`` members)
+PLACER_SPECS = {
+    **SPECS,
+    "phy": design_profile("PHY"),
+    "fanout": DesignSpec(name="fanout", n_gates=260, n_flops=4, n_inputs=4,
+                         n_outputs=4, depth=6, locality=0.1),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _floorplanned(design: str):
-    netlist = synthesize(SPECS[design], make_default_library(), effort=0.5, seed=17)
+    netlist = synthesize(PLACER_SPECS[design], make_default_library(), effort=0.5, seed=17)
     fp = make_floorplan(netlist, utilization=0.7)
     if design == "macroized":
         fp.add_macro(Macro("ram", x=fp.width * 0.15, y=fp.height * 0.2,
@@ -94,7 +112,7 @@ def _assert_droute_equal(fast, reference):
 
 
 # ----------------------------------------------------------------- placer
-@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("design", sorted(PLACER_SPECS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_placer_triple_equivalence(design, seed):
     netlist, fp = _floorplanned(design)
@@ -136,6 +154,32 @@ def test_groute_triple_equivalence(design, seed, tracks):
         GlobalRouter(tracks_per_um=tracks).route(placement, seed=seed),
         ReferenceGlobalRouter(tracks_per_um=tracks).route(placement, seed=seed),
     )
+
+
+@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("rounds", (0, 5))
+def test_groute_negotiation_rounds_equivalence(design, rounds):
+    """No rip-up at all, and more rounds than the default: the batched
+    tie bits are consumed in the per-tie draw order either way."""
+    for seed in SEEDS:
+        placement = _placed(design, seed)
+        _assert_groute_equal(
+            GlobalRouter(negotiation_rounds=rounds, tracks_per_um=6.0).route(placement, seed=seed),
+            ReferenceGlobalRouter(negotiation_rounds=rounds,
+                                  tracks_per_um=6.0).route(placement, seed=seed),
+        )
+
+
+def test_placer_designs_cover_capped_cliques_and_blocks():
+    """The placer's designs exercise what the COO assembly and the
+    blocked legalizer must get right: nets sampled down to the clique
+    cap, and more cells than one legalizer block."""
+    for design in ("phy", "fanout"):
+        netlist, _ = _floorplanned(design)
+        assert len(netlist.instances) > 4 * _LEGALIZE_BLOCK
+    capped = sum(len({net.driver, *(s for s, _ in net.sinks)} - {None}) > _CLIQUE_CAP
+                 for name, net in netlist.nets.items() if name != netlist.clock_net)
+    assert capped >= 5
 
 
 def test_groute_segments_identical_on_nondefault_grid():

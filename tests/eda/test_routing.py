@@ -54,6 +54,30 @@ def test_router_validation():
         GlobalRouter(nx=1)
     with pytest.raises(ValueError):
         GlobalRouter(tracks_per_um=0.0)
+    # each of these used to construct, then mis-route or crash in route()
+    for bad, message in (
+        (dict(negotiation_rounds=-1), "negotiation_rounds"),  # routed nothing
+        (dict(negotiation_rounds=2.5), "negotiation_rounds"),  # TypeError
+        (dict(negotiation_rounds=True), "negotiation_rounds"),
+        (dict(nx=16.5), "nx"),  # TypeError
+        (dict(ny=np.float64(16.0)), "ny"),
+        (dict(overflow_penalty=-3.0), "overflow_penalty"),  # rewarded overflow
+        (dict(overflow_penalty=float("nan")), "overflow_penalty"),  # NaN costs
+        (dict(overflow_penalty=float("inf")), "overflow_penalty"),
+        (dict(tracks_per_um=float("nan")), "tracks_per_um"),  # NaN overflow
+        (dict(tracks_per_um=float("inf")), "tracks_per_um"),  # zero congestion
+    ):
+        with pytest.raises(ValueError, match=message):
+            GlobalRouter(**bad)
+
+
+def test_router_accepts_numpy_integers(small_placement):
+    a = GlobalRouter(nx=np.int64(12), ny=np.int32(10),
+                     negotiation_rounds=np.int64(2)).route(small_placement, seed=5)
+    b = GlobalRouter(nx=12, ny=10, negotiation_rounds=2).route(small_placement, seed=5)
+    assert np.array_equal(a.demand_h, b.demand_h)
+    assert np.array_equal(a.demand_v, b.demand_v)
+    assert a.wirelength == b.wirelength
 
 
 # ----------------------------------------------------------- detailed route

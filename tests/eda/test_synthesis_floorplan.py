@@ -19,6 +19,42 @@ def test_spec_validation():
         DesignSpec("x", locality=0.0)
     with pytest.raises(ValueError):
         DesignSpec("x", function_mix={"INV": 0.5})
+    # count fields must be integers: a float used to synthesize silently
+    # (n_gates, depth) or raise TypeError mid-synthesis (n_flops)
+    bad_counts = [{knob: bad}
+                  for knob in ("n_gates", "n_flops", "n_inputs", "n_outputs", "depth")
+                  for bad in (8.5, 8.0, float("nan"))]
+    bad_counts += [{"n_gates": True}, {"n_outputs": True}]
+    for bad in bad_counts:
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DesignSpec("x", **bad)
+    # mix weights must be finite and non-negative, even when they sum to 1
+    for mix, function in (({"INV": -0.5, "NAND2": 1.5}, "INV"),
+                          ({"INV": float("nan"), "NAND2": 1.0}, "INV"),
+                          ({"NAND2": 0.5, "NOR2": float("inf")}, "NOR2")):
+        with pytest.raises(ValueError, match=function):
+            DesignSpec("x", function_mix=mix)
+
+
+def test_spec_accepts_numpy_integer_counts(library):
+    spec = DesignSpec("np", n_gates=np.int64(60), n_flops=np.int32(4),
+                      n_inputs=np.int64(4), n_outputs=np.int16(3), depth=np.int64(5))
+    plain = DesignSpec("np", n_gates=60, n_flops=4, n_inputs=4, n_outputs=3, depth=5)
+    a = synthesize(spec, library, effort=0.5, seed=2)
+    b = synthesize(plain, library, effort=0.5, seed=2)
+    assert [(i.cell.name, i.input_nets) for i in a.instances.values()] == \
+        [(i.cell.name, i.input_nets) for i in b.instances.values()]
+
+
+@pytest.mark.parametrize("mix, function", [
+    ({"DFF": 0.3, "NAND2": 0.7}, "DFF"),  # used to build flops clocked by data
+    ({"FOO": 0.5, "NAND2": 0.5}, "FOO"),  # used to raise KeyError mid-synthesis
+])
+def test_synthesize_rejects_mix_functions_that_are_not_gates(library, mix, function):
+    spec = DesignSpec("mix", n_gates=80, n_flops=4, n_inputs=4, n_outputs=4,
+                      depth=6, function_mix=mix)
+    with pytest.raises(ValueError, match=function):
+        synthesize(spec, library, effort=0.5, seed=1)
 
 
 def test_synthesis_is_deterministic(library, small_spec):
