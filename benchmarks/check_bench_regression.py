@@ -20,8 +20,9 @@ What counts as a regression is chosen to be machine-independent:
   the same run, which cancels absolute machine speed but still jitters
   under CI load: each only has to clear its section's absolute floor
   (5x for the vectorized-STA and annealer kernels and the warm lint
-  cache, 3x for global routing and the metrics warehouse, 2x for
-  synthesis) and ``--speedup-fraction`` (default 35%) of the baseline.
+  cache, 3x for global routing, the metrics warehouse and the miner's
+  forest, 2x for synthesis) and ``--speedup-fraction`` (default 35%) of
+  the baseline.
 
 Usage::
 
@@ -45,6 +46,7 @@ WALL_FLOORS = {
     "synth": 2.0,
     "lint": 5.0,
     "metrics": 3.0,
+    "miner": 3.0,
 }
 
 # runtime-proxy sections: name -> absolute work_ratio floor.  These are

@@ -16,11 +16,25 @@ Checks (exit code 1 on failure):
 - the sqlite session clears ``--min-speedup`` (default 3x) over the
   JSONL-reload session.
 
-Timings are best-of ``--repeats`` to shrug off CI load spikes.
-``--json PATH`` merges a machine-readable summary into ``PATH`` under
-the ``"metrics"`` key (see ``make bench-trajectory``); ``--smoke``
-shrinks the stream and repetitions for CI while keeping every
-assertion.
+The ``miner`` section times the other half of a mining session: the
+random forest ``DataMiner.recommend_options`` fits (40 trees, depth 6)
+on a 16-run x 6-option table and its prediction of 416 candidate
+settings, live against the frozen recursive trees of
+``tests/ml/trees_reference.py`` (the script puts the repository root on
+``sys.path`` to import them).  Its checks:
+
+- the live forest's predictions are bit-identical to the oracle's, on
+  the campaign table and on a 400-run full-history table;
+- fit + predict is >= 3x faster on the campaign table, and not slower
+  than the oracle on the full-history table.
+
+Timings are best-of ``--repeats`` to shrug off CI load spikes (at
+least 5 for the miner's campaign table; the slow full-history oracle
+runs once), and the miner's two forests are timed alternately so host
+drift hits both.  ``--json PATH`` merges
+machine-readable summaries into ``PATH`` under the ``"metrics"`` and
+``"miner"`` keys (see ``make bench-trajectory``); ``--smoke`` shrinks
+the stream and repetitions for CI while keeping every assertion.
 
 Usage::
 
@@ -32,6 +46,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -40,10 +55,21 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from vectorized_sta_benchmark import merge_json  # noqa: E402
+
+from repro.ml.forest import RandomForestRegressor  # noqa: E402
+from tests.ml.trees_reference import RandomForestRegressor as ReferenceForest  # noqa: E402
 
 BASIS = ["flow.area", "flow.achieved_ghz", "signoff.wns", "place.hpwl"]
 CAMPAIGNS = ("c0", "c1", "c2", "c3")
+
+MIN_MINER_SPEEDUP = 3.0  # the floor check_bench_regression.py also holds
+MINER_FOREST = dict(n_estimators=40, max_depth=6, random_state=0)
+MINER_RUNS = 16          # runs of one campaign
+MINER_OPTIONS = 6        # option metrics mined
+MINER_CANDIDATES = 400   # sampled settings; the table's own rows follow
+HISTORY_RUNS = 400       # a full-history table
 
 
 def make_records(n_runs, seed=0):
@@ -87,6 +113,42 @@ def query_session(store):
     for run_id in runs_all[::7]:
         out.append(sorted(store.run_vector(run_id).items()))
     return out
+
+
+def miner_table(n_runs, seed=0):
+    """(options, objective, candidates) shaped like a mining session:
+    options in the sampled ranges, an objective with noise, and the
+    uniformly drawn candidate settings followed by the table itself."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.3, 1.0, size=(n_runs, MINER_OPTIONS))
+    y = X @ rng.normal(100.0, 40.0, size=MINER_OPTIONS) + rng.normal(size=n_runs)
+    sampled = rng.uniform(X.min(axis=0), X.max(axis=0),
+                          size=(MINER_CANDIDATES, MINER_OPTIONS))
+    return X, y, np.vstack([sampled, X])
+
+
+def time_miner(table, repeats):
+    """Best-of-``repeats`` seconds of fit + predict for the live forest
+    and the oracle, timed alternately; returns both times and whether
+    their predictions are bit-identical."""
+    X, y, candidates = table
+    best = {}
+    preds = {}
+    for _ in range(repeats):
+        for forest in (RandomForestRegressor, ReferenceForest):
+            gc.collect()
+            gc.disable()  # keep collector pauses out of the timed window
+            try:
+                t0 = time.perf_counter()
+                model = forest(**MINER_FOREST).fit(X, y)
+                preds[forest] = model.predict(candidates)
+                elapsed = time.perf_counter() - t0
+            finally:
+                gc.enable()
+            best[forest] = min(best.get(forest, float("inf")), elapsed)
+    identical = (preds[RandomForestRegressor].tobytes()
+                 == preds[ReferenceForest].tobytes())
+    return best[RandomForestRegressor], best[ReferenceForest], identical
 
 
 def main(argv=None) -> int:
@@ -166,6 +228,44 @@ def main(argv=None) -> int:
                 "speedup": round(speedup, 2),
             })
             print(f"wrote 'metrics' section to {args.json}")
+
+    live_s, oracle_s, miner_identical = time_miner(
+        miner_table(MINER_RUNS), max(repeats, 5))
+    history_live_s, history_oracle_s, history_identical = time_miner(
+        miner_table(HISTORY_RUNS, seed=1), 1)
+    miner_speedup = oracle_s / live_s
+    history_speedup = history_oracle_s / history_live_s
+    if not (miner_identical and history_identical):
+        failures.append("the miner's forest differs from the recursive oracle")
+    if miner_speedup < MIN_MINER_SPEEDUP:
+        failures.append(f"miner speedup {miner_speedup:.1f}x below the "
+                        f"{MIN_MINER_SPEEDUP:.1f}x floor")
+    if history_speedup < 1.0:
+        failures.append(f"the full-history forest is slower than the oracle "
+                        f"({history_speedup:.2f}x)")
+    print(f"miner forest ({MINER_RUNS}x{MINER_OPTIONS} table, "
+          f"{MINER_CANDIDATES + MINER_RUNS} candidates): oracle "
+          f"{oracle_s * 1e3:.1f} ms, live {live_s * 1e3:.1f} ms "
+          f"({miner_speedup:.1f}x), "
+          f"identical={'yes' if miner_identical else 'NO'}")
+    print(f"full-history forest ({HISTORY_RUNS} runs): oracle "
+          f"{history_oracle_s * 1e3:.0f} ms, live {history_live_s * 1e3:.0f} ms "
+          f"({history_speedup:.1f}x), "
+          f"identical={'yes' if history_identical else 'NO'}")
+    if args.json:
+        merge_json(args.json, "miner", {
+            "bit_identical": miner_identical and history_identical,
+            "table": [MINER_RUNS, MINER_OPTIONS],
+            "candidates": MINER_CANDIDATES + MINER_RUNS,
+            "oracle_ms": round(oracle_s * 1e3, 4),
+            "live_ms": round(live_s * 1e3, 4),
+            "speedup": round(miner_speedup, 2),
+            "history_runs": HISTORY_RUNS,
+            "history_oracle_ms": round(history_oracle_s * 1e3, 4),
+            "history_live_ms": round(history_live_s * 1e3, 4),
+            "history_speedup": round(history_speedup, 2),
+        })
+        print(f"wrote 'miner' section to {args.json}")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -395,6 +395,13 @@ class SqliteStore(MetricsStore):
         campaigns(campaign, first_seen)
         meta(key, value)                -- schema version
 
+    ``records`` is indexed on ``(run_id, metric)``, ``design``,
+    ``metric`` and ``campaign``.  The run+metric index serves per-run
+    trajectory reads (``series``, ``query(run_id=..., metric=...)``)
+    without walking every record of the metric, and its leftmost column
+    serves run-only lookups; opening an older warehouse adds it and
+    drops the run-only index it replaces.
+
     Every writer process opens its own :class:`SqliteStore` on the same
     path; WAL mode plus a busy timeout makes concurrent multi-process
     ingest safe (whole transactions interleave, never partial rows).
@@ -435,8 +442,9 @@ class SqliteStore(MetricsStore):
                     sequence INTEGER NOT NULL,
                     campaign TEXT,
                     attributes TEXT);
-                CREATE INDEX IF NOT EXISTS idx_records_run
-                    ON records(run_id);
+                CREATE INDEX IF NOT EXISTS idx_records_run_metric
+                    ON records(run_id, metric);
+                DROP INDEX IF EXISTS idx_records_run;
                 CREATE INDEX IF NOT EXISTS idx_records_design
                     ON records(design);
                 CREATE INDEX IF NOT EXISTS idx_records_metric

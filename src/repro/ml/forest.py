@@ -6,7 +6,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.trees import DecisionTreeClassifier, DecisionTreeRegressor, _as_2d
+from repro.ml.trees import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _as_2d,
+    _descend,
+    _Grower,
+    _is_count,
+    _require_count,
+)
 
 
 class _BaseForest:
@@ -18,8 +26,12 @@ class _BaseForest:
         max_features: Optional[str] = "sqrt",
         random_state: Optional[int] = None,
     ):
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        _require_count("n_estimators", n_estimators)
+        _require_count("max_depth", max_depth)
+        _require_count("min_samples_leaf", min_samples_leaf)
+        if max_features not in (None, "sqrt", "third") and not _is_count(max_features):
+            raise ValueError("max_features must be 'sqrt', 'third', None or an "
+                             f"integer >= 1, got {max_features!r}")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -34,11 +46,11 @@ class _BaseForest:
             return max(1, int(np.sqrt(n_features)))
         if self.max_features == "third":
             return max(1, n_features // 3)
-        if isinstance(self.max_features, int):
-            return max(1, min(self.max_features, n_features))
-        raise ValueError(f"unsupported max_features: {self.max_features!r}")
+        return max(1, min(int(self.max_features), n_features))
 
     def fit(self, X, y):
+        """Bootstrap every tree's rows and seed, in order, from one
+        generator, then grow all the trees in lockstep."""
         X = _as_2d(X)
         y = np.asarray(y)
         if X.shape[0] != y.shape[0]:
@@ -48,13 +60,30 @@ class _BaseForest:
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
         m = self._n_candidate_features(X.shape[1])
-        self.estimators_ = []
-        for _ in range(self.n_estimators):
-            idx = rng.integers(0, n, size=n)
-            tree = self._make_tree(m, int(rng.integers(0, 2**31 - 1)))
-            tree.fit(X[idx], y[idx])
-            self.estimators_.append(tree)
+        idx = np.empty((self.n_estimators, n), dtype=np.int64)
+        seeds = []
+        for t in range(self.n_estimators):
+            idx[t] = rng.integers(0, n, size=n)
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
+        trees = [self._make_tree(m, seed) for seed in seeds]
+        ys = np.stack([tree._prepare_y(y[i]) for tree, i in zip(trees, idx)])
+        if ys.shape[1] != n:
+            raise ValueError("X and y have different numbers of rows")
+        n_classes = [tree._n_classes() for tree in trees]
+        grower = _Grower(X[idx], ys, self.max_depth, 2, self.min_samples_leaf,
+                         None if n_classes[0] is None else n_classes)
+        self._table = grower.grow(seeds, m)
+        for t, tree in enumerate(trees):
+            tree._table, tree._index, tree.n_features_ = self._table, t, X.shape[1]
+        self.estimators_ = trees
         return self
+
+    def _leaves(self, X) -> np.ndarray:
+        """(trees, rows) leaf ids of every tree, in one walk."""
+        if not self.estimators_:
+            raise RuntimeError("forest is not fitted; call fit() first")
+        return _descend(self._table, np.arange(len(self.estimators_)), X,
+                        self.estimators_[0].n_features_)
 
 
 class RandomForestRegressor(_BaseForest):
@@ -69,10 +98,10 @@ class RandomForestRegressor(_BaseForest):
         )
 
     def predict(self, X) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("forest is not fitted; call fit() first")
-        preds = np.stack([t.predict(X) for t in self.estimators_])
-        return preds.mean(axis=0)
+        leaves = self._leaves(X)
+        # a C-ordered (trees, rows) array averaged down axis 0: each
+        # row's trees are summed in tree order
+        return self._table.value[leaves].mean(axis=0)
 
 
 class RandomForestClassifier(_BaseForest):
@@ -87,17 +116,13 @@ class RandomForestClassifier(_BaseForest):
         )
 
     def predict_proba(self, X) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("forest is not fitted; call fit() first")
+        leaves = self._leaves(X)
         # Align per-tree probabilities onto the union of classes.
         classes = self.classes_
         index = {c: i for i, c in enumerate(classes)}
-        X = _as_2d(X)
-        agg = np.zeros((X.shape[0], len(classes)))
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            for j, c in enumerate(tree.classes_):
-                agg[:, index[c]] += proba[:, j]
+        agg = np.zeros((leaves.shape[1], len(classes)))
+        for tree, tree_leaves in zip(self.estimators_, leaves):
+            agg[:, [index[c] for c in tree.classes_]] += tree._proba(tree_leaves)
         return agg / len(self.estimators_)
 
     @property

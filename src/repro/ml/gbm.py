@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.trees import DecisionTreeRegressor, _as_2d
+from repro.ml.trees import DecisionTreeRegressor, _as_2d, _descend, _require_count, _Table
 
 
 class GradientBoostingRegressor:
@@ -24,8 +24,9 @@ class GradientBoostingRegressor:
         min_samples_leaf: int = 1,
         random_state: Optional[int] = None,
     ):
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        _require_count("n_estimators", n_estimators)
+        _require_count("max_depth", max_depth)
+        _require_count("min_samples_leaf", min_samples_leaf)
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         self.n_estimators = n_estimators
@@ -60,23 +61,28 @@ class GradientBoostingRegressor:
             self.estimators_.append(tree)
             if np.max(np.abs(residual)) < 1e-12:
                 break
+        self._table = _Table.stack([tree._table for tree in self.estimators_])
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def _stage_values(self, X) -> np.ndarray:
+        """(stages, rows) tree outputs, from one walk of every stage."""
         if not self.estimators_:
             raise RuntimeError("model is not fitted; call fit() first")
-        X = _as_2d(X)
-        pred = np.full(X.shape[0], self.init_)
-        for tree in self.estimators_:
-            pred = pred + self.learning_rate * tree.predict(X)
+        leaves = _descend(self._table, np.arange(len(self.estimators_)), X,
+                          self.estimators_[0].n_features_)
+        return self._table.value[leaves]
+
+    def predict(self, X) -> np.ndarray:
+        values = self._stage_values(X)
+        pred = np.full(values.shape[1], self.init_)
+        for update in values:
+            pred = pred + self.learning_rate * update
         return pred
 
     def staged_predict(self, X):
         """Yield predictions after each boosting stage (for early-stop studies)."""
-        if not self.estimators_:
-            raise RuntimeError("model is not fitted; call fit() first")
-        X = _as_2d(X)
-        pred = np.full(X.shape[0], self.init_)
-        for tree in self.estimators_:
-            pred = pred + self.learning_rate * tree.predict(X)
+        values = self._stage_values(X)
+        pred = np.full(values.shape[1], self.init_)
+        for update in values:
+            pred = pred + self.learning_rate * update
             yield pred.copy()

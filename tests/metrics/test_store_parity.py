@@ -55,16 +55,43 @@ def make_stream(seed, n=120, non_finite=True):
     return records
 
 
-@pytest.fixture(params=[0, 1, 2])
+def with_legacy_indexes(path):
+    """Give a closed warehouse the ``records`` index set written before
+    the run+metric index: a run-only index in its place."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.executescript("DROP INDEX idx_records_run_metric; "
+                           "CREATE INDEX idx_records_run ON records(run_id);")
+    conn.close()
+
+
+def records_indexes(path):
+    """Names of the explicit indexes on a warehouse's ``records``."""
+    conn = sqlite3.connect(path)
+    rows = conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index' "
+        "AND tbl_name = 'records' AND sql IS NOT NULL ORDER BY name").fetchall()
+    conn.close()
+    return [row[0] for row in rows]
+
+
+@pytest.fixture(params=[0, 1, 2, "legacy-index"])
 def backends(request, tmp_path):
-    """(reloaded JsonlStore, SqliteStore) fed the same stream."""
-    stream = make_stream(request.param)
+    """(reloaded JsonlStore, SqliteStore) fed the same stream.  In the
+    "legacy-index" case the SqliteStore opens a warehouse created with
+    the older index set (which opening upgrades) and takes stream 0."""
+    legacy = request.param == "legacy-index"
+    stream = make_stream(0 if legacy else request.param)
     writer = JsonlStore(str(tmp_path / "stream.jsonl"))
     for record in stream:
         writer.receive(record)
     writer.close()
     jsonl = JsonlStore(str(tmp_path / "stream.jsonl"))
-    sqlite = SqliteStore(str(tmp_path / "stream.sqlite"))
+    sqlite_path = str(tmp_path / "stream.sqlite")
+    if legacy:
+        SqliteStore(sqlite_path).close()
+        with_legacy_indexes(sqlite_path)
+    sqlite = SqliteStore(sqlite_path)
     sqlite.ingest(stream)
     yield jsonl, sqlite
     jsonl.close()

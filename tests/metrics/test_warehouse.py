@@ -29,6 +29,12 @@ from repro.metrics import (
     open_store,
 )
 from repro.metrics.store import stamp_campaign
+from tests.metrics.test_store_parity import (
+    METRICS,
+    make_stream,
+    records_indexes,
+    with_legacy_indexes,
+)
 
 
 def _record(run_id, metric, value, seq, design="d", campaign=None):
@@ -207,6 +213,61 @@ def test_compact_keeps_last_campaigns(tmp_path):
         # untagged records are never retention targets
         assert store.run_vector("untagged-r") == {"flow.area": 9.0}
         assert len(store.runs()) == 9
+
+
+# ------------------------------------------------------- indexes
+RECORDS_INDEXES = ["idx_records_campaign", "idx_records_design",
+                   "idx_records_metric", "idx_records_run_metric"]
+
+
+def _answers(store):
+    """Every query-API answer of a store, in comparable form."""
+    out = [store.runs(), store.campaigns()]
+    for run_id in store.runs():
+        out.append(sorted(store.run_vector(run_id).items()))
+        for metric in METRICS:
+            out.append(store.series(run_id, metric))
+            out.append([(r.run_id, r.metric, r.value, r.sequence)
+                        for r in store.query(run_id=run_id, metric=metric)])
+    run_ids, names, matrix = store.table()
+    out.append((run_ids, names, matrix.tolist()))
+    run_ids, matrix = store.run_vectors_matrix(["flow.area", "signoff.wns"])
+    out.append((run_ids, matrix.tolist()))
+    return out
+
+
+def test_trajectory_reads_plan_on_the_run_metric_index(tmp_path):
+    path = str(tmp_path / "plan.sqlite")
+    with SqliteStore(path) as store:
+        store.ingest(make_stream(3, n=400, non_finite=False))
+        run_id = store.runs()[0]
+        traced = []
+        store._conn.set_trace_callback(traced.append)
+        store.series(run_id, "droute.drv_trajectory")
+        store.query(run_id=run_id, metric="droute.drv_trajectory")
+        store._conn.set_trace_callback(None)
+        assert len(traced) == 2
+        for sql in traced:
+            plan = " ".join(row[-1] for row in store._conn.execute(
+                "EXPLAIN QUERY PLAN " + sql).fetchall())
+            assert "idx_records_run_metric" in plan, (sql, plan)
+
+
+def test_old_warehouse_gains_the_run_metric_index(tmp_path):
+    stream = make_stream(4)
+    fresh, old = str(tmp_path / "fresh.sqlite"), str(tmp_path / "old.sqlite")
+    for path in (fresh, old):
+        with SqliteStore(path) as store:
+            store.ingest(stream)
+    with_legacy_indexes(old)
+    assert "idx_records_run" in records_indexes(old)
+    with SqliteStore(old) as upgraded, SqliteStore(fresh) as current:
+        assert records_indexes(old) == RECORDS_INDEXES
+        assert _answers(upgraded) == _answers(current)
+        # the upgraded archive keeps taking records, on the new index set
+        more = make_stream(5, n=30)
+        assert upgraded.ingest(more) == current.ingest(more)
+        assert _answers(upgraded) == _answers(current)
 
 
 def test_open_store_sniffs_format(tmp_path):

@@ -70,6 +70,48 @@ def test_forest_validation():
         RandomForestRegressor().predict([[1.0]])
 
 
+@pytest.mark.parametrize("params", [
+    {"n_estimators": 2.5},
+    {"n_estimators": True},
+    {"max_depth": 0},
+    {"max_depth": 2.5},
+    {"min_samples_leaf": 0},
+    {"max_features": True},
+    {"max_features": -3},
+    {"max_features": 0},
+    {"max_features": 2.5},
+    {"max_features": "log2"},
+])
+def test_forest_rejects_hyperparameters_at_construction(params):
+    with pytest.raises(ValueError):
+        RandomForestRegressor(**params)
+    with pytest.raises(ValueError):
+        RandomForestClassifier(**params)
+
+
+@pytest.mark.parametrize("params", [
+    {"n_estimators": 2.0},
+    {"n_estimators": True},
+    {"max_depth": 0},
+    {"max_depth": 1.5},
+    {"min_samples_leaf": 0},
+])
+def test_gbm_rejects_hyperparameters_at_construction(params):
+    with pytest.raises(ValueError):
+        GradientBoostingRegressor(**params)
+
+
+def test_numpy_integer_hyperparameters_are_accepted(regression_data):
+    X, y = regression_data
+    forest = RandomForestRegressor(
+        n_estimators=np.int64(3), max_depth=np.int32(4),
+        min_samples_leaf=np.int64(2), max_features=np.int64(2), random_state=0)
+    assert forest.fit(X, y).predict(X).shape == (X.shape[0],)
+    gbm = GradientBoostingRegressor(n_estimators=np.int64(3), max_depth=np.int64(2),
+                                    min_samples_leaf=np.int32(1), random_state=0)
+    assert gbm.fit(X, y).predict(X).shape == (X.shape[0],)
+
+
 def test_gbm_beats_single_stage(regression_data):
     X, y = regression_data
     one = GradientBoostingRegressor(n_estimators=1, random_state=0).fit(X, y)

@@ -88,6 +88,24 @@ def test_bad_hyperparameters_rejected():
         DecisionTreeRegressor(min_samples_leaf=0)
 
 
+@pytest.mark.parametrize("params", [
+    {"max_depth": 2.5},
+    {"max_depth": True},
+    {"min_samples_split": 2.5},
+    {"min_samples_leaf": 1.5},
+    {"min_samples_leaf": True},
+    {"max_features": 0},
+    {"max_features": 1.5},
+    {"max_features": True},
+    {"max_features": "sqrt"},
+])
+def test_hyperparameters_the_tree_cannot_honour_are_rejected(params):
+    with pytest.raises(ValueError):
+        DecisionTreeRegressor(**params)
+    with pytest.raises(ValueError):
+        DecisionTreeClassifier(**params)
+
+
 def test_regressor_improves_with_depth():
     rng = np.random.default_rng(2)
     X = rng.uniform(-3, 3, size=(300, 1))
