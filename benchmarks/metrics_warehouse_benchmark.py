@@ -29,9 +29,11 @@ settings, live against the frozen recursive trees of
   than the oracle on the full-history table.
 
 Timings are best-of ``--repeats`` to shrug off CI load spikes (at
-least 5 for the miner's campaign table; the slow full-history oracle
-runs once), and the miner's two forests are timed alternately so host
-drift hits both.  ``--json PATH`` merges
+least 5 for the query sessions and the miner's campaign table; the slow
+full-history oracle runs once).  The two query sessions, like the
+miner's two forests, are timed alternately with the garbage collector
+off, so host drift and collector pauses cannot favour one side.
+``--json PATH`` merges
 machine-readable summaries into ``PATH`` under the ``"metrics"`` and
 ``"miner"`` keys (see ``make bench-trajectory``); ``--smoke`` shrinks
 the stream and repetitions for CI while keeping every assertion.
@@ -115,6 +117,38 @@ def query_session(store):
     return out
 
 
+def timed_session(store_cls, path):
+    """Seconds and answers of one query session.  The store is freed
+    when this returns, after the clock stops, so one session never pays
+    for tearing down the one before it."""
+    t0 = time.perf_counter()
+    with store_cls(path) as store:
+        answers = query_session(store)
+    return time.perf_counter() - t0, answers
+
+
+def time_sessions(jsonl_path, sqlite_path, repeats):
+    """Best-of-``repeats`` seconds of one query session on the JSONL
+    reload and on the sqlite archive, timed alternately; returns both
+    times and both sessions' answers."""
+    from repro.metrics import JsonlStore, SqliteStore
+
+    backends = ((JsonlStore, jsonl_path), (SqliteStore, sqlite_path))
+    best = {}
+    answers = {}
+    for _ in range(repeats):
+        for store_cls, path in backends:
+            gc.collect()
+            gc.disable()  # keep collector pauses out of the timed window
+            try:
+                elapsed, answers[store_cls] = timed_session(store_cls, path)
+            finally:
+                gc.enable()
+            best[store_cls] = min(best.get(store_cls, float("inf")), elapsed)
+    return (best[JsonlStore], best[SqliteStore],
+            answers[JsonlStore], answers[SqliteStore])
+
+
 def miner_table(n_runs, seed=0):
     """(options, objective, candidates) shaped like a mining session:
     options in the sampled ranges, an objective with noise, and the
@@ -185,22 +219,8 @@ def main(argv=None) -> int:
             store.ingest(records)
         sqlite_ingest_s = time.perf_counter() - t0
 
-        jsonl_s = float("inf")
-        jsonl_answers = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            with JsonlStore(jsonl_path) as store:  # the legacy reload
-                jsonl_answers = query_session(store)
-            jsonl_s = min(jsonl_s, time.perf_counter() - t0)
-
-        sqlite_s = float("inf")
-        sqlite_answers = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            with SqliteStore(sqlite_path) as store:
-                sqlite_answers = query_session(store)
-            sqlite_s = min(sqlite_s, time.perf_counter() - t0)
-
+        jsonl_s, sqlite_s, jsonl_answers, sqlite_answers = time_sessions(
+            jsonl_path, sqlite_path, max(repeats, 5))
         bit_identical = jsonl_answers == sqlite_answers
         speedup = jsonl_s / sqlite_s if sqlite_s > 0 else float("inf")
 

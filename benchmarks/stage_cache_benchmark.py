@@ -12,7 +12,9 @@ cache on only the changed suffix executes.
 The base option point uses a high placement effort
 (``placer_moves_per_cell``), the regime where prefix reuse pays most:
 saved work scales with the cost of the shared prefix relative to the
-uncacheable detailed-route + signoff suffix.
+uncacheable suffix.  Signoff is cached with the prefix, so a router-knob
+point re-runs detailed routing alone; an optimizer point re-runs opt,
+signoff and routing.
 
 Checks (exit code 1 on failure):
 

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import asdict
 from typing import Dict, Optional, Union
 
-from repro.eda.flow import FlowOptions, FlowResult, StepLog
+from repro.eda.flow import FlowOptions, FlowResult, load_step_log
 from repro.eda.netlist import Netlist
 from repro.eda.synthesis import DesignSpec
 
@@ -99,7 +99,7 @@ def flow_result_to_dict(result: FlowResult) -> Dict:
 def flow_result_from_dict(data: Dict) -> FlowResult:
     data = dict(data)
     data["options"] = FlowOptions(**data["options"])
-    data["logs"] = [StepLog(**log) for log in data["logs"]]
+    data["logs"] = [load_step_log(**log) for log in data["logs"]]
     return FlowResult(**data)
 
 
@@ -147,7 +147,7 @@ class ResultCache:
                             data.pop("schema", None) != CACHE_SCHEMA:
                         return None  # corrupt, stale or future layout: a miss
                     result = flow_result_from_dict(data)
-                except (ValueError, KeyError, TypeError):
+                except (AttributeError, ValueError, KeyError, TypeError):
                     return None  # corrupt entry: treat as a miss
                 self._insert_memory(key, result)
                 self.last_tier = "disk"

@@ -16,6 +16,7 @@ aggressiveness without any explicit noise injection.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
@@ -135,6 +136,10 @@ class StepLog:
     series: Dict[str, List[float]] = field(default_factory=dict)
     runtime_proxy: float = 0.0
 
+    def __reduce__(self):
+        return (load_step_log,
+                (self.step, self.metrics, self.series, self.runtime_proxy))
+
     def to_text(self) -> str:
         lines = [f"#--- step {self.step} (cost {self.runtime_proxy:.0f}) ---"]
         for key, value in sorted(self.metrics.items()):
@@ -143,6 +148,26 @@ class StepLog:
             for i, v in enumerate(values):
                 lines.append(f"{self.step}.{key}[{i}] = {v:.4f}")
         return "\n".join(lines)
+
+
+def load_step_log(
+    step: str,
+    metrics: Dict[str, float],
+    series: Dict[str, List[float]],
+    runtime_proxy: float,
+) -> StepLog:
+    """A :class:`StepLog` from its fields, with the step name and the
+    metric and series keys interned.  Unpickling and the result cache's
+    disk tier both load logs through here, so the many results a
+    campaign keeps share one copy of each key string instead of holding
+    a fresh one per log."""
+    intern = sys.intern
+    return StepLog(
+        intern(step),
+        {intern(key): value for key, value in metrics.items()},
+        {intern(key): values for key, values in series.items()},
+        runtime_proxy,
+    )
 
 
 @dataclass
@@ -192,7 +217,7 @@ class SPRFlow:
 
     Since the stage decomposition, this class is a thin driver over the
     composable pipeline in :mod:`repro.eda.stages`: each stage (synth,
-    floorplan, place, CTS, global route, opt, detailed route + signoff)
+    floorplan, place, CTS, global route, opt, signoff, detailed route)
     is its own tool consuming and producing explicit artifacts.  The
     driver is API- and bit-identical to the historical monolithic
     implementation — same step-seed draw order, same step logs, same

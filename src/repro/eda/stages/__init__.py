@@ -8,12 +8,19 @@ produces fields of a :class:`~repro.eda.stages.base.PipelineState`
 (netlist, floorplan, placement, clock tree, congestion, ...) and
 declares exactly which :class:`~repro.eda.flow.FlowOptions` knobs it
 reads — which is what makes per-stage prefix cache keys possible
-(:mod:`repro.eda.stages.cache`).
+(:mod:`repro.eda.stages.cache`) — and which state fields it reads, so
+a cached snapshot keeps only what the stages after it need.
+
+The stages run synth, floorplan, place, cts, groute, opt, signoff and
+detailed routing (the terminal ``droute_signoff``).  Signoff reads
+nothing routing produces, so it runs ahead of the router and is cached
+with the prefix: a router-knob sweep point re-runs detailed routing
+alone.
 
 :func:`~repro.eda.stages.runner.execute_pipeline` drives the stages in
 order and is bit-identical to the historical monolithic
-``SPRFlow.implement``: same step-seed draw order, same step logs, same
-``FlowResult``.
+``SPRFlow.implement``: same step-seed draw order, same step logs in the
+same order, same ``FlowResult``.
 """
 
 from repro.eda.stages.base import FlowStage, PipelineState

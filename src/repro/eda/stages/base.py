@@ -8,6 +8,10 @@ reason about it without running it:
   the stage reads.  Two option points whose knob values agree on every
   stage of a prefix produce bit-identical artifacts for that prefix —
   the invariant behind prefix cache keys.
+- ``reads``: exactly which :class:`PipelineState` fields the stage
+  reads besides ``result``.  A snapshot taken after a stage keeps only
+  ``result`` and the fields some later stage reads; everything else is
+  dead once the stage has run.
 - ``n_seeds``: how many step seeds the stage consumes from the flow's
   seed stream (the runner pre-draws them in the monolith's historical
   order, so staging never perturbs the rng stream).
@@ -45,12 +49,16 @@ class PipelineState:
     """Every artifact a stage may consume or produce.
 
     Fields are filled in pipeline order; a stage may rely on the
-    artifacts of every stage before it.  Note the aliasing contract:
-    ``placement.netlist`` *is* ``netlist`` (the optimizer resizes cells
-    in place and signoff sees the resized design through either
-    reference), so a snapshot must copy the whole state through one
-    shared memo — the stage cache pickles the state in one
-    ``pickle.dumps``, which preserves this.
+    artifacts of every earlier stage that it declares in ``reads``.
+    Note the aliasing contract: ``placement.netlist`` *is* ``netlist``
+    (the optimizer resizes cells in place and signoff sees the resized
+    design through either reference), and ``timing_topology`` and
+    ``timing_graph`` point at both, so a snapshot must copy the fields
+    it keeps through one shared memo — the stage cache pickles the
+    snapshot in one ``pickle.dumps``, which preserves this.  A snapshot
+    holds ``result`` plus the fields later stages read (see
+    :func:`~repro.eda.stages.runner.execute_pipeline`); every other
+    field of a resumed state is None.
     """
 
     result: FlowResult
@@ -64,13 +72,15 @@ class PipelineState:
     opt: Optional[OptResult] = None
     droute: Optional[DetailedRouteResult] = None
     #: corner-independent STA structure (levels, net lengths), built at
-    #: CTS and shared by every downstream timing query.  Pickling the
-    #: whole state preserves its aliasing onto ``netlist``/``placement``.
+    #: CTS and shared by every downstream timing query.  Pickling a
+    #: snapshot in one dump preserves its aliasing onto
+    #: ``netlist``/``placement``.
     timing_topology: Optional[TimingTopology] = None
     #: the optimizer's live incremental kernel (graph engine view)
     timing_graph: Optional[TimingGraph] = None
     #: timing-work accounting for *this* run's stage suffix; the runner
-    #: copies it into the StageReport and resets it on cache resume
+    #: copies it into the StageReport.  No stage reads it as an
+    #: artifact, so no snapshot carries it: a resumed job starts at None
     sta_stats: Optional[StaStats] = None
 
 
@@ -80,6 +90,8 @@ class FlowStage:
     name: str = ""
     #: the FlowOptions fields this stage reads, in canonical key order
     knobs: Tuple[str, ...] = ()
+    #: the PipelineState fields this stage reads besides ``result``
+    reads: Tuple[str, ...] = ()
     #: step seeds consumed from the flow's seed stream
     n_seeds: int = 0
     #: snapshot the post-stage state into the stage cache?

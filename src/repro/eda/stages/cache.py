@@ -14,18 +14,21 @@ including one stage:
 Knobs a stage does not declare cannot change its output, so two jobs
 that agree on a prefix's knob slices and seeds share that prefix's
 state bit-for-bit — the cached :class:`PipelineState` snapshot can be
-resumed from directly.
+resumed from directly.  The runner hands ``put`` a snapshot holding
+``result`` and only the fields some later stage ``reads``; after
+signoff that is the congestion map alone, so the snapshot a router-knob
+sweep resumes from is a few kilobytes.
 
 Snapshots are stored as pickled bytes, taken once in ``put``, and
 every ``get`` unpickles a private copy, because later stages mutate
 artifacts in place (the optimizer resizes netlist cells, the refiner
-moves placements).  One pickle of the whole state shares one memo, so
-the ``placement.netlist is netlist`` aliasing signoff relies on — and
-the timing topology's and graph's aliasing onto both — survives the
-round trip, and every float and ndarray comes back bit-exact.  A
-snapshot costs its bytes, not a Python-level walk over every netlist
-object.  The bytes never leave the process (no disk, no IPC): the
-cache only unpickles what its own ``put`` wrote.
+moves placements).  One pickle of the snapshot shares one memo, so the
+``placement.netlist is netlist`` aliasing signoff relies on — and the
+timing topology's and graph's aliasing onto both — survives the round
+trip, and every float and ndarray comes back bit-exact.  A snapshot
+costs its bytes, not a Python-level walk over every netlist object.
+The bytes never leave the process (no disk, no IPC): the cache only
+unpickles what its own ``put`` wrote.
 
 One process-global instance (:func:`configure_stage_cache` /
 :func:`get_stage_cache`) serves :func:`run_flow_job_staged` so pool

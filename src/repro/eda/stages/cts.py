@@ -13,6 +13,7 @@ from repro.eda.stages.base import FlowStage, PipelineState
 class CtsStage(FlowStage):
     name = "cts"
     knobs = ("cts_effort",)
+    reads = ("netlist", "placement")
     n_seeds = 1
 
     def run(
@@ -28,7 +29,7 @@ class CtsStage(FlowStage):
         state.clock_tree = cts
         # timing structure is now final up to cell swaps: levelize once
         # here and let every downstream timing query (opt's incremental
-        # kernel, droute's signoff) share the topology
+        # kernel, signoff's full propagation) share the topology
         state.timing_topology = TimingTopology(state.netlist, state.placement)
         state.result.logs.append(
             StepLog("cts", {"skew": cts.global_skew, "buffers": cts.n_buffers,

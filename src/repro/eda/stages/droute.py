@@ -1,11 +1,21 @@
-"""Detailed-routing + signoff stage: the pipeline terminal.
+"""Signoff and detailed routing: the last two stages of the pipeline.
 
-Routing and signoff share one stage because nothing downstream consumes
-their artifacts — the stage's product *is* the finished
-:class:`~repro.eda.flow.FlowResult` (QoR fields, final logs), which the
-whole-run :class:`~repro.core.parallel.ResultCache` already keys, so
+Signoff (full STA, power, IR drop, area) reads the optimized netlist,
+placement, clock tree and congestion map; detailed routing reads only
+the congestion map and never changes it.  Neither reads the other's
+output, so signoff runs first and is cacheable: a detailed-router knob
+sweep resumes after signoff and re-runs only the router.  The
+historical flow routed before it signed off, so the router slots its
+``droute`` StepLog in ahead of the ``signoff`` one and
+``FlowResult.logs`` keeps the monolith's order (and hence
+``runtime_proxy``'s summation order).
+
+The router is the pipeline terminal: its product *is* the finished
+:class:`~repro.eda.flow.FlowResult`, which the whole-run
+:class:`~repro.core.parallel.ResultCache` already keys, so
 ``cacheable`` is False: snapshotting post-terminal state would store
-every full result twice.
+every full result twice.  The terminal keeps the ``droute_signoff``
+name it had when it also signed off.
 """
 
 from __future__ import annotations
@@ -24,11 +34,11 @@ from repro.eda.stages.base import FlowStage, PipelineState
 DROUTE_ITERATION_PROXY = 120.0
 
 
-class DrouteSignoffStage(FlowStage):
-    name = "droute_signoff"
-    knobs = ("target_clock_ghz", "router_effort", "router_max_iterations")
-    n_seeds = 1
-    cacheable = False
+class SignoffStage(FlowStage):
+    name = "signoff"
+    knobs = ("target_clock_ghz",)
+    reads = ("netlist", "placement", "clock_tree", "congestion", "timing_topology")
+    n_seeds = 0  # signoff is deterministic given its artifacts
 
     def run(
         self,
@@ -39,21 +49,6 @@ class DrouteSignoffStage(FlowStage):
     ) -> None:
         result = state.result
         period = options.clock_period_ps
-
-        drouter = DetailedRouter(
-            max_iterations=options.router_max_iterations, effort=options.router_effort
-        )
-        droute = drouter.route(state.congestion, seeds[0], stop_callback)
-        state.droute = droute
-        result.final_drvs = droute.final_drvs
-        result.routed = droute.success
-        result.logs.append(
-            StepLog("droute", {"final_drvs": droute.final_drvs,
-                               "iterations": droute.iterations_run,
-                               "success": float(droute.success)},
-                    series={"drvs": [float(v) for v in droute.drvs_per_iteration]},
-                    runtime_proxy=droute.iterations_run * DROUTE_ITERATION_PROXY)
-        )
 
         # a fresh full propagation (signoff must see the whole design),
         # but over the shared topology; its work lands in sta_stats so
@@ -85,3 +80,37 @@ class DrouteSignoffStage(FlowStage):
                                 "ir_drop": power.worst_ir_drop},
                     runtime_proxy=signoff.runtime_proxy)
         )
+
+
+class DrouteSignoffStage(FlowStage):
+    """Detailed routing, the terminal stage (see module docstring)."""
+
+    name = "droute_signoff"
+    knobs = ("router_effort", "router_max_iterations")
+    reads = ("congestion",)
+    n_seeds = 1
+    cacheable = False
+
+    def run(
+        self,
+        state: PipelineState,
+        options: FlowOptions,
+        seeds: Sequence[int],
+        stop_callback=None,
+    ) -> None:
+        result = state.result
+        drouter = DetailedRouter(
+            max_iterations=options.router_max_iterations, effort=options.router_effort
+        )
+        droute = drouter.route(state.congestion, seeds[0], stop_callback)
+        state.droute = droute
+        result.final_drvs = droute.final_drvs
+        result.routed = droute.success
+        # signoff, the stage before this one, logged last; the monolith
+        # logged routing ahead of it
+        result.logs.insert(len(result.logs) - 1, StepLog(
+            "droute", {"final_drvs": droute.final_drvs,
+                       "iterations": droute.iterations_run,
+                       "success": float(droute.success)},
+            series={"drvs": [float(v) for v in droute.drvs_per_iteration]},
+            runtime_proxy=droute.iterations_run * DROUTE_ITERATION_PROXY))

@@ -12,6 +12,7 @@ from repro.eda.stages.base import FlowStage, PipelineState
 class FloorplanStage(FlowStage):
     name = "floorplan"
     knobs = ("utilization", "aspect_ratio")
+    reads = ("netlist",)
     n_seeds = 0  # floorplanning is deterministic given the netlist
 
     def run(

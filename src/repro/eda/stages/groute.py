@@ -12,6 +12,7 @@ from repro.eda.stages.base import FlowStage, PipelineState
 class GrouteStage(FlowStage):
     name = "groute"
     knobs = ("router_tracks_per_um",)
+    reads = ("placement",)
     n_seeds = 1
 
     def run(

@@ -27,6 +27,7 @@ class OptStage(FlowStage):
     name = "opt"
     knobs = ("target_clock_ghz", "opt_passes", "opt_cells_per_pass",
              "opt_guardband", "power_recovery")
+    reads = ("netlist", "placement", "clock_tree", "congestion", "timing_topology")
     n_seeds = 1
 
     def run(

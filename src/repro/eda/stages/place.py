@@ -12,6 +12,7 @@ from repro.eda.stages.base import FlowStage, PipelineState
 class PlaceStage(FlowStage):
     name = "place"
     knobs = ("spread_strength", "placer_moves_per_cell")
+    reads = ("netlist", "floorplan")
     n_seeds = 2  # one for the placer, one for the refiner
 
     def run(

@@ -4,21 +4,23 @@
 ``SPRFlow.run``/``implement`` bodies and is bit-identical to them: the
 step-seed stream is drawn in the exact historical order (synthesis and
 implementation seeds first, then placer, refiner, CTS, global route,
-opt, detailed route), every stage appends the same
-:class:`~repro.eda.flow.StepLog`, and the returned
+opt, detailed route), every stage logs the same
+:class:`~repro.eda.flow.StepLog` in the same place, and the returned
 :class:`~repro.eda.flow.FlowResult` matches field for field.
 
 Because :func:`plan_stages` derives *all* step seeds up front, prefix
 cache keys can be computed without running anything — so a job can
 probe the stage cache deepest-first and re-run only the suffix after
-its deepest cached prefix.
+its deepest cached prefix.  A snapshot keeps only the state fields
+some later stage ``reads``; after signoff that is the congestion map
+alone, so a router-knob resume unpickles a few kilobytes.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from repro.eda.netlist import Netlist
 from repro.eda.stages.base import FlowStage, PipelineState
 from repro.eda.stages.cache import StageCache, get_stage_cache, stage_prefix_keys
 from repro.eda.stages.cts import CtsStage
-from repro.eda.stages.droute import DrouteSignoffStage
+from repro.eda.stages.droute import DrouteSignoffStage, SignoffStage
 from repro.eda.stages.floorplan import FloorplanStage
 from repro.eda.stages.groute import GrouteStage
 from repro.eda.stages.opt import OptStage
@@ -44,6 +46,7 @@ IMPLEMENT_STAGES: Tuple[FlowStage, ...] = (
     CtsStage(),
     GrouteStage(),
     OptStage(),
+    SignoffStage(),
     DrouteSignoffStage(),
 )
 
@@ -61,6 +64,7 @@ def _implement_seed_plan(draw: Callable[[], int]) -> Tuple[Tuple[int, ...], ...]
         (draw(),),          # cts
         (draw(),),          # groute
         (draw(),),          # opt
+        (),                 # signoff draws nothing
         (draw(),),          # droute_signoff
     )
 
@@ -95,7 +99,8 @@ class StageReport:
 
     hit_stages: List[str] = field(default_factory=list)
     run_stages: List[str] = field(default_factory=list)
-    #: runtime proxy of the stages actually executed (the suffix)
+    #: runtime proxy of the StepLogs this job produced (the suffix's);
+    #: a cold run's equals ``result.runtime_proxy`` exactly
     executed_proxy: float = 0.0
     #: timing-kernel accounting for the executed suffix (see
     #: repro.eda.sta.graph.StaStats): full propagations, incremental
@@ -127,6 +132,16 @@ def _design_name(design: Design) -> str:
     return design.name
 
 
+def _snapshot(state: PipelineState, later: Sequence[FlowStage]) -> PipelineState:
+    """``state`` cut to what a job resuming after it needs: ``result``
+    and every field some ``later`` stage reads.  The fields stay shared
+    with ``state``; the cache's one pickle of the snapshot copies them
+    with their aliasing intact."""
+    live = {name for stage in later for name in stage.reads}
+    return PipelineState(result=state.result,
+                         **{name: getattr(state, name) for name in sorted(live)})
+
+
 def execute_pipeline(
     design: Design,
     options: FlowOptions,
@@ -142,7 +157,8 @@ def execute_pipeline(
 
     With a ``cache``, the job resumes from its deepest cached prefix
     snapshot and re-runs only the suffix; every executed cacheable
-    stage's post-state is snapshotted for later jobs.  An externally
+    stage's post-state is snapshotted for later jobs, keeping only
+    ``result`` and the fields a later stage reads.  An externally
     supplied ``synth_log`` (partition-driven flows) is not part of any
     key, so such runs bypass the cache entirely.  A ``Netlist`` design
     is copied, never modified.
@@ -168,9 +184,6 @@ def execute_pipeline(
                 state.result.design = design_name or _design_name(design)
                 state.result.options = options
                 state.result.seed = reported_seed
-                # timing work recorded by the snapshot belongs to the
-                # job that created it; this job only pays for its suffix
-                state.sta_stats = None
                 start = i + 1
                 break
 
@@ -195,18 +208,19 @@ def execute_pipeline(
     if report is None:
         report = StageReport()
     report.hit_stages.extend(stage.name for stage in stages[:start])
+    # the resumed prefix's (or partition flow's) logs are work done
+    # elsewhere; stages may insert their log ahead of an inherited one
+    inherited = {id(log) for log in state.result.logs}
 
     for i in range(start, len(stages)):
         stage = stages[i]
-        n_logs = len(state.result.logs)
         stage.run(state, options, stage_seeds[i], stop_callback=stop_callback)
         report.run_stages.append(stage.name)
-        report.executed_proxy += sum(
-            log.runtime_proxy for log in state.result.logs[n_logs:]
-        )
         if cache is not None and stage.cacheable:
-            cache.put(keys[i], stage.name, state)
+            cache.put(keys[i], stage.name, _snapshot(state, stages[i + 1:]))
 
+    report.executed_proxy += sum(log.runtime_proxy for log in state.result.logs
+                                 if id(log) not in inherited)
     if state.sta_stats is not None:
         report.sta_full += state.sta_stats.full_propagates
         report.sta_incremental += state.sta_stats.incremental_updates

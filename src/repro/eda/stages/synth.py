@@ -12,6 +12,7 @@ from repro.eda.synthesis import synthesize
 class SynthStage(FlowStage):
     name = "synth"
     knobs = ("synth_effort",)
+    reads = ("spec",)
     n_seeds = 1
 
     def run(

@@ -651,32 +651,37 @@ class SqliteStore(MetricsStore):
                            design: Optional[str] = None,
                            campaign: Optional[str] = None,
                            since: Optional[int] = None):
-        """SQL fast path: one join over ``vectors``, pivoted in numpy."""
+        """SQL fast path: one join over ``vectors``, pivoted in SQL.
+
+        A run holds each metric at most once (the table's key), so a
+        column's ``MAX(CASE ...)`` is that one stored value, and a run
+        whose group counts every distinct basis metric has them all."""
         import numpy as np
 
         names = list(metrics)
         if not names:
             raise ValueError("metrics basis must be non-empty")
+        distinct = sorted(set(names))
         where, params = self._run_filters(design, campaign, since)
-        placeholders = ",".join("?" for _ in names)
+        columns = ", ".join(
+            "MAX(CASE WHEN vectors.metric = ? THEN vectors.value END)"
+            for _ in names)
+        placeholders = ",".join("?" for _ in distinct)
         sql = (
-            "SELECT vectors.run_id, vectors.metric, vectors.value "
+            f"SELECT vectors.run_id, {columns} "
             "FROM vectors JOIN "
             f"(SELECT run_id FROM runs{where}) AS selected "
             "ON selected.run_id = vectors.run_id "
             f"WHERE vectors.metric IN ({placeholders}) "
-            "ORDER BY vectors.run_id, vectors.metric"
+            "GROUP BY vectors.run_id HAVING COUNT(*) = ? "
+            "ORDER BY vectors.run_id"
         )
         with self._lock:
-            rows = self._conn.execute(sql, params + names).fetchall()
-        col = {name: j for j, name in enumerate(names)}
-        by_run: Dict[str, list] = {}
-        for run_id, metric, value in rows:
-            by_run.setdefault(run_id, [None] * len(names))[col[metric]] = value
-        run_ids = [rid for rid in sorted(by_run)
-                   if all(v is not None for v in by_run[rid])]
-        matrix = (np.array([by_run[rid] for rid in run_ids], dtype=float)
-                  if run_ids else np.empty((0, len(names)), dtype=float))
+            rows = self._conn.execute(
+                sql, names + params + distinct + [len(distinct)]).fetchall()
+        run_ids = [row[0] for row in rows]
+        matrix = (np.array([row[1:] for row in rows], dtype=float)
+                  if rows else np.empty((0, len(names)), dtype=float))
         return run_ids, matrix
 
     # ------------------------------------------------------------ retention

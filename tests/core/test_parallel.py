@@ -46,6 +46,31 @@ def test_flow_result_json_round_trip(small_spec):
     assert flow_result_from_dict(flow_result_to_dict(result)) == result
 
 
+def test_disk_tier_loads_intern_log_keys(small_spec, tmp_path):
+    import sys
+
+    result = SPRFlow().run(small_spec, OPTS, seed=9)
+    ResultCache(cache_dir=str(tmp_path)).put("k", result)
+    loaded = ResultCache(cache_dir=str(tmp_path)).get("k")
+    assert loaded == result
+    for log in loaded.logs:
+        assert log.step is sys.intern(log.step)
+        for key in [*log.metrics, *log.series]:
+            assert key is sys.intern(key)
+
+
+def test_result_cache_malformed_log_is_a_miss(small_spec, tmp_path):
+    import json
+
+    result = SPRFlow().run(small_spec, OPTS, seed=9)
+    ResultCache(cache_dir=str(tmp_path)).put("k", result)
+    with open(tmp_path / "k.json") as fh:
+        data = json.load(fh)
+    data["logs"][0]["metrics"] = [1.0, 2.0]  # a list where a dict belongs
+    (tmp_path / "k.json").write_text(json.dumps(data))
+    assert ResultCache(cache_dir=str(tmp_path)).get("k") is None
+
+
 def test_result_cache_lru_eviction(small_spec):
     result = SPRFlow().run(small_spec, OPTS, seed=9)
     cache = ResultCache(max_entries=2)

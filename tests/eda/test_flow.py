@@ -78,6 +78,33 @@ def test_step_log_series_printed_in_sorted_order():
     assert series_lines[0].startswith("opt.area[0]")
 
 
+def test_step_log_pickle_interns_names_and_keys(flow_result):
+    """Unpickled logs are equal to the originals and share one copy of
+    each step name and metric/series key (results kept by a campaign
+    would otherwise each hold fresh copies)."""
+    import pickle
+    import sys
+
+    from repro.eda.flow import StepLog
+
+    loaded = pickle.loads(pickle.dumps(flow_result))
+    assert loaded == flow_result
+    assert loaded.log_text() == flow_result.log_text()
+    for log in loaded.logs:
+        assert log.step is sys.intern(log.step)
+        for key in [*log.metrics, *log.series]:
+            assert key is sys.intern(key)
+    # names built at run time are fresh objects until a load interns them
+    step, metric = "".join(["sign", "off"]), "".join(["ir_", "drop"])
+    log = StepLog(step, {metric: 1.5}, {metric: [2.0]}, runtime_proxy=3.0)
+    assert step is not sys.intern(step)
+    again = pickle.loads(pickle.dumps(log))
+    assert again == log
+    assert again.step is sys.intern(step)
+    assert next(iter(again.metrics)) is sys.intern(metric)
+    assert next(iter(again.series)) is sys.intern(metric)
+
+
 def test_flow_options_immutable_with_override():
     opts = FlowOptions(target_clock_ghz=0.7)
     faster = opts.with_(target_clock_ghz=0.9)

@@ -9,13 +9,16 @@ verbatim copy of the pre-refactor flow body.
 """
 
 import copy
+import dataclasses
+import pickle
 
 import pytest
 
-from repro.eda.flow import FlowOptions, SPRFlow
+from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
 from repro.eda.stages import (
     FULL_FLOW_STAGES,
     IMPLEMENT_STAGES,
+    PipelineState,
     StageCache,
     StageReport,
     execute_pipeline,
@@ -82,11 +85,12 @@ def test_netlist_job_leaves_its_input_untouched(library, small_spec):
 
 def test_stage_structure():
     assert [s.name for s in FULL_FLOW_STAGES] == [
-        "synth", "floorplan", "place", "cts", "groute", "opt", "droute_signoff",
+        "synth", "floorplan", "place", "cts", "groute", "opt", "signoff",
+        "droute_signoff",
     ]
     assert FULL_FLOW_STAGES[1:] == IMPLEMENT_STAGES
     assert all(s.cacheable for s in FULL_FLOW_STAGES[:-1])
-    assert not FULL_FLOW_STAGES[-1].cacheable  # droute+signoff is terminal
+    assert not FULL_FLOW_STAGES[-1].cacheable  # detailed routing is terminal
     # every declared knob is a real FlowOptions field, and every stage
     # can extract its subset
     fields = set(FlowOptions().to_dict())
@@ -98,10 +102,23 @@ def test_stage_structure():
 def test_plan_stages_entry_kinds(small_spec, small_netlist):
     kind, stages, seeds = plan_stages(small_spec, 3)
     assert kind == "spec" and stages == FULL_FLOW_STAGES
-    assert [len(s) for s in seeds] == [1, 0, 2, 1, 1, 1, 1]
+    assert [len(s) for s in seeds] == [1, 0, 2, 1, 1, 1, 0, 1]
     kind, stages, seeds = plan_stages(small_netlist, 3)
     assert kind == "netlist" and stages == IMPLEMENT_STAGES
-    assert [len(s) for s in seeds] == [0, 2, 1, 1, 1, 1]
+    assert [len(s) for s in seeds] == [0, 2, 1, 1, 1, 0, 1]
+
+
+def run_stages_through(design, options, seed, last):
+    """The full pipeline state of a cold run, just after stage ``last``."""
+    _, stages, stage_seeds = plan_stages(design, seed)
+    state = PipelineState(
+        result=FlowResult(design=design.name, options=options, seed=seed),
+        spec=design)
+    for stage, seeds in zip(stages, stage_seeds):
+        stage.run(state, options, seeds)
+        if stage.name == last:
+            return state
+    raise ValueError(f"no stage named {last!r}")
 
 
 # ------------------------------------------------------- prefix keys
@@ -158,7 +175,7 @@ def test_resume_from_cached_prefix_is_bit_identical(small_spec):
     assert report_a.hit_stages == []
     assert report_a.run_stages == [s.name for s in FULL_FLOW_STAGES]
 
-    # suffix-only change: resumes after the deepest shared stage (opt);
+    # suffix-only change: resumes after the deepest shared stage (signoff);
     # hit_stages lists every stage the resumed prefix covers
     routed = base.with_(router_effort=0.9, router_max_iterations=30)
     report_b = StageReport()
@@ -173,7 +190,7 @@ def test_resume_from_cached_prefix_is_bit_identical(small_spec):
     slow = base.with_(target_clock_ghz=0.4)
     resumed = execute_pipeline(small_spec, slow, 3, cache=cache, report=report_c)
     assert report_c.hit_stages == ["synth", "floorplan", "place", "cts", "groute"]
-    assert report_c.run_stages == ["opt", "droute_signoff"]
+    assert report_c.run_stages == ["opt", "signoff", "droute_signoff"]
     assert resumed == MonolithicSPRFlow().run(small_spec, slow, seed=3)
 
 
@@ -198,7 +215,7 @@ def test_repeat_job_reruns_only_the_uncacheable_suffix(small_spec):
     first = execute_pipeline(small_spec, FlowOptions(), 3, cache=cache)
     again = execute_pipeline(small_spec, FlowOptions(), 3, cache=cache,
                              report=report)
-    # resumed from the deepest cacheable prefix (through opt)
+    # resumed from the deepest cacheable prefix (through signoff)
     assert report.hit_stages == [s.name for s in FULL_FLOW_STAGES[:-1]]
     assert report.run_stages == ["droute_signoff"]
     assert again == first
@@ -224,13 +241,13 @@ def test_stage_cache_counts_and_lru(small_spec):
     cache = StageCache(max_entries=2)
     base = FlowOptions()
     execute_pipeline(small_spec, base, 3, cache=cache)
-    # only 2 of the 6 cacheable prefixes survive under max_entries=2
+    # only 2 of the 7 cacheable prefixes survive under max_entries=2
     assert len(cache) == 2
-    assert cache.puts == 6
+    assert cache.puts == 7
     report = StageReport()
     execute_pipeline(small_spec, base, 3, cache=cache, report=report)
-    # the deepest prefix (through opt) survived: LRU keeps the latest puts
-    assert report.hit_stages[-1] == "opt"
+    # the deepest prefix (through signoff) survived: LRU keeps the latest puts
+    assert report.hit_stages[-1] == "signoff"
     assert report.run_stages == ["droute_signoff"]
 
 
@@ -247,7 +264,7 @@ def test_stage_cache_isolation_between_jobs(small_spec):
     execute_pipeline(small_spec, base, 3, cache=cache)
     # two gets of one key hand out distinct objects; mutating the first
     # leaves the second intact
-    groute_key = stage_prefix_keys(small_spec, base, 3)[-3]
+    groute_key = keys_by_stage(small_spec, base, 3)["groute"]
     first = cache.get(groute_key, "groute")
     second = cache.get(groute_key, "groute")
     assert first is not second
@@ -275,31 +292,32 @@ def test_stage_cache_hit_miss_counters(small_spec):
     execute_pipeline(small_spec, FlowOptions(), 3, cache=cache)
     assert sum(cache.misses.values()) > 0 and sum(cache.hits.values()) == 0
     execute_pipeline(small_spec, FlowOptions(router_effort=0.9), 3, cache=cache)
-    assert cache.hits.get("opt") == 1
+    assert cache.hits.get("signoff") == 1
     cache.clear()
     assert len(cache) == 0
 
 
 def test_stage_cache_round_trips_ndarray_backed_timing_state(small_spec):
-    """Cached prefixes now carry numpy struct-of-arrays timing state.
+    """The cache round-trips numpy struct-of-arrays timing state.
 
     The opt stage leaves a live vectorized ``TimingGraph`` (array-backed
     arrival/slew maps, an id-keyed cell-attribute registry, a lazy SoA
-    topology) in the snapshot; the pickle round trip through put/get
-    must keep every alias between the artifacts (else ``TimingGraph``
-    would quietly rebuild its topology on the next construction) and
-    produce a kernel that keeps answering incremental queries
-    bit-identically — including after cell swaps, which stress the
-    copied registry.
+    topology) in the full pipeline state.  The pipeline's own snapshots
+    keep only what later stages read, which no longer includes the
+    graph, so the full state goes through put/get directly.  The pickle
+    round trip must keep every alias between the artifacts (else
+    ``TimingGraph`` would quietly rebuild its topology on the next
+    construction) and produce a kernel that keeps answering incremental
+    queries bit-identically — including after cell swaps, which stress
+    the copied registry.
     """
     from repro.eda.sta import GraphSTA
 
     cache = StageCache()
-    base = FlowOptions()
-    execute_pipeline(small_spec, base, 3, cache=cache)
-    opt_key = stage_prefix_keys(small_spec, base, 3)[-2]  # prefix through opt
-    cached_state = cache.get(opt_key, "opt")
-    assert cached_state is not None
+    state = run_stages_through(small_spec, FlowOptions(), 3, "opt")
+    cache.put("through-opt", "opt", state)
+    cached_state = cache.get("through-opt", "opt")
+    assert cached_state is not None and cached_state is not state
     graph = cached_state.timing_graph
     assert graph is not None
     # the copied kernel aliases the copied netlist, not the original,
@@ -335,6 +353,139 @@ def test_stage_cache_round_trips_ndarray_backed_timing_state(small_spec):
     updated = graph.report(1100.0)
     for name in updated.endpoints:
         assert updated.endpoints[name].slack == scratch.endpoints[name].slack
+
+
+# ------------------------------------------------- signoff ahead of routing
+#: the monolith's log order: routing is logged before signoff even though
+#: the staged flow signs off first
+STEP_ORDER = ["synth", "floorplan", "place", "cts", "groute", "opt", "droute",
+              "signoff"]
+
+#: the fields each stage fills in (the substrate doc's stage table)
+OUTPUTS = {
+    "synth": ("netlist",),
+    "floorplan": ("floorplan",),
+    "place": ("placement",),
+    "cts": ("clock_tree", "timing_topology"),
+    "groute": ("groute", "congestion"),
+    "opt": ("opt", "timing_graph"),
+    "signoff": (),
+    "droute_signoff": ("droute",),
+}
+
+
+def test_every_read_is_produced_upstream():
+    """``reads`` names PipelineState fields that the entry or an earlier
+    stage fills in: a resumed snapshot can only carry what exists."""
+    names = {f.name for f in dataclasses.fields(PipelineState)} - {"result"}
+    for stages, entry in ((FULL_FLOW_STAGES, "spec"), (IMPLEMENT_STAGES, "netlist")):
+        available = {entry}
+        for stage in stages:
+            assert set(stage.reads) <= names, stage.name
+            assert set(stage.reads) <= available, stage.name
+            available |= set(OUTPUTS[stage.name])
+
+
+def test_each_stage_needs_only_its_reads(small_spec):
+    """Run every stage twice from the same pre-stage state: once on the
+    full state, once on a state holding only ``result`` and its
+    ``reads``.  The results agree, and carrying on from the lean runs'
+    artifacts reproduces the monolith — so a snapshot cut to the reads
+    of the stages after it loses nothing."""
+    options = FlowOptions()
+    _, stages, stage_seeds = plan_stages(small_spec, 3)
+    state = PipelineState(
+        result=FlowResult(design=small_spec.name, options=options, seed=3),
+        spec=small_spec)
+    for stage, seeds in zip(stages, stage_seeds):
+        full = pickle.loads(pickle.dumps(state))
+        stage.run(full, options, seeds)
+        lean = PipelineState(result=state.result,
+                             **{name: getattr(state, name) for name in stage.reads})
+        stage.run(lean, options, seeds)
+        assert lean.result == full.result, stage.name
+        for name in OUTPUTS[stage.name]:
+            assert getattr(lean, name) is not None, (stage.name, name)
+            setattr(state, name, getattr(lean, name))
+    state.result.runtime_proxy = sum(log.runtime_proxy for log in state.result.logs)
+    assert state.result == MonolithicSPRFlow().run(small_spec, options, seed=3)
+
+
+def test_snapshots_keep_only_what_later_stages_read(small_spec):
+    cache = StageCache()
+    options = FlowOptions()
+    execute_pipeline(small_spec, options, 3, cache=cache)
+    _, stages, _ = plan_stages(small_spec, 3)
+    keys = stage_prefix_keys(small_spec, options, 3)
+    for i, stage in enumerate(stages[:-1]):
+        snapshot = cache.get(keys[i], stage.name)
+        held = {f.name for f in dataclasses.fields(snapshot)
+                if getattr(snapshot, f.name) is not None}
+        later = {name for after in stages[i + 1:] for name in after.reads}
+        assert held <= {"result"} | later, stage.name
+        assert "sta_stats" not in held
+    # after signoff only the router's congestion map is left to carry
+    assert held == {"result", "congestion"}
+
+
+def test_router_knob_resume_runs_only_detailed_routing(small_spec):
+    cache = StageCache()
+    base = FlowOptions()
+    execute_pipeline(small_spec, base, 3, cache=cache)
+    routed = base.with_(router_effort=0.9, router_max_iterations=30)
+    report = StageReport()
+    resumed = execute_pipeline(small_spec, routed, 3, cache=cache, report=report)
+    assert report.hit_stages == [s.name for s in FULL_FLOW_STAGES[:-1]]
+    assert report.run_stages == ["droute_signoff"]
+    assert report.sta_full == 0 and report.sta_incremental == 0
+    droute = next(log for log in resumed.logs if log.step == "droute")
+    assert report.executed_proxy == droute.runtime_proxy
+    assert resumed == MonolithicSPRFlow().run(small_spec, routed, seed=3)
+
+
+def test_cold_run_executed_proxy_is_the_result_proxy(small_spec):
+    report = StageReport()
+    result = execute_pipeline(small_spec, FlowOptions(), 3, cache=StageCache(),
+                              report=report)
+    assert report.executed_proxy == result.runtime_proxy
+
+
+def test_logs_keep_the_monolith_order(small_spec, small_netlist):
+    cache = StageCache()
+    base = FlowOptions()
+    results = [execute_pipeline(small_spec, options, 3, cache=cache)
+               for options in (base, base.with_(router_effort=0.9),
+                                base.with_(target_clock_ghz=0.4))]
+    for result in results:
+        assert [log.step for log in result.logs] == STEP_ORDER
+    implemented = SPRFlow().implement(small_netlist, base, seed=3)
+    assert [log.step for log in implemented.logs] == STEP_ORDER[1:]
+
+
+def stop_after_two_passes(history):
+    return len(history) > 2
+
+
+def test_kill_on_a_signoff_resume_matches_monolith(small_spec):
+    """A doomed-run kill fires inside detailed routing; on a job resumed
+    after signoff it must cut the same run short as the monolith does,
+    and the executor must still see it as a kill."""
+    from repro.core.parallel import FlowExecutor, FlowJob
+
+    base = FlowOptions(router_max_iterations=30)
+    points = [base.with_(router_effort=effort) for effort in (0.3, 0.5, 0.7)]
+    with FlowExecutor(n_workers=1, cache=False, stage_cache=True) as executor:
+        killed = executor.run_jobs(
+            [FlowJob(small_spec, options, 3) for options in points],
+            stop_callback=stop_after_two_passes)
+    golden = [MonolithicSPRFlow(stop_callback=stop_after_two_passes).run(
+        small_spec, options, seed=3) for options in points]
+    assert killed == golden
+    assert executor.stats.stage_hits_by_stage.get("signoff") == 2
+    assert executor.stats.stage_misses_by_stage.get("signoff") == 1
+    assert not any(result.routed for result in killed)
+    assert executor.stats.kills == sum(result.final_drvs > 0 for result in killed)
+    assert executor.stats.kills > 0
 
 
 def test_external_synth_log_disables_caching(small_spec, small_netlist):
