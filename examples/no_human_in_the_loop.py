@@ -31,7 +31,7 @@ from repro.core.doomed import MDPCardLearner, make_stop_callback
 from repro.core.orchestration import TimingClosureRobot
 from repro.core.prediction import FloorplanDoomPredictor
 from repro.dse import DSEEngine
-from repro.eda import FlowOptions, SPRFlow
+from repro.eda import FlowOptions
 from repro.eda.floorplan import make_floorplan
 from repro.eda.library import make_default_library
 from repro.eda.mmmc import MMMCAnalyzer
@@ -76,10 +76,10 @@ def main() -> None:
     env = FlowArmEnvironment(
         spec, [0.5, 0.6, 0.7, 0.78, 0.86], base_options=base, seed=3
     )
-    env.flow = SPRFlow(stop_callback=guard)  # guarded tool runs
     policy = ThompsonSampling(env.n_arms, seed=4)
     result = DSEEngine(
-        strategy="bandit", params={"n_iterations": 10, "n_concurrent": 3}
+        strategy="bandit", kill_policy=guard,  # guarded tool runs
+        params={"n_iterations": 10, "n_concurrent": 3},
     ).run((policy, env))
     # exploit: the fastest arm the campaign showed to be reliably feasible
     pulls = np.bincount([r.arm for r in result.records], minlength=env.n_arms)

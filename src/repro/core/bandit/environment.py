@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
+from repro.core.parallel import FlowExecutionError, FlowExecutor, FlowJob
+from repro.eda.flow import FlowOptions, FlowResult
 from repro.eda.synthesis import DesignSpec
 
 
@@ -138,7 +139,6 @@ class FlowArmEnvironment(BanditEnvironment):
         self.max_power = max_power
         self.n_arms = len(freqs)
         self.rng = np.random.default_rng(seed)
-        self.flow = SPRFlow()
         self._f_max = max(freqs)
         self.history: List[FlowPullInfo] = []
 
@@ -146,41 +146,28 @@ class FlowArmEnvironment(BanditEnvironment):
         return f"{self.frequencies[arm]:.3f}GHz"
 
     def pull(self, arm: int):
-        options = self.base_options.with_(target_clock_ghz=self.frequencies[arm])
-        result = self.flow.run(self.spec, options, seed=int(self.rng.integers(0, 2**31 - 1)))
-        return self._score_pull(arm, result)
+        return self.pull_batch([arm])[0]
 
     def pull_batch(self, arms: Sequence[int], executor=None, stop_callback=None):
         """Run one license-batch of flow pulls, optionally in parallel.
 
         Seeds are drawn from the environment rng in slot order before
         any run launches, so outcomes are bit-identical to serial
-        :meth:`pull` calls regardless of worker count.  With a
-        ``stop_callback`` (an online kill policy), doomed pulls are
-        terminated mid-route on both the serial and executor paths.
+        :meth:`pull` calls regardless of worker count.  Without an
+        ``executor`` the batch runs on a private serial one with no
+        result cache.  With a ``stop_callback`` (an online kill
+        policy), doomed pulls are terminated mid-route.  A run that
+        fails to execute is an unsuccessful pull (see
+        :class:`FlowPullInfo`).
 
         Stage-cache note: because every pull gets a fresh seed (the
         bit-identity contract above), an executor's ``stage_cache=True``
         can only reuse prefixes across *identical* ``(options, seed)``
-        pulls here; the executor still reports per-job
-        ``exec.stage.*`` accounting when it is on.  Fixed-seed
-        suffix-knob sweeps are the access pattern it accelerates.
+        pulls here.  Fixed-seed suffix-knob sweeps are the access
+        pattern it accelerates.
         """
         if executor is None:
-            if stop_callback is None:
-                return [self.pull(arm) for arm in arms]
-            # same seed stream as pull(), through a killing flow
-            flow = SPRFlow(stop_callback=stop_callback)
-            outcomes = []
-            for arm in arms:
-                options = self.base_options.with_(
-                    target_clock_ghz=self.frequencies[arm])
-                result = flow.run(self.spec, options,
-                                  seed=int(self.rng.integers(0, 2**31 - 1)))
-                outcomes.append(self._score_pull(arm, result))
-            return outcomes
-        from repro.core.parallel import FlowExecutionError, FlowJob
-
+            executor = FlowExecutor(n_workers=1, cache=None)
         jobs = [
             FlowJob(
                 self.spec,

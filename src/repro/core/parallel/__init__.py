@@ -30,11 +30,7 @@ from repro.core.parallel.executor import (
     FlowJob,
     run_flow_job,
 )
-from repro.eda.stages.runner import (
-    StagedJobOutcome,
-    StageReport,
-    run_flow_job_staged,
-)
+from repro.eda.stages.runner import StagedJobOutcome, StageReport
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -53,6 +49,5 @@ __all__ = [
     "flow_result_to_dict",
     "get_stage_cache",
     "run_flow_job",
-    "run_flow_job_staged",
     "stage_prefix_keys",
 ]

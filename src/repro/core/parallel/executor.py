@@ -38,14 +38,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.parallel.cache import CACHE_SCHEMA, ResultCache, cache_key
-from repro.eda.flow import FlowOptions, FlowResult, SPRFlow, _default_library
+from repro.eda.flow import FlowOptions, FlowResult, _default_library
 from repro.eda.netlist import Netlist
-from repro.eda.stages.cache import configure_stage_cache
-from repro.eda.stages.runner import (
-    StagedJobOutcome,
-    StageReport,
-    run_flow_job_staged,
-)
+from repro.eda.stages.cache import configure_stage_cache, get_stage_cache
+from repro.eda.stages.runner import StagedJobOutcome, StageReport, execute_pipeline
 from repro.eda.synthesis import DesignSpec
 
 Design = Union[DesignSpec, Netlist]
@@ -181,17 +177,23 @@ def _kill_proxy_saved(result: FlowResult) -> Optional[float]:
 
 
 def run_flow_job(design: Design, options: FlowOptions, seed: int,
-                 stop_callback=None) -> FlowResult:
+                 stop_callback=None, stage_cache: bool = False) -> StagedJobOutcome:
     """Execute one flow job (module-level, hence picklable).
 
     ``DesignSpec`` inputs go through the full flow (synthesis
     included); ``Netlist`` inputs go straight to physical
-    implementation — the partition-driven entry point.
+    implementation — the partition-driven entry point.  The result
+    comes back with the job's :class:`StageReport`.  With
+    ``stage_cache`` the job resumes from this process's stage cache
+    (see :func:`~repro.eda.stages.cache.get_stage_cache`); when none is
+    configured it runs every stage.
     """
-    flow = SPRFlow(stop_callback=stop_callback)
-    if isinstance(design, Netlist):
-        return flow.implement(design, options, seed=seed)
-    return flow.run(design, options, seed=seed)
+    report = StageReport()
+    result = execute_pipeline(
+        design, options, seed, stop_callback=stop_callback,
+        cache=get_stage_cache() if stage_cache else None, report=report,
+    )
+    return StagedJobOutcome(result=result, report=report)
 
 
 class FlowExecutor:
@@ -215,9 +217,9 @@ class FlowExecutor:
     max_retries:
         resubmissions allowed per job after a worker crash.
     flow_fn:
-        the job function, ``(design, options, seed, stop_callback) ->
-        FlowResult``.  Defaults to :func:`run_flow_job`; tests inject
-        crashing/slow stand-ins here.
+        the job function, ``(design, options, seed, stop_callback,
+        stage_cache) -> StagedJobOutcome``.  Defaults to
+        :func:`run_flow_job`; tests inject crashing/slow stand-ins here.
     collector:
         an optional :class:`~repro.metrics.MetricsCollector`.  When
         set, every flow job reports into its server: executed jobs
@@ -234,14 +236,14 @@ class FlowExecutor:
         coordinator-side event records alike — is stamped with it on
         ingest, so multi-session warehouses stay sliceable by campaign.
     stage_cache:
-        enable the stage-prefix cache: jobs run through the staged
-        pipeline and resume from the deepest cached prefix snapshot,
+        enable the stage-prefix cache: every job carries this flag to
+        ``flow_fn`` and resumes from the deepest cached prefix snapshot,
         re-running only the changed suffix (see ``docs/parallel.md``).
         Serial mode shares one process-global
         :class:`~repro.eda.stages.cache.StageCache` (reset when the
         executor is constructed); pool mode gives each worker its own.
-        Only the default ``flow_fn`` is stage-aware — injecting a
-        custom ``flow_fn`` bypasses staging.
+        ``stats``' stage counters count only on a stage-caching
+        executor; the per-job records report every job's stages.
     stage_cache_entries:
         LRU capacity of the stage cache (pipeline-state snapshots held
         per process).
@@ -399,14 +401,10 @@ class FlowExecutor:
         hit_tier: List[Optional[str]] = [None] * len(jobs)
         deduped: List[bool] = [False] * len(jobs)
         job_attempts: List[int] = [0] * len(jobs)
-        stage_reports: List[Optional[StageReport]] = [None] * len(jobs)
-        executed_work: List[float] = [0.0] * len(jobs)
+        # cache-served, deduped and failed slots keep an empty report
+        reports = [StageReport() for _ in jobs]
         killed: List[bool] = [False] * len(jobs)
         kill_saved: List[float] = [0.0] * len(jobs)
-        # only the default job function is stage-aware; an injected
-        # flow_fn (test stand-ins) keeps its exact call contract
-        staged = self.stage_cache and self.flow_fn is run_flow_job
-        job_fn = run_flow_job_staged if staged else self.flow_fn
 
         # cache lookups + within-batch dedup
         to_run: List[int] = []        # job indices that must execute
@@ -434,31 +432,24 @@ class FlowExecutor:
                 leader_of_key[key] = i
             to_run.append(i)
 
-        if run_ids is None:
-            tasks = [(jobs[i].design, jobs[i].options, jobs[i].seed, stop_callback)
-                     for i in to_run]
-            fn = job_fn if staged else None
-        else:
+        tasks = [(jobs[i].design, jobs[i].options, jobs[i].seed, stop_callback,
+                  self.stage_cache) for i in to_run]
+        fn = self.flow_fn
+        if run_ids is not None:
             # workers report step metrics themselves, through the queue
             from repro.metrics.collector import run_instrumented_flow_job
 
-            tasks = [(self.collector.queue, run_ids[i], job_fn,
-                      jobs[i].design, jobs[i].options, jobs[i].seed, stop_callback)
-                     for i in to_run]
+            tasks = [(self.collector.queue, run_ids[i], self.flow_fn) + task
+                     for i, task in zip(to_run, tasks)]
             fn = run_instrumented_flow_job
         attempts_out: List[int] = []
         executed = self._execute(tasks, indices=to_run, fn=fn,
                                  attempts_out=attempts_out)
         for i, outcome, n_attempts in zip(to_run, executed, attempts_out):
-            if isinstance(outcome, StagedJobOutcome):
-                stage_reports[i] = outcome.report
-                outcome = outcome.result
-            results[i] = outcome
             job_attempts[i] = n_attempts
-            if isinstance(outcome, FlowResult):
-                report = stage_reports[i]
-                executed_work[i] = (report.executed_proxy if report is not None
-                                    else outcome.runtime_proxy)
+            if not isinstance(outcome, FlowExecutionError):
+                reports[i] = outcome.report
+                outcome = outcome.result
                 if stop_callback is not None:
                     saved = _kill_proxy_saved(outcome)
                     if saved is not None:
@@ -468,15 +459,15 @@ class FlowExecutor:
                         self.stats.kill_proxy_saved += saved
                 if self.cache is not None:
                     self.cache.put(keys[i], outcome)
+            results[i] = outcome
             for j in followers.get(i, ()):
                 results[j] = outcome
 
-        for i, outcome in enumerate(results):
+        for outcome, report in zip(results, reports):
             if isinstance(outcome, FlowResult):
                 self.stats.runtime_proxy_total += outcome.runtime_proxy
-            self.stats.runtime_proxy_executed += executed_work[i]
-            report = stage_reports[i]
-            if report is not None:
+            self.stats.runtime_proxy_executed += report.executed_proxy
+            if self.stage_cache:
                 self.stats.stage_hits += report.n_hits
                 self.stats.stage_misses += report.n_misses
                 for name in report.hit_stages:
@@ -489,8 +480,7 @@ class FlowExecutor:
         self.stats.wall_time_s += wall
         if run_ids is not None:
             self._report_batch(jobs, run_ids, results, hit_tier, deduped,
-                               job_attempts, wall, stage_reports, executed_work,
-                               killed, kill_saved)
+                               job_attempts, wall, reports, killed, kill_saved)
         return results  # type: ignore[return-value]
 
     def run_one(
@@ -528,25 +518,17 @@ class FlowExecutor:
         return [make_run_id(job.design, job.options, job.seed) for job in jobs]
 
     def _report_batch(self, jobs, run_ids, results, hit_tier, deduped,
-                      job_attempts, wall: float, stage_reports=None,
-                      executed_work=None, killed=None, kill_saved=None) -> None:
+                      job_attempts, wall: float, reports, killed,
+                      kill_saved) -> None:
         """Emit per-job executor-event records, and re-report cache-served
         results whose step metrics may predate this server (disk tier)."""
         from repro.metrics.collector import QueueTransmitter
         from repro.metrics.wrappers import report_flow_metrics
 
-        if stage_reports is None:
-            stage_reports = [None] * len(jobs)
-        if executed_work is None:
-            executed_work = [0.0] * len(jobs)
-        if killed is None:
-            killed = [False] * len(jobs)
-        if kill_saved is None:
-            kill_saved = [0.0] * len(jobs)
         for i, job in enumerate(jobs):
             outcome = results[i]
             failed = isinstance(outcome, FlowExecutionError)
-            report = stage_reports[i]
+            report = reports[i]
             design_name = job.design.name
             with QueueTransmitter(self.collector.queue, design_name,
                                   run_ids[i], tool="flow_executor") as tx:
@@ -561,19 +543,13 @@ class FlowExecutor:
                 tx.send("exec.runtime_proxy",
                         0.0 if failed else outcome.runtime_proxy)
                 tx.send("exec.wall_time", wall)
-                tx.send("exec.stage.hit",
-                        float(report.n_hits if report is not None else 0))
-                tx.send("exec.stage.miss",
-                        float(report.n_misses if report is not None else 0))
-                tx.send("stage.runtime_proxy", float(executed_work[i]))
-                tx.send("sta.full",
-                        float(report.sta_full if report is not None else 0))
-                tx.send("sta.incremental.updates",
-                        float(report.sta_incremental if report is not None else 0))
-                tx.send("sta.incremental.nodes",
-                        float(report.sta_nodes if report is not None else 0))
-                tx.send("sta.incremental.proxy_saved",
-                        float(report.sta_proxy_saved if report is not None else 0.0))
+                tx.send("exec.stage.hit", float(report.n_hits))
+                tx.send("exec.stage.miss", float(report.n_misses))
+                tx.send("stage.runtime_proxy", float(report.executed_proxy))
+                tx.send("sta.full", float(report.sta_full))
+                tx.send("sta.incremental.updates", float(report.sta_incremental))
+                tx.send("sta.incremental.nodes", float(report.sta_nodes))
+                tx.send("sta.incremental.proxy_saved", float(report.sta_proxy_saved))
                 tx.send("exec.killed.run", float(killed[i]))
                 tx.send("exec.killed.proxy_saved", float(kill_saved[i]))
             if hit_tier[i] is not None and not failed:
@@ -581,10 +557,8 @@ class FlowExecutor:
                                       run_ids[i], tool="spr_flow") as tx:
                     report_flow_metrics(tx, outcome)
 
-    def _execute(self, tasks: List[Tuple], indices: List[int],
-                 fn: Optional[Callable] = None,
+    def _execute(self, tasks: List[Tuple], indices: List[int], fn: Callable,
                  attempts_out: Optional[List[int]] = None) -> List[object]:
-        fn = fn or self.flow_fn
         if attempts_out is None:
             attempts_out = []
         if not tasks:

@@ -95,8 +95,8 @@ class FloorplanDoomPredictor:
     def fit_from_results(self, results: Sequence[FlowResult]) -> "FloorplanDoomPredictor":
         rows, labels = [], []
         for result in results:
-            synth_log = next(log for log in result.logs if log.step == "synth")
-            rows.append(_featurize(synth_log.metrics, result.options))
+            synth_step = next(log for log in result.logs if log.step == "synth")
+            rows.append(_featurize(synth_step.metrics, result.options))
             labels.append(1 if result.routed else 0)
         if len(set(labels)) < 2:
             raise ValueError("training runs must include both routed and unrouted flows")
@@ -137,8 +137,8 @@ class FloorplanDoomPredictor:
             raise RuntimeError("predictor is not fitted")
         tp = fp = tn = fn = 0
         for result in results:
-            synth_log = next(log for log in result.logs if log.step == "synth")
-            row = _featurize(synth_log.metrics, result.options)
+            synth_step = next(log for log in result.logs if log.step == "synth")
+            row = _featurize(synth_step.metrics, result.options)
             p = float(self.model.predict_proba(self.scaler.transform(np.array([row])))[0])
             predicted_ok = p >= self.threshold
             if predicted_ok and result.routed:

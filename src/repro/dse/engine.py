@@ -12,8 +12,11 @@ Two campaign-level services plug in here rather than per strategy:
 
 * an optional online **kill policy** (:mod:`repro.dse.kill`) becomes
   the executor ``stop_callback`` — doomed runs are terminated
-  mid-route and the saved runtime proxy is read back from
-  :class:`~repro.core.parallel.ExecutorStats` into the result;
+  mid-route;
+* the executor's accounting (kills and the proxy they saved, the work
+  actually executed, stage-cache hits) is read back from
+  :class:`~repro.core.parallel.ExecutorStats` into the result as this
+  campaign's deltas, whatever the strategy;
 * an optional **surrogate proposer** (:mod:`repro.dse.surrogate`)
   trains on the campaign's METRICS run vectors and biases candidate
   generation in the strategies that refill populations.
@@ -25,8 +28,10 @@ summary is emitted as first-class ``dse.*`` records.
 from __future__ import annotations
 
 import math
+from copy import copy
 from typing import Callable, Dict, Optional
 
+from repro.core.parallel import ExecutorStats
 from repro.dse.budget import Budget, BudgetTracker
 from repro.dse.objective import Objective, resolve_objective
 from repro.dse.registry import get_strategy, load_builtin_strategies
@@ -109,16 +114,16 @@ class DSEEngine:
             stop_callback=self.kill_policy,
             surrogate=self.surrogate,
         )
-        kills_before = kill_saved_before = 0.0
-        if ctx.executor is not None:
-            kills_before = ctx.executor.stats.kills
-            kill_saved_before = ctx.executor.stats.kill_proxy_saved
+        # a strategy may create the executor (get_executor): it starts at zero
+        before = ExecutorStats() if ctx.executor is None else copy(ctx.executor.stats)
         result = self.strategy.run(task, ctx)
         if ctx.executor is not None:
-            result.n_killed = ctx.executor.stats.kills - int(kills_before)
-            result.kill_proxy_saved = (
-                ctx.executor.stats.kill_proxy_saved - kill_saved_before
-            )
+            after = ctx.executor.stats
+            result.n_killed = after.kills - before.kills
+            result.kill_proxy_saved = after.kill_proxy_saved - before.kill_proxy_saved
+            result.runtime_proxy_executed = (
+                after.runtime_proxy_executed - before.runtime_proxy_executed)
+            result.stage_hits = after.stage_hits - before.stage_hits
         if self.surrogate is not None:
             result.surrogate_fit = self.surrogate.fit_score
         self._report(task, seed, result, ctx)

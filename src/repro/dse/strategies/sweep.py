@@ -49,8 +49,6 @@ class SweepStrategy(Strategy):
         # before any outcome is known
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in points]
         executor = ctx.get_executor()
-        executed_before = executor.stats.runtime_proxy_executed
-        stage_hits_before = executor.stats.stage_hits
         result = DSEResult(method=self.name, objective=objective.name,
                            best_score=-np.inf, n_concurrent=n_concurrent)
         best_key = -np.inf
@@ -85,9 +83,5 @@ class SweepStrategy(Strategy):
                     result.best_result = run
                     result.best_score = objective.value(run)
                 result.trace.append(result.best_score)
-        result.runtime_proxy_executed = (
-            executor.stats.runtime_proxy_executed - executed_before
-        )
-        result.stage_hits = executor.stats.stage_hits - stage_hits_before
         result.pareto = front
         return result

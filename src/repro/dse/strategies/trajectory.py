@@ -14,8 +14,8 @@ opt-in per campaign.
 With an executor's ``stage_cache=True`` a fresh seed per slot per round
 changes every stage's derived step seeds, so the prefix cache only pays
 off here on revisited ``(trajectory, seed)`` points, like the whole-run
-cache; ``runtime_proxy_executed`` and ``stage_hits`` report the saved
-work either way.
+cache; the engine's ``runtime_proxy_executed`` and ``stage_hits``
+report the saved work either way.
 """
 
 from __future__ import annotations
@@ -25,17 +25,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.parallel import FlowExecutionError, FlowJob
+from repro.core.parallel.executor import _kill_proxy_saved
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
 from repro.eda.flow import FlowResult
-
-
-def _was_pruned(run: FlowResult) -> bool:
-    for log in run.logs:
-        if log.step == "droute":
-            iterations = log.metrics.get("iterations", 0)
-            return iterations < run.options.router_max_iterations and run.final_drvs > 0
-    return False
 
 
 @register_strategy
@@ -61,8 +54,6 @@ class TrajectoryStrategy(Strategy):
         space, objective = ctx.space, ctx.objective
         rng = np.random.default_rng(ctx.seed)
         executor = ctx.get_executor()
-        executed_before = executor.stats.runtime_proxy_executed
-        stage_hits_before = executor.stats.stage_hits
         trajectories = [space.sample(rng) for _ in range(n_concurrent)]
         result = DSEResult(method=self.name, objective=objective.name,
                            best_score=-np.inf)
@@ -90,8 +81,7 @@ class TrajectoryStrategy(Strategy):
                     continue
                 result.total_runtime_proxy += run.runtime_proxy
                 ctx.tracker.charge_proxy(run.runtime_proxy)
-                if any(log.step == "droute" and log.metrics.get("success", 1) == 0
-                       and run.final_drvs > 0 for log in run.logs) and _was_pruned(run):
+                if _kill_proxy_saved(run) is not None:
                     result.n_pruned += 1
                 key = objective.key(run)
                 scored.append((key, trajectory, run))
@@ -119,9 +109,5 @@ class TrajectoryStrategy(Strategy):
                     trajectories.append(ctx.surrogate.propose(space, donor, rng))
                 else:
                     trajectories.append(space.perturb(donor, rng))
-        result.runtime_proxy_executed = (
-            executor.stats.runtime_proxy_executed - executed_before
-        )
-        result.stage_hits = executor.stats.stage_hits - stage_hits_before
         result.pareto = front
         return result

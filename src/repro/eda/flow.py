@@ -237,15 +237,8 @@ class SPRFlow:
         return execute_pipeline(spec, options, seed,
                                 stop_callback=self.stop_callback)
 
-    def implement(
-        self,
-        netlist: Netlist,
-        options: FlowOptions,
-        seed: int = 0,
-        design_name: Optional[str] = None,
-        synth_log: Optional[StepLog] = None,
-        result_seed: Optional[int] = None,
-    ) -> FlowResult:
+    def implement(self, netlist: Netlist, options: FlowOptions,
+                  seed: int = 0) -> FlowResult:
         """Physical implementation of an existing netlist.
 
         The entry point partition-driven flows use: each block netlist
@@ -253,19 +246,11 @@ class SPRFlow:
         route -> opt -> signoff on its own.  The flow works on a private
         copy: ``netlist`` itself is never modified, so repeating a call
         repeats its result.
-
-        ``result_seed`` is the seed *reported* in the result (and its
-        log header): :meth:`run` reports the caller's flow seed so
-        ``FlowResult.seed`` always reproduces the run through the same
-        entry point, while ``seed`` keeps driving step-seed derivation
-        unchanged.
         """
         from repro.eda.stages.runner import execute_pipeline
 
         return execute_pipeline(netlist, options, seed,
-                                stop_callback=self.stop_callback,
-                                design_name=design_name, synth_log=synth_log,
-                                result_seed=result_seed)
+                                stop_callback=self.stop_callback)
 
 
 _LIBRARY = None

@@ -37,7 +37,6 @@ from repro.eda.stages.runner import (
     StageReport,
     execute_pipeline,
     plan_stages,
-    run_flow_job_staged,
 )
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "execute_pipeline",
     "get_stage_cache",
     "plan_stages",
-    "run_flow_job_staged",
     "stage_prefix_keys",
 ]

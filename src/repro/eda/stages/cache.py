@@ -31,9 +31,11 @@ The bytes never leave the process (no disk, no IPC): the cache only
 unpickles what its own ``put`` wrote.
 
 One process-global instance (:func:`configure_stage_cache` /
-:func:`get_stage_cache`) serves :func:`run_flow_job_staged` so pool
-workers — which receive jobs as picklable tuples — can share hits
-across the jobs they execute without any cross-process traffic.
+:func:`get_stage_cache`) serves the jobs of a stage-caching executor
+(:func:`~repro.core.parallel.executor.run_flow_job` reads it only when
+the job carries ``stage_cache=True``), so pool workers — which receive
+jobs as picklable tuples — can share hits across the jobs they execute
+without any cross-process traffic.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.eda.flow import FlowOptions, FlowResult, StepLog
+from repro.eda.flow import FlowOptions, FlowResult
 from repro.eda.netlist import Netlist
 from repro.eda.stages.base import FlowStage, PipelineState
-from repro.eda.stages.cache import StageCache, get_stage_cache, stage_prefix_keys
+from repro.eda.stages.cache import StageCache, stage_prefix_keys
 from repro.eda.stages.cts import CtsStage
 from repro.eda.stages.droute import DrouteSignoffStage, SignoffStage
 from repro.eda.stages.floorplan import FloorplanStage
@@ -122,14 +122,11 @@ class StageReport:
 
 @dataclass
 class StagedJobOutcome:
-    """What :func:`run_flow_job_staged` returns: result + accounting."""
+    """What :func:`~repro.core.parallel.executor.run_flow_job` returns:
+    result + accounting."""
 
     result: FlowResult
     report: StageReport
-
-
-def _design_name(design: Design) -> str:
-    return design.name
 
 
 def _snapshot(state: PipelineState, later: Sequence[FlowStage]) -> PipelineState:
@@ -147,9 +144,6 @@ def execute_pipeline(
     options: FlowOptions,
     seed: int = 0,
     stop_callback=None,
-    design_name: Optional[str] = None,
-    synth_log: Optional[StepLog] = None,
-    result_seed: Optional[int] = None,
     cache: Optional[StageCache] = None,
     report: Optional[StageReport] = None,
 ) -> FlowResult:
@@ -158,16 +152,11 @@ def execute_pipeline(
     With a ``cache``, the job resumes from its deepest cached prefix
     snapshot and re-runs only the suffix; every executed cacheable
     stage's post-state is snapshotted for later jobs, keeping only
-    ``result`` and the fields a later stage reads.  An externally
-    supplied ``synth_log`` (partition-driven flows) is not part of any
-    key, so such runs bypass the cache entirely.  A ``Netlist`` design
-    is copied, never modified.
+    ``result`` and the fields a later stage reads.  A ``Netlist``
+    design is copied, never modified.
     """
     kind, stages, stage_seeds = plan_stages(design, seed)
-    if synth_log is not None:
-        cache = None
     keys = stage_prefix_keys(design, options, seed) if cache is not None else None
-    reported_seed = seed if result_seed is None else result_seed
 
     state: Optional[PipelineState] = None
     start = 0
@@ -181,17 +170,14 @@ def execute_pipeline(
                 # the snapshot carries the *creating* job's identity
                 # fields; the artifacts only depend on the matching
                 # knob prefix, so rebadge them for this job
-                state.result.design = design_name or _design_name(design)
+                state.result.design = design.name
                 state.result.options = options
-                state.result.seed = reported_seed
+                state.result.seed = seed
                 start = i + 1
                 break
 
     if state is None:
-        result = FlowResult(
-            design=design_name or _design_name(design), options=options,
-            seed=reported_seed,
-        )
+        result = FlowResult(design=design.name, options=options, seed=seed)
         state = PipelineState(result=result)
         if kind == "netlist":
             # stages mutate the netlist in place (the optimizer resizes
@@ -200,16 +186,14 @@ def execute_pipeline(
             # stage-cache snapshot
             state.netlist = pickle.loads(
                 pickle.dumps(design, protocol=pickle.HIGHEST_PROTOCOL))
-            if synth_log is not None:
-                result.logs.append(synth_log)
         else:
             state.spec = design
 
     if report is None:
         report = StageReport()
     report.hit_stages.extend(stage.name for stage in stages[:start])
-    # the resumed prefix's (or partition flow's) logs are work done
-    # elsewhere; stages may insert their log ahead of an inherited one
+    # the resumed prefix's logs are work done elsewhere; stages may
+    # insert their log ahead of an inherited one
     inherited = {id(log) for log in state.result.logs}
 
     for i in range(start, len(stages)):
@@ -230,20 +214,3 @@ def execute_pipeline(
     state.result.runtime_proxy = sum(log.runtime_proxy for log in state.result.logs)
     return state.result
 
-
-def run_flow_job_staged(
-    design: Design, options: FlowOptions, seed: int, stop_callback=None
-) -> StagedJobOutcome:
-    """Stage-cached drop-in for
-    :func:`~repro.core.parallel.executor.run_flow_job` (module-level,
-    hence picklable).  Uses the process-global stage cache — in pool
-    mode that is each worker's own cache, configured by the executor's
-    worker initializer; when none is configured the pipeline simply
-    runs every stage.
-    """
-    report = StageReport()
-    result = execute_pipeline(
-        design, options, seed, stop_callback=stop_callback,
-        cache=get_stage_cache(), report=report,
-    )
-    return StagedJobOutcome(result=result, report=report)

@@ -206,23 +206,18 @@ class MetricsCollector:
 
 
 def run_instrumented_flow_job(queue, run_id, flow_fn, design, options, seed,
-                              stop_callback=None):
+                              stop_callback=None, stage_cache=False):
     """Worker-side wrapper: run one flow job and transmit its metrics.
 
     Module-level (hence picklable) so :class:`FlowExecutor` can submit
     it to a process pool.  The flow's step metrics go onto ``queue``
-    under ``run_id`` via a :class:`QueueTransmitter`; the result is
-    returned unchanged, so executor semantics (ordering, caching,
-    failure slots) are identical with and without instrumentation.  A
-    crash in ``flow_fn`` propagates before anything is transmitted.
+    under ``run_id`` via a :class:`QueueTransmitter`; the job's outcome
+    (result and stage report) is returned unchanged, so executor
+    semantics (ordering, caching, failure slots) are identical with and
+    without instrumentation.  A crash in ``flow_fn`` propagates before
+    anything is transmitted.
     """
-    from repro.eda.stages.runner import StagedJobOutcome
-
-    outcome = flow_fn(design, options, seed, stop_callback)
-    # a stage-cached job returns (result, stage report); report the
-    # result's metrics but hand the full outcome back to the executor,
-    # which needs the report for its saved-work accounting
-    result = outcome.result if isinstance(outcome, StagedJobOutcome) else outcome
-    with QueueTransmitter(queue, result.design, run_id, tool="spr_flow") as tx:
-        report_flow_metrics(tx, result)
+    outcome = flow_fn(design, options, seed, stop_callback, stage_cache)
+    with QueueTransmitter(queue, outcome.result.design, run_id, tool="spr_flow") as tx:
+        report_flow_metrics(tx, outcome.result)
     return outcome

@@ -7,11 +7,12 @@ intervention."  :class:`AdaptiveFlowSession` is that loop: seed runs
 populate the server, the miner recommends settings, the flow runs them,
 and each result immediately improves the next recommendation.
 
-With a :class:`~repro.core.parallel.FlowExecutor`, the seed phase runs
-as one parallel batch (adaptive runs stay sequential — each needs the
-miner refreshed with the previous result).  Option settings and run
-seeds are drawn from the session rng in the same order as the serial
-loop, so campaign results are bit-identical at any worker count.
+Runs go through a :class:`~repro.core.parallel.FlowExecutor` (a
+private serial one when the caller passes none): the seed phase runs as
+one batch across its workers (adaptive runs stay sequential — each
+needs the miner refreshed with the previous result).  Option settings
+and run seeds are drawn from the session rng in a fixed order, so
+campaign results are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.parallel import FlowExecutionError, FlowExecutor, FlowJob
 from repro.eda.flow import FlowOptions, FlowResult
 from repro.eda.synthesis import DesignSpec
 from repro.metrics.miner import DataMiner
 from repro.metrics.server import MetricsServer
 from repro.metrics.transmitter import Transmitter
-from repro.metrics.wrappers import InstrumentedFlow, make_run_id, report_flow_metrics
+from repro.metrics.wrappers import make_run_id, report_flow_metrics
 
 #: miner option names -> FlowOptions attributes
 _OPTION_ATTR = {
@@ -79,10 +81,12 @@ class AdaptiveFlowSession:
         """Returns the best successful result (or the best overall).
 
         With an ``executor`` (:class:`~repro.core.parallel.FlowExecutor`),
-        seed runs execute as one batch across its workers.  If the
-        executor carries a :class:`~repro.metrics.MetricsCollector`, it
-        must feed this session's server (worker-side reporting); bare
-        executors are reported coordinator-side instead.
+        seed runs execute as one batch across its workers; without one
+        they run on a private serial executor with no result cache.  If
+        the executor carries a :class:`~repro.metrics.MetricsCollector`,
+        it must feed this session's server (worker-side reporting); bare
+        executors are reported coordinator-side instead.  A run that
+        fails to execute lands in ``failures`` and the campaign goes on.
 
         When the session's server is warehouse-backed and already holds
         prior runs of this design (earlier campaigns), those runs count
@@ -95,14 +99,15 @@ class AdaptiveFlowSession:
                 "need at least 8 seed runs for the miner "
                 f"(warehouse holds {prior_runs} prior runs of this design)"
             )
-        if (executor is not None and executor.collector is not None
+        if executor is None:
+            executor = FlowExecutor(n_workers=1, cache=None)
+        elif (executor.collector is not None
                 and executor.collector.server is not self.server):
             raise ValueError(
                 "executor's metrics collector must feed this session's server"
             )
         rng = np.random.default_rng(self.seed)
         base = base_options or FlowOptions()
-        flow = InstrumentedFlow(self.server) if executor is None else None
 
         # all settings and run seeds are drawn before anything executes,
         # in the exact draw order of the historical serial loop
@@ -119,7 +124,7 @@ class AdaptiveFlowSession:
                 ),
             )
             seed_points.append((options, int(rng.integers(0, 2**31 - 1))))
-        self._run_points(seed_points, flow, executor)
+        self._run_points(seed_points, executor)
         self.n_seed_runs = len(self.history)
 
         miner = DataMiner(self.server, seed=self.seed)
@@ -133,7 +138,7 @@ class AdaptiveFlowSession:
             )
             options = self._materialize(base, rec.options)
             self._run_points(
-                [(options, int(rng.integers(0, 2**31 - 1)))], flow, executor
+                [(options, int(rng.integers(0, 2**31 - 1)))], executor
             )
         self._sync_collector(executor)
         return self.best_result()
@@ -147,16 +152,8 @@ class AdaptiveFlowSession:
         except Exception:  # noqa: BLE001 - a cold/empty store has no history
             return []
 
-    def _run_points(self, points, flow, executor) -> None:
+    def _run_points(self, points, executor) -> None:
         """Execute (options, seed) points and record results + run ids."""
-        if executor is None:
-            for options, run_seed in points:
-                result = flow.run(self.spec, options, seed=run_seed)
-                self.history.append(result)
-                self.run_ids.append(make_run_id(self.spec, options, run_seed))
-            return
-        from repro.core.parallel import FlowExecutionError, FlowJob
-
         jobs = [FlowJob(self.spec, options, s) for options, s in points]
         report_here = executor.collector is None
         for (options, run_seed), outcome in zip(points, executor.run_jobs(jobs)):
@@ -174,7 +171,7 @@ class AdaptiveFlowSession:
     @staticmethod
     def _sync_collector(executor) -> None:
         """Wait for in-flight worker records before mining the server."""
-        if executor is not None and executor.collector is not None:
+        if executor.collector is not None:
             executor.collector.flush()
 
     def _materialize(self, base: FlowOptions, mined: Dict[str, float]) -> FlowOptions:

@@ -15,6 +15,7 @@ from repro.core.parallel import (
     design_fingerprint,
     flow_result_from_dict,
     flow_result_to_dict,
+    run_flow_job,
 )
 from repro.eda.flow import FlowOptions, SPRFlow
 
@@ -205,21 +206,22 @@ def test_executor_validation():
 
 
 # -------------------------------------------------- failure semantics
-def _crash_always(design, options, seed, stop_callback=None):
+def _crash_always(design, options, seed, stop_callback=None, stage_cache=False):
     raise RuntimeError("license server exploded")
 
 
-def _crash_once(flag_path, design, options, seed, stop_callback=None):
+def _crash_once(flag_path, design, options, seed, stop_callback=None,
+                stage_cache=False):
     if not os.path.exists(flag_path):
         with open(flag_path, "w") as fh:
             fh.write("crashed")
         raise RuntimeError("transient crash")
-    return SPRFlow().run(design, options, seed=seed)
+    return run_flow_job(design, options, seed, stop_callback, stage_cache)
 
 
-def _sleepy(design, options, seed, stop_callback=None):
+def _sleepy(design, options, seed, stop_callback=None, stage_cache=False):
     time.sleep(2.0)
-    return SPRFlow().run(design, options, seed=seed)
+    return run_flow_job(design, options, seed, stop_callback, stage_cache)
 
 
 def test_crash_is_recorded_not_raised(small_spec):

@@ -113,6 +113,22 @@ def _collect_bandit_campaign(env, seed):
     return server
 
 
+def test_bandit_campaign_reports_the_executed_work(small_spec):
+    """The engine reads the executor's executed-work delta for every
+    strategy, the bandit included."""
+    env = FlowArmEnvironment(small_spec, [0.6, 0.8], seed=0)
+    with FlowExecutor(n_workers=1, cache=None) as executor:
+        executor.run_one(small_spec, env.base_options, 99)  # work before the campaign
+        before = executor.stats.runtime_proxy_executed
+        result = DSEEngine(
+            strategy="bandit", executor=executor,
+            params={"n_iterations": 2, "n_concurrent": 2},
+        ).run((ThompsonSampling(2, seed=1), env))
+    delta = executor.stats.runtime_proxy_executed - before
+    assert result.runtime_proxy_executed == delta > 0
+    assert delta == pytest.approx(result.total_runtime_proxy)  # no cache
+
+
 def test_bandit_summary_lands_under_the_env_design(small_spec):
     server = _collect_bandit_campaign(
         FlowArmEnvironment(small_spec, [0.5, 0.7], seed=3), seed=5)

@@ -100,6 +100,15 @@ def test_kill_campaign_is_worker_count_invariant(mcu_spec, doomed_points,
     assert serial[6] == serial[3] > 0    # records agree with the result
 
 
+def test_explorer_pruned_runs_are_the_executor_kills(mcu_spec, mdp_policy):
+    with FlowExecutor(n_workers=1, cache=None) as executor:
+        result = DSEEngine(
+            strategy="explorer", executor=executor, kill_policy=mdp_policy,
+            params={"n_rounds": 3, "n_concurrent": 3},
+        ).run(mcu_spec, seed=1)
+    assert result.n_pruned == result.n_killed > 0
+
+
 def test_unkilled_campaign_reports_zero_kill_events(small_spec):
     server = MetricsServer()
     with MetricsCollector(server, cross_process=False) as collector:

@@ -27,8 +27,7 @@ def test_run_equals_synthesize_plus_implement(library, small_spec):
     synth_seed = int(rng.integers(0, 2**31 - 1))
     impl_seed = int(rng.integers(0, 2**31 - 1))
     netlist = synthesize(small_spec, library, 0.5, synth_seed)
-    manual = SPRFlow().implement(netlist, FlowOptions(), seed=impl_seed,
-                                 design_name=small_spec.name)
+    manual = SPRFlow().implement(netlist, FlowOptions(), seed=impl_seed)
     assert manual.area == pytest.approx(full.area)
     assert manual.wns == pytest.approx(full.wns)
     assert manual.final_drvs == full.final_drvs

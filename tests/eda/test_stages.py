@@ -23,7 +23,6 @@ from repro.eda.stages import (
     StageReport,
     execute_pipeline,
     plan_stages,
-    run_flow_job_staged,
     stage_prefix_keys,
 )
 
@@ -231,7 +230,9 @@ def test_resume_with_report_only_executed_accounting(small_spec):
 
 
 def test_run_flow_job_staged_without_global_cache(small_spec):
-    outcome = run_flow_job_staged(small_spec, FlowOptions(), 3)
+    from repro.core.parallel import run_flow_job
+
+    outcome = run_flow_job(small_spec, FlowOptions(), 3, stage_cache=True)
     assert outcome.report.n_hits == 0
     assert outcome.result == MonolithicSPRFlow().run(small_spec, FlowOptions(), seed=3)
 
@@ -486,17 +487,3 @@ def test_kill_on_a_signoff_resume_matches_monolith(small_spec):
     assert not any(result.routed for result in killed)
     assert executor.stats.kills == sum(result.final_drvs > 0 for result in killed)
     assert executor.stats.kills > 0
-
-
-def test_external_synth_log_disables_caching(small_spec, small_netlist):
-    """Partition flows pass a pre-built synth log; those results must
-    never be served from (or into) the stage cache."""
-    from repro.eda.flow import StepLog
-
-    cache = StageCache()
-    log = StepLog("synth", {"gates": 1.0}, runtime_proxy=5.0)
-    report = StageReport()
-    execute_pipeline(small_netlist, FlowOptions(), 3, synth_log=log,
-                     cache=cache, report=report)
-    assert len(cache) == 0
-    assert report.n_hits == 0

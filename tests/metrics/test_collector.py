@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.parallel import FlowExecutionError, FlowExecutor, FlowJob
 from repro.eda.flow import FlowOptions
+from repro.eda.stages import FULL_FLOW_STAGES
 from repro.metrics import (
     DataMiner,
     MetricsCollector,
@@ -116,6 +117,55 @@ def test_cache_hits_and_dedup_are_reported(small_spec):
     assert "flow.area" in vec
     dedup_records = server.query(metric="exec.dedup", run_id=run_id)
     assert any(r.value == 1.0 for r in dedup_records)
+
+
+#: the per-job records of what a job ran
+_JOB_ACCOUNTING = ("exec.stage.hit", "exec.stage.miss", "stage.runtime_proxy",
+                   "sta.full", "sta.incremental.updates", "sta.incremental.nodes",
+                   "sta.incremental.proxy_saved")
+
+
+def _cold_job_accounting(spec, **executor_kwargs):
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None, collector=collector,
+                          **executor_kwargs) as executor:
+            result = executor.run_one(spec, OPTS, 11)
+        collector.flush()
+    vec = server.run_vector(make_run_id(spec, OPTS, 11))
+    return result, {name: vec[name] for name in _JOB_ACCOUNTING}
+
+
+def test_job_accounting_does_not_depend_on_the_stage_cache(small_spec):
+    """A cold job reports the stages and timing work it ran whether or
+    not its executor caches stages."""
+    result, plain = _cold_job_accounting(small_spec)
+    _, staged = _cold_job_accounting(small_spec, stage_cache=True)
+    assert plain == staged
+    assert plain["exec.stage.hit"] == 0.0
+    assert plain["exec.stage.miss"] == len(FULL_FLOW_STAGES)
+    assert plain["stage.runtime_proxy"] == result.runtime_proxy
+    assert plain["sta.full"] > 0
+    assert plain["sta.incremental.updates"] > 0
+
+
+def test_plain_executor_ignores_the_process_stage_cache(small_spec):
+    """A stage-caching serial executor fills the process's stage cache;
+    an executor built without one afterwards must not resume from it."""
+    jobs = [FlowJob(small_spec, OPTS.with_(router_effort=e), 5) for e in (0.3, 0.6)]
+    with FlowExecutor(n_workers=1, cache=None, stage_cache=True) as staged:
+        staged.run_jobs(jobs)
+    assert staged.stats.stage_hits > 0
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None, collector=collector) as plain:
+            plain.run_jobs(jobs)
+        collector.flush()
+    assert plain.stats.stage_hits == plain.stats.stage_misses == 0
+    for job in jobs:
+        vec = server.run_vector(make_run_id(job.design, job.options, job.seed))
+        assert vec["exec.stage.hit"] == 0.0
+        assert vec["exec.stage.miss"] == len(FULL_FLOW_STAGES)
 
 
 def test_failed_job_emits_failure_event(small_spec):
