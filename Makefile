@@ -92,13 +92,31 @@ sta-smoke:
 # declarative engine — blind vs. online MDP killing — asserting the
 # doomed points are killed, the best result is bit-identical and the
 # killing campaign executes >=1.3x less runtime proxy; then one CLI
-# engine run with killing and a surrogate.
+# engine run with killing and a surrogate.  Last, a determinism guard:
+# a surrogate campaign collecting into a fresh sqlite warehouse, once
+# serial and twice on 2 workers, must print the same campaign lines
+# (the wall-clock "executor:" line and the "metrics:" destination line
+# aside).
+DSE_GUARD = $(PYTHON) -m repro.cli dse --design MCU --strategy explorer \
+	--rounds 3 --concurrent 3 --kill mdp --surrogate forest --seed 2
+
 dse-smoke:
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) \
 		benchmarks/dse_kill_benchmark.py --smoke
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli dse \
 		--design MCU --strategy explorer --rounds 2 --concurrent 3 \
 		--kill mdp --surrogate forest --seed 2
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for run in 1-a 2-b 2-c; do \
+		PYTHONPATH=$(PYTHONPATH) timeout 240 $(DSE_GUARD) \
+			--workers $${run%-*} --metrics-db "$$tmp/$$run.sqlite" \
+			> "$$tmp/$$run.out" || exit 1; \
+		grep -v -e '^executor:' -e '^metrics:' "$$tmp/$$run.out" \
+			> "$$tmp/$$run.txt"; \
+	done && \
+	cat "$$tmp/1-a.txt" && \
+	cmp "$$tmp/1-a.txt" "$$tmp/2-b.txt" && cmp "$$tmp/1-a.txt" "$$tmp/2-c.txt" && \
+	echo "dse determinism guard: 1 serial and 2 two-worker campaigns agree"
 
 # Benchmark trajectory: run the STA benchmarks (vectorized-kernel
 # speedup on the largest corpus design, incremental-update work saved

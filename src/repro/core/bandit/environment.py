@@ -155,7 +155,8 @@ class FlowArmEnvironment(BanditEnvironment):
         any run launches, so outcomes are bit-identical to serial
         :meth:`pull` calls regardless of worker count.  Without an
         ``executor`` the batch runs on a private serial one with no
-        result cache.  With a ``stop_callback`` (an online kill
+        result cache (a bandit campaign always passes one, so the
+        engine sees its accounting).  With a ``stop_callback`` (an online kill
         policy), doomed pulls are terminated mid-route.  A run that
         fails to execute is an unsuccessful pull (see
         :class:`FlowPullInfo`).

@@ -70,14 +70,21 @@ class DSEContext:
     @property
     def server(self):
         """The live MetricsServer behind the executor's collector, when
-        one is collecting (surrogate training data source).  A
+        one is collecting (surrogate training data source).
+
+        The collector is flushed first, so the server holds every
+        record of every job that has returned: a surrogate refit at a
+        round boundary trains on the same rows at any worker count.  A
         warehouse-backed server exposes *all* persisted campaigns, so a
-        surrogate refit mid-campaign trains on the full archive, not
-        just this session's runs; use
+        refit mid-campaign trains on the full archive, not just this
+        session's runs; use
         :meth:`~repro.dse.surrogate.SurrogateProposer.fit_from_store`
         to pre-train before the first round."""
         collector = getattr(self.executor, "collector", None)
-        return None if collector is None else getattr(collector, "server", None)
+        if collector is None:
+            return None
+        collector.flush()
+        return collector.server
 
 
 class DSEEngine:

@@ -3,8 +3,11 @@
 The paper's Fig 7 loop ("40 iterations and 5 concurrent samples (tool
 runs) per iteration"): per iteration the policy selects
 ``n_concurrent`` arms, one per license, the environment pulls them as
-one batch (through the engine's executor when it has one), and the
-policy updates with every reward before the next iteration.
+one batch through the engine's executor, and the policy updates with
+every reward before the next iteration.  A flow environment on an
+engine without an executor pulls on a serial one without a result
+cache, made for the campaign and kept on its context, so the engine
+reads its kills and executed work as for any other strategy.
 
 The task is either an explicit ``(policy, environment)`` pair, as
 ``repro mab`` and the Fig 7 benchmarks pass, or a
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.bandit.environment import FlowArmEnvironment
 from repro.core.bandit.regret import BanditRunRecord
+from repro.core.parallel import FlowExecutor
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
 
@@ -49,6 +54,9 @@ class BanditStrategy(Strategy):
             raise ValueError(
                 f"policy has {policy.n_arms} arms but environment has {env.n_arms}"
             )
+        if ctx.executor is None and isinstance(env, FlowArmEnvironment):
+            # the environment's own fallback, but where the engine sees it
+            ctx.executor = FlowExecutor(n_workers=1, cache=None)
         result = DSEResult(method=self.name, objective=ctx.objective.name,
                            best_score=0.0, n_iterations=n_iterations,
                            n_concurrent=n_concurrent)
@@ -90,7 +98,6 @@ class BanditStrategy(Strategy):
 
     @staticmethod
     def _build_campaign(spec, ctx):
-        from repro.core.bandit.environment import FlowArmEnvironment
         from repro.core.bandit.policies import ThompsonSampling
 
         frequencies: List[float] = []

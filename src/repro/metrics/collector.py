@@ -8,13 +8,16 @@ process, so pool workers cannot call it directly; instead:
 
 - workers transmit through a :class:`QueueTransmitter` — the standard
   :class:`~repro.metrics.transmitter.Transmitter` validation and
-  buffering, but delivering XML wire-format records onto a
-  cross-process queue instead of a server;
+  buffering, but each flush puts its buffered records on a
+  cross-process queue as *one* message, a list of XML wire-format
+  strings;
 - the coordinator runs a :class:`MetricsCollector`: a drain thread
-  that pops records off the queue and feeds them into the server.
+  that takes one message at a time off the queue, decodes its records
+  and feeds them into the server.
 
 The queue carries the same XML strings the original METRICS moved over
-the network, so the wire format is unchanged — only the transport is.
+the network, so the wire format is unchanged — only the transport is,
+and it pays one queue round trip per flush instead of one per record.
 See ``docs/metrics.md``.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import threading
-from typing import Optional
+from typing import List, Optional
 
 from repro.metrics.schema import MetricRecord
 from repro.metrics.server import MetricsServer
@@ -31,26 +34,13 @@ from repro.metrics.transmitter import Transmitter
 from repro.metrics.wrappers import report_flow_metrics
 
 
-class _QueueSink:
-    """Duck-typed stand-in for a :class:`MetricsServer`: records are
-    put on a queue (as XML text) instead of being ingested directly."""
-
-    def __init__(self, queue):
-        self.queue = queue
-
-    def receive_xml(self, xml_text: str) -> None:
-        self.queue.put(xml_text)
-
-    def receive(self, record) -> None:
-        self.queue.put(record.to_xml())
-
-
 class QueueTransmitter(Transmitter):
     """A :class:`Transmitter` whose delivery target is a queue.
 
     Validation (vocabulary check at ``send``) and buffering are
-    inherited unchanged; ``flush`` puts XML-encoded records on the
-    queue, where the coordinator's :class:`MetricsCollector` drains
+    inherited unchanged; ``flush`` puts the buffered records on the
+    queue as one message — a list of their ``MetricRecord.to_xml()``
+    strings — where the coordinator's :class:`MetricsCollector` drains
     them into the real server.  Works with both in-process queues and
     ``multiprocessing.Manager`` queue proxies, so the same class serves
     serial executors and pool workers.
@@ -58,8 +48,20 @@ class QueueTransmitter(Transmitter):
 
     def __init__(self, queue, design: str, run_id: str, tool: str,
                  buffer_size: int = 32):
-        super().__init__(_QueueSink(queue), design, run_id, tool,
-                         use_xml=True, buffer_size=buffer_size)
+        super().__init__(None, design, run_id, tool, buffer_size=buffer_size)
+        self.queue = queue
+
+    def flush(self) -> None:
+        """Put everything buffered on the queue as one message.
+
+        The buffer is emptied before the ``put``, so a ``put`` that
+        raises loses this flush's records and never re-sends them:
+        delivery stays at-most-once.
+        """
+        if not self._buffer:
+            return
+        records, self._buffer = self._buffer, []
+        self.queue.put([record.to_xml() for record in records])
 
 
 class MetricsCollector:
@@ -81,11 +83,11 @@ class MetricsCollector:
         (ignored when an explicit ``server`` is passed — configure the
         campaign on that server instead).
     batch_size:
-        how many queued records the drain thread hands the server per
-        ingest call.  Batches become single transactions on a
-        warehouse-backed server, which is what makes sqlite ingest keep
-        up with a process pool; correctness does not depend on the
-        value.
+        the most records the drain thread hands the server per ingest
+        call; a message holding more is ingested in chunks.  Each call
+        is one transaction on a warehouse-backed server, which is what
+        makes sqlite ingest keep up with a process pool; correctness
+        does not depend on the value.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`
     explicitly.  :meth:`flush` blocks until every record put so far has
@@ -112,7 +114,7 @@ class MetricsCollector:
         self._queue = None
         self._thread: Optional[threading.Thread] = None
         self.received = 0  # records drained into the server
-        self.dropped = 0   # malformed queue items ignored
+        self.dropped = 0   # records that did not decode or ingest
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -170,39 +172,39 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ internals
     def _drain(self) -> None:
-        """Drain loop: block for one item, opportunistically gather the
-        rest of a batch, decode, and hand the server the whole batch in
-        one ``receive_many`` call (one warehouse transaction)."""
+        """Drain loop: block for one message, decode its records one by
+        one, and hand the server up to ``batch_size`` of them per
+        ``receive_many`` call (one warehouse transaction).  A message is
+        a transmitter flush (a list of XML strings) or one bare XML
+        string; ``task_done`` runs once per message, after its records
+        reached the server, so :meth:`flush` is a barrier."""
         while True:
-            batch = [self._queue.get()]
-            while len(batch) < self.batch_size:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue_module.Empty:
-                    break
-                except Exception:  # noqa: BLE001 - manager proxy hiccup
-                    break
-            stop = False
-            records = []
-            for item in batch:
-                if item is None:
-                    stop = True  # drain sentinel (finish this batch first)
-                    continue
-                try:
-                    records.append(MetricRecord.from_xml(item))
-                except Exception:  # noqa: BLE001 - a bad record must not kill the drain
-                    self.dropped += 1
+            message = self._queue.get()
             try:
-                if records:
-                    self.server.receive_many(records)
-                    self.received += len(records)
-            except Exception:  # noqa: BLE001
-                self.dropped += len(records)
+                if message is None:
+                    return  # drain sentinel
+                records = self._decode(
+                    message if isinstance(message, list) else [message])
+                for start in range(0, len(records), self.batch_size):
+                    chunk = records[start:start + self.batch_size]
+                    try:
+                        self.server.receive_many(chunk)
+                        self.received += len(chunk)
+                    except Exception:  # noqa: BLE001
+                        self.dropped += len(chunk)
             finally:
-                for _ in batch:
-                    self._queue.task_done()
-            if stop:
-                return
+                self._queue.task_done()
+
+    def _decode(self, items) -> List[MetricRecord]:
+        """The records of one message; each item that does not decode
+        is counted in ``dropped`` and its siblings are kept."""
+        records = []
+        for item in items:
+            try:
+                records.append(MetricRecord.from_xml(item))
+            except Exception:  # noqa: BLE001 - a bad record must not kill the drain
+                self.dropped += 1
+        return records
 
 
 def run_instrumented_flow_job(queue, run_id, flow_fn, design, options, seed,

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.metrics.server import MetricsServer
+from repro.metrics.store import dense_table
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import RidgeRegression
 from repro.ml.metrics import r2_score
@@ -32,6 +33,13 @@ OPTION_METRICS = (
 
 #: metrics describing the design itself (usable as predictor features)
 DESIGN_METRICS = ("synth.instances", "synth.depth", "synth.area")
+
+#: the metric that marks a flow run: every flow reporter (the
+#: executor's workers, ``InstrumentedFlow``, the log wrapper) sends the
+#: run's target clock, and campaign summaries (``dse.*``), warehouse
+#: operations (``warehouse.*``) and jobs that failed before reporting
+#: (``exec.*`` only) never do
+FLOW_RUN_METRIC = "flow.target_ghz"
 
 
 @dataclass
@@ -59,7 +67,22 @@ class DataMiner:
 
     # ------------------------------------------------------------------
     def _table(self, design: Optional[str], campaign: Optional[str] = None):
-        run_ids, names, matrix = self.server.table(design, campaign=campaign)
+        """The dense run table over the *flow* runs of the selection.
+
+        A campaign also files runs that are not flows under the design
+        (its ``dse-*`` summary, a job that failed before reporting);
+        their vectors share no metric with a flow's, so the density
+        rule of :func:`~repro.metrics.store.dense_table` would empty
+        the table if they stayed in it."""
+        run_ids, vectors = [], []
+        for run_id in self.server.runs(design, campaign=campaign):
+            vector = self.server.run_vector(run_id)
+            if FLOW_RUN_METRIC in vector:
+                run_ids.append(run_id)
+                vectors.append(vector)
+        if not run_ids:
+            raise ValueError("no flow runs collected")
+        names, matrix = dense_table(vectors)
         index = {name: i for i, name in enumerate(names)}
         return run_ids, names, matrix, index
 

@@ -68,6 +68,21 @@ def stamp_campaign(record: MetricRecord, campaign: str) -> MetricRecord:
     return replace(record, attributes=attributes)
 
 
+def dense_table(vectors: Sequence[Dict[str, float]]):
+    """(metric_names, matrix) over run vectors, one row per vector.
+
+    Only metrics present in every vector are kept, so the matrix is
+    dense; names are sorted."""
+    import numpy as np
+
+    common = set(vectors[0])
+    for vec in vectors[1:]:
+        common &= set(vec)
+    names = sorted(common)
+    matrix = np.array([[vec[m] for m in names] for vec in vectors])
+    return names, matrix
+
+
 class MetricsStore:
     """The backend protocol: ingest + indexed queries + persistence.
 
@@ -133,17 +148,10 @@ class MetricsStore:
 
         Only metrics present in every selected run are kept, so the
         matrix is dense — what the data miner consumes."""
-        import numpy as np
-
         run_ids = self.runs(design, campaign=campaign, since=since)
         if not run_ids:
             raise ValueError("no runs collected")
-        vectors = [self.run_vector(r) for r in run_ids]
-        common = set(vectors[0])
-        for vec in vectors[1:]:
-            common &= set(vec)
-        names = sorted(common)
-        matrix = np.array([[vec[m] for m in names] for vec in vectors])
+        names, matrix = dense_table([self.run_vector(r) for r in run_ids])
         return run_ids, names, matrix
 
     def run_vectors_matrix(self, metrics: Sequence[str],

@@ -68,14 +68,20 @@ def _kill_bandit(spec, policy, executor):
 
 def test_kill_bandit_without_executor_matches_a_serial_executor(mcu_spec,
                                                                 mdp_policy):
-    """Without an executor the pulls run on a private serial one: the
-    same killed runs, records and history as through a caller's."""
+    """Without an executor the pulls run on a serial one the campaign
+    makes: the same killed runs, records and history as through a
+    caller's, and the engine reports the same executor accounting."""
     plain, plain_env = _kill_bandit(mcu_spec, mdp_policy, None)
     with FlowExecutor(n_workers=1, cache=None) as executor:
         served, served_env = _kill_bandit(mcu_spec, mdp_policy, executor)
     assert plain.records == served.records
     assert plain_env.history == served_env.history
     assert executor.stats.kills > 0
+    for field in ("n_killed", "kill_proxy_saved", "runtime_proxy_executed",
+                  "stage_hits"):
+        assert getattr(plain, field) == getattr(served, field), field
+    assert plain.n_killed == executor.stats.kills
+    assert plain.runtime_proxy_executed > 0
 
 
 def test_flow_env_records_a_crashed_pull_without_executor(small_spec,

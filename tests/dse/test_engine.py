@@ -174,3 +174,23 @@ def test_no_collector_means_no_reporting(small_spec):
             params={"n_rounds": 1, "n_concurrent": 2},
         ).run(small_spec, seed=8)
     assert result.n_runs == 2  # reporting is optional, the campaign is not
+
+
+def test_miner_reads_a_server_that_holds_a_campaign():
+    """A campaign files its dse-* summary under the design; the miner
+    still mines the campaign's flow runs."""
+    from repro.bench.generators import design_profile
+    from repro.metrics import DataMiner
+
+    spec = design_profile("PHY")
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, collector=collector) as executor:
+            DSEEngine(strategy="explorer", executor=executor,
+                      params={"n_rounds": 3, "n_concurrent": 4}).run(spec, seed=1)
+        collector.flush()
+    assert len(server.runs(spec.name)) == 13
+    assert "dse-explorer-1" in server.runs(spec.name)
+    advice = DataMiner(server, seed=0).recommend_options(design=spec.name)
+    assert np.isfinite(advice.predicted_objective)
+    assert len(advice.options) == 6

@@ -106,3 +106,28 @@ def test_surrogate_changes_the_campaign_but_not_its_accounting(small_spec):
     ).run(small_spec, seed=4)
     assert guided.n_runs == blind.n_runs == 6
     assert np.isfinite(guided.best_score)
+
+
+def _collected_surrogate_campaign(spec, kill_policy, n_workers):
+    surrogate = SurrogateProposer(min_fit=4, random_state=0)
+    with MetricsCollector(MetricsServer(), cross_process=True) as collector:
+        with FlowExecutor(n_workers=n_workers, cache=True,
+                          collector=collector) as executor:
+            result = DSEEngine(
+                strategy="explorer", executor=executor, surrogate=surrogate,
+                kill_policy=kill_policy,
+                params={"n_rounds": 10, "n_concurrent": 3},
+            ).run(spec, seed=3)
+    return (result.best_score, result.surrogate_fit, result.n_killed,
+            result.trace)
+
+
+def test_surrogate_campaign_is_repeatable_across_worker_counts(mcu_spec,
+                                                               mdp_policy):
+    """The surrogate refits on the server at every round boundary; the
+    engine flushes the collector first, so the refit sees every record
+    of the round at any worker count and the campaign repeats exactly."""
+    serial = _collected_surrogate_campaign(mcu_spec, mdp_policy, 1)
+    assert serial[1] is not None
+    for _ in range(3):
+        assert _collected_surrogate_campaign(mcu_spec, mdp_policy, 2) == serial

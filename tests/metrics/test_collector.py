@@ -1,5 +1,8 @@
 """Cross-process METRICS collection: run ids, QueueTransmitter,
-MetricsCollector, and the instrumented FlowExecutor path."""
+MetricsCollector, the batched queue transport, and the instrumented
+FlowExecutor path."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from repro.metrics import (
     QueueTransmitter,
     make_run_id,
 )
-from repro.metrics.schema import EXECUTOR_EVENT_METRICS
+from repro.metrics.schema import EXECUTOR_EVENT_METRICS, MetricRecord
 
 OPTS = FlowOptions(target_clock_ghz=0.6)
 
@@ -81,6 +84,173 @@ def test_collector_drops_malformed_items_without_dying():
         collector.flush()
     assert collector.dropped == 1
     assert len(server) == 1
+
+
+# --------------------------------------------------------- batched transport
+class PutCounter:
+    """A queue wrapper that keeps every message put through it."""
+
+    def __init__(self, queue):
+        self._queue = queue
+        self.messages = []
+
+    def put(self, item):
+        self.messages.append(item)
+        self._queue.put(item)
+
+    def __getattr__(self, name):
+        return getattr(self._queue, name)
+
+
+def counting_collector(server, **kwargs):
+    """A started in-process collector whose queue counts its messages."""
+    collector = MetricsCollector(server, cross_process=False, **kwargs).start()
+    collector._queue = PutCounter(collector._queue)
+    return collector
+
+
+def _record(metric, value, sequence):
+    return MetricRecord(design="d", run_id="r1", tool="tool",
+                        metric=metric, value=value, sequence=sequence)
+
+
+def test_a_flush_is_one_message_of_the_records_xml():
+    server = MetricsServer()
+    collector = counting_collector(server)
+    try:
+        with QueueTransmitter(collector.queue, "d", "r1", "tool") as tx:
+            tx.send("flow.area", 10.0)
+            tx.send("flow.runtime", 2.0)
+            tx.send("flow.success", 1.0)
+        collector.flush()
+        assert collector.queue.messages == [[
+            _record("flow.area", 10.0, 0).to_xml(),
+            _record("flow.runtime", 2.0, 1).to_xml(),
+            _record("flow.success", 1.0, 2).to_xml(),
+        ]]
+        assert collector.received == 3  # records, not messages
+        assert server.run_vector("r1") == {
+            "flow.area": 10.0, "flow.runtime": 2.0, "flow.success": 1.0}
+    finally:
+        collector.stop()
+
+
+def test_a_job_reports_in_one_message_per_transmitter_flush(small_spec):
+    """Step records arrive in ceil(n / buffer_size) messages, the 18
+    executor events in one, and every string is the record's XML."""
+    server = MetricsServer()
+    collector = counting_collector(server)
+    try:
+        with FlowExecutor(n_workers=1, cache=None, collector=collector) as executor:
+            executor.run_one(small_spec, OPTS, 3)
+        collector.flush()
+        messages = list(collector.queue.messages)  # stop() adds a sentinel
+    finally:
+        collector.stop()
+    run_id = make_run_id(small_spec, OPTS, 3)
+    by_tool = {}
+    for message in messages:
+        decoded = [MetricRecord.from_xml(xml) for xml in message]
+        assert [record.to_xml() for record in decoded] == message
+        assert {record.tool for record in decoded} == {decoded[0].tool}
+        by_tool.setdefault(decoded[0].tool, []).append(decoded)
+    n_steps = len(server.query(run_id=run_id, tool="spr_flow"))
+    assert n_steps > 32
+    assert len(by_tool["spr_flow"]) == math.ceil(n_steps / 32)
+    assert all(len(m) == 32 for m in by_tool["spr_flow"][:-1])
+    assert [len(m) for m in by_tool["flow_executor"]] == [len(EXECUTOR_EVENT_METRICS)]
+    assert collector.received == n_steps + len(EXECUTOR_EVENT_METRICS)
+    assert len(server) == collector.received
+
+
+class FlakyQueue:
+    """Refuses the first put (a dropped manager link), keeps the rest."""
+
+    def __init__(self):
+        self.messages = []
+        self.failed = False
+
+    def put(self, item):
+        if not self.failed:
+            self.failed = True
+            raise ConnectionError("manager link dropped")
+        self.messages.append(item)
+
+
+def test_a_failed_put_loses_that_flush_and_never_resends_it():
+    queue = FlakyQueue()
+    tx = QueueTransmitter(queue, "d", "r1", "tool")
+    tx.send("flow.area", 1.0)
+    tx.send("flow.runtime", 2.0)
+    with pytest.raises(ConnectionError):
+        tx.flush()
+    assert tx._buffer == []  # at-most-once: nothing left to re-send
+    tx.send("flow.success", 1.0)
+    tx.flush()
+    tx.flush()  # an empty buffer puts nothing
+    assert queue.messages == [[_record("flow.success", 1.0, 2).to_xml()]]
+
+
+def test_a_malformed_record_drops_alone_and_a_bare_string_still_ingests():
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        collector.queue.put([_record("flow.area", 1.0, 0).to_xml(),
+                             "<not-a-metric/>",
+                             _record("flow.runtime", 2.0, 1).to_xml()])
+        collector.queue.put(_record("flow.success", 1.0, 2).to_xml())
+        collector.queue.put(7)  # not a message at all
+        collector.flush()
+        assert collector.dropped == 2
+        assert collector.received == 3
+    assert server.run_vector("r1") == {
+        "flow.area": 1.0, "flow.runtime": 2.0, "flow.success": 1.0}
+
+
+class _BatchLog(MetricsServer):
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def receive_many(self, records):
+        self.batches.append(len(records))
+        return super().receive_many(records)
+
+
+def test_the_drain_hands_the_server_at_most_batch_size_records():
+    server = _BatchLog()
+    with MetricsCollector(server, cross_process=False, batch_size=2) as collector:
+        collector.queue.put([_record("flow.area", float(i), i).to_xml()
+                             for i in range(5)])
+        collector.flush()
+        assert server.batches == [2, 2, 1]
+        assert collector.received == 5
+    assert server.series("r1", "flow.area") == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_two_worker_collection_matches_serial_per_run(small_spec):
+    """Batched messages from two workers land the same run vectors and
+    DRV series as a serial campaign (the batch wall time aside)."""
+    jobs = campaign_jobs(small_spec, n=4, seed=11)
+    servers = []
+    for n_workers in (1, 2):
+        server = MetricsServer()
+        with MetricsCollector(server, cross_process=True) as collector:
+            with FlowExecutor(n_workers=n_workers, cache=None,
+                              collector=collector) as executor:
+                executor.run_jobs(jobs)
+            collector.flush()
+        servers.append(server)
+    serial, pooled = servers
+    assert pooled.runs() == serial.runs()
+    assert len(pooled) == len(serial)
+    for run_id in serial.runs():
+        expected = serial.run_vector(run_id)
+        got = pooled.run_vector(run_id)
+        expected.pop("exec.wall_time")
+        got.pop("exec.wall_time")
+        assert got == expected
+        assert pooled.series(run_id, "droute.drv_trajectory") == \
+            serial.series(run_id, "droute.drv_trajectory")
 
 
 # ----------------------------------------------- instrumented executor runs

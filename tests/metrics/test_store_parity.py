@@ -201,6 +201,79 @@ def test_len_parity_excludes_non_finite(backends):
     assert len(jsonl) + jsonl.null_values == 120
 
 
+# ------------------------------------------------- campaign archives
+def campaign_archive(with_other_runs=True):
+    """Ten flow runs of design alpha, as a collecting campaign files
+    them (flow records plus executor events), and, with
+    ``with_other_runs``, the two other runs a campaign files under the
+    same design: its ``dse-explorer-1`` summary and a job that failed
+    before reporting any flow metric."""
+    from repro.metrics.miner import OPTION_METRICS
+
+    rng = np.random.default_rng(3)
+    records = []
+
+    def emit(run_id, tool, values):
+        for sequence, (metric, value) in enumerate(values):
+            records.append(stamp_campaign(MetricRecord(
+                design="alpha", run_id=run_id, tool=tool, metric=metric,
+                value=float(value), sequence=sequence), "c1"))
+
+    for i in range(10):
+        options = rng.uniform(0.2, 0.9, size=len(OPTION_METRICS))
+        emit(f"alpha-f{i}", "spr_flow",
+             list(zip(OPTION_METRICS, options))
+             + [("flow.area", 100.0 + 50.0 * options[1] + rng.normal()),
+                ("flow.success", float(i % 3 != 0))])
+        emit(f"alpha-f{i}", "flow_executor",
+             [("exec.attempts", 1.0), ("exec.failure", 0.0)])
+    if with_other_runs:
+        emit("alpha-failed", "flow_executor",
+             [("exec.attempts", 2.0), ("exec.failure", 1.0)])
+        emit("dse-explorer-1", "dse",
+             [("dse.runs", 11.0), ("dse.failed", 1.0), ("dse.best_score", 2.5)])
+    return records
+
+
+def both_backends(tmp_path, records, name):
+    writer = JsonlStore(str(tmp_path / f"{name}.jsonl"))
+    for record in records:
+        writer.receive(record)
+    writer.close()
+    sqlite = SqliteStore(str(tmp_path / f"{name}.sqlite"))
+    sqlite.ingest(records)
+    return JsonlStore(str(tmp_path / f"{name}.jsonl")), sqlite
+
+
+def test_miner_reads_the_flow_runs_of_a_campaign_archive(tmp_path):
+    """The summary and failed-job runs share no metric with a flow run,
+    so the dense table over every run has no columns; the miner mines
+    the flow runs alone, on both backends, as if the others were not
+    there."""
+    from repro.metrics import DataMiner
+
+    stores = both_backends(tmp_path, campaign_archive(), "archive")
+    flows_only = both_backends(tmp_path, campaign_archive(False), "flows")
+    expected = None
+    for store in stores + flows_only:
+        answers = []
+        for campaign in (None, "c1"):
+            miner = DataMiner(store, seed=0)
+            advice = miner.recommend_options(design="alpha", campaign=campaign)
+            answers.append((sorted(advice.options.items()),
+                            advice.predicted_objective, advice.model_r2,
+                            miner.sensitivity(design="alpha",
+                                              campaign=campaign)))
+        expected = answers if expected is None else expected
+        assert answers == expected
+    for store in stores:
+        run_ids, names, matrix = store.table("alpha")
+        assert "dse-explorer-1" in run_ids and names == []  # density rule kept
+        assert matrix.shape == (12, 0)
+    for store in stores + flows_only:
+        store.close()
+
+
 # ------------------------------------------------------------- corruption
 def test_jsonl_torn_line_vs_sqlite_corrupt_row(tmp_path):
     stream = make_stream(7, n=40, non_finite=False)
