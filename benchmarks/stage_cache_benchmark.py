@@ -7,7 +7,11 @@ that: a sweep over detailed-router knobs (``router_effort`` x
 ``router_max_iterations``) plus a few optimizer points, at one fixed
 ``(design, seed)``, with and without the stage-prefix cache — every
 job shares the synth/floorplan/place/cts/groute prefix, so with the
-cache on only the changed suffix executes.
+cache on only the changed suffix executes.  The router itself resumes:
+the stage cache keeps each router trajectory under the content of what
+the router reads, so the 12 router points share 4 trajectories (one per
+effort) and the 4 optimizer points share the default effort's, and each
+draws only the iterations past the longest run before it.
 
 The base option point uses a high placement effort
 (``placer_moves_per_cell``), the regime where prefix reuse pays most:
@@ -20,7 +24,8 @@ Checks (exit code 1 on failure):
 
 - results are bit-identical with the cache on and off;
 - full mode: the cache-off campaign executes >= 2x the runtime_proxy
-  work of the cache-on campaign;
+  work of the cache-on campaign, and a serial sweep resumes at least
+  one router iteration from a cached trajectory;
 - smoke mode (``--smoke``): at least one prefix hit is reported
   (each worker's cache serves the jobs it executes, so with more jobs
   than workers a hit is guaranteed by pigeonhole).
@@ -112,6 +117,8 @@ def main(argv=None) -> int:
     executed = metric_total(server, "stage.runtime_proxy")
     print(f"stage events (METRICS): exec.stage.hit={hits:.0f} "
           f"exec.stage.miss={misses:.0f} stage.runtime_proxy={executed:.0f}")
+    print(f"prefix stage hits={stats_on.stage_hits} "
+          f"resumed router iterations={stats_on.resumed_iterations}")
     print(f"cache off: {stats_off.summary()}")
     print(f"cache on : {stats_on.summary()}")
 
@@ -135,6 +142,9 @@ def main(argv=None) -> int:
         return 0
     if ratio < 2.0:
         print("FAIL: expected the stage cache to save >=2x runtime_proxy work")
+        return 1
+    if args.workers == 1 and stats_on.resumed_iterations < 1:
+        print("FAIL: the serial sweep resumed no router iteration")
         return 1
     print("OK: >=2x work saved")
     return 0

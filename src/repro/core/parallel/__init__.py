@@ -7,7 +7,8 @@ is real process-level parallelism instead of a loop variable.
 Caching is two-level: the whole-run :class:`ResultCache` replays exact
 ``(design, options, seed)`` repeats, and the stage-prefix
 :class:`StageCache` (``stage_cache=True``) resumes jobs from their
-deepest cached pipeline prefix so only the changed suffix re-runs.
+deepest cached pipeline prefix so only the changed suffix re-runs, and
+the detailed router from the longest trajectory cached for its inputs.
 See ``docs/parallel.md``.
 """
 

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.parallel.cache import CACHE_SCHEMA, ResultCache, cache_key
 from repro.eda.flow import FlowOptions, FlowResult, _default_library
 from repro.eda.netlist import Netlist
-from repro.eda.stages.cache import configure_stage_cache, get_stage_cache
+from repro.eda.stages.cache import StageCache, configure_stage_cache, get_stage_cache
 from repro.eda.stages.runner import StagedJobOutcome, StageReport, execute_pipeline
 from repro.eda.synthesis import DesignSpec
 
@@ -91,7 +91,9 @@ class ExecutorStats:
     ``runtime_proxy_total - runtime_proxy_executed`` is the work the
     caches saved.  ``stage_hits``/``stage_misses`` count pipeline
     stages served from / executed past the stage-prefix cache, with
-    per-stage breakdowns in the ``*_by_stage`` dicts.
+    per-stage breakdowns in the ``*_by_stage`` dicts, and
+    ``resumed_iterations`` the detailed-router iterations answered from
+    cached trajectories (delivered, but not executed).
     """
 
     jobs_submitted: int = 0
@@ -109,6 +111,7 @@ class ExecutorStats:
     stage_misses: int = 0
     stage_hits_by_stage: Dict[str, int] = field(default_factory=dict)
     stage_misses_by_stage: Dict[str, int] = field(default_factory=dict)
+    resumed_iterations: int = 0
     kills: int = 0
     kill_proxy_saved: float = 0.0
 
@@ -137,6 +140,8 @@ class ExecutorStats:
                 f" stage_hits={self.stage_hits} stage_misses={self.stage_misses} "
                 f"work_executed={self.runtime_proxy_executed:.0f} units"
             )
+        if self.resumed_iterations:
+            line += f" resumed_iterations={self.resumed_iterations}"
         if self.kills:
             line += (
                 f" kills={self.kills} "
@@ -177,21 +182,28 @@ def _kill_proxy_saved(result: FlowResult) -> Optional[float]:
 
 
 def run_flow_job(design: Design, options: FlowOptions, seed: int,
-                 stop_callback=None, stage_cache: bool = False) -> StagedJobOutcome:
+                 stop_callback=None,
+                 stage_cache: Union[bool, StageCache] = False) -> StagedJobOutcome:
     """Execute one flow job (module-level, hence picklable).
 
     ``DesignSpec`` inputs go through the full flow (synthesis
     included); ``Netlist`` inputs go straight to physical
     implementation — the partition-driven entry point.  The result
-    comes back with the job's :class:`StageReport`.  With
-    ``stage_cache`` the job resumes from this process's stage cache
-    (see :func:`~repro.eda.stages.cache.get_stage_cache`); when none is
-    configured it runs every stage.
+    comes back with the job's :class:`StageReport`.  ``stage_cache``
+    is the :class:`~repro.eda.stages.cache.StageCache` the job resumes
+    from (a serial executor passes its own), or True for this
+    process's (see :func:`~repro.eda.stages.cache.get_stage_cache`; a
+    pool worker's), in which case a process without one runs every
+    stage.
     """
+    if isinstance(stage_cache, StageCache):
+        cache = stage_cache
+    else:
+        cache = get_stage_cache() if stage_cache else None
     report = StageReport()
     result = execute_pipeline(
         design, options, seed, stop_callback=stop_callback,
-        cache=get_stage_cache() if stage_cache else None, report=report,
+        cache=cache, report=report,
     )
     return StagedJobOutcome(result=result, report=report)
 
@@ -218,7 +230,8 @@ class FlowExecutor:
         resubmissions allowed per job after a worker crash.
     flow_fn:
         the job function, ``(design, options, seed, stop_callback,
-        stage_cache) -> StagedJobOutcome``.  Defaults to
+        stage_cache) -> StagedJobOutcome``, called with
+        :func:`run_flow_job`'s ``stage_cache`` values.  Defaults to
         :func:`run_flow_job`; tests inject crashing/slow stand-ins here.
     collector:
         an optional :class:`~repro.metrics.MetricsCollector`.  When
@@ -239,14 +252,14 @@ class FlowExecutor:
         enable the stage-prefix cache: every job carries this flag to
         ``flow_fn`` and resumes from the deepest cached prefix snapshot,
         re-running only the changed suffix (see ``docs/parallel.md``).
-        Serial mode shares one process-global
-        :class:`~repro.eda.stages.cache.StageCache` (reset when the
-        executor is constructed); pool mode gives each worker its own.
+        A serial executor owns one
+        :class:`~repro.eda.stages.cache.StageCache`, which ``close``
+        releases; pool mode gives each worker process its own.
         ``stats``' stage counters count only on a stage-caching
         executor; the per-job records report every job's stages.
     stage_cache_entries:
-        LRU capacity of the stage cache (pipeline-state snapshots held
-        per process).
+        LRU capacity of each stage cache (pipeline-state snapshots and
+        router trajectories held per executor or pool worker).
     """
 
     def __init__(
@@ -285,9 +298,8 @@ class FlowExecutor:
         self.stage_cache_entries = stage_cache_entries
         self.stats = ExecutorStats()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._serial_stage_cache: Optional[StageCache] = None
         self._cache_stats_persisted = False
-        if stage_cache and n_workers == 1:
-            configure_stage_cache(stage_cache_entries)
 
     # ------------------------------------------------------------ lifecycle
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
@@ -304,10 +316,23 @@ class FlowExecutor:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
+    def _job_stage_cache(self) -> Union[bool, StageCache]:
+        """What each job's ``stage_cache`` carries: False, True for the
+        pool workers' own caches, or this serial executor's cache
+        (created on first use)."""
+        if not self.stage_cache or self.n_workers > 1:
+            return self.stage_cache
+        if self._serial_stage_cache is None:
+            self._serial_stage_cache = StageCache(self.stage_cache_entries)
+        return self._serial_stage_cache
+
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        # campaigns keep closed executors for their stats; the snapshots
+        # and trajectories must not outlive the executor with them
+        self._serial_stage_cache = None
         self._persist_cache_stats()
 
     def _persist_cache_stats(self) -> None:
@@ -432,8 +457,9 @@ class FlowExecutor:
                 leader_of_key[key] = i
             to_run.append(i)
 
+        stage_cache = self._job_stage_cache()
         tasks = [(jobs[i].design, jobs[i].options, jobs[i].seed, stop_callback,
-                  self.stage_cache) for i in to_run]
+                  stage_cache) for i in to_run]
         fn = self.flow_fn
         if run_ids is not None:
             # workers report step metrics themselves, through the queue
@@ -468,6 +494,7 @@ class FlowExecutor:
                 self.stats.runtime_proxy_total += outcome.runtime_proxy
             self.stats.runtime_proxy_executed += report.executed_proxy
             if self.stage_cache:
+                self.stats.resumed_iterations += report.resumed_iterations
                 self.stats.stage_hits += report.n_hits
                 self.stats.stage_misses += report.n_misses
                 for name in report.hit_stages:

@@ -18,6 +18,17 @@ demand genuinely exceeds supply the run plateaus (doomed); when supply
 is ample DRVs decay geometrically (successful) — the trajectory classes
 of Fig 9 emerge from the grid state rather than from curve templates.
 
+A detailed-routing run *is* its trajectory, and ``max_iterations`` only
+says where it stops: on the same congestion map, settings and seed, a
+10-iteration run is exactly the first 10 iterations of a 30-iteration
+one.  So the router's state is resumable.  :meth:`DetailedRouter.start`
+seeds a :class:`RouteTrajectory` (the violation grid, the generator and
+the DRV history), and :meth:`DetailedRouter.route` advances one: it
+replays the iterations already in the history without drawing, runs
+only the ones past its end, and calls ``stop_callback`` with exactly the
+histories a fresh run would.  A fresh run is ``start`` plus that same
+loop, so a resumed run draws nothing twice and equals a fresh one.
+
 Both routers run struct-of-arrays kernels: segments come from one global
 lexsort + batched gcell binning, L-shape costs are evaluated over flat
 per-row/per-column demand lists — skipped entirely via per-row/column
@@ -335,6 +346,22 @@ class DetailedRouteResult:
         return self.drvs_per_iteration[0] if self.drvs_per_iteration else 0
 
 
+@dataclass
+class RouteTrajectory:
+    """Where one detailed-routing run stands; a longer run resumes it.
+
+    ``history`` holds the DRV count after each iteration (index 0 is the
+    seeded count), ``violations`` the per-gcell grid after its last
+    entry, and ``rng`` the generator positioned for the next iteration.
+    It belongs to one congestion map, seed and set of
+    :attr:`DetailedRouter.trajectory_settings`, whatever the cap.
+    """
+
+    violations: np.ndarray
+    rng: np.random.Generator
+    history: List[int]
+
+
 class DetailedRouter:
     """Rip-up-and-reroute iteration engine over a congestion grid.
 
@@ -352,12 +379,22 @@ class DetailedRouter:
         shock_prob: float = 0.3,
         shock_frac: float = 0.6,
     ):
+        """``max_iterations`` is an integer >= 1, ``effort`` in (0, 1]
+        and ``shock_prob`` in [0, 1]; ``drv_seed_rate``, ``spill_rate``
+        and ``shock_frac`` are finite and >= 0."""
+        if isinstance(max_iterations, bool) or not isinstance(
+                max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < effort <= 1.0:
             raise ValueError("effort must be in (0, 1]")
         if not 0.0 <= shock_prob <= 1.0:
             raise ValueError("shock_prob must be in [0, 1]")
+        for knob, value in (("drv_seed_rate", drv_seed_rate),
+                            ("spill_rate", spill_rate), ("shock_frac", shock_frac)):
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{knob} must be finite and >= 0, got {value!r}")
         self.max_iterations = max_iterations
         self.effort = effort
         self.drv_seed_rate = drv_seed_rate
@@ -365,11 +402,31 @@ class DetailedRouter:
         self.shock_prob = shock_prob
         self.shock_frac = shock_frac
 
+    @property
+    def trajectory_settings(self) -> Tuple[float, ...]:
+        """Every setting a trajectory depends on: all but
+        ``max_iterations``, which only says where a run stops."""
+        return (float(self.effort), float(self.drv_seed_rate),
+                float(self.spill_rate), float(self.shock_prob),
+                float(self.shock_frac))
+
+    def start(self, congestion: np.ndarray, seed: Optional[int] = None) -> RouteTrajectory:
+        """Seed the violations of a run on ``congestion`` (iteration 0)."""
+        cong = _congestion_grid(congestion)
+        rng = np.random.default_rng(seed)
+        # Seed violations: grows sharply where demand exceeds ~90% of capacity.
+        excess = np.maximum(0.0, cong - 0.9)
+        lam = self.drv_seed_rate * (excess * 10.0) ** 1.5 + 0.3 * cong
+        violations = rng.poisson(lam).astype(float)
+        return RouteTrajectory(violations=violations, rng=rng,
+                               history=[int(violations.sum())])
+
     def route(
         self,
         congestion: np.ndarray,
         seed: Optional[int] = None,
         stop_callback=None,
+        trajectory: Optional[RouteTrajectory] = None,
     ) -> DetailedRouteResult:
         """Run detailed routing against a gcell congestion map.
 
@@ -378,41 +435,39 @@ class DetailedRouter:
         if given, is called after each iteration with the DRV history;
         returning True terminates the run early (the hook the doomed-run
         predictor uses).
+
+        ``trajectory``, if given, is one :meth:`start` seeded on this
+        congestion map and ``seed`` for a router with these
+        :attr:`trajectory_settings` (at any ``max_iterations``): the run
+        resumes it instead of seeding its own, advances it in place as
+        far as the run gets, and returns what a fresh run returns.
         """
-        cong = np.asarray(congestion, dtype=float)
-        if cong.ndim != 2:
-            raise ValueError("congestion map must be 2-D")
-        rng = np.random.default_rng(seed)
+        cong = _congestion_grid(congestion)
+        if trajectory is None:
+            trajectory = self.start(cong, seed)
+        elif trajectory.violations.shape != cong.shape:
+            raise ValueError("trajectory was started on a congestion map of another shape")
+        history = trajectory.history
 
-        # Seed violations: grows sharply where demand exceeds ~90% of capacity.
-        excess = np.maximum(0.0, cong - 0.9)
-        lam = self.drv_seed_rate * (excess * 10.0) ** 1.5 + 0.3 * cong
-        violations = rng.poisson(lam).astype(float)
-
-        # per-gcell rates are fixed for the run: fixes succeed where the
-        # gcell has routing slack, and fixes in congested neighborhoods
-        # spill into adjacent gcells instead of removing violations
-        p_fix = np.clip(self.effort * _sigmoid(6.0 * (1.0 - cong) + 0.5), 0.0, 1.0)
-        p_spill = np.clip(
-            self.spill_rate * _sigmoid(8.0 * (_box_mean(cong) - 1.0)), 0.0, 1.0
-        )
-
-        history: List[int] = [int(violations.sum())]
         stopped = False
-        iterations = 0
-        for _ in range(self.max_iterations):
-            iterations += 1
-            violations = self._iterate(violations, cong, p_fix, p_spill, rng)
-            history.append(int(violations.sum()))
-            if stop_callback is not None and stop_callback(list(history)):
+        rates = None
+        for iterations in range(1, self.max_iterations + 1):
+            if iterations == len(history):  # past the trajectory's end
+                if rates is None:
+                    rates = self._rates(cong)
+                trajectory.violations = self._iterate(
+                    trajectory.violations, cong, *rates, trajectory.rng)
+                history.append(int(trajectory.violations.sum()))
+            if stop_callback is not None and stop_callback(history[:iterations + 1]):
                 stopped = True
                 break
-            if history[-1] == 0:
+            if history[iterations] == 0:
                 break
+        drvs = history[:iterations + 1]
 
         return DetailedRouteResult(
-            drvs_per_iteration=history,
-            success=history[-1] < SUCCESS_DRV_THRESHOLD and not stopped,
+            drvs_per_iteration=drvs,
+            success=drvs[-1] < SUCCESS_DRV_THRESHOLD and not stopped,
             iterations_run=iterations,
             stopped_early=stopped,
             metadata={
@@ -421,6 +476,17 @@ class DetailedRouter:
                 "overflow_fraction": float((cong > 1.0).mean()),
             },
         )
+
+    def _rates(self, cong: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-gcell fix and spill probabilities, fixed for the run:
+        fixes succeed where the gcell has routing slack, and fixes in
+        congested neighborhoods spill into adjacent gcells instead of
+        removing violations."""
+        p_fix = np.clip(self.effort * _sigmoid(6.0 * (1.0 - cong) + 0.5), 0.0, 1.0)
+        p_spill = np.clip(
+            self.spill_rate * _sigmoid(8.0 * (_box_mean(cong) - 1.0)), 0.0, 1.0
+        )
+        return p_fix, p_spill
 
     def _iterate(
         self,
@@ -445,6 +511,13 @@ class DetailedRouter:
                 lam = self.shock_frac * total * cong / max(1e-9, cong.sum())
                 out = out + rng.poisson(lam)
         return out
+
+
+def _congestion_grid(congestion: np.ndarray) -> np.ndarray:
+    cong = np.asarray(congestion, dtype=float)
+    if cong.ndim != 2:
+        raise ValueError("congestion map must be 2-D")
+    return cong
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ The stages run synth, floorplan, place, cts, groute, opt, signoff and
 detailed routing (the terminal ``droute_signoff``).  Signoff reads
 nothing routing produces, so it runs ahead of the router and is cached
 with the prefix: a router-knob sweep point re-runs detailed routing
-alone.
+alone, and that resumes the router trajectory an earlier point left.
 
 :func:`~repro.eda.stages.runner.execute_pipeline` drives the stages in
 order and is bit-identical to the historical monolithic

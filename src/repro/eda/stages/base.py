@@ -82,6 +82,10 @@ class PipelineState:
     #: copies it into the StageReport.  No stage reads it as an
     #: artifact, so no snapshot carries it: a resumed job starts at None
     sta_stats: Optional[StaStats] = None
+    #: detailed-router iterations this run answered from a cached
+    #: trajectory instead of running them (accounting, like
+    #: ``sta_stats``: the runner copies it into the StageReport)
+    droute_resumed: Optional[int] = None
 
 
 class FlowStage:
@@ -107,8 +111,15 @@ class FlowStage:
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
-        """Execute the stage, mutating ``state`` (artifacts + logs)."""
+        """Execute the stage, mutating ``state`` (artifacts + logs).
+
+        ``stop_callback`` is the job's kill hook and ``cache`` its
+        :class:`~repro.eda.stages.cache.StageCache` (None without one);
+        only detailed routing reads them, to stop early and to keep its
+        router trajectories.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -22,6 +22,7 @@ class CtsStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         cts = ClockTreeSynthesizer(options.cts_effort).synthesize(
             state.netlist, state.placement, seeds[0]

@@ -16,11 +16,27 @@ The router is the pipeline terminal: its product *is* the finished
 ``cacheable`` is False: snapshotting post-terminal state would store
 every full result twice.  The terminal keeps the ``droute_signoff``
 name it had when it also signed off.
+
+What the stage cache keeps for the router instead is its trajectory
+(:class:`~repro.eda.routing.RouteTrajectory`).  A run is a prefix of
+any longer run on the same congestion map, router settings and seed,
+so with a cache the stage resumes the trajectory stored under
+:func:`trajectory_key` and draws only the iterations past its end.  The
+key hashes what the router reads and nothing else: the congestion
+map's bytes and shape, every router setting but the iteration cap (which
+only cuts the trajectory) and the stage's seed.  The opt and signoff
+knobs are not in it, because whatever they change, the router never
+reads.  Iterations served from the trajectory are counted in
+``state.droute_resumed``, so the job's executed proxy counts only the
+iterations it ran; its ``droute`` log is the fresh run's, bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Sequence
+
+import numpy as np
 
 from repro.eda.flow import FlowOptions, StepLog
 from repro.eda.power import estimate_power, ir_drop_analysis
@@ -46,6 +62,7 @@ class SignoffStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         result = state.result
         period = options.clock_period_ps
@@ -82,6 +99,15 @@ class SignoffStage(FlowStage):
         )
 
 
+def trajectory_key(drouter: DetailedRouter, congestion: np.ndarray, seed: int) -> str:
+    """The stage-cache key of the trajectory ``drouter`` draws on
+    ``congestion`` from ``seed`` (see module docstring)."""
+    cong = np.ascontiguousarray(congestion, dtype=float)
+    digest = hashlib.sha256(cong.tobytes())
+    digest.update(repr((cong.shape, drouter.trajectory_settings, int(seed))).encode())
+    return "droute:" + digest.hexdigest()
+
+
 class DrouteSignoffStage(FlowStage):
     """Detailed routing, the terminal stage (see module docstring)."""
 
@@ -97,12 +123,26 @@ class DrouteSignoffStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         result = state.result
         drouter = DetailedRouter(
             max_iterations=options.router_max_iterations, effort=options.router_effort
         )
-        droute = drouter.route(state.congestion, seeds[0], stop_callback)
+        if cache is None:
+            droute = drouter.route(state.congestion, seeds[0], stop_callback)
+        else:
+            key = trajectory_key(drouter, state.congestion, seeds[0])
+            trajectory = cache.get(key, self.name)
+            if trajectory is None:
+                trajectory = drouter.start(state.congestion, seeds[0])
+            known = len(trajectory.history)
+            droute = drouter.route(state.congestion, seeds[0], stop_callback,
+                                   trajectory=trajectory)
+            ran = len(trajectory.history) - known
+            state.droute_resumed = droute.iterations_run - ran
+            if ran:
+                cache.put(key, self.name, trajectory)
         state.droute = droute
         result.final_drvs = droute.final_drvs
         result.routed = droute.success

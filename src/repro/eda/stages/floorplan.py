@@ -21,6 +21,7 @@ class FloorplanStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         floorplan = make_floorplan(state.netlist, options.utilization, options.aspect_ratio)
         state.floorplan = floorplan

@@ -21,6 +21,7 @@ class GrouteStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         groute = GlobalRouter(tracks_per_um=options.router_tracks_per_um).route(
             state.placement, seeds[0]

@@ -36,6 +36,7 @@ class OptStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         optimizer = TimingOptimizer(
             max_passes=options.opt_passes,

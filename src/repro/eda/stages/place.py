@@ -21,6 +21,7 @@ class PlaceStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         placement = QuadraticPlacer(options.spread_strength).place(
             state.netlist, state.floorplan, seeds[0]

@@ -13,7 +13,10 @@ cache keys can be computed without running anything — so a job can
 probe the stage cache deepest-first and re-run only the suffix after
 its deepest cached prefix.  A snapshot keeps only the state fields
 some later stage ``reads``; after signoff that is the congestion map
-alone, so a router-knob resume unpickles a few kilobytes.
+alone, so a router-knob resume unpickles a few kilobytes, and the
+router then resumes the trajectory cached for that map (see
+:mod:`repro.eda.stages.droute`), running only the iterations past its
+end.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from repro.eda.netlist import Netlist
 from repro.eda.stages.base import FlowStage, PipelineState
 from repro.eda.stages.cache import StageCache, stage_prefix_keys
 from repro.eda.stages.cts import CtsStage
-from repro.eda.stages.droute import DrouteSignoffStage, SignoffStage
+from repro.eda.stages.droute import (
+    DROUTE_ITERATION_PROXY,
+    DrouteSignoffStage,
+    SignoffStage,
+)
 from repro.eda.stages.floorplan import FloorplanStage
 from repro.eda.stages.groute import GrouteStage
 from repro.eda.stages.opt import OptStage
@@ -99,9 +106,13 @@ class StageReport:
 
     hit_stages: List[str] = field(default_factory=list)
     run_stages: List[str] = field(default_factory=list)
-    #: runtime proxy of the StepLogs this job produced (the suffix's);
-    #: a cold run's equals ``result.runtime_proxy`` exactly
+    #: runtime proxy of the StepLogs this job produced (the suffix's),
+    #: less the router iterations it resumed; a cold run's equals
+    #: ``result.runtime_proxy`` exactly
     executed_proxy: float = 0.0
+    #: detailed-router iterations answered from a cached trajectory
+    #: (in the ``droute`` log, but not run by this job)
+    resumed_iterations: int = 0
     #: timing-kernel accounting for the executed suffix (see
     #: repro.eda.sta.graph.StaStats): full propagations, incremental
     #: updates, nodes re-propagated, and the proxy the incremental
@@ -152,11 +163,13 @@ def execute_pipeline(
     With a ``cache``, the job resumes from its deepest cached prefix
     snapshot and re-runs only the suffix; every executed cacheable
     stage's post-state is snapshotted for later jobs, keeping only
-    ``result`` and the fields a later stage reads.  A ``Netlist``
+    ``result`` and the fields a later stage reads, and the detailed
+    router resumes the trajectory cached for its inputs.  A ``Netlist``
     design is copied, never modified.
     """
-    kind, stages, stage_seeds = plan_stages(design, seed)
-    keys = stage_prefix_keys(design, options, seed) if cache is not None else None
+    plan = plan_stages(design, seed)
+    kind, stages, stage_seeds = plan
+    keys = stage_prefix_keys(design, options, seed, plan) if cache is not None else None
 
     state: Optional[PipelineState] = None
     start = 0
@@ -198,13 +211,17 @@ def execute_pipeline(
 
     for i in range(start, len(stages)):
         stage = stages[i]
-        stage.run(state, options, stage_seeds[i], stop_callback=stop_callback)
+        stage.run(state, options, stage_seeds[i], stop_callback=stop_callback,
+                  cache=cache)
         report.run_stages.append(stage.name)
         if cache is not None and stage.cacheable:
             cache.put(keys[i], stage.name, _snapshot(state, stages[i + 1:]))
 
-    report.executed_proxy += sum(log.runtime_proxy for log in state.result.logs
-                                 if id(log) not in inherited)
+    resumed = state.droute_resumed or 0
+    report.resumed_iterations += resumed
+    produced = sum(log.runtime_proxy for log in state.result.logs
+                   if id(log) not in inherited)
+    report.executed_proxy += produced - resumed * DROUTE_ITERATION_PROXY
     if state.sta_stats is not None:
         report.sta_full += state.sta_stats.full_propagates
         report.sta_incremental += state.sta_stats.incremental_updates

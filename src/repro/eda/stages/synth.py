@@ -21,6 +21,7 @@ class SynthStage(FlowStage):
         options: FlowOptions,
         seeds: Sequence[int],
         stop_callback=None,
+        cache=None,
     ) -> None:
         netlist = synthesize(state.spec, _default_library(), options.synth_effort, seeds[0])
         state.netlist = netlist

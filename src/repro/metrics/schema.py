@@ -67,7 +67,9 @@ VOCABULARY: Dict[str, tuple] = {
     # snapshots vs. actually executed, and the tool cost it really paid
     "exec.stage.hit": ("count", "pipeline stages served from the stage-prefix cache"),
     "exec.stage.miss": ("count", "pipeline stages actually executed by the job"),
-    "stage.runtime_proxy": ("work", "tool cost actually executed (suffix only on a prefix resume)"),
+    "stage.runtime_proxy": ("work", "tool cost actually executed (suffix only on a "
+                                    "prefix resume, less router iterations resumed "
+                                    "from a cached trajectory)"),
     # incremental-STA kernel events: the stage layer threads a shared
     # TimingGraph through the pipeline; each job reports how timing was
     # queried (full propagations vs. dirty-cone updates) and the proxy

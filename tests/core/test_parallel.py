@@ -391,6 +391,61 @@ def test_executor_stage_cache_serial(small_spec):
     assert "stage_hits=" not in plain.stats.summary()  # only shown when active
 
 
+def test_executor_counts_resumed_router_iterations(small_spec):
+    """Router-cap points at one effort share one trajectory: the
+    executor counts the iterations they resumed, and executed work and
+    each job's ``stage.runtime_proxy`` record leave them out; no other
+    record is added."""
+    from repro.eda.stages.droute import DROUTE_ITERATION_PROXY
+    from repro.metrics import MetricsCollector, MetricsServer, make_run_id
+
+    base = OPTS.with_(router_tracks_per_um=10.0, router_effort=0.3)
+    jobs = [FlowJob(small_spec, base.with_(router_max_iterations=cap), 5)
+            for cap in (10, 20, 5)]
+    names = {}
+    for stage_cache in (False, True):
+        server = MetricsServer()
+        with MetricsCollector(server, cross_process=False) as collector:
+            with FlowExecutor(n_workers=1, cache=None, collector=collector,
+                              stage_cache=stage_cache) as executor:
+                results = executor.run_jobs(jobs)
+            collector.flush()
+        vectors = [server.run_vector(make_run_id(job.design, job.options, job.seed))
+                   for job in jobs]
+        names[stage_cache] = [sorted(vector) for vector in vectors]
+    iterations = [int(next(log.metrics["iterations"] for log in result.logs
+                           if log.step == "droute")) for result in results]
+    assert iterations == [10, 20, 5]
+    assert executor.stats.resumed_iterations == 10 + 5
+    assert "resumed_iterations=15" in executor.stats.summary()
+    assert [vector["stage.runtime_proxy"] for vector in vectors][1:] == \
+        [10 * DROUTE_ITERATION_PROXY, 0.0]
+    assert sum(vector["stage.runtime_proxy"] for vector in vectors) == \
+        pytest.approx(executor.stats.runtime_proxy_executed)
+    assert names[True] == names[False]
+
+
+def test_each_serial_executor_owns_its_stage_cache():
+    """Building a second stage-caching executor does not empty the
+    first one's cache, and ``close`` releases an executor's cache."""
+    from repro.bench.generators import design_profile
+
+    spec = design_profile("PHY")
+    first, second = (FlowJob(spec, FlowOptions(router_effort=effort), 5)
+                     for effort in (0.5, 0.9))
+    a = FlowExecutor(n_workers=1, cache=None, stage_cache=True)
+    a.run_jobs([first])
+    with FlowExecutor(n_workers=1, cache=None, stage_cache=True) as b:
+        a.run_jobs([second])
+        assert a.stats.stage_hits == 7  # synth..signoff
+        b.run_jobs([second])
+        assert b.stats.stage_hits == 0
+    a.close()
+    a.run_jobs([second])  # a fresh cache after close: nothing to resume
+    assert a.stats.stage_hits == 7
+    a.close()
+
+
 def test_executor_stage_cache_pool_mode(small_spec):
     jobs = [FlowJob(small_spec, OPTS.with_(router_effort=e), 5)
             for e in (0.3, 0.6, 0.9, 0.45)]

@@ -126,3 +126,30 @@ def test_unkilled_campaign_reports_zero_kill_events(small_spec):
             continue
         assert vec["exec.killed.run"] == 0.0
         assert vec["exec.killed.proxy_saved"] == 0.0
+
+
+def test_killed_runs_resume_router_trajectories_bit_identically(mcu_spec, mdp_policy):
+    """A stage-caching executor under a kill policy: router caps and
+    seeds in random orders resume the trajectories killed runs left,
+    and every result equals the cache-off executor's."""
+    import random
+
+    from repro.core.parallel import FlowJob
+    from repro.eda.flow import FlowOptions
+
+    base = FlowOptions(utilization=0.85, router_effort=0.3)
+    jobs = [FlowJob(mcu_spec, base.with_(router_max_iterations=cap), seed)
+            for seed in range(3) for cap in (5, 10, 20, 30, 40)]
+    with FlowExecutor(n_workers=1, cache=None) as plain:
+        reference = plain.run_jobs(jobs, stop_callback=mdp_policy)
+    assert plain.stats.kills == len(jobs)  # the callback path decides every run
+    rng = random.Random(0)
+    for _ in range(4):
+        order = rng.sample(range(len(jobs)), len(jobs))
+        with FlowExecutor(n_workers=1, cache=None, stage_cache=True) as staged:
+            for i in order:
+                assert staged.run_jobs([jobs[i]], stop_callback=mdp_policy)[0] == \
+                    reference[i], jobs[i]
+        assert staged.stats.kills == len(jobs)
+        assert staged.stats.kill_proxy_saved == plain.stats.kill_proxy_saved
+        assert staged.stats.resumed_iterations > 0

@@ -7,7 +7,8 @@ demand grids, congestion maps, and DRV trajectories — across three
 designs (one with a macro) and three seeds, with and without net-weight
 overlays, off-square gcell grids, negotiation rounds from 0 to 5, and
 non-default detailed-router knobs under a kill-policy
-``stop_callback``.  The placer is also checked on the PHY benchmark
+``stop_callback``, run fresh and resumed from the trajectories earlier
+runs left.  The placer is also checked on the PHY benchmark
 profile (451 instances, several legalizer blocks) and on a high-fanout
 design whose nets exceed the clique cap.  The references are the only
 oracle: there is no second live copy of any kernel.
@@ -243,3 +244,89 @@ def test_droute_stop_callback_cases_do_stop_early():
                     stop_callback=_stop_when_drvs_rise)
                 stopped += result.stopped_early
     assert 0 < stopped < len(DROUTE_KNOBS) * len(SPECS) * len(SEEDS)
+
+
+#: gcell tracks of a map every run but the shocky one routes clean on
+CLEAN_TRACKS = 16.0
+
+
+def _recorder(callback, calls):
+    """``callback``, also appending each history it is handed to ``calls``."""
+    if callback is None:
+        return None
+
+    def record(history):
+        calls.append(list(history))
+        return callback(history)
+
+    return record
+
+
+def _leavers(knobs, congestion, seed):
+    """Trajectories earlier runs left on ``congestion``, by how they
+    ended: a shorter cap, a longer cap (on a clean map, at 0 DRVs), and
+    a longer cap whose stop_callback ended it."""
+    cap = knobs.get("max_iterations", 20)
+    leavers = {}
+    for name, leaver_cap, callback in (("shorter", max(1, cap // 4), None),
+                                       ("longer", cap + 10, None),
+                                       ("killed", cap + 10, _stop_when_drvs_rise)):
+        router = DetailedRouter(**{**knobs, "max_iterations": leaver_cap})
+        trajectory = router.start(congestion, seed)
+        leavers[name] = (trajectory, router.route(congestion, seed, callback,
+                                                  trajectory=trajectory))
+    return leavers
+
+
+@pytest.mark.parametrize("knobs", DROUTE_KNOBS, ids=("default", "shocky", "spilly"))
+@pytest.mark.parametrize("design", sorted(SPECS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_droute_resumed_from_any_trajectory_equals_a_fresh_run(design, seed, knobs):
+    """A run resumed from the trajectory an earlier run left equals a
+    fresh run and the reference field for field, hands its
+    stop_callback the same histories, and leaves the trajectory a
+    prefix-extension of the one it resumed."""
+    for tracks in (5.0, CLEAN_TRACKS):
+        congestion = _congestion(design, seed, tracks)
+        leavers = _leavers(knobs, congestion, seed)
+        for callback in (None, _stop_when_drvs_rise):
+            want_calls, ref_calls = [], []
+            want = DetailedRouter(**knobs).route(
+                congestion, seed=seed, stop_callback=_recorder(callback, want_calls))
+            _assert_droute_equal(want, ReferenceDetailedRouter(**knobs).route(
+                congestion, seed=seed, stop_callback=_recorder(callback, ref_calls)))
+            assert ref_calls == want_calls
+            for name, (left, _) in leavers.items():
+                trajectory = copy.deepcopy(left)
+                calls = []
+                got = DetailedRouter(**knobs).route(
+                    congestion, seed=seed, stop_callback=_recorder(callback, calls),
+                    trajectory=trajectory)
+                assert got == want, (tracks, name)
+                assert calls == want_calls, (tracks, name)
+                assert trajectory.history[:len(left.history)] == left.history
+                assert trajectory.history[:len(want.drvs_per_iteration)] == \
+                    want.drvs_per_iteration
+
+
+def test_droute_resume_cases_cover_every_way_a_run_ends():
+    """The leavers above include runs that routed clean, runs their
+    callback ended, and runs cut by their cap on both sides of the
+    resumed run's cap."""
+    ends = set()
+    for knobs in DROUTE_KNOBS:
+        cap = knobs.get("max_iterations", 20)
+        for design in sorted(SPECS):
+            for seed in SEEDS:
+                for tracks in (5.0, CLEAN_TRACKS):
+                    for name, (_, result) in _leavers(
+                            knobs, _congestion(design, seed, tracks), seed).items():
+                        if result.stopped_early:
+                            ends.add("killed")
+                        elif result.final_drvs == 0:
+                            ends.add("clean")
+                        elif result.iterations_run < cap:
+                            ends.add("shorter cap")
+                        elif result.iterations_run > cap:
+                            ends.add("longer cap")
+    assert ends == {"killed", "clean", "shorter cap", "longer cap"}

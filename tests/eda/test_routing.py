@@ -149,6 +149,27 @@ def test_detailed_router_validation():
         DetailedRouter(shock_prob=2.0)
     with pytest.raises(ValueError):
         DetailedRouter().route(np.zeros(5), seed=0)  # 1-D map
+    # each of these used to construct, then fail or mis-route in route()
+    for bad, message in (
+        (dict(max_iterations=2.5), "max_iterations"),  # TypeError from range
+        (dict(max_iterations=True), "max_iterations"),  # routed one pass
+        (dict(max_iterations=np.float64(20.0)), "max_iterations"),
+        (dict(drv_seed_rate=-1.0), "drv_seed_rate"),  # numpy: lam < 0
+        (dict(drv_seed_rate=float("nan")), "drv_seed_rate"),
+        (dict(drv_seed_rate=float("inf")), "drv_seed_rate"),
+        (dict(spill_rate=-0.5), "spill_rate"),  # clipped to 0
+        (dict(spill_rate=float("nan")), "spill_rate"),
+        (dict(shock_frac=-1.0), "shock_frac"),  # failed when a shock fired
+        (dict(shock_frac=float("inf")), "shock_frac"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DetailedRouter(**bad)
+    router = DetailedRouter(max_iterations=np.int64(3))
+    assert router.route(np.full((4, 4), 0.5), seed=0).iterations_run <= 3
+    # a trajectory only resumes on a map of its own shape
+    trajectory = router.start(np.full((4, 4), 0.5), seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        router.route(np.full((4, 5), 0.5), seed=0, trajectory=trajectory)
 
 
 @settings(max_examples=10, deadline=None)

@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
@@ -218,8 +219,11 @@ def test_repeat_job_reruns_only_the_uncacheable_suffix(small_spec):
     assert report.hit_stages == [s.name for s in FULL_FLOW_STAGES[:-1]]
     assert report.run_stages == ["droute_signoff"]
     assert again == first
-    # delivered runtime_proxy is the full flow; executed is the suffix
-    assert again.runtime_proxy > report.executed_proxy > 0
+    # delivered runtime_proxy is the full flow; the router replays the
+    # trajectory the first job left, so the repeat executes nothing
+    droute = next(log for log in again.logs if log.step == "droute")
+    assert report.resumed_iterations == droute.metrics["iterations"] > 0
+    assert report.executed_proxy == 0.0 < again.runtime_proxy
 
 
 def test_resume_with_report_only_executed_accounting(small_spec):
@@ -242,9 +246,10 @@ def test_stage_cache_counts_and_lru(small_spec):
     cache = StageCache(max_entries=2)
     base = FlowOptions()
     execute_pipeline(small_spec, base, 3, cache=cache)
-    # only 2 of the 7 cacheable prefixes survive under max_entries=2
+    # only 2 of the 7 cacheable prefixes and the router's trajectory
+    # survive under max_entries=2
     assert len(cache) == 2
-    assert cache.puts == 7
+    assert cache.puts == 8
     report = StageReport()
     execute_pipeline(small_spec, base, 3, cache=cache, report=report)
     # the deepest prefix (through signoff) survived: LRU keeps the latest puts
@@ -487,3 +492,123 @@ def test_kill_on_a_signoff_resume_matches_monolith(small_spec):
     assert not any(result.routed for result in killed)
     assert executor.stats.kills == sum(result.final_drvs > 0 for result in killed)
     assert executor.stats.kills > 0
+
+
+# ------------------------------------------------- resumed router trajectories
+#: a router-bound point for the tiny design: at router_effort 0.3 every
+#: cap cuts the run short, at 0.9 the 30-iteration run routes clean
+ROUTED = FlowOptions(router_tracks_per_um=10.0)
+
+
+def trajectory_entry_key(design, options, seed, cache):
+    """The stage-cache key of the router trajectory a job at
+    ``options`` resumes (its congestion map read from ``cache``)."""
+    from repro.eda.routing import DetailedRouter
+    from repro.eda.stages.droute import trajectory_key
+
+    _, _, stage_seeds = plan_stages(design, seed)
+    congestion = cache.get(stage_prefix_keys(design, options, seed)[-2],
+                           "signoff").congestion
+    router = DetailedRouter(max_iterations=options.router_max_iterations,
+                            effort=options.router_effort)
+    return trajectory_key(router, congestion, stage_seeds[-1][0])
+
+
+@pytest.mark.parametrize("effort", [0.3, 0.9])
+def test_every_router_sweep_order_matches_monolith(small_spec, effort):
+    """Router caps and optimizer passes in every order through one
+    stage cache: each job resumes the trajectory the jobs before it
+    left (shorter, longer, or made under the other opt point) and
+    equals the monolith; what it ran plus what it resumed is its run."""
+    import itertools
+
+    points = {(cap, passes): ROUTED.with_(router_effort=effort,
+                                          router_max_iterations=cap,
+                                          opt_passes=passes)
+              for cap in (10, 20, 30) for passes in (4, 8)}
+    golden = {point: MonolithicSPRFlow().run(small_spec, options, seed=3)
+              for point, options in points.items()}
+    iterations = {point: int(next(log.metrics["iterations"] for log in result.logs
+                                  if log.step == "droute"))
+                  for point, result in golden.items()}
+    for caps in itertools.permutations((10, 20, 30)):
+        for passes in ((4, 8), (8, 4)):
+            cache = StageCache()
+            ran = 0
+            for point in itertools.product(caps, passes):
+                report = StageReport()
+                result = execute_pipeline(small_spec, points[point], 3,
+                                          cache=cache, report=report)
+                assert result == golden[point], (caps, passes, point)
+                ran += iterations[point] - report.resumed_iterations
+            # the six points share one trajectory: no iteration ran twice
+            assert ran == max(iterations.values())
+
+
+def test_resumed_router_iterations_are_not_executed_work(small_spec):
+    from repro.eda.stages.droute import DROUTE_ITERATION_PROXY
+
+    cache = StageCache()
+    base = ROUTED.with_(router_effort=0.3)
+    execute_pipeline(small_spec, base.with_(router_max_iterations=10), 3, cache=cache)
+    # a shorter run is answered from the trajectory's history
+    report = StageReport()
+    execute_pipeline(small_spec, base.with_(router_max_iterations=5), 3,
+                     cache=cache, report=report)
+    assert report.run_stages == ["droute_signoff"]
+    assert (report.resumed_iterations, report.executed_proxy) == (5, 0.0)
+    # a longer one runs only the k iterations past the trajectory's end
+    report = StageReport()
+    result = execute_pipeline(small_spec, base.with_(router_max_iterations=25), 3,
+                              cache=cache, report=report)
+    assert report.resumed_iterations == 10
+    assert report.executed_proxy == 15 * DROUTE_ITERATION_PROXY
+    assert result.runtime_proxy == MonolithicSPRFlow().run(
+        small_spec, base.with_(router_max_iterations=25), seed=3).runtime_proxy
+    # an opt point shares the trajectory: it runs opt and signoff, and
+    # routes from history
+    report = StageReport()
+    result = execute_pipeline(
+        small_spec, base.with_(router_max_iterations=25, opt_passes=3), 3,
+        cache=cache, report=report)
+    assert report.run_stages == ["opt", "signoff", "droute_signoff"]
+    assert report.resumed_iterations == 25
+    assert report.executed_proxy == pytest.approx(sum(
+        log.runtime_proxy for log in result.logs if log.step in ("opt", "signoff")))
+
+
+def test_router_trajectories_are_keyed_by_the_congestion_map(small_spec):
+    """Points that differ upstream of detailed routing hand the router
+    other congestion maps under the same router seed: each draws its
+    own trajectory instead of resuming another map's."""
+    cache = StageCache()
+    for options in (ROUTED, ROUTED.with_(router_tracks_per_um=8.0),
+                    ROUTED.with_(utilization=0.6)):
+        report = StageReport()
+        result = execute_pipeline(small_spec, options, 3, cache=cache, report=report)
+        assert result == MonolithicSPRFlow().run(small_spec, options, seed=3)
+        assert report.resumed_iterations == 0
+
+
+@pytest.mark.parametrize("caps", [(5, 30), (30, 5)])
+def test_resuming_jobs_never_mutate_the_cached_trajectory(small_spec, caps):
+    """Two jobs resume from one trajectory entry, in both orders: each
+    gets a private copy, the one that runs nothing past the entry leaves
+    it as it was, and the one that runs further stores a longer
+    trajectory that extends it."""
+    base = ROUTED.with_(router_effort=0.3)
+    cache = StageCache()
+    execute_pipeline(small_spec, base.with_(router_max_iterations=10), 3, cache=cache)
+    key = trajectory_entry_key(small_spec, base, 3, cache)
+    entry = cache.get(key, "droute_signoff")
+    assert cache.get(key, "droute_signoff") is not entry
+    for cap in caps:
+        options = base.with_(router_max_iterations=cap)
+        assert execute_pipeline(small_spec, options, 3, cache=cache) == \
+            MonolithicSPRFlow().run(small_spec, options, seed=3)
+        after = cache.get(key, "droute_signoff")
+        assert after.history[:len(entry.history)] == entry.history
+        if len(after.history) == len(entry.history):
+            assert np.array_equal(after.violations, entry.violations)
+            assert after.rng.bit_generator.state == entry.rng.bit_generator.state
+    assert len(after.history) == 31
