@@ -42,18 +42,24 @@ smoke:
 # A bounded 2-worker instrumented campaign: every parallel run's step
 # metrics plus executor events must land in one METRICS JSONL file that
 # `repro metrics summary` can read back — the cross-process collection
-# path end to end.
+# path end to end.  Migrating the file into a sqlite warehouse then
+# checks zero loss (the migrate exits 1 on any mismatch) and writes the
+# CLI's own warehouse-op records.
 metrics-smoke:
+	rm -f .metrics-smoke.jsonl .metrics-smoke.sqlite
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli explore \
 		--design PHY --rounds 2 --concurrent 3 --workers 2 --seed 1 \
 		--metrics-out .metrics-smoke.jsonl
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics summary \
 		--in .metrics-smoke.jsonl --design phy
-	rm -f .metrics-smoke.jsonl
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics migrate \
+		--in .metrics-smoke.jsonl --db .metrics-smoke.sqlite
+	rm -f .metrics-smoke.jsonl .metrics-smoke.sqlite
 
 # Warehouse smoke: two small campaigns land in one sqlite warehouse
 # under distinct campaign ids, then the cross-campaign read path is
-# exercised end to end (summary, per-campaign query, retention).
+# exercised end to end (summary, per-campaign query, retention).  The
+# last query exits 1 unless the compaction recorded its own op record.
 warehouse-smoke:
 	rm -f .warehouse-smoke.sqlite
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli explore \
@@ -68,6 +74,8 @@ warehouse-smoke:
 		--in .warehouse-smoke.sqlite --campaign smoke-b
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics compact \
 		--db .warehouse-smoke.sqlite --keep-last 1
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics query \
+		--in .warehouse-smoke.sqlite --metric warehouse.compact.removed
 	rm -f .warehouse-smoke.sqlite
 
 # Stage-prefix cache smoke: a small 2-worker router-knob sweep at a

@@ -12,7 +12,7 @@ The rule is interprocedural through the summaries in
 - the lock held at a site is its lexical ``with`` stack *plus* the
   ``inherited_locks`` fixpoint (a private helper whose every in-project
   call site holds a lock is analyzed as holding it too — the
-  ``MetricsServer.receive -> _append`` shape);
+  ``receive -> _append`` shape);
 - sites inside ``__init__`` or the ``init_only`` fixpoint (helpers
   reachable solely from ``__init__``) are exempt — the object is not
   published yet, so pre-publication mutation cannot race;

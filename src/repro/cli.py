@@ -357,11 +357,11 @@ def _cmd_metrics_summary(args) -> int:
 def _emit_warehouse_op(store, values) -> None:
     """Record a maintenance operation's bookkeeping in the warehouse
     itself, so ingest/migration/retention history stays queryable."""
-    from repro.metrics import Transmitter
+    from repro.metrics import MetricsServer, Transmitter
 
     run_id = f"warehouse-op-{store.ingest_count}"
-    with Transmitter(store, "warehouse", run_id, tool="warehouse",
-                     use_xml=False) as tx:
+    with Transmitter(MetricsServer(store=store), "warehouse", run_id,
+                     tool="warehouse") as tx:
         for name, value in values:
             tx.send(name, float(value))
 

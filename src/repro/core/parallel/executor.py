@@ -150,15 +150,15 @@ class ExecutorStats:
         return line
 
 
-def _worker_init(stage_cache_entries: Optional[int] = None) -> None:
+def _worker_init(stage_cache: bool = False) -> None:
     """Per-worker-process initializer: build the shared default library
     eagerly so no worker races the lazy global on first use, and (when
     stage caching is on) give the worker its own process-local stage
     cache — prefix snapshots are reused across the jobs each worker
     executes, with no cross-process traffic."""
     _default_library()
-    if stage_cache_entries is not None:
-        configure_stage_cache(stage_cache_entries)
+    if stage_cache:
+        configure_stage_cache()
 
 
 def _kill_proxy_saved(result: FlowResult) -> Optional[float]:
@@ -253,13 +253,11 @@ class FlowExecutor:
         ``flow_fn`` and resumes from the deepest cached prefix snapshot,
         re-running only the changed suffix (see ``docs/parallel.md``).
         A serial executor owns one
-        :class:`~repro.eda.stages.cache.StageCache`, which ``close``
-        releases; pool mode gives each worker process its own.
+        :class:`~repro.eda.stages.cache.StageCache` of the default 64
+        entries, which ``close`` releases; pool mode gives each worker
+        process its own.
         ``stats``' stage counters count only on a stage-caching
         executor; the per-job records report every job's stages.
-    stage_cache_entries:
-        LRU capacity of each stage cache (pipeline-state snapshots and
-        router trajectories held per executor or pool worker).
     """
 
     def __init__(
@@ -272,7 +270,6 @@ class FlowExecutor:
         flow_fn: Optional[Callable[..., FlowResult]] = None,
         collector=None,
         stage_cache: bool = False,
-        stage_cache_entries: int = 64,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -280,8 +277,6 @@ class FlowExecutor:
             raise ValueError("timeout_s must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if stage_cache_entries < 1:
-            raise ValueError("stage_cache_entries must be >= 1")
         self.n_workers = n_workers
         if cache is True:
             cache = ResultCache(cache_dir=cache_dir)
@@ -295,7 +290,6 @@ class FlowExecutor:
         self.flow_fn = flow_fn or run_flow_job
         self.collector = collector
         self.stage_cache = stage_cache
-        self.stage_cache_entries = stage_cache_entries
         self.stats = ExecutorStats()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._serial_stage_cache: Optional[StageCache] = None
@@ -304,10 +298,9 @@ class FlowExecutor:
     # ------------------------------------------------------------ lifecycle
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
-            initargs = (self.stage_cache_entries if self.stage_cache else None,)
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.n_workers, initializer=_worker_init,
-                initargs=initargs,
+                initargs=(self.stage_cache,),
             )
         return self._pool
 
@@ -323,7 +316,7 @@ class FlowExecutor:
         if not self.stage_cache or self.n_workers > 1:
             return self.stage_cache
         if self._serial_stage_cache is None:
-            self._serial_stage_cache = StageCache(self.stage_cache_entries)
+            self._serial_stage_cache = StageCache()
         return self._serial_stage_cache
 
     def close(self) -> None:
@@ -549,7 +542,7 @@ class FlowExecutor:
                       kill_saved) -> None:
         """Emit per-job executor-event records, and re-report cache-served
         results whose step metrics may predate this server (disk tier)."""
-        from repro.metrics.collector import QueueTransmitter
+        from repro.metrics.transmitter import Transmitter
         from repro.metrics.wrappers import report_flow_metrics
 
         for i, job in enumerate(jobs):
@@ -557,8 +550,8 @@ class FlowExecutor:
             failed = isinstance(outcome, FlowExecutionError)
             report = reports[i]
             design_name = job.design.name
-            with QueueTransmitter(self.collector.queue, design_name,
-                                  run_ids[i], tool="flow_executor") as tx:
+            with Transmitter(self.collector.queue, design_name,
+                             run_ids[i], tool="flow_executor") as tx:
                 tx.send("exec.cache_hit_memory", float(hit_tier[i] == "memory"))
                 tx.send("exec.cache_hit_disk", float(hit_tier[i] == "disk"))
                 tx.send("exec.dedup", float(deduped[i]))
@@ -580,8 +573,8 @@ class FlowExecutor:
                 tx.send("exec.killed.run", float(killed[i]))
                 tx.send("exec.killed.proxy_saved", float(kill_saved[i]))
             if hit_tier[i] is not None and not failed:
-                with QueueTransmitter(self.collector.queue, design_name,
-                                      run_ids[i], tool="spr_flow") as tx:
+                with Transmitter(self.collector.queue, design_name,
+                                 run_ids[i], tool="spr_flow") as tx:
                     report_flow_metrics(tx, outcome)
 
     def _execute(self, tasks: List[Tuple], indices: List[int], fn: Callable,

@@ -143,14 +143,14 @@ class DSEEngine:
         collector = getattr(ctx.executor, "collector", None)
         if collector is None:
             return
-        from repro.metrics.collector import QueueTransmitter
+        from repro.metrics.transmitter import Transmitter
 
         collector.start()
         if isinstance(task, tuple):  # (policy, env): the env's design, if any
             task = getattr(task[1], "spec", None)
         design = getattr(task, "name", None) or "landscape"
         run_id = f"dse-{result.method}-{0 if seed is None else int(seed)}"
-        tx = QueueTransmitter(collector.queue, design, run_id, tool="dse")
+        tx = Transmitter(collector.queue, design, run_id, tool="dse")
         tx.send("dse.runs", result.n_runs)
         tx.send("dse.failed", result.n_failed)
         tx.send("dse.pruned", result.n_pruned)

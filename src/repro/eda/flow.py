@@ -72,8 +72,8 @@ class FlowOptions:
             raise ValueError("cts_effort must be in [0, 1]")
         if not self.router_tracks_per_um > 0 or not np.isfinite(self.router_tracks_per_um):
             raise ValueError("router_tracks_per_um must be positive and finite")
-        if not 0.0 <= self.router_effort <= 1.0:
-            raise ValueError("router_effort must be in [0, 1]")
+        if not 0.0 < self.router_effort <= 1.0:
+            raise ValueError("router_effort must be in (0, 1]")
         if self.router_max_iterations < 1:
             raise ValueError("router_max_iterations must be >= 1")
         if self.opt_passes < 1:

@@ -31,7 +31,7 @@ from repro.metrics.store import (
 from repro.metrics.transmitter import Transmitter
 from repro.metrics.server import MetricsServer
 from repro.metrics.wrappers import InstrumentedFlow, make_run_id, report_flow_metrics
-from repro.metrics.collector import MetricsCollector, QueueTransmitter
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.miner import DataMiner, OptionRecommendation
 from repro.metrics.feedback import AdaptiveFlowSession
 
@@ -50,7 +50,6 @@ __all__ = [
     "Transmitter",
     "MetricsServer",
     "MetricsCollector",
-    "QueueTransmitter",
     "InstrumentedFlow",
     "make_run_id",
     "report_flow_metrics",

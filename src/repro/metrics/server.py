@@ -13,10 +13,12 @@ Here the server is a thin thread-safe façade over a pluggable
   warehouse (WAL concurrent writers, batched ingest, retention,
   cross-campaign queries).
 
-The server's own responsibilities are collection-side: thread-safe
-``receive`` (the collector's drain thread and direct transmitters may
-share one server), XML decode, and stamping every untagged record with
-the session's campaign id so history stays sliceable after the fact.
+The server's own responsibilities are collection-side: one
+thread-safe ingest call, :meth:`MetricsServer.put`, which takes one
+transmitter flush (the collector's drain thread and in-process
+transmitters may share one server), decodes its XML records, stamps
+every untagged record with the session's campaign id so history stays
+sliceable after the fact, and stores the batch in one store call.
 All queries delegate to the store.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from typing import Dict, List, Optional, Sequence
+from xml.etree.ElementTree import ParseError
 
 from repro.metrics.schema import MetricRecord
 from repro.metrics.store import JsonlStore, MetricsStore, stamp_campaign
@@ -75,19 +78,22 @@ class MetricsServer:
             return record
         return stamp_campaign(record, self.campaign)
 
-    def receive(self, record: MetricRecord) -> None:
-        """Ingest one record (transmitters call this).  Thread-safe."""
-        with self._lock:
-            self._store.receive(self._stamp(record))
+    def put(self, message: Sequence[str]) -> int:
+        """Ingest one transmitter flush, a list of XML records, in one
+        store call (one transaction on a warehouse).  Thread-safe.
 
-    def receive_many(self, records: Sequence[MetricRecord]) -> int:
-        """Batched ingest — one store transaction for the whole batch
-        (the collector's drain thread hands over everything queued)."""
+        An item that does not decode is skipped alone; returns how many
+        records were taken.
+        """
+        records = []
+        for item in message:
+            try:
+                records.append(MetricRecord.from_xml(item))
+            except (ParseError, TypeError, ValueError):
+                continue
         with self._lock:
-            return self._store.ingest([self._stamp(r) for r in records])
-
-    def receive_xml(self, xml_text: str) -> None:
-        self.receive(MetricRecord.from_xml(xml_text))
+            self._store.ingest([self._stamp(r) for r in records])
+        return len(records)
 
     def close(self) -> None:
         """Release the backend (safe to call twice)."""

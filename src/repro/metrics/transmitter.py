@@ -3,7 +3,14 @@
 The original METRICS collected data "by either a wrapper script or an
 API call from within the tools", buffered and XML-encoded in transit.
 The transmitter validates names against the vocabulary before sending —
-garbage never reaches the server.
+garbage never reaches the server — and delivers in flushes: each flush
+is one message, the list of the buffered records'
+``MetricRecord.to_xml()`` strings, handed to ``target.put``.  The
+target is a :class:`~repro.metrics.server.MetricsServer` (in-process
+reporting: one store transaction per flush) or a
+:class:`~repro.metrics.collector.MetricsCollector`'s queue (pool
+workers: the collector's drain hands each message to that same
+``server.put``).
 """
 
 from __future__ import annotations
@@ -11,28 +18,19 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.metrics.schema import MetricRecord
-from repro.metrics.server import MetricsServer
 
 
 class Transmitter:
-    """Buffered, validated channel from one tool run to the server."""
+    """Buffered, validated channel from one tool run to a METRICS target."""
 
-    def __init__(
-        self,
-        server: MetricsServer,
-        design: str,
-        run_id: str,
-        tool: str,
-        use_xml: bool = True,
-        buffer_size: int = 32,
-    ):
+    def __init__(self, target, design: str, run_id: str, tool: str,
+                 buffer_size: int = 32):
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        self.server = server
+        self.target = target
         self.design = design
         self.run_id = run_id
         self.tool = tool
-        self.use_xml = use_xml
         self.buffer_size = buffer_size
         self._buffer: list = []
         self._sequence = 0
@@ -58,18 +56,16 @@ class Transmitter:
             self.send(name, value)
 
     def flush(self) -> None:
-        """Deliver everything queued (XML round-trip when enabled).
+        """Put everything buffered on the target as one message.
 
-        Records leave the buffer *before* each delivery attempt, so a
-        server failure partway through a flush never re-sends the
-        records that already arrived: delivery is at-most-once.
+        The buffer is emptied before the ``put``, so a ``put`` that
+        raises loses this flush's records and never re-sends them:
+        delivery is at-most-once.  An empty buffer puts nothing.
         """
-        while self._buffer:
-            record = self._buffer.pop(0)
-            if self.use_xml:
-                self.server.receive_xml(record.to_xml())
-            else:
-                self.server.receive(record)
+        if not self._buffer:
+            return
+        records, self._buffer = self._buffer, []
+        self.target.put([record.to_xml() for record in records])
 
     def __enter__(self) -> "Transmitter":
         return self

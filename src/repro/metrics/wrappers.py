@@ -6,21 +6,21 @@ logfile metrics are extracted and transmitted, along with the option
 settings that produced them (options are first-class metrics so the
 miner can learn option -> QoR maps).
 
-Run identity is content-derived (:func:`make_run_id`): the id is a hash
-of (design, options, seed), so any process — a pool worker, a fresh
-interpreter, a resumed campaign — assigns the *same* id to the same
-flow point and *different* ids to different points.  The old
-module-level counter restarted at zero in every pool worker, which
-merged unrelated runs into one bogus run vector.
+Run identity is content-derived (:func:`make_run_id`): the id is the
+job's result-cache key, a hash of (design, options, seed), so any
+process — a pool worker, a fresh interpreter, a resumed campaign —
+assigns the *same* id to the same flow point and *different* ids to
+different points.  The old module-level counter restarted at zero in
+every pool worker, which merged unrelated runs into one bogus run
+vector.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Optional, Union
 
+from repro.core.parallel.cache import cache_key
 from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
 from repro.eda.netlist import Netlist
 from repro.eda.synthesis import DesignSpec
@@ -66,27 +66,17 @@ _OPTION_METRICS = {
 }
 
 
-def make_run_id(design: Union[DesignSpec, Netlist, str], options: FlowOptions,
+def make_run_id(design: Union[DesignSpec, Netlist], options: FlowOptions,
                 seed: int) -> str:
     """A collision-free, process-independent run id for one flow point.
 
-    ``<design name>-<12 hex digits>`` where the digest covers the design
-    content, every option knob, and the seed.  Identical points map to
-    the same id in every process (their records merge idempotently —
-    they describe the same run); distinct points never collide.
+    ``<design name>-<the first 12 hex digits of the job's cache_key>``:
+    the digest covers the design content, every option knob, and the
+    seed.  Identical points map to the same id in every process (their
+    records merge idempotently — they describe the same run); distinct
+    points never collide.
     """
-    if isinstance(design, str):
-        name, content = design, design
-    else:
-        from repro.core.parallel.cache import design_fingerprint
-
-        name, content = design.name, design_fingerprint(design)
-    payload = json.dumps(
-        {"design": content, "options": options.to_dict(), "seed": int(seed)},
-        sort_keys=True,
-        default=float,
-    )
-    return f"{name}-{hashlib.sha256(payload.encode()).hexdigest()[:12]}"
+    return f"{design.name}-{cache_key(design, options, seed)[:12]}"
 
 
 def report_flow_metrics(tx: Transmitter, result: FlowResult) -> None:

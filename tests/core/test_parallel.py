@@ -492,11 +492,6 @@ def test_executor_close_rewrites_non_object_stats_file(tmp_path, payload):
     assert stats["jobs_submitted"] == 3
 
 
-def test_executor_stage_cache_validation():
-    with pytest.raises(ValueError):
-        FlowExecutor(n_workers=1, stage_cache=True, stage_cache_entries=0)
-
-
 def test_cache_stats_survive_concurrent_executors(tmp_path):
     """Two executors closing at once must not lose each other's counters.
 

@@ -133,6 +133,7 @@ def test_flow_options_validation():
     (dict(cts_effort=-0.1), "cts_effort"),
     (dict(router_tracks_per_um=0.0), "router_tracks_per_um"),
     (dict(router_effort=-0.5), "router_effort"),
+    (dict(router_effort=0.0), "router_effort"),
     (dict(router_effort=1.5), "router_effort"),
     (dict(router_max_iterations=0), "router_max_iterations"),
     (dict(opt_passes=-1), "opt_passes"),

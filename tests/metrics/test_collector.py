@@ -1,20 +1,22 @@
-"""Cross-process METRICS collection: run ids, QueueTransmitter,
-MetricsCollector, the batched queue transport, and the instrumented
-FlowExecutor path."""
+"""Cross-process METRICS collection: run ids, transmitters into the
+collector's queue, MetricsCollector, the batched transport, and the
+instrumented FlowExecutor path."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import FlowExecutionError, FlowExecutor, FlowJob
+from repro.bench.generators import design_profile
+from repro.core.parallel import FlowExecutionError, FlowExecutor, FlowJob, cache_key
 from repro.eda.flow import FlowOptions
 from repro.eda.stages import FULL_FLOW_STAGES
 from repro.metrics import (
     DataMiner,
+    InstrumentedFlow,
     MetricsCollector,
     MetricsServer,
-    QueueTransmitter,
+    Transmitter,
     make_run_id,
 )
 from repro.metrics.schema import EXECUTOR_EVENT_METRICS, MetricRecord
@@ -44,7 +46,15 @@ def test_run_id_content_derived(small_spec):
     assert make_run_id(small_spec, OPTS, 1) == base  # same point, same id
     assert make_run_id(small_spec, OPTS, 2) != base
     assert make_run_id(small_spec, OPTS.with_(utilization=0.6), 1) != base
-    assert make_run_id("tiny", OPTS, 1) != ""  # plain-name form works too
+
+
+def test_run_ids_are_the_cache_key_prefix():
+    """Warehouses persist run ids, so these literals must never change."""
+    options = FlowOptions(router_effort=0.3, target_clock_ghz=0.71)
+    phy, mcu = design_profile("PHY"), design_profile("MCU")
+    assert make_run_id(phy, options, 0) == "phy-8d9b25be048d"
+    assert make_run_id(mcu, options, 0) == "pulpino-92027d1ca4a6"
+    assert make_run_id(mcu, options, 0) == "pulpino-" + cache_key(mcu, options, 0)[:12]
 
 
 def test_run_ids_unique_across_campaign(small_spec):
@@ -55,7 +65,7 @@ def test_run_ids_unique_across_campaign(small_spec):
 
 # ---------------------------------------------------------------- collector
 def test_collector_requires_start():
-    collector = MetricsCollector(cross_process=False)
+    collector = MetricsCollector(MetricsServer(), cross_process=False)
     with pytest.raises(RuntimeError):
         collector.queue
     collector.stop()  # stopping an unstarted collector is a no-op
@@ -64,9 +74,9 @@ def test_collector_requires_start():
 def test_queue_transmitter_validates_and_delivers():
     server = MetricsServer()
     with MetricsCollector(server, cross_process=False) as collector:
-        tx = QueueTransmitter(collector.queue, "d", "r1", "tool")
+        tx = Transmitter(collector.queue, "d", "r1", "tool")
         with pytest.raises(ValueError):
-            tx.send("garbage.name", 1.0)  # vocabulary check is inherited
+            tx.send("garbage.name", 1.0)  # vocabulary check at send
         tx.send("flow.area", 10.0)
         tx.flush()
         collector.flush()
@@ -79,7 +89,7 @@ def test_collector_drops_malformed_items_without_dying():
     server = MetricsServer()
     with MetricsCollector(server, cross_process=False) as collector:
         collector.queue.put("<not-a-metric/>")
-        with QueueTransmitter(collector.queue, "d", "r1", "tool") as tx:
+        with Transmitter(collector.queue, "d", "r1", "tool") as tx:
             tx.send("flow.area", 1.0)
         collector.flush()
     assert collector.dropped == 1
@@ -118,7 +128,7 @@ def test_a_flush_is_one_message_of_the_records_xml():
     server = MetricsServer()
     collector = counting_collector(server)
     try:
-        with QueueTransmitter(collector.queue, "d", "r1", "tool") as tx:
+        with Transmitter(collector.queue, "d", "r1", "tool") as tx:
             tx.send("flow.area", 10.0)
             tx.send("flow.runtime", 2.0)
             tx.send("flow.success", 1.0)
@@ -177,9 +187,26 @@ class FlakyQueue:
         self.messages.append(item)
 
 
-def test_a_failed_put_loses_that_flush_and_never_resends_it():
-    queue = FlakyQueue()
-    tx = QueueTransmitter(queue, "d", "r1", "tool")
+class FlakyServer(MetricsServer):
+    """Refuses the first put (a dropped link), ingests and keeps the rest."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+        self.failed = False
+
+    def put(self, message):
+        if not self.failed:
+            self.failed = True
+            raise ConnectionError("link dropped")
+        self.messages.append(message)
+        return super().put(message)
+
+
+@pytest.mark.parametrize("target", [FlakyServer, FlakyQueue], ids=["server", "queue"])
+def test_a_failed_put_loses_that_flush_and_never_resends_it(target):
+    target = target()
+    tx = Transmitter(target, "d", "r1", "tool")
     tx.send("flow.area", 1.0)
     tx.send("flow.runtime", 2.0)
     with pytest.raises(ConnectionError):
@@ -188,10 +215,10 @@ def test_a_failed_put_loses_that_flush_and_never_resends_it():
     tx.send("flow.success", 1.0)
     tx.flush()
     tx.flush()  # an empty buffer puts nothing
-    assert queue.messages == [[_record("flow.success", 1.0, 2).to_xml()]]
+    assert target.messages == [[_record("flow.success", 1.0, 2).to_xml()]]
 
 
-def test_a_malformed_record_drops_alone_and_a_bare_string_still_ingests():
+def test_a_malformed_record_drops_alone_and_a_bare_string_drops_whole():
     server = MetricsServer()
     with MetricsCollector(server, cross_process=False) as collector:
         collector.queue.put([_record("flow.area", 1.0, 0).to_xml(),
@@ -200,31 +227,29 @@ def test_a_malformed_record_drops_alone_and_a_bare_string_still_ingests():
         collector.queue.put(_record("flow.success", 1.0, 2).to_xml())
         collector.queue.put(7)  # not a message at all
         collector.flush()
-        assert collector.dropped == 2
-        assert collector.received == 3
-    assert server.run_vector("r1") == {
-        "flow.area": 1.0, "flow.runtime": 2.0, "flow.success": 1.0}
+        assert collector.dropped == 3
+        assert collector.received == 2
+    assert server.run_vector("r1") == {"flow.area": 1.0, "flow.runtime": 2.0}
 
 
-class _BatchLog(MetricsServer):
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def receive_many(self, records):
-        self.batches.append(len(records))
-        return super().receive_many(records)
-
-
-def test_the_drain_hands_the_server_at_most_batch_size_records():
-    server = _BatchLog()
-    with MetricsCollector(server, cross_process=False, batch_size=2) as collector:
-        collector.queue.put([_record("flow.area", float(i), i).to_xml()
-                             for i in range(5)])
+def test_in_process_and_collected_reports_store_the_same_records(small_spec):
+    """``InstrumentedFlow`` (transmitter into the server) and a serial
+    executor (transmitter into the collector's queue) store one job's
+    step records identically."""
+    direct = MetricsServer()
+    InstrumentedFlow(direct).run(small_spec, OPTS, seed=3)
+    collected = MetricsServer()
+    with MetricsCollector(collected, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None, collector=collector) as executor:
+            executor.run_one(small_spec, OPTS, 3)
         collector.flush()
-        assert server.batches == [2, 2, 1]
-        assert collector.received == 5
-    assert server.series("r1", "flow.area") == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def step_xml(server):
+        records = sorted(server.query(tool="spr_flow"), key=lambda r: r.sequence)
+        return [record.to_xml() for record in records]
+
+    assert len(step_xml(direct)) > 32
+    assert step_xml(direct) == step_xml(collected)
 
 
 def test_two_worker_collection_matches_serial_per_run(small_spec):
@@ -356,7 +381,7 @@ def test_failed_job_emits_failure_event(small_spec):
 
 
 def test_pool_requires_cross_process_collector(small_spec):
-    collector = MetricsCollector(cross_process=False).start()
+    collector = MetricsCollector(MetricsServer(), cross_process=False).start()
     executor = FlowExecutor(n_workers=2, collector=collector)
     try:
         with pytest.raises(ValueError):

@@ -83,37 +83,6 @@ def test_transmitter_validates_at_send():
         tx.send("garbage.name", 1.0)
 
 
-class _FlakyServer:
-    """Accepts records until the nth delivery, then drops the link once."""
-
-    def __init__(self, fail_on):
-        self.records = []
-        self.fail_on = fail_on
-        self.deliveries = 0
-
-    def receive_xml(self, xml):
-        self.deliveries += 1
-        if self.deliveries == self.fail_on:
-            raise ConnectionError("link dropped")
-        self.records.append(MetricRecord.from_xml(xml))
-
-
-def test_flush_is_at_most_once_on_mid_flush_failure():
-    server = _FlakyServer(fail_on=2)
-    tx = Transmitter(server, "d", "r1", "tool", buffer_size=100)
-    tx.send("flow.area", 1.0)
-    tx.send("flow.runtime", 2.0)
-    tx.send("flow.success", 3.0)
-    with pytest.raises(ConnectionError):
-        tx.flush()
-    # the first record arrived exactly once; the failed one is gone
-    # (at-most-once), and only the untouched tail remains buffered
-    assert [r.metric for r in server.records] == ["flow.area"]
-    assert [r.metric for r in tx._buffer] == ["flow.success"]
-    tx.flush()
-    assert [r.metric for r in server.records] == ["flow.area", "flow.success"]
-
-
 def test_server_queries():
     server = MetricsServer()
     with Transmitter(server, "da", "r1", "tool") as tx:

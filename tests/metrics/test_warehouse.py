@@ -9,17 +9,21 @@ then train over both campaigns from the single archive.
 """
 
 import json
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro.bench.generators import design_profile
 from repro.cli import main
 from repro.core.doomed import MDPCardLearner, router_logs_from_store
 from repro.core.doomed.card import StrategyCard
 from repro.dse.surrogate import SurrogateProposer
+from repro.eda.flow import FlowOptions
 from repro.metrics import (
     DataMiner,
+    InstrumentedFlow,
     JsonlStore,
     MetricRecord,
     MetricsServer,
@@ -28,6 +32,7 @@ from repro.metrics import (
     migrate_jsonl,
     open_store,
 )
+from repro.metrics.logparse import transmit_flow_log
 from repro.metrics.store import stamp_campaign
 from tests.metrics.test_store_parity import (
     METRICS,
@@ -308,12 +313,36 @@ def test_server_rejects_store_and_path_together(tmp_path):
 def test_server_campaign_stamps_records(tmp_path):
     with MetricsServer(store=SqliteStore(str(tmp_path / "a.sqlite")),
                        campaign="c9") as server:
-        server.receive(_record("r", "flow.area", 1.0, 0))
         already = _record("r", "flow.success", 1.0, 1, campaign="keep")
-        server.receive(already)
+        assert server.put([_record("r", "flow.area", 1.0, 0).to_xml(),
+                           already.to_xml()]) == 2
         assert server.runs(campaign="c9") == ["r"]
         tagged = {r.metric: r.attributes["campaign"] for r in server.query()}
         assert tagged == {"flow.area": "c9", "flow.success": "keep"}
+
+
+class _CountingStore(SqliteStore):
+    """A warehouse that counts its ingest calls (one transaction each)."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.ingests = 0
+
+    def ingest(self, records):
+        self.ingests += 1
+        return super().ingest(records)
+
+
+def test_in_process_reporting_commits_one_transaction_per_flush(tmp_path):
+    store = _CountingStore(str(tmp_path / "a.sqlite"))
+    with MetricsServer(store=store) as server:
+        result = InstrumentedFlow(server).run(design_profile("PHY"), FlowOptions(), seed=3)
+        n = len(server.query(tool="spr_flow"))
+        assert n > 32
+        assert store.ingests == math.ceil(n / 32)
+        store.ingests = 0
+        assert transmit_flow_log(result.log_text(), server, "phy-log") <= 32
+        assert store.ingests == 1
 
 
 # ------------------------------------------------------------------- CLI
