@@ -78,11 +78,15 @@ warehouse-smoke:
 		--in .warehouse-smoke.sqlite --metric warehouse.compact.removed
 	rm -f .warehouse-smoke.sqlite
 
-# Stage-prefix cache smoke: a small 2-worker router-knob sweep at a
-# fixed (design, seed).  Asserts bit-identical results with the cache
-# on and off and at least one prefix hit (more jobs than workers, so a
-# worker-local cache must serve a shared prefix).
+# Stage-prefix cache smoke: a small router-knob sweep at a fixed
+# (design, seed), once through a serial executor's own stage cache and
+# once on 2 workers.  Asserts bit-identical results with the cache on
+# and off and at least one prefix hit (more jobs than workers, so a
+# worker-local cache must serve a shared prefix); the serial leg must
+# also resume at least one router iteration from a cached trajectory.
 stage-smoke:
+	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) \
+		benchmarks/stage_cache_benchmark.py --smoke --workers 1
 	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) \
 		benchmarks/stage_cache_benchmark.py --smoke --workers 2
 

@@ -30,12 +30,12 @@ cached stage snapshot.  See ``docs/parallel.md``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict
 from typing import Dict, Optional, Union
 
 from repro.eda.flow import FlowOptions, FlowResult, load_step_log
@@ -53,12 +53,15 @@ def design_fingerprint(design: Union[DesignSpec, Netlist]) -> str:
     """A stable content hash of the job's design input.
 
     ``DesignSpec`` hashes its full field dict (a spec plus a seed fully
-    determines the synthesized netlist).  ``Netlist`` hashes its
-    structural Verilog serialization, so two netlists with identical
-    structure share cache entries regardless of how they were built.
+    determines the synthesized netlist); the dict holds the fields
+    themselves, not ``asdict``'s deep copies, and serializes to the
+    same JSON.  ``Netlist`` hashes its structural Verilog serialization,
+    so two netlists with identical structure share cache entries
+    regardless of how they were built.
     """
     if isinstance(design, DesignSpec):
-        payload = json.dumps(asdict(design), sort_keys=True, default=float)
+        values = {f.name: getattr(design, f.name) for f in dataclasses.fields(design)}
+        payload = json.dumps(values, sort_keys=True, default=float)
         return "spec:" + hashlib.sha256(payload.encode()).hexdigest()
     if isinstance(design, Netlist):
         from repro.eda.io import write_verilog
@@ -86,7 +89,7 @@ def cache_key(design: Union[DesignSpec, Netlist], options: FlowOptions, seed: in
 
 def flow_result_to_dict(result: FlowResult) -> Dict:
     """JSON-safe dict of a :class:`FlowResult` (for the disk tier)."""
-    out = asdict(result)
+    out = dataclasses.asdict(result)
     out["options"] = result.options.to_dict()
     # asdict leaves numpy scalars in metric dicts; normalize to floats
     for log in out["logs"]:
@@ -137,22 +140,22 @@ class ResultCache:
             self._memory.move_to_end(key)
             self.last_tier = "memory"
             return self._memory[key]
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            if os.path.exists(path):
-                try:
-                    with open(path) as fh:
-                        data = json.load(fh)
-                    if not isinstance(data, dict) or \
-                            data.pop("schema", None) != CACHE_SCHEMA:
-                        return None  # corrupt, stale or future layout: a miss
-                    result = flow_result_from_dict(data)
-                except (AttributeError, ValueError, KeyError, TypeError):
-                    return None  # corrupt entry: treat as a miss
-                self._insert_memory(key, result)
-                self.last_tier = "disk"
-                return result
-        return None
+        if self.cache_dir is None:
+            return None
+        try:
+            # one open, no exists() first: an entry that is missing,
+            # unreadable or removed by a concurrent clear is a miss
+            with open(self._disk_path(key)) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict) or \
+                    data.pop("schema", None) != CACHE_SCHEMA:
+                return None  # corrupt, stale or future layout: a miss
+            result = flow_result_from_dict(data)
+        except (OSError, AttributeError, ValueError, KeyError, TypeError):
+            return None  # unreadable or corrupt entry: treat as a miss
+        self._insert_memory(key, result)
+        self.last_tier = "disk"
+        return result
 
     def put(self, key: str, result: FlowResult) -> None:
         self._insert_memory(key, result)

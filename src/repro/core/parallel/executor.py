@@ -414,7 +414,19 @@ class FlowExecutor:
         """
         t0 = time.perf_counter()
         self.stats.jobs_submitted += len(jobs)
-        run_ids = self._prepare_collection(jobs)
+        collecting = self._start_collection()
+        # one content key per job: the result cache's key and the run
+        # id's (hashing a Netlist job serializes the whole netlist)
+        if self.cache is not None or collecting:
+            keys = [cache_key(job.design, job.options, job.seed) for job in jobs]
+        else:
+            keys = [None] * len(jobs)
+        run_ids = None
+        if collecting:
+            from repro.metrics.wrappers import run_id_from_key
+
+            run_ids = [run_id_from_key(job.design.name, key)
+                       for job, key in zip(jobs, keys)]
         results: List[Optional[Union[FlowResult, FlowExecutionError]]] = [None] * len(jobs)
         hit_tier: List[Optional[str]] = [None] * len(jobs)
         deduped: List[bool] = [False] * len(jobs)
@@ -428,11 +440,8 @@ class FlowExecutor:
         to_run: List[int] = []        # job indices that must execute
         followers: dict = {}          # leader index -> indices sharing its key
         leader_of_key: dict = {}
-        keys: List[Optional[str]] = [None] * len(jobs)
-        for i, job in enumerate(jobs):
+        for i, key in enumerate(keys):
             if self.cache is not None:
-                key = cache_key(job.design, job.options, job.seed)
-                keys[i] = key
                 hit = self.cache.get(key)
                 if hit is not None:
                     if self.cache.last_tier == "disk":
@@ -524,18 +533,16 @@ class FlowExecutor:
         return outcomes
 
     # ------------------------------------------------------------ internals
-    def _prepare_collection(self, jobs: Sequence[FlowJob]) -> Optional[List[str]]:
-        """Run ids for an instrumented batch (None when not collecting)."""
+    def _start_collection(self) -> bool:
+        """Whether this batch is instrumented; starts the collector if so."""
         if self.collector is None:
-            return None
+            return False
         if self.n_workers > 1 and not self.collector.cross_process:
             raise ValueError(
                 "n_workers > 1 needs a MetricsCollector(cross_process=True)"
             )
-        from repro.metrics.wrappers import make_run_id
-
         self.collector.start()  # idempotent
-        return [make_run_id(job.design, job.options, job.seed) for job in jobs]
+        return True
 
     def _report_batch(self, jobs, run_ids, results, hit_tier, deduped,
                       job_attempts, wall: float, reports, killed,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -90,7 +90,9 @@ class FlowOptions:
         return 1000.0 / self.target_clock_ghz
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        """The knobs by field name, in field order: ``asdict``'s dict
+        without its deep copy of each (scalar) value."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def with_(self, **kwargs) -> "FlowOptions":
         """A copy with some options overridden."""

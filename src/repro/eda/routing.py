@@ -22,12 +22,15 @@ A detailed-routing run *is* its trajectory, and ``max_iterations`` only
 says where it stops: on the same congestion map, settings and seed, a
 10-iteration run is exactly the first 10 iterations of a 30-iteration
 one.  So the router's state is resumable.  :meth:`DetailedRouter.start`
-seeds a :class:`RouteTrajectory` (the violation grid, the generator and
-the DRV history), and :meth:`DetailedRouter.route` advances one: it
-replays the iterations already in the history without drawing, runs
-only the ones past its end, and calls ``stop_callback`` with exactly the
-histories a fresh run would.  A fresh run is ``start`` plus that same
-loop, so a resumed run draws nothing twice and equals a fresh one.
+seeds a :class:`RouteTrajectory` (the violation grid, the generator's
+state and the DRV history), and :meth:`DetailedRouter.route` advances
+one: it replays the iterations already in the history without drawing,
+runs only the ones past its end, and calls ``stop_callback`` with
+exactly the histories a fresh run would.  A fresh run is ``start`` plus
+that same loop, so a resumed run draws nothing twice and equals a fresh
+one.  The trajectory keeps the generator's state, not the generator: a
+run builds a generator from it only to draw past the history, and
+writes the advanced state back after each iteration it runs.
 
 Both routers run struct-of-arrays kernels: segments come from one global
 lexsort + batched gcell binning, L-shape costs are evaluated over flat
@@ -352,13 +355,16 @@ class RouteTrajectory:
 
     ``history`` holds the DRV count after each iteration (index 0 is the
     seeded count), ``violations`` the per-gcell grid after its last
-    entry, and ``rng`` the generator positioned for the next iteration.
-    It belongs to one congestion map, seed and set of
+    entry, and ``rng_state`` the ``bit_generator.state`` of the
+    generator positioned for the next iteration: a plain dict, so a
+    trajectory pickles and unpickles without building a generator, and
+    a run that only replays its history never builds one.  It belongs
+    to one congestion map, seed and set of
     :attr:`DetailedRouter.trajectory_settings`, whatever the cap.
     """
 
     violations: np.ndarray
-    rng: np.random.Generator
+    rng_state: Dict[str, object]
     history: List[int]
 
 
@@ -418,7 +424,7 @@ class DetailedRouter:
         excess = np.maximum(0.0, cong - 0.9)
         lam = self.drv_seed_rate * (excess * 10.0) ** 1.5 + 0.3 * cong
         violations = rng.poisson(lam).astype(float)
-        return RouteTrajectory(violations=violations, rng=rng,
+        return RouteTrajectory(violations=violations, rng_state=rng.bit_generator.state,
                                history=[int(violations.sum())])
 
     def route(
@@ -450,13 +456,15 @@ class DetailedRouter:
         history = trajectory.history
 
         stopped = False
-        rates = None
+        rng = None
         for iterations in range(1, self.max_iterations + 1):
             if iterations == len(history):  # past the trajectory's end
-                if rates is None:
+                if rng is None:
+                    rng = _resume_generator(trajectory.rng_state)
                     rates = self._rates(cong)
                 trajectory.violations = self._iterate(
-                    trajectory.violations, cong, *rates, trajectory.rng)
+                    trajectory.violations, cong, *rates, rng)
+                trajectory.rng_state = rng.bit_generator.state
                 history.append(int(trajectory.violations.sum()))
             if stop_callback is not None and stop_callback(history[:iterations + 1]):
                 stopped = True
@@ -511,6 +519,15 @@ class DetailedRouter:
                 lam = self.shock_frac * total * cong / max(1e-9, cong.sum())
                 out = out + rng.poisson(lam)
         return out
+
+
+def _resume_generator(state: Dict[str, object]) -> np.random.Generator:
+    """A generator at ``state``, a ``bit_generator.state`` that
+    :meth:`DetailedRouter.start` left.  The bit generator's own seed
+    is overwritten before anything is drawn."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def _congestion_grid(congestion: np.ndarray) -> np.ndarray:

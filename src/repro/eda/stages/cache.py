@@ -20,7 +20,9 @@ signoff that is the congestion map alone, so the snapshot a router-knob
 sweep resumes from is a few kilobytes.  The same LRU holds the detailed
 router's trajectories, under content keys of what the router reads
 (:func:`~repro.eda.stages.droute.trajectory_key`): a router run resumes
-the longest one an earlier job left and draws only past its end.
+the longest one an earlier job left and draws only past its end.  A
+trajectory holds its generator's state as a plain dict, not a live
+generator, so getting one decodes a grid, a list and a dict.
 
 Snapshots are stored as pickled bytes, taken once in ``put``, and
 every ``get`` unpickles a private copy, because later stages mutate

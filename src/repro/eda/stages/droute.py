@@ -29,6 +29,9 @@ knobs are not in it, because whatever they change, the router never
 reads.  Iterations served from the trajectory are counted in
 ``state.droute_resumed``, so the job's executed proxy counts only the
 iterations it ran; its ``droute`` log is the fresh run's, bit for bit.
+The trajectory carries its generator's state rather than a generator,
+so a job whose cap falls inside the stored history builds no generator
+and puts nothing back: the entry stays byte for byte as it was.
 """
 
 from __future__ import annotations

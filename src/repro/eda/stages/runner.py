@@ -11,16 +11,19 @@ opt, detailed route), every stage logs the same
 Because :func:`plan_stages` derives *all* step seeds up front, prefix
 cache keys can be computed without running anything — so a job can
 probe the stage cache deepest-first and re-run only the suffix after
-its deepest cached prefix.  A snapshot keeps only the state fields
-some later stage ``reads``; after signoff that is the congestion map
-alone, so a router-knob resume unpickles a few kilobytes, and the
-router then resumes the trajectory cached for that map (see
+its deepest cached prefix.  The plan depends on nothing but the entry
+kind and the seed, so it is memoized: the points of a fixed-seed sweep
+draw it once.  A snapshot keeps only the state fields some later stage
+``reads``; after signoff that is the congestion map alone, so a
+router-knob resume unpickles a few kilobytes, and the router then
+resumes the trajectory cached for that map (see
 :mod:`repro.eda.stages.droute`), running only the iterations past its
 end.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -83,10 +86,27 @@ def plan_stages(design: Design, seed: int):
     synthesis seed then an implementation seed from ``rng(seed)``, and
     the implementation seeds come from ``rng(implementation_seed)``; an
     implement-only run draws them from ``rng(seed)`` directly.
+
+    The plan depends only on the entry kind and the seed, so it is
+    drawn once per pair and kept in a bounded LRU: every point of a
+    fixed-seed sweep shares one plan.  ``seed`` must be an integer (a
+    numpy integer plans like the equal ``int``); ``None`` would seed
+    from OS entropy, so it is rejected like a bool or a float.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return _draw_plan("netlist" if isinstance(design, Netlist) else "spec", int(seed))
+
+
+# a campaign cycles through far fewer seeds than this, and one plan is
+# a few dozen small ints
+@functools.lru_cache(maxsize=256)
+def _draw_plan(kind: str, seed: int):
+    """:func:`plan_stages`'s draw for one ``(kind, seed)``; the plan is
+    all tuples, so callers can share it."""
     rng = np.random.default_rng(seed)
     draw = lambda: int(rng.integers(0, 2**31 - 1))  # noqa: E731
-    if isinstance(design, Netlist):
+    if kind == "netlist":
         return "netlist", IMPLEMENT_STAGES, _implement_seed_plan(draw)
     synth_seed = draw()
     impl_rng = np.random.default_rng(draw())

@@ -76,7 +76,13 @@ def make_run_id(design: Union[DesignSpec, Netlist], options: FlowOptions,
     records merge idempotently — they describe the same run); distinct
     points never collide.
     """
-    return f"{design.name}-{cache_key(design, options, seed)[:12]}"
+    return run_id_from_key(design.name, cache_key(design, options, seed))
+
+
+def run_id_from_key(design_name: str, key: str) -> str:
+    """:func:`make_run_id` of a point whose ``cache_key`` is ``key``
+    (for a caller that already holds the key)."""
+    return f"{design_name}-{key[:12]}"
 
 
 def report_flow_metrics(tx: Transmitter, result: FlowResult) -> None:

@@ -1,9 +1,11 @@
 """The parallel flow-execution engine and its result cache."""
 
+import dataclasses
 import functools
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.parallel import (
@@ -18,6 +20,7 @@ from repro.core.parallel import (
     run_flow_job,
 )
 from repro.eda.flow import FlowOptions, SPRFlow
+from repro.eda.synthesis import DesignSpec
 
 
 OPTS = FlowOptions(target_clock_ghz=0.6)
@@ -40,6 +43,46 @@ def test_design_fingerprint_types(small_spec, small_netlist):
     assert design_fingerprint(small_netlist).startswith("netlist:")
     with pytest.raises(TypeError):
         design_fingerprint("pulpino")
+
+
+# Disk-tier entries outlive versions of this code: a key that moves
+# silently orphans every cached result, so two points are pinned.
+PIN_SPEC = DesignSpec(name="pin", n_gates=96, n_flops=12, n_inputs=6, n_outputs=6,
+                      depth=8, locality=0.7,
+                      function_mix={"NAND2": 0.4, "NOR2": 0.3, "INV": 0.2, "XOR2": 0.1})
+
+
+def test_design_fingerprint_is_pinned():
+    assert design_fingerprint(PIN_SPEC) == \
+        "spec:92b351c5a9d283ce8823a4012296fc9d9f5aef1eb77f259f71d1412a24030bed"
+
+
+def test_cache_keys_are_pinned():
+    assert cache_key(PIN_SPEC, FlowOptions(), 0) == \
+        "266a439e421a39b49e103370ff25d75b87abbb937c203be9fda2888a3df65906"
+    options = FlowOptions(target_clock_ghz=0.6, router_max_iterations=np.int64(30),
+                          opt_guardband=12.5, power_recovery=False)
+    assert cache_key(DesignSpec(name="pin2", n_gates=200, n_flops=20, depth=12),
+                     options, 7) == \
+        "f9e28d344177b9c2024ffcaac75e3e62c5aa6d737f69090202abcd7b3f7f5f6a"
+
+
+def test_options_to_dict_matches_asdict():
+    """``to_dict`` skips ``asdict``'s deep copy and nothing else: the
+    same keys in the same order, holding equal values of equal types,
+    at the defaults, at numpy-integer knobs and at sampled points of
+    the option tree."""
+    from repro.dse.space import SearchSpace
+
+    space, rng = SearchSpace(), np.random.default_rng(0)
+    points = [FlowOptions(),
+              OPTS.with_(router_max_iterations=np.int64(35), opt_passes=np.int32(3))]
+    points += [space.to_flow_options(space.sample(rng)) for _ in range(4)]
+    for options in points:
+        got, want = options.to_dict(), dataclasses.asdict(options)
+        assert list(got) == list(want)
+        assert [(v, type(v)) for v in got.values()] == \
+            [(v, type(v)) for v in want.values()]
 
 
 def test_flow_result_json_round_trip(small_spec):
@@ -101,6 +144,19 @@ def test_result_cache_corrupt_disk_entry_is_a_miss(tmp_path):
     cache = ResultCache(cache_dir=str(tmp_path))
     for i, payload in enumerate(payloads):
         assert cache.get(f"bad{i}") is None, payload
+
+
+def test_unreadable_disk_entry_is_a_miss(small_spec, tmp_path):
+    """A directory where a job's disk entry belongs cannot be opened:
+    the lookup is a miss, the job runs, and the put that cannot replace
+    the directory fails quietly."""
+    job = FlowJob(small_spec, OPTS, 5)
+    entry = f"{cache_key(job.design, job.options, job.seed)}.json"
+    os.mkdir(tmp_path / entry)
+    executor = FlowExecutor(n_workers=1, cache=ResultCache(cache_dir=str(tmp_path)))
+    assert executor.run_jobs([job]) == [SPRFlow().run(small_spec, OPTS, seed=5)]
+    assert executor.stats.jobs_run == 1
+    assert os.listdir(tmp_path) == [entry]  # no temp file left behind
 
 
 def test_result_cache_unserializable_put_leaks_nothing(tmp_path):
@@ -423,6 +479,33 @@ def test_executor_counts_resumed_router_iterations(small_spec):
     assert sum(vector["stage.runtime_proxy"] for vector in vectors) == \
         pytest.approx(executor.stats.runtime_proxy_executed)
     assert names[True] == names[False]
+
+
+def test_collecting_executor_hashes_each_job_once(small_spec, monkeypatch):
+    """With a collector attached, one ``cache_key`` per job serves both
+    the result cache and the job's run id."""
+    import repro.core.parallel.executor as executor_module
+    import repro.metrics.wrappers as wrappers_module
+    from repro.metrics import MetricsCollector, MetricsServer, make_run_id
+
+    calls = []
+
+    def counting_cache_key(*args):
+        calls.append(args)
+        return cache_key(*args)
+
+    for module in (executor_module, wrappers_module):
+        monkeypatch.setattr(module, "cache_key", counting_cache_key)
+    jobs = [FlowJob(small_spec, OPTS, seed) for seed in (5, 6)]
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, collector=collector) as executor:
+            executor.run_jobs(jobs)
+        collector.flush()
+    assert len(calls) == len(jobs)
+    monkeypatch.undo()
+    for job in jobs:
+        assert server.run_vector(make_run_id(job.design, job.options, job.seed))
 
 
 def test_each_serial_executor_owns_its_stage_cache():

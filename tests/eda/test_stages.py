@@ -108,6 +108,36 @@ def test_plan_stages_entry_kinds(small_spec, small_netlist):
     assert [len(s) for s in seeds] == [0, 2, 1, 1, 1, 0, 1]
 
 
+@pytest.mark.parametrize("seed", [None, True, False, 3.0, 2.5, "3"])
+def test_plan_stages_rejects_a_seed_that_is_not_an_integer(small_spec, seed):
+    """``None`` would seed from OS entropy, and a memoized plan would
+    freeze whichever entropy it drew first."""
+    with pytest.raises(ValueError, match="seed"):
+        plan_stages(small_spec, seed)
+    with pytest.raises(ValueError, match="seed"):
+        SPRFlow().run(small_spec, FlowOptions(), seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_seeds_plan_like_ints(small_spec, small_netlist, seed):
+    for design in (small_spec, small_netlist):
+        assert plan_stages(design, seed) == plan_stages(design, 3)
+    assert SPRFlow().run(small_spec, FlowOptions(), seed) == \
+        SPRFlow().run(small_spec, FlowOptions(), 3)
+
+
+def test_memoized_plans_equal_fresh_draws(small_spec, small_netlist):
+    """Both entry kinds share the memo under distinct keys; every plan
+    it serves, on the first call and on repeats, is the one drawn
+    fresh."""
+    from repro.eda.stages.runner import _draw_plan
+
+    for seed in (0, 1, 3, 7, 2**31 - 2, 2**40):
+        for _ in range(2):
+            for kind, design in (("spec", small_spec), ("netlist", small_netlist)):
+                assert plan_stages(design, seed) == _draw_plan.__wrapped__(kind, seed)
+
+
 def run_stages_through(design, options, seed, last):
     """The full pipeline state of a cold run, just after stage ``last``."""
     _, stages, stage_seeds = plan_stages(design, seed)
@@ -590,6 +620,35 @@ def test_router_trajectories_are_keyed_by_the_congestion_map(small_spec):
         assert report.resumed_iterations == 0
 
 
+def test_cached_trajectory_holds_no_generator(small_spec, monkeypatch):
+    """A stored trajectory keeps its generator's state, not a pickled
+    generator, and a job that only replays its history builds no
+    generator and puts nothing back: the entry stays byte for byte as
+    it was."""
+    from repro.eda import routing
+
+    base = ROUTED.with_(router_effort=0.3)
+    cache = StageCache()
+    execute_pipeline(small_spec, base.with_(router_max_iterations=20), 3, cache=cache)
+    key = trajectory_entry_key(small_spec, base, 3, cache)
+    stored = cache._entries[key]
+    assert b"__generator_ctor" not in stored
+    assert isinstance(pickle.loads(stored).rng_state, dict)
+    puts = cache.puts
+    replay = base.with_(router_max_iterations=10)
+    golden = MonolithicSPRFlow().run(small_spec, replay, seed=3)
+
+    def no_generator(state):
+        raise AssertionError("a replay built a generator")
+
+    monkeypatch.setattr(routing, "_resume_generator", no_generator)
+    report = StageReport()
+    assert execute_pipeline(small_spec, replay, 3, cache=cache, report=report) == golden
+    assert report.resumed_iterations == 10
+    assert cache.puts == puts
+    assert cache._entries[key] == stored
+
+
 @pytest.mark.parametrize("caps", [(5, 30), (30, 5)])
 def test_resuming_jobs_never_mutate_the_cached_trajectory(small_spec, caps):
     """Two jobs resume from one trajectory entry, in both orders: each
@@ -610,5 +669,5 @@ def test_resuming_jobs_never_mutate_the_cached_trajectory(small_spec, caps):
         assert after.history[:len(entry.history)] == entry.history
         if len(after.history) == len(entry.history):
             assert np.array_equal(after.violations, entry.violations)
-            assert after.rng.bit_generator.state == entry.rng.bit_generator.state
+            assert after.rng_state == entry.rng_state
     assert len(after.history) == 31
