@@ -22,7 +22,7 @@ test:
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --strict \
 		src/repro examples tests/eda/*_reference.py tests/ml/*_reference.py \
-		benchmarks/*_benchmark.py
+		tests/core/*_reference.py benchmarks/*_benchmark.py
 
 # Lint cache smoke: cold vs warm lint over src/repro must produce
 # identical reports with a >=5x warm speedup and zero cache misses.

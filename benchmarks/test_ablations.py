@@ -64,8 +64,8 @@ def test_ablation_doomed_predictors(benchmark, train_corpus, test_corpus):
     best = {}
     for k in (1, 2, 3):
         mdp_e = evaluate_policy(mdp, test, k).error_rate
-        hmm_e = hmm.evaluate(test, k).error_rate
-        log_e = logistic.evaluate(test, k).error_rate
+        hmm_e = evaluate_policy(hmm, test, k).error_rate
+        log_e = evaluate_policy(logistic, test, k).error_rate
         for name, err in (("mdp", mdp_e), ("hmm", hmm_e), ("logistic", log_e)):
             best[name] = min(best.get(name, 1.0), err)
         print(f"{k:>3} {100 * mdp_e:>8.1f}% {100 * hmm_e:>8.1f}% {100 * log_e:>8.1f}%")

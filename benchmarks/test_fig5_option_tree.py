@@ -13,7 +13,7 @@ import numpy as np
 from conftest import print_header
 
 from repro.bench import RouterLogCorpus
-from repro.core.doomed import MDPCardLearner, make_stop_callback
+from repro.core.doomed import KillPolicy, MDPCardLearner
 from repro.core.orchestration import default_option_tree
 from repro.core.orchestration.explorer import default_score
 from repro.dse import DSEEngine, SearchSpace
@@ -38,7 +38,7 @@ def test_fig5_option_tree(benchmark):
     card = MDPCardLearner().fit(train)
     explorer = DSEEngine(
         space=SearchSpace(tree=tree), strategy="explorer",
-        kill_policy=make_stop_callback(card, consecutive=2),
+        kill_policy=KillPolicy(card, consecutive=2),
         params={"n_concurrent": 4, "n_rounds": 3},
     )
     result = benchmark.pedantic(explorer.run, args=(SPEC,),

@@ -11,7 +11,7 @@ Usage::
 """
 
 from repro.bench import RouterLogCorpus, pulpino_profile
-from repro.core.doomed import GO, MDPCardLearner, evaluate_policy, make_stop_callback
+from repro.core.doomed import GO, KillPolicy, MDPCardLearner, evaluate_policy
 from repro.eda import FlowOptions, SPRFlow
 
 
@@ -49,7 +49,7 @@ def main() -> None:
           f"ended at {plain.final_drvs} DRVs (routed={plain.routed})")
 
     print("running the same flow WITH the 2-consecutive-STOP guard...")
-    guard = make_stop_callback(card, consecutive=2)
+    guard = KillPolicy(card, consecutive=2)
     guarded = SPRFlow(stop_callback=guard).run(spec, congested, seed=12)
     guarded_droute = [l for l in guarded.logs if l.step == "droute"][0]
     print(f"  router ran {guarded_droute.metrics['iterations']:.0f} iterations "

@@ -27,7 +27,7 @@ import numpy as np
 from repro.bench import RouterLogCorpus, pulpino_profile
 from repro.bench.generators import artificial_profile
 from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
-from repro.core.doomed import MDPCardLearner, make_stop_callback
+from repro.core.doomed import KillPolicy, MDPCardLearner
 from repro.core.orchestration import TimingClosureRobot
 from repro.core.prediction import FloorplanDoomPredictor
 from repro.dse import DSEEngine
@@ -50,7 +50,7 @@ def main() -> None:
     # 1. train the guards once (in production these come from the archive)
     print("[1] training guards (doom predictors) from archived runs...")
     card = MDPCardLearner().fit(RouterLogCorpus.artificial(n=400, seed=1))
-    guard = make_stop_callback(card, consecutive=2)
+    guard = KillPolicy(card, consecutive=2)
     veto = FloorplanDoomPredictor(threshold=0.35, seed=0)
     veto.fit([artificial_profile(i) for i in range(3)], n_runs=30, seed=2)
 

@@ -72,8 +72,3 @@ def walk_with_parents(
             stack.append((child, child_parents))
 
 
-def string_literals(tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """Every string constant in the tree, with its line number."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno

@@ -43,15 +43,15 @@ class StrategyCard:
         """GO/STOP for a raw observation."""
         return int(self.actions[self.space.state_of(violations, delta)])
 
+    def stop_signal(self, drvs, t: int) -> bool:
+        """The card's raw STOP signal after iteration ``t``."""
+        return self.action(drvs[t], drvs[t] - drvs[t - 1]) == STOP
+
     def as_grid(self) -> np.ndarray:
         """(n_violation_bins, n_slope_bins) action grid for plotting."""
         return self.actions.reshape(
             self.space.n_violation_bins, self.space.n_slope_bins
         )
-
-    @property
-    def stop_fraction(self) -> float:
-        return float(np.mean(self.actions == STOP))
 
     def counts(self) -> Dict[str, int]:
         return {

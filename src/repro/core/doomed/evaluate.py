@@ -1,19 +1,24 @@
-"""Evaluating stop policies: Type-1/Type-2 errors (the paper's table).
+"""One stop rule, scorer and kill hook for every doomed-run predictor.
+
+A predictor is any object with ``stop_signal(drvs, t) -> bool``, its
+raw STOP signal after iteration ``t`` of a DRV series (the strategy
+card, the HMM and the logistic baseline each define only that).  The
+raw signal is oversensitive, so the paper requires 1, 2 or 3
+*consecutive* STOPs before actually terminating: :func:`stop_iteration`
+is that rule, :func:`evaluate_policy` scores it over a corpus, and
+:class:`KillPolicy` deploys it as a live stop hook.
 
 "Type 1 errors occur when the policy stops a run that would have
 succeeded ... Type 2 errors occur when the policy allows a run to go to
-completion, but the run fails."  The policy's raw STOP signal is
-oversensitive, so the paper requires 1, 2 or 3 *consecutive* STOPs
-before actually terminating; we reproduce that sweep.
+completion, but the run fails."
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.bench.corpus import RouterLog
-from repro.core.doomed.card import STOP, StrategyCard
 
 
 @dataclass
@@ -45,10 +50,8 @@ class DoomedEvaluation:
         )
 
 
-def stop_iteration(
-    card: StrategyCard, drvs, consecutive: int = 1
-) -> Optional[int]:
-    """Iteration index at which the policy would terminate the run.
+def stop_iteration(predictor, drvs, consecutive: int = 1) -> Optional[int]:
+    """Iteration index at which the predictor would terminate the run.
 
     Replays the DRV series; returns None when the run is allowed to
     finish.  Termination requires ``consecutive`` STOP signals in a row
@@ -58,8 +61,7 @@ def stop_iteration(
         raise ValueError("consecutive must be >= 1")
     streak = 0
     for t in range(1, len(drvs)):
-        action = card.action(drvs[t], drvs[t] - drvs[t - 1])
-        if action == STOP:
+        if predictor.stop_signal(drvs, t):
             streak += 1
             if streak >= consecutive:
                 return t
@@ -69,13 +71,13 @@ def stop_iteration(
 
 
 def evaluate_policy(
-    card: StrategyCard, logs: Iterable[RouterLog], consecutive: int = 1
+    predictor, logs: Iterable[RouterLog], consecutive: int = 1
 ) -> DoomedEvaluation:
     """Type-1/Type-2 error accounting for one consecutive-STOP setting."""
     n = type1 = type2 = correct = saved = 0
     for log in logs:
         n += 1
-        stop_at = stop_iteration(card, log.drvs, consecutive)
+        stop_at = stop_iteration(predictor, log.drvs, consecutive)
         if stop_at is not None:
             if log.success:
                 type1 += 1
@@ -97,18 +99,24 @@ def evaluate_policy(
     )
 
 
-def make_stop_callback(card: StrategyCard, consecutive: int = 3):
+@dataclass(frozen=True)
+class KillPolicy:
     """A live stop hook for :class:`~repro.eda.routing.DetailedRouter`.
 
-    The returned callable takes the DRV history so far and returns True
-    when the policy has emitted ``consecutive`` STOPs in a row — wire it
-    into ``DetailedRouter(...).route(..., stop_callback=...)`` or
-    ``SPRFlow(stop_callback=...)`` to prune doomed runs in production.
+    Called with the DRV history so far, it returns True once the
+    predictor has emitted ``consecutive`` STOPs in a row.  A module-level
+    frozen dataclass, not a closure, so it pickles across the
+    :class:`~repro.core.parallel.FlowExecutor` process boundary; pass
+    it as ``DetailedRouter(...).route(..., stop_callback=...)``,
+    ``SPRFlow(stop_callback=...)`` or a campaign's ``kill_policy``.
     """
-    if consecutive < 1:
-        raise ValueError("consecutive must be >= 1")
 
-    def callback(history) -> bool:
-        return stop_iteration(card, history, consecutive) is not None
+    predictor: Any
+    consecutive: int = 3
 
-    return callback
+    def __post_init__(self):
+        if self.consecutive < 1:
+            raise ValueError("consecutive must be >= 1")
+
+    def __call__(self, history) -> bool:
+        return stop_iteration(self.predictor, history, self.consecutive) is not None

@@ -2,9 +2,10 @@
 
 Two discrete HMMs are trained — one on successful runs, one on failed
 runs — over the violation-bin symbol alphabet.  A live run's prefix is
-classified by log-likelihood ratio; a STOP is signalled when the fail
-model dominates by a margin, and (like the MDP card) termination can
-require several consecutive STOPs.
+classified by log-likelihood ratio: :meth:`HMMDoomPredictor.stop_signal`
+signals STOP when the fail model dominates by a margin, and (like the
+MDP card) the shared rule of :mod:`repro.core.doomed.evaluate` turns
+several consecutive STOPs into a termination.
 """
 
 from __future__ import annotations
@@ -73,44 +74,7 @@ class HMMDoomPredictor:
         symbols = self._symbols(drvs)
         return self.model_fail.score(symbols) - self.model_success.score(symbols)
 
-    def stop_iteration(self, drvs, consecutive: int = 1) -> Optional[int]:
-        """First iteration at which the predictor would stop the run."""
-        if consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-        streak = 0
-        for t in range(self.min_prefix, len(drvs)):
-            if self.doom_score(drvs[: t + 1]) > self.margin:
-                streak += 1
-                if streak >= consecutive:
-                    return t
-            else:
-                streak = 0
-        return None
-
-    def evaluate(self, logs: Iterable[RouterLog], consecutive: int = 1):
-        """Type-1/Type-2 accounting, mirroring the MDP evaluation."""
-        from repro.core.doomed.evaluate import DoomedEvaluation
-
-        n = type1 = type2 = correct = saved = 0
-        for log in logs:
-            n += 1
-            stop_at = self.stop_iteration(log.drvs, consecutive)
-            if stop_at is not None:
-                if log.success:
-                    type1 += 1
-                else:
-                    correct += 1
-                    saved += (len(log.drvs) - 1) - stop_at
-            else:
-                if not log.success:
-                    type2 += 1
-        if n == 0:
-            raise ValueError("evaluation corpus is empty")
-        return DoomedEvaluation(
-            n_logs=n,
-            type1_errors=type1,
-            type2_errors=type2,
-            correct_stops=correct,
-            iterations_saved=saved,
-            consecutive_stops_required=consecutive,
-        )
+    def stop_signal(self, drvs, t: int) -> bool:
+        """STOP once the prefix through ``t`` is long enough to judge and
+        the fail model wins by more than ``margin``."""
+        return t >= self.min_prefix and self.doom_score(drvs[: t + 1]) > self.margin

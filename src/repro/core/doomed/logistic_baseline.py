@@ -31,7 +31,8 @@ def _features(drvs, t: int) -> List[float]:
 
 
 class LogisticDoomBaseline:
-    """Per-observation doom classifier with consecutive-stop filtering."""
+    """Per-observation doom classifier (consecutive-stop filtering is
+    the shared :func:`~repro.core.doomed.evaluate.stop_iteration`)."""
 
     def __init__(self, threshold: float = 0.75, seed: Optional[int] = None):
         """``threshold``: P(doomed) above which an observation flags STOP."""
@@ -64,43 +65,6 @@ class LogisticDoomBaseline:
         X = self.scaler.transform(np.array([_features(drvs, t)]))
         return float(self.model.predict_proba(X)[0])
 
-    def stop_iteration(self, drvs, consecutive: int = 1) -> Optional[int]:
-        if consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-        streak = 0
-        for t in range(1, len(drvs)):
-            if self.doom_probability(drvs, t) > self.threshold:
-                streak += 1
-                if streak >= consecutive:
-                    return t
-            else:
-                streak = 0
-        return None
-
-    def evaluate(self, logs: Iterable[RouterLog], consecutive: int = 1):
-        """Type-1/Type-2 accounting, mirroring the MDP evaluation."""
-        from repro.core.doomed.evaluate import DoomedEvaluation
-
-        n = type1 = type2 = correct = saved = 0
-        for log in logs:
-            n += 1
-            stop_at = self.stop_iteration(log.drvs, consecutive)
-            if stop_at is not None:
-                if log.success:
-                    type1 += 1
-                else:
-                    correct += 1
-                    saved += (len(log.drvs) - 1) - stop_at
-            else:
-                if not log.success:
-                    type2 += 1
-        if n == 0:
-            raise ValueError("evaluation corpus is empty")
-        return DoomedEvaluation(
-            n_logs=n,
-            type1_errors=type1,
-            type2_errors=type2,
-            correct_stops=correct,
-            iterations_saved=saved,
-            consecutive_stops_required=consecutive,
-        )
+    def stop_signal(self, drvs, t: int) -> bool:
+        """STOP when P(doomed) at iteration ``t`` exceeds ``threshold``."""
+        return self.doom_probability(drvs, t) > self.threshold

@@ -34,9 +34,6 @@ class NoiseSweepResult:
     def areas(self, target: float) -> np.ndarray:
         return np.array([r.area for r in self.runs[target]])
 
-    def powers(self, target: float) -> np.ndarray:
-        return np.array([r.power for r in self.runs[target]])
-
     def success_rate(self, target: float) -> float:
         results = self.runs[target]
         return sum(r.timing_met for r in results) / len(results)

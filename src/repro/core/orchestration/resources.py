@@ -77,10 +77,6 @@ class Schedule:
         return max((e.end for e in self.entries), default=0.0)
 
     @property
-    def total_runtime(self) -> float:
-        return sum(e.job.runtime for e in self.entries)
-
-    @property
     def mean_waiting_time(self) -> float:
         if not self.entries:
             return 0.0

@@ -184,12 +184,19 @@ class ResultCache:
 
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier; with ``disk=True`` also the disk tier
-        (including stale ``.tmp`` files left by killed writers)."""
+        (including stale ``.tmp`` files left by killed writers).  Only
+        regular files are entries: a directory under an entry's name
+        stays, and an entry already removed (say, by a concurrent
+        clear) counts as gone."""
         self._memory.clear()
         if disk and self.cache_dir is not None:
             for name in sorted(os.listdir(self.cache_dir)):
-                if name.endswith(".json") or name.endswith(".tmp"):
-                    os.unlink(os.path.join(self.cache_dir, name))
+                path = os.path.join(self.cache_dir, name)
+                if name.endswith((".json", ".tmp")) and os.path.isfile(path):
+                    try:
+                        os.unlink(path)
+                    except FileNotFoundError:
+                        pass
 
 
 # the stage-prefix cache tier lives with the stage definitions (its keys

@@ -10,7 +10,6 @@ hopeless runs up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,12 +43,6 @@ def _featurize(spec_stats: Dict[str, float], options: FlowOptions) -> List[float
         options.router_tracks_per_um,
         options.target_clock_ghz,
     ]
-
-
-@dataclass
-class _TrainingRun:
-    features: List[float]
-    routed: bool
 
 
 class FloorplanDoomPredictor:

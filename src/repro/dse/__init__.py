@@ -22,7 +22,7 @@ maps each removed pre-engine call to its engine call.
 
 from repro.dse.budget import Budget, BudgetTracker
 from repro.dse.engine import DSEEngine
-from repro.dse.kill import CardKillPolicy, HMMKillPolicy, train_kill_policy
+from repro.dse.kill import KillPolicy, train_kill_policy
 from repro.dse.objective import OBJECTIVES, Objective, ParetoObjective
 from repro.dse.registry import Strategy, available_strategies, register_strategy
 from repro.dse.result import DSEResult
@@ -32,10 +32,9 @@ from repro.dse.surrogate import SurrogateProposer
 __all__ = [
     "Budget",
     "BudgetTracker",
-    "CardKillPolicy",
     "DSEEngine",
     "DSEResult",
-    "HMMKillPolicy",
+    "KillPolicy",
     "OBJECTIVES",
     "Objective",
     "ParetoObjective",

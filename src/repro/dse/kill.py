@@ -2,9 +2,8 @@
 
 The doomed-run predictors of :mod:`repro.core.doomed` were an offline
 artifact (paper Fig 9/10 and the error table); here they become live
-kill policies.  Each policy is a *picklable* callable — a module-level
-dataclass, not the closure :func:`~repro.core.doomed.evaluate
-.make_stop_callback` returns — so it can cross the
+kill policies.  A :class:`~repro.core.doomed.evaluate.KillPolicy` wraps
+any predictor in a *picklable* callable, so it can cross the
 :class:`~repro.core.parallel.FlowExecutor` process boundary and ride
 the existing ``SPRFlow``/``DetailedRouter`` ``stop_callback`` path:
 the router hands it the DRV history after every rip-up iteration and
@@ -16,50 +15,17 @@ kill policy stay bit-identical at any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.doomed.card import StrategyCard
-from repro.core.doomed.evaluate import stop_iteration
+from repro.core.doomed.evaluate import KillPolicy
 from repro.core.doomed.hmm_predictor import HMMDoomPredictor
 from repro.core.doomed.mdp_policy import MDPCardLearner
 
-
-@dataclass(frozen=True)
-class CardKillPolicy:
-    """Stop hook over a GO/STOP :class:`StrategyCard` (the MDP card).
-
-    Fires after ``consecutive`` STOP signals in a row — the paper's
-    accuracy fix for the oversensitive raw policy.
-    """
-
-    card: StrategyCard
-    consecutive: int = 3
-
-    def __post_init__(self):
-        if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-
-    def __call__(self, history) -> bool:
-        return stop_iteration(self.card, history, self.consecutive) is not None
-
-
-@dataclass(frozen=True)
-class HMMKillPolicy:
-    """Stop hook over the likelihood-ratio :class:`HMMDoomPredictor`."""
-
-    predictor: HMMDoomPredictor
-    consecutive: int = 3
-
-    def __post_init__(self):
-        if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-
-    def __call__(self, history) -> bool:
-        return self.predictor.stop_iteration(history, self.consecutive) is not None
+#: kept only because ``benchmarks/e2e/tracing.py`` imports this name to
+#: wrap ``KillPolicy.__call__``; new code uses :class:`KillPolicy`
+CardKillPolicy = KillPolicy
 
 
 def train_kill_policy(kind: str = "mdp", n_train: int = 600, seed: int = 0,
-                      consecutive: int = 3):
+                      consecutive: int = 3) -> KillPolicy:
     """Fit a kill policy on an artificial router-log corpus.
 
     ``kind`` selects the predictor family: ``"mdp"`` (strategy card via
@@ -69,8 +35,7 @@ def train_kill_policy(kind: str = "mdp", n_train: int = 600, seed: int = 0,
 
     corpus = RouterLogCorpus.artificial(n=n_train, seed=seed)
     if kind == "mdp":
-        return CardKillPolicy(MDPCardLearner().fit(corpus), consecutive)
+        return KillPolicy(MDPCardLearner().fit(corpus), consecutive)
     if kind == "hmm":
-        predictor = HMMDoomPredictor(seed=seed).fit(corpus)
-        return HMMKillPolicy(predictor, consecutive)
+        return KillPolicy(HMMDoomPredictor(seed=seed).fit(corpus), consecutive)
     raise ValueError(f"unknown kill-policy kind {kind!r} (known: mdp, hmm)")

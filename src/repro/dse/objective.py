@@ -92,9 +92,6 @@ class ParetoObjective:
         return float(sum(w * o.key(result)
                          for w, o in zip(self._weights, self.objectives)))
 
-    def axis_values(self, result: FlowResult) -> Dict[str, float]:
-        return {o.name: o.value(result) for o in self.objectives}
-
     def _dominates(self, a: FlowResult, b: FlowResult) -> bool:
         keys_a = [o.key(a) for o in self.objectives]
         keys_b = [o.key(b) for o in self.objectives]

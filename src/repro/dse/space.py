@@ -42,10 +42,6 @@ class SearchSpace:
             if name in flow_names:
                 raise ValueError(f"design knob {name!r} shadows a flow option")
 
-    @classmethod
-    def from_tree(cls, tree: FlowOptionTree) -> "SearchSpace":
-        return cls(tree=tree)
-
     # ------------------------------------------------------------ geometry
     @property
     def n_points(self) -> int:

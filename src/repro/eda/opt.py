@@ -33,7 +33,7 @@ import numpy as np
 from repro.eda.library import DRIVE_STRENGTHS
 from repro.eda.netlist import Netlist
 from repro.eda.placement import Placement
-from repro.eda.sta import StaStats, TimingGraph, TimingReport, _BaseSTA
+from repro.eda.sta import DelayPolicy, StaStats, TimingGraph, TimingReport
 
 
 def _require_count(name: str, value) -> None:
@@ -89,7 +89,7 @@ class TimingOptimizer:
         netlist: Netlist,
         placement: Placement,
         clock_period: float,
-        sta: _BaseSTA,
+        sta: DelayPolicy,
         skews: Optional[Dict[str, float]] = None,
         congestion=None,
         seed: Optional[int] = None,
@@ -237,7 +237,7 @@ class TimingOptimizer:
         netlist: Netlist,
         placement: Placement,
         clock_period: float,
-        sta: _BaseSTA,
+        sta: DelayPolicy,
         skews: Optional[Dict[str, float]] = None,
         max_buffers: int = 64,
         max_passes: int = 10,

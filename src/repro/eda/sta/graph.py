@@ -2,7 +2,7 @@
 
 :class:`TimingGraph` is the artifact the rest of the substrate queries
 for timing.  It is constructed once from (netlist, placement,
-congestion) plus a delay-model policy, propagates arrivals with
+congestion) plus a timer (its delay policy), propagates arrivals with
 :meth:`TimingGraph.full_propagate`, and then answers *edits* with
 :meth:`TimingGraph.update`, which re-propagates only the forward
 fanout cones (and predecessor load deltas) of the touched instances.
@@ -25,8 +25,8 @@ Bit-identity with the historical full-run engines is a hard contract
 (enforced against ``tests/eda/sta_reference.py``, which also keeps the
 per-node kernel this one replaced as the oracle for per-net state and
 for the incremental work accounting): every value is computed by the
-*same float expressions in the same order* as the pre-refactor
-``_BaseSTA.analyze``.  The kernel keeps that contract because
+*same float expressions in the same order* as the frozen engines'
+``analyze``.  The kernel keeps that contract because
 
 - sums go through ``np.bincount``, which accumulates strictly left to
   right (no pairwise summation), matching the per-node loops over each
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,8 +71,10 @@ from repro.eda.grid import bin_indices
 from repro.eda.library import DFF_CLK_TO_Q, DFF_HOLD, DFF_SETUP
 from repro.eda.netlist import Netlist
 from repro.eda.placement import Placement
-from repro.eda.sta.policy import DelayPolicy
 from repro.eda.sta.report import PI_SLEW, PO_LOAD, EndpointTiming, TimingReport
+
+if TYPE_CHECKING:  # policy.py builds graphs, so it imports this module
+    from repro.eda.sta.policy import DelayPolicy
 
 #: steps a report's worst-path walk takes at most (a guard against pred
 #: cycles; levelized state has none)

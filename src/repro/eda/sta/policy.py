@@ -1,18 +1,35 @@
-"""Pluggable delay-model policies for the STA kernel.
+"""The timers: one class per delay model over the shared STA kernel.
 
-A :class:`DelayPolicy` is everything that differs between the P&R
-tool's embedded timer and the signoff timer: wire delay, SI bump,
-OCV derates, slew merging, the runtime-proxy cost model, and any
-post-processing of the finished report (PBA).  The propagation
-*machinery* — levelization, arrival propagation, dirty-cone updates —
-lives in :class:`repro.eda.sta.graph.TimingGraph` and is shared; the
-policy is the only thing a new engine needs to supply.
+A :class:`DelayPolicy` is a timer.  It holds everything that differs
+between the P&R tool's embedded timer and the signoff timer: wire
+delay, SI bump, OCV derates, slew merging, the runtime-proxy cost
+model, and any post-processing of the finished report (PBA).  The
+propagation *machinery* — levelization, arrival propagation,
+dirty-cone updates — lives in :class:`repro.eda.sta.graph.TimingGraph`
+and is shared: ``build_graph`` hands the kernel this timer and returns
+it unpropagated (the optimizer and MMMC keep it alive and query timing
+incrementally), and ``analyze`` builds one, fully propagates it and
+reports.  A new timer is one subclass that overrides the hooks.
+
+Two timers analyze the same netlist/placement under the same "laws of
+physics" but with different approximations — exactly the situation in
+the paper's Sec 3.2 where "analysis miscorrelation can be an
+unavoidable consequence of runtime constraints":
+
+- :class:`GraphSTA` — the P&R tool's embedded timer.  Graph-based
+  arrival propagation, lumped-Elmore wire delay, worst-slew
+  propagation, no crosstalk, no derates.  Cheap.
+- :class:`SignoffSTA` — the signoff timer.  Adds coupling-aware wire
+  delay (congestion-dependent SI bump), effective-slew propagation,
+  late OCV derates on stage delays, and optional path-based analysis
+  (PBA) that recovers graph-based (GBA) pessimism on the worst paths.
+  Roughly an order of magnitude more work.
 
 The kernel evaluates whole columns at a time, so the delay hooks are
 the ``*_batch`` methods (``wire_delay_batch``, ``si_bump_batch``,
-``merge_slew_batch``) next to the scalar derates.  The two concrete
-policies reproduce the historical ``GraphSTA`` / ``SignoffSTA`` hook
-methods (``_wire_delay`` / ``_si_bump`` / ``_stage_derate`` /
+``merge_slew_batch``) next to the scalar derates.  The two timers
+reproduce the historical ``GraphSTA`` / ``SignoffSTA`` hook methods
+(``_wire_delay`` / ``_si_bump`` / ``_stage_derate`` /
 ``_early_derate`` / ``_merge_slew`` / ``_runtime_proxy``, frozen in
 ``tests/eda/sta_reference.py``) expression for expression, so reports
 stay bit-identical to the pre-refactor engines.  Batch methods keep
@@ -26,18 +43,72 @@ the scalar loops.  ``np.add.reduceat`` is not a left fold: it returns
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 import numpy as np
 
+from repro.eda.netlist import Netlist
+from repro.eda.placement import Placement
+from repro.eda.sta.graph import TimingGraph, TimingTopology
 from repro.eda.sta.report import Corner, TYPICAL, TimingReport
 
 
 class DelayPolicy:
-    """Base delay model: lumped Elmore, worst-slew, no derates, 1x cost."""
+    """Base timer: lumped Elmore, worst-slew, no derates, 1x cost."""
 
     engine_name = "base"
 
     def __init__(self, corner: Corner = TYPICAL):
         self.corner = corner
+
+    def build_graph(
+        self,
+        netlist: Netlist,
+        placement: Placement,
+        skews: Optional[Dict[str, float]] = None,
+        congestion: Optional[np.ndarray] = None,
+        check_hold: bool = False,
+        topology: Optional[TimingTopology] = None,
+    ) -> TimingGraph:
+        """Construct (but do not propagate) the kernel over this timer.
+
+        Pass a prebuilt ``topology`` to share levelization/net lengths
+        across timers or corners over the same design.
+        """
+        return TimingGraph(
+            netlist,
+            placement,
+            self,
+            skews=skews,
+            congestion=congestion,
+            check_hold=check_hold,
+            topology=topology,
+        )
+
+    def analyze(
+        self,
+        netlist: Netlist,
+        placement: Placement,
+        clock_period: float,
+        skews: Optional[Dict[str, float]] = None,
+        congestion: Optional[np.ndarray] = None,
+        check_hold: bool = False,
+    ) -> TimingReport:
+        """Run STA from scratch (the one-shot entry point).
+
+        ``skews`` maps flop instance names to clock arrival offsets (ps)
+        produced by CTS.  ``congestion`` is a routing-demand map (from
+        the global router) used by the signoff timer's SI model.
+        ``check_hold`` additionally propagates early (minimum) arrivals
+        and populates per-endpoint hold slacks (same-edge check:
+        earliest data arrival must exceed capture skew + hold time).
+        The clock period must be positive and finite.
+        """
+        graph = self.build_graph(
+            netlist, placement, skews=skews, congestion=congestion, check_hold=check_hold
+        )
+        graph.full_propagate()
+        return graph.report(clock_period)
 
     def wire_delay_batch(
         self, lengths: np.ndarray, loads: np.ndarray, lib
@@ -89,13 +160,13 @@ class DelayPolicy:
         return report
 
 
-class GraphDelayPolicy(DelayPolicy):
+class GraphSTA(DelayPolicy):
     """The P&R tool's fast embedded timer (graph-based, no SI)."""
 
     engine_name = "graph"
 
 
-class SignoffDelayPolicy(DelayPolicy):
+class SignoffSTA(DelayPolicy):
     """The signoff timer: SI-aware, derated, optionally path-based."""
 
     engine_name = "signoff"

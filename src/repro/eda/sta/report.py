@@ -1,4 +1,4 @@
-"""Timing-report artifacts shared by every STA driver.
+"""Timing-report artifacts shared by every timer.
 
 These are the *query results* of the kernel: per-endpoint slacks plus
 the structural path features the correlation models consume.  They are

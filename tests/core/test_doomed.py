@@ -10,13 +10,13 @@ from repro.core.doomed import (
     GO,
     STOP,
     HMMDoomPredictor,
+    KillPolicy,
     MDPCardLearner,
     StateSpace,
     StrategyCard,
     bin_slope,
     bin_violations,
     evaluate_policy,
-    make_stop_callback,
 )
 from repro.core.doomed.card import apply_fill_in_rules
 from repro.core.doomed.evaluate import stop_iteration
@@ -207,8 +207,8 @@ def test_stop_iteration_semantics():
         stop_iteration(card, rising, consecutive=0)
 
 
-def test_make_stop_callback(card):
-    callback = make_stop_callback(card, consecutive=2)
+def test_kill_policy(card):
+    callback = KillPolicy(card, consecutive=2)
     assert callback([50, 10, 2]) is False
     assert callback([10_000, 80_000, 300_000, 900_000]) in (True, False)
     doomed_history = [10**5, 10**6, 10**7, 10**8]
@@ -220,7 +220,7 @@ def test_live_pruning_in_router(card):
     from repro.eda.routing import DetailedRouter
 
     cong = np.full((16, 16), 1.4)
-    callback = make_stop_callback(card, consecutive=2)
+    callback = KillPolicy(card, consecutive=2)
     result = DetailedRouter(max_iterations=20).route(cong, seed=3, stop_callback=callback)
     assert result.stopped_early
     assert result.iterations_run < 20
@@ -230,7 +230,7 @@ def test_live_pruning_in_router(card):
 def test_hmm_predictor_separates(corpora):
     train, test = corpora
     predictor = HMMDoomPredictor(seed=0).fit(train.logs[:150])
-    ev = predictor.evaluate(test.logs[:100], consecutive=2)
+    ev = evaluate_policy(predictor, test.logs[:100], consecutive=2)
     assert ev.error_rate < 0.5  # learns something real
     doomed = [log for log in test.logs if not log.success][0]
     ok = [log for log in test.logs if log.success][0]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.corpus import RouterLogCorpus
 from repro.core.doomed import LogisticDoomBaseline, MDPCardLearner, evaluate_policy
+from repro.core.doomed.evaluate import stop_iteration
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def corpora():
 def test_logistic_baseline_fits_and_evaluates(corpora):
     train, test = corpora
     baseline = LogisticDoomBaseline(seed=0).fit(train)
-    ev = baseline.evaluate(test, consecutive=2)
+    ev = evaluate_policy(baseline, test, consecutive=2)
     assert ev.n_logs == len(test)
     assert ev.error_rate < 0.5
 
@@ -37,12 +38,12 @@ def test_logistic_baseline_consecutive_semantics(corpora):
     train, _ = corpora
     baseline = LogisticDoomBaseline(seed=0).fit(train)
     doomed_series = [50_000, 100_000, 200_000, 400_000, 800_000]
-    t1 = baseline.stop_iteration(doomed_series, consecutive=1)
-    t2 = baseline.stop_iteration(doomed_series, consecutive=2)
+    t1 = stop_iteration(baseline, doomed_series, consecutive=1)
+    t2 = stop_iteration(baseline, doomed_series, consecutive=2)
     assert t1 is not None and t2 is not None
     assert t2 >= t1
     with pytest.raises(ValueError):
-        baseline.stop_iteration(doomed_series, consecutive=0)
+        stop_iteration(baseline, doomed_series, consecutive=0)
 
 
 def test_logistic_baseline_validation(corpora):
@@ -69,6 +70,6 @@ def test_mdp_competitive_with_baseline(corpora):
         evaluate_policy(card, test, k).error_rate for k in (2, 3)
     )
     logistic_err = min(
-        baseline.evaluate(test, k).error_rate for k in (2, 3)
+        evaluate_policy(baseline, test, k).error_rate for k in (2, 3)
     )
     assert mdp_err <= logistic_err + 0.05

@@ -186,6 +186,23 @@ def test_result_cache_clear_disk_removes_stale_tmp(small_spec, tmp_path):
     assert fresh.get("k") is None
 
 
+def test_result_cache_clear_disk_skips_directories_and_vanished_entries(
+        small_spec, tmp_path, monkeypatch):
+    """A directory under an entry's name is not an entry: ``clear``
+    leaves it, still removes the entries that sort after it, and takes
+    a listed entry that is already gone as removed."""
+    directory, entry = f"{'0' * 64}.json", "f" * 64
+    os.mkdir(tmp_path / directory)
+    cache = ResultCache(cache_dir=str(tmp_path))
+    cache.put(entry, SPRFlow().run(small_spec, OPTS, seed=9))
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listdir(path) + ["gone.json"])
+    cache.clear(disk=True)
+    monkeypatch.undo()
+    assert os.listdir(str(tmp_path)) == [directory]
+    assert ResultCache(cache_dir=str(tmp_path)).get(entry) is None
+
+
 # ------------------------------------------------------- executor basics
 def test_executor_matches_direct_flow(small_spec):
     direct = SPRFlow().run(small_spec, OPTS, seed=5)

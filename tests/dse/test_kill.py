@@ -6,11 +6,10 @@ import pickle
 
 import pytest
 
-from repro.core.doomed.evaluate import make_stop_callback
 from repro.core.parallel import FlowExecutor
-from repro.dse import DSEEngine, train_kill_policy
-from repro.dse.kill import CardKillPolicy, HMMKillPolicy
+from repro.dse import DSEEngine, KillPolicy, train_kill_policy
 from repro.metrics import MetricsCollector, MetricsServer
+from tests.core.doomed_reference import make_stop_callback
 
 RISING = [3000.0, 3400.0, 3900.0, 4500.0, 5200.0, 6000.0, 7000.0]
 CONVERGING = [3000.0, 2200.0, 1500.0, 900.0, 400.0, 120.0, 20.0]
@@ -18,17 +17,17 @@ CONVERGING = [3000.0, 2200.0, 1500.0, 900.0, 400.0, 120.0, 20.0]
 
 def test_policies_validate_consecutive(mdp_policy):
     with pytest.raises(ValueError):
-        CardKillPolicy(mdp_policy.card, consecutive=0)
+        KillPolicy(mdp_policy.predictor, consecutive=0)
     with pytest.raises(ValueError):
-        HMMKillPolicy(train_kill_policy("hmm", seed=0).predictor, consecutive=0)
+        KillPolicy(train_kill_policy("hmm", seed=0).predictor, consecutive=0)
     with pytest.raises(ValueError, match="unknown kill-policy kind"):
         train_kill_policy("oracle")
 
 
 def test_card_policy_matches_legacy_closure(mdp_policy):
-    """The picklable policy and the historical closure agree on every
-    prefix of both a doomed and a converging history."""
-    legacy = make_stop_callback(mdp_policy.card, mdp_policy.consecutive)
+    """The picklable policy and the historical (frozen) closure agree on
+    every prefix of both a doomed and a converging history."""
+    legacy = make_stop_callback(mdp_policy.predictor, mdp_policy.consecutive)
     for history in (RISING, CONVERGING):
         for cut in range(1, len(history) + 1):
             assert mdp_policy(history[:cut]) == legacy(history[:cut])

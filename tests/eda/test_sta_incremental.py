@@ -26,9 +26,7 @@ from repro.eda.sta import (
     SLOW,
     TYPICAL,
     DelayPolicy,
-    GraphDelayPolicy,
     GraphSTA,
-    SignoffDelayPolicy,
     SignoffSTA,
     StaStats,
     TimingGraph,
@@ -451,7 +449,7 @@ def test_topology_staleness_tracks_structure_version(small_netlist, small_placem
 
 
 def test_graph_policy_defaults():
-    policy = GraphDelayPolicy(TYPICAL)
+    policy = GraphSTA(TYPICAL)
     assert policy.engine_name == "graph"
     assert policy.si_bump_batch(np.array([100.0]), np.array([0.9])).tolist() == [0.0]
     assert policy.stage_derate() == 1.0
@@ -465,7 +463,7 @@ def test_graph_policy_defaults():
 
 
 def test_signoff_policy_hooks():
-    policy = SignoffDelayPolicy(SLOW, si_factor=0.5, ocv_derate=1.06, pba=True)
+    policy = SignoffSTA(SLOW, si_factor=0.5, ocv_derate=1.06, pba=True)
     assert policy.engine_name == "signoff"
     bumps = policy.si_bump_batch(np.array([10.0, 10.0]), np.array([0.5, -1.0]))
     # congestion is clamped at zero
@@ -483,7 +481,7 @@ def test_signoff_merge_slew_batch_is_a_left_fold():
     the frozen engine's scalar ``_merge_slew`` does: ``np.add.reduceat``
     would return ``a[s] + (a[s+1] + a[s+2])``, one ulp off on this
     triple."""
-    policy = SignoffDelayPolicy(SLOW)
+    policy = SignoffSTA(SLOW)
     scalar = ref.SignoffSTA(ref.SLOW)._merge_slew
     triple = [9.10214031217829, 13.755350780445726, 15.455350780445725]
     merged = policy.merge_slew_batch(
@@ -504,9 +502,9 @@ def test_signoff_merge_slew_batch_is_a_left_fold():
 
 def test_signoff_policy_validation():
     with pytest.raises(ValueError):
-        SignoffDelayPolicy(TYPICAL, si_factor=-0.1)
+        SignoffSTA(TYPICAL, si_factor=-0.1)
     with pytest.raises(ValueError):
-        SignoffDelayPolicy(TYPICAL, ocv_derate=0.9)
+        SignoffSTA(TYPICAL, ocv_derate=0.9)
     with pytest.raises(ValueError):
         SignoffSTA(si_factor=-0.1)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench import RouterLogCorpus, pulpino_profile
 from repro.core.bandit import FlowArmEnvironment, ThompsonSampling
-from repro.core.doomed import MDPCardLearner, evaluate_policy, make_stop_callback
+from repro.core.doomed import KillPolicy, MDPCardLearner, evaluate_policy
 from repro.core.correlation import MiscorrelationModel, build_correlation_dataset
 from repro.dse import DSEEngine
 from repro.eda.flow import FlowOptions, SPRFlow
@@ -46,7 +46,7 @@ def test_doomed_predictor_prunes_real_flow(tiny_spec):
     """Sec 3.3 end to end: card trained on logs prunes a doomed flow."""
     train = RouterLogCorpus.artificial(n=150, seed=3)
     card = MDPCardLearner().fit(train)
-    callback = make_stop_callback(card, consecutive=2)
+    callback = KillPolicy(card, consecutive=2)
     # congested setup: the detailed route will be doomed
     doomed_options = FlowOptions(utilization=0.95, router_tracks_per_um=7.0)
     unpruned = SPRFlow().run(tiny_spec, doomed_options, seed=4)
