@@ -34,7 +34,7 @@ lint-perf:
 # hard timeout: proves the process pool, the result cache and the CLI
 # stats plumbing work end to end without burning CI minutes.
 smoke:
-	PYTHONPATH=$(PYTHONPATH) timeout 180 $(PYTHON) -m repro.cli explore \
+	PYTHONPATH=$(PYTHONPATH) timeout 180 $(PYTHON) -m repro.cli dse --strategy explorer \
 		--design PHY --rounds 2 --concurrent 3 --workers 2 --seed 1
 	PYTHONPATH=$(PYTHONPATH) timeout 180 $(PYTHON) -m repro.cli mab \
 		--design PHY --arms 0.4,0.6 --iterations 2 --concurrent 2 --workers 2
@@ -47,7 +47,7 @@ smoke:
 # CLI's own warehouse-op records.
 metrics-smoke:
 	rm -f .metrics-smoke.jsonl .metrics-smoke.sqlite
-	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli explore \
+	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli dse --strategy explorer \
 		--design PHY --rounds 2 --concurrent 3 --workers 2 --seed 1 \
 		--metrics-out .metrics-smoke.jsonl
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics summary \
@@ -62,10 +62,10 @@ metrics-smoke:
 # last query exits 1 unless the compaction recorded its own op record.
 warehouse-smoke:
 	rm -f .warehouse-smoke.sqlite
-	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli explore \
+	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli dse --strategy explorer \
 		--design PHY --rounds 2 --concurrent 3 --workers 2 --seed 1 \
 		--metrics-db .warehouse-smoke.sqlite --campaign smoke-a
-	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli explore \
+	PYTHONPATH=$(PYTHONPATH) timeout 240 $(PYTHON) -m repro.cli dse --strategy explorer \
 		--design PHY --rounds 2 --concurrent 3 --workers 2 --seed 2 \
 		--metrics-db .warehouse-smoke.sqlite --campaign smoke-b
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli metrics summary \

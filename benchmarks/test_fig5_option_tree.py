@@ -14,9 +14,8 @@ from conftest import print_header
 
 from repro.bench import RouterLogCorpus
 from repro.core.doomed import KillPolicy, MDPCardLearner
-from repro.core.orchestration import default_option_tree
 from repro.core.orchestration.explorer import default_score
-from repro.dse import DSEEngine, SearchSpace
+from repro.dse import DSEEngine, default_flow_space
 from repro.eda.flow import SPRFlow
 from repro.eda.synthesis import DesignSpec
 
@@ -25,7 +24,7 @@ SPEC = DesignSpec("fig5", n_gates=150, n_flops=16, n_inputs=8, n_outputs=8,
 
 
 def test_fig5_option_tree(benchmark):
-    tree = default_option_tree()
+    tree = default_flow_space()
 
     print_header("Figure 5: the tree of flow options")
     print(f"{'step':>10} {'options':>8} {'combinations':>13}")
@@ -37,7 +36,7 @@ def test_fig5_option_tree(benchmark):
     train = RouterLogCorpus.artificial(n=300, seed=55)
     card = MDPCardLearner().fit(train)
     explorer = DSEEngine(
-        space=SearchSpace(tree=tree), strategy="explorer",
+        space=tree, strategy="explorer",
         kill_policy=KillPolicy(card, consecutive=2),
         params={"n_concurrent": 4, "n_rounds": 3},
     )

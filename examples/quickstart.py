@@ -12,6 +12,7 @@ the per-step log and final QoR.
 import sys
 
 from repro.bench import pulpino_profile
+from repro.dse import default_flow_space
 from repro.eda import FlowOptions, SPRFlow
 
 
@@ -22,7 +23,8 @@ def main() -> None:
     options = FlowOptions(target_clock_ghz=target_ghz, utilization=0.70)
     print(f"design: {spec.name} ({spec.n_gates} gates, {spec.n_flops} flops)")
     print(f"target: {target_ghz:.2f} GHz at utilization {options.utilization}")
-    print(f"(the flow exposes {FlowOptions.option_space_size():,} option combinations)\n")
+    n_trajectories = default_flow_space().n_trajectories
+    print(f"(the flow's option tree holds {n_trajectories:,} trajectories)\n")
 
     result = SPRFlow().run(spec, options, seed=42)
 

@@ -8,10 +8,10 @@ Python:
 - ``repro noise`` — the Fig 3 noise sweep;
 - ``repro doomed`` — train and evaluate the doomed-run strategy card;
 - ``repro mab`` — the Fig 7 bandit tuning loop;
-- ``repro explore`` — GWTW trajectory exploration (Fig 5/6);
 - ``repro dse`` — the declarative DSE engine: any registered strategy
-  under a budget, with optional online doomed-run killing and a
-  surrogate proposer (see ``docs/dse.md``);
+  (GWTW trajectory exploration of Fig 5/6 by default) under a budget,
+  with optional online doomed-run killing and a surrogate proposer
+  (see ``docs/dse.md``);
 - ``repro cost`` — ITRS design-cost projections;
 - ``repro metrics summary|query`` — inspect a collected METRICS store
   (JSONL file or sqlite warehouse, format sniffed);
@@ -22,12 +22,13 @@ Python:
 - ``repro lint`` — determinism & parallel-safety static analysis
   (``--strict`` in CI; see ``docs/static-analysis.md``).
 
-``mab`` and ``explore`` accept ``--workers N`` (parallel flow
+``mab`` and ``dse`` accept ``--workers N`` (parallel flow
 execution), ``--cache-dir`` (persistent result cache), and
 ``--metrics-out FILE`` (cross-process METRICS collection: every flow
 run's step metrics plus per-job executor events land in a JSONL file
-that ``repro metrics summary`` and the data miner consume); all print
-the executor's stats line (jobs, cache hits, retries, wall time).
+that ``repro metrics summary`` and the data miner consume); their flow
+campaigns print the executor's stats line (jobs, cache hits, retries,
+wall time).
 ``--metrics-db DB`` collects into a sqlite warehouse instead, and
 ``--campaign ID`` tags every record so multiple sessions accumulate
 distinguishable history in one store (see ``docs/metrics.md``).
@@ -190,34 +191,6 @@ def _cmd_mab(args) -> int:
         finally:
             _close_metrics(executor)
     return 0
-
-
-def _cmd_explore(args) -> int:
-    from repro.bench.generators import design_profile
-    from repro.dse import DSEEngine
-
-    spec = design_profile(args.design)
-    with _make_executor(args) as executor:
-        try:
-            result = DSEEngine(
-                strategy="explorer", executor=executor,
-                params={"n_concurrent": args.concurrent,
-                        "n_rounds": args.rounds},
-            ).run(spec, seed=args.seed)
-            print(f"{result.n_runs} runs over {args.rounds} rounds "
-                  f"({result.n_pruned} pruned, {result.n_failed} failed), "
-                  f"best score {result.best_score:.4f}")
-            if result.best_result is not None:
-                best = result.best_result
-                print(f"best: target={best.options.target_clock_ghz:.2f}GHz "
-                      f"util={best.options.utilization:.2f} seed={best.seed} "
-                      f"area={best.area:.1f}um2 wns={best.wns:.1f}ps "
-                      f"{'SUCCESS' if best.success else 'FAILED'}")
-            print(f"executor: {executor.stats.summary()}")
-            _finish_metrics(executor, args)
-        finally:
-            _close_metrics(executor)
-    return 0 if result.best_result is not None else 1
 
 
 def _cmd_dse(args) -> int:
@@ -384,10 +357,10 @@ def _cmd_metrics_ingest(args) -> int:
 
 
 def _cmd_metrics_migrate(args) -> int:
-    from repro.metrics import JsonlStore, SqliteStore, migrate_jsonl
+    from repro.metrics import JsonlStore, SqliteStore
 
     with SqliteStore(args.db) as store:
-        report = migrate_jsonl(args.path, store)
+        report = store.receive_jsonl(args.path)
         # zero-loss verification: reload the source the hardened JSONL
         # way and compare record count plus every per-run vector
         with JsonlStore(args.path) as source:
@@ -623,30 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable the stage-prefix cache (resume flow jobs "
                           "from the deepest cached pipeline prefix)")
     mab.set_defaults(func=_cmd_mab)
-
-    explore = sub.add_parser(
-        "explore", help="GWTW trajectory exploration over the flow-option tree"
-    )
-    explore.add_argument("--design", default="pulpino")
-    explore.add_argument("--rounds", type=int, default=4)
-    explore.add_argument("--concurrent", type=int, default=5)
-    explore.add_argument("--seed", type=int, default=0)
-    explore.add_argument("--workers", type=int, default=1,
-                         help="parallel flow workers (1 = serial)")
-    explore.add_argument("--cache-dir", default=None,
-                         help="directory for the on-disk result-cache tier")
-    explore.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="collect METRICS records from every run into this JSONL file")
-    explore.add_argument("--metrics-db", default=None, metavar="DB",
-                         help="collect METRICS records into this sqlite "
-                              "warehouse (cross-campaign history; mutually "
-                              "exclusive with --metrics-out)")
-    explore.add_argument("--campaign", default=None,
-                         help="campaign id stamped onto every collected record")
-    explore.add_argument("--stage-cache", action="store_true",
-                         help="enable the stage-prefix cache (resume flow jobs "
-                              "from the deepest cached pipeline prefix)")
-    explore.set_defaults(func=_cmd_explore)
 
     dse = sub.add_parser(
         "dse", help="declarative design-space exploration (any strategy, "

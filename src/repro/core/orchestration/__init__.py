@@ -2,7 +2,8 @@
 
 - :mod:`tree` — the tree of flow options: "thousands of potential
   options at each flow step, along with iteration, result in an
-  enormous tree of possible flow trajectories."
+  enormous tree of possible flow trajectories."  It is the search
+  space of every flow campaign.
 - :mod:`robots` — stage-1 "robot engineers": expert-system automata
   that execute a design task to completion with no human (DRC fixing,
   timing closure, memory placement).
@@ -13,7 +14,7 @@
   :class:`repro.dse.DSEEngine`.
 """
 
-from repro.core.orchestration.tree import FlowOptionTree, FlowStepOptions, default_option_tree
+from repro.core.orchestration.tree import FlowOptionTree, FlowStepOptions, default_flow_space
 from repro.core.orchestration.robots import (
     DRCFixRobot,
     MemoryPlacementRobot,
@@ -25,7 +26,7 @@ from repro.core.orchestration.explorer import FlowRepairAgent
 __all__ = [
     "FlowOptionTree",
     "FlowStepOptions",
-    "default_option_tree",
+    "default_flow_space",
     "DRCFixRobot",
     "TimingClosureRobot",
     "MemoryPlacementRobot",

@@ -4,13 +4,20 @@ Each flow step exposes a set of named options with discrete candidate
 values; a *trajectory* is one choice per option down the whole flow.
 The tree's size — the product over steps — is what makes naive search
 "hopeless" and motivates bandits, GWTW and pruning.
+
+The tree is also the search space every flow campaign of
+:class:`repro.dse.DSEEngine` draws from.  Its ``sample``/``perturb``
+draw order is part of the explorer's determinism contract (same seed,
+same campaign, at any worker count): one ``rng.integers`` draw per
+option in step order for a sample, and exactly three draws (step,
+option, value) for a perturbation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.eda.flow import FlowOptions
 
@@ -101,22 +108,35 @@ class FlowOptionTree:
                 choice[option] = values[int(rng.integers(0, len(values)))]
         return choice
 
+    def perturb(self, trajectory: Dict[str, object], rng) -> Dict[str, object]:
+        """A copy of ``trajectory`` with one random option re-rolled:
+        three draws, for the step, the option and the value."""
+        clone = dict(trajectory)
+        step = self.steps[int(rng.integers(0, len(self.steps)))]
+        option = list(step.options)[int(rng.integers(0, len(step.options)))]
+        values = step.options[option]
+        clone[option] = values[int(rng.integers(0, len(values)))]
+        return clone
+
     @staticmethod
     def to_flow_options(trajectory: Dict[str, object]) -> FlowOptions:
         """Materialize a trajectory as runnable :class:`FlowOptions`."""
         return FlowOptions(**trajectory)
 
 
-def default_option_tree(
-    target_frequencies: Tuple[float, ...] = (0.5, 0.6, 0.65, 0.7, 0.75, 0.8),
+def default_flow_space(
+    target_frequencies: Optional[Tuple[float, ...]] = None,
 ) -> FlowOptionTree:
-    """The substrate flow's own option tree.
+    """The substrate flow's own option tree, the default search space.
 
-    Kept deliberately coarse (6 x 3 x 4 x ... combinations); even so the
-    trajectory count is in the tens of thousands — the paper's point
-    that "even identifying a best gate-level netlist ... is beyond the
-    grasp of human engineers".
+    ``target_frequencies`` replaces the synthesis step's target-clock
+    menu (default 0.5 to 0.8 GHz).  Kept deliberately coarse (6 x 3 x
+    4 x ... combinations); even so the trajectory count is over a
+    hundred thousand — the paper's point that "even identifying a best
+    gate-level netlist ... is beyond the grasp of human engineers".
     """
+    if target_frequencies is None:
+        target_frequencies = (0.5, 0.6, 0.65, 0.7, 0.75, 0.8)
     return FlowOptionTree(
         steps=[
             FlowStepOptions("synth", {

@@ -100,7 +100,7 @@ def partitioned_implementation(
     for i, block_instances in enumerate(blocks):
         sub = extract_partition(netlist, block_instances, f"{spec.name}_p{i}")
         block_results.append(
-            flow.implement(sub, options, seed=int(rng.integers(0, 2**31 - 1)))
+            flow.run(sub, options, seed=int(rng.integers(0, 2**31 - 1)))
         )
 
     flat = None

@@ -6,30 +6,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.search.landscape import BisectionProblem
+from repro.core.search.landscape import BisectionProblem, clique_edges
 from repro.eda.netlist import Netlist
-
-
-def _clique_edges(netlist: Netlist) -> Tuple[List[str], List[Tuple[int, int, float]]]:
-    """Instance clique graph (same model the bisection landscape uses)."""
-    names = list(netlist.instances)
-    index = {n: i for i, n in enumerate(names)}
-    weights: Dict[Tuple[int, int], float] = {}
-    for net_name, net in netlist.nets.items():
-        if net_name == netlist.clock_net:
-            continue
-        members = []
-        if net.driver is not None:
-            members.append(index[net.driver])
-        members += [index[s] for s, _ in net.sinks]
-        members = sorted(set(members))
-        if len(members) < 2:
-            continue
-        w = 1.0 / (len(members) - 1)
-        for a_pos, a in enumerate(members):
-            for b in members[a_pos + 1 :]:
-                weights[(a, b)] = weights.get((a, b), 0.0) + w
-    return names, [(u, v, w) for (u, v), w in weights.items()]
 
 
 def _bisect_subset(
@@ -76,7 +54,7 @@ def kway_partition(
     if netlist.n_instances < 2 * k:
         raise ValueError(f"netlist too small for {k} partitions")
     rng = np.random.default_rng(seed)
-    names, edges = _clique_edges(netlist)
+    names, edges = clique_edges(netlist)
     blocks: List[List[int]] = [list(range(len(names)))]
     while len(blocks) < k:
         next_blocks = []

@@ -10,11 +10,39 @@ cluster, and better minima sit closer to the best known minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.eda.netlist import Netlist
+
+
+def clique_edges(netlist: Netlist) -> Tuple[List[str], List[Tuple[int, int, float]]]:
+    """The instance clique graph of a netlist: instance names, and one
+    ``(u, v, weight)`` edge per connected pair of instance indices.
+
+    Each signal net (the clock excluded) of k >= 2 distinct instances
+    adds 1/(k-1) to every pair it connects.  The bisection landscape
+    and the k-way partitioner both search this graph.
+    """
+    names = list(netlist.instances)
+    index = {n: i for i, n in enumerate(names)}
+    weights: Dict[Tuple[int, int], float] = {}
+    for net_name, net in netlist.nets.items():
+        if net_name == netlist.clock_net:
+            continue
+        members = []
+        if net.driver is not None:
+            members.append(index[net.driver])
+        members += [index[s] for s, _ in net.sinks]
+        members = sorted(set(members))
+        if len(members) < 2:
+            continue
+        w = 1.0 / (len(members) - 1)
+        for a_pos, a in enumerate(members):
+            for b in members[a_pos + 1 :]:
+                weights[(a, b)] = weights.get((a, b), 0.0) + w
+    return names, [(u, v, w) for (u, v), w in weights.items()]
 
 
 @dataclass
@@ -47,25 +75,7 @@ class BisectionProblem:
     @classmethod
     def from_netlist(cls, netlist: Netlist, tolerance: int = 2) -> "BisectionProblem":
         """Clique-model graph of a netlist's instances."""
-        names = list(netlist.instances)
-        index = {n: i for i, n in enumerate(names)}
-        weights = {}
-        for net_name, net in netlist.nets.items():
-            if net_name == netlist.clock_net:
-                continue
-            members = []
-            if net.driver is not None:
-                members.append(index[net.driver])
-            members += [index[s] for s, _ in net.sinks]
-            members = sorted(set(members))
-            k = len(members)
-            if k < 2:
-                continue
-            w = 1.0 / (k - 1)
-            for a_pos, a in enumerate(members):
-                for b in members[a_pos + 1 :]:
-                    weights[(a, b)] = weights.get((a, b), 0.0) + w
-        edges = [(u, v, w) for (u, v), w in weights.items()]
+        names, edges = clique_edges(netlist)
         return cls(n_nodes=len(names), edges=edges, tolerance=tolerance)
 
     @classmethod

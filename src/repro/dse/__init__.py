@@ -4,10 +4,11 @@ GWTW trajectory exploration, batched bandits, adaptive multistart and
 GWTW annealing are plugins of one engine here, sharing its budget,
 executor and metrics reporting.  A campaign is declared as:
 
-- a :class:`~repro.dse.space.SearchSpace` (which knobs, which values),
+- a :class:`~repro.core.orchestration.tree.FlowOptionTree` (which
+  knobs, which values; :func:`default_flow_space` by default),
 - an :class:`~repro.dse.objective.Objective` (what "better" means,
   scalar or Pareto),
-- a :class:`~repro.dse.budget.Budget` (runs / runtime proxy / wall),
+- a :class:`~repro.dse.budget.Budget` (runs / runtime proxy),
 - a strategy name from the registry,
 
 and executed by :meth:`DSEEngine.run`, which returns a unified
@@ -20,13 +21,13 @@ on the shared engine: surrogate-guided candidate proposal
 maps each removed pre-engine call to its engine call.
 """
 
+from repro.core.orchestration.tree import default_flow_space
 from repro.dse.budget import Budget, BudgetTracker
 from repro.dse.engine import DSEEngine
 from repro.dse.kill import KillPolicy, train_kill_policy
 from repro.dse.objective import OBJECTIVES, Objective, ParetoObjective
 from repro.dse.registry import Strategy, available_strategies, register_strategy
 from repro.dse.result import DSEResult
-from repro.dse.space import SearchSpace, default_flow_space
 from repro.dse.surrogate import SurrogateProposer
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "OBJECTIVES",
     "Objective",
     "ParetoObjective",
-    "SearchSpace",
     "Strategy",
     "SurrogateProposer",
     "available_strategies",

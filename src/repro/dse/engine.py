@@ -1,12 +1,12 @@
 """The declarative design-space-exploration engine.
 
-One entrypoint for every searcher: a :class:`DSEEngine` binds a
-:class:`~repro.dse.space.SearchSpace`, an
-:class:`~repro.dse.objective.Objective`, a :class:`~repro.dse.budget.Budget`
-and a registered strategy, runs the campaign, and returns a
-:class:`~repro.dse.result.DSEResult`.  Strategy parameters (rounds,
-threads, iterations ...) travel in ``params``; each strategy documents
-its keys and defaults.
+One entrypoint for every searcher: a :class:`DSEEngine` binds a search
+space (a :class:`~repro.core.orchestration.tree.FlowOptionTree`), an
+:class:`~repro.dse.objective.Objective`, a
+:class:`~repro.dse.budget.Budget` and a registered strategy, runs the
+campaign, and returns a :class:`~repro.dse.result.DSEResult`.
+Strategy parameters (rounds, threads, iterations ...) travel in
+``params``; each strategy documents its keys and defaults.
 
 Two campaign-level services plug in here rather than per strategy:
 
@@ -31,12 +31,12 @@ import math
 from copy import copy
 from typing import Callable, Dict, Optional
 
+from repro.core.orchestration.tree import FlowOptionTree, default_flow_space
 from repro.core.parallel import ExecutorStats
 from repro.dse.budget import Budget, BudgetTracker
 from repro.dse.objective import Objective, resolve_objective
 from repro.dse.registry import get_strategy, load_builtin_strategies
 from repro.dse.result import DSEResult
-from repro.dse.space import SearchSpace, default_flow_space
 from repro.dse.surrogate import SurrogateProposer
 
 
@@ -44,7 +44,7 @@ class DSEContext:
     """Everything a strategy sees: the declarative triple plus the
     campaign's shared services."""
 
-    def __init__(self, space: SearchSpace, objective: Objective,
+    def __init__(self, space: FlowOptionTree, objective: Objective,
                  tracker: BudgetTracker, seed, params: Dict,
                  executor=None, stop_callback: Optional[Callable] = None,
                  surrogate: Optional[SurrogateProposer] = None):
@@ -90,7 +90,7 @@ class DSEContext:
 class DSEEngine:
     """Declarative campaign runner: space x objective x budget x strategy."""
 
-    def __init__(self, space: Optional[SearchSpace] = None,
+    def __init__(self, space: Optional[FlowOptionTree] = None,
                  objective="score", budget: Optional[Budget] = None,
                  strategy: str = "explorer", executor=None,
                  kill_policy: Optional[Callable] = None,

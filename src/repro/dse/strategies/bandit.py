@@ -101,7 +101,7 @@ class BanditStrategy(Strategy):
         from repro.core.bandit.policies import ThompsonSampling
 
         frequencies: List[float] = []
-        for step in ctx.space.tree.steps:
+        for step in ctx.space.steps:
             if "target_clock_ghz" in step.options:
                 frequencies = [float(f) for f in step.options["target_clock_ghz"]]
         if not frequencies:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -32,7 +32,9 @@ class FlowOptions:
     """One point in the flow's option space.
 
     The paper notes a P&R tool has "well over ten thousand
-    command-option combinations"; :meth:`option_space_size` counts ours.
+    command-option combinations";
+    :func:`repro.core.orchestration.tree.default_flow_space` declares
+    the menus campaigns search, and its ``n_trajectories`` counts them.
     """
 
     target_clock_ghz: float = 0.8
@@ -97,36 +99,6 @@ class FlowOptions:
     def with_(self, **kwargs) -> "FlowOptions":
         """A copy with some options overridden."""
         return replace(self, **kwargs)
-
-    @staticmethod
-    def option_space_size(
-        n_levels_continuous: int = 5,
-    ) -> int:
-        """Combinations if each knob is quantized to a few levels."""
-        continuous = [
-            "target_clock_ghz",
-            "synth_effort",
-            "utilization",
-            "aspect_ratio",
-            "spread_strength",
-            "cts_effort",
-            "router_tracks_per_um",
-            "router_effort",
-            "opt_guardband",
-        ]
-        discrete = {
-            "placer_moves_per_cell": 4,
-            "router_max_iterations": 3,
-            "opt_passes": 4,
-            "opt_cells_per_pass": 3,
-            "power_recovery": 2,
-        }
-        total = 1
-        for _ in continuous:
-            total *= n_levels_continuous
-        for n in discrete.values():
-            total *= n
-        return total
 
 
 @dataclass
@@ -232,26 +204,18 @@ class SPRFlow:
         routing (the hook doomed-run predictors plug into)."""
         self.stop_callback = stop_callback
 
-    def run(self, spec: DesignSpec, options: FlowOptions, seed: int = 0) -> FlowResult:
-        """Full flow from a design spec (synthesis included)."""
-        from repro.eda.stages.runner import execute_pipeline
+    def run(self, design: Union[DesignSpec, Netlist], options: FlowOptions,
+            seed: int = 0) -> FlowResult:
+        """The flow over a design spec (synthesis included) or over an
+        existing netlist (floorplan onward).
 
-        return execute_pipeline(spec, options, seed,
-                                stop_callback=self.stop_callback)
-
-    def implement(self, netlist: Netlist, options: FlowOptions,
-                  seed: int = 0) -> FlowResult:
-        """Physical implementation of an existing netlist.
-
-        The entry point partition-driven flows use: each block netlist
-        (already extracted) goes through floorplan -> place -> CTS ->
-        route -> opt -> signoff on its own.  The flow works on a private
-        copy: ``netlist`` itself is never modified, so repeating a call
-        repeats its result.
+        Partition-driven flows pass each extracted block netlist.  The
+        flow works on a private copy: a netlist passed in is never
+        modified, so repeating a call repeats its result.
         """
         from repro.eda.stages.runner import execute_pipeline
 
-        return execute_pipeline(netlist, options, seed,
+        return execute_pipeline(design, options, seed,
                                 stop_callback=self.stop_callback)
 
 

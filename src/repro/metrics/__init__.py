@@ -25,7 +25,6 @@ from repro.metrics.store import (
     MetricsStore,
     MigrationReport,
     SqliteStore,
-    migrate_jsonl,
     open_store,
 )
 from repro.metrics.transmitter import Transmitter
@@ -45,7 +44,6 @@ __all__ = [
     "JsonlStore",
     "SqliteStore",
     "MigrationReport",
-    "migrate_jsonl",
     "open_store",
     "Transmitter",
     "MetricsServer",

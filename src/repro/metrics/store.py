@@ -86,9 +86,9 @@ def dense_table(vectors: Sequence[Dict[str, float]]):
 class MetricsStore:
     """The backend protocol: ingest + indexed queries + persistence.
 
-    Concrete stores implement :meth:`receive`, :meth:`ingest`,
-    :meth:`runs`, :meth:`query`, :meth:`run_vector`, :meth:`campaigns`,
-    :meth:`close` and ``__len__``; the cross-cutting helpers
+    Concrete stores implement :meth:`ingest`, :meth:`runs`,
+    :meth:`query`, :meth:`run_vector`, :meth:`campaigns`, :meth:`close`
+    and ``__len__``; the cross-cutting helpers
     (:meth:`series`, :meth:`table`, :meth:`run_vectors_matrix`, context
     management) are shared here.  ``skipped_lines`` counts source
     rows/lines the store could not decode; ``null_values`` counts
@@ -100,15 +100,9 @@ class MetricsStore:
     null_values: int = 0
 
     # ------------------------------------------------------------ ingest
-    def receive(self, record: MetricRecord) -> None:
-        raise NotImplementedError
-
     def ingest(self, records: Sequence[MetricRecord]) -> int:
-        """Batched ingest; returns the number of records stored.
-        Backends override this with a transactional fast path."""
-        for record in records:
-            self.receive(record)
-        return len(records)
+        """Store a batch of records; returns the number stored."""
+        raise NotImplementedError
 
     @property
     def ingest_count(self) -> int:
@@ -219,14 +213,11 @@ class JsonlStore(MetricsStore):
         return len(self._records)
 
     # ------------------------------------------------------------ ingest
-    def receive(self, record: MetricRecord) -> None:
-        self._index(record)
-        if self.persist_path:
-            self._append(record)
-
     def ingest(self, records: Sequence[MetricRecord]) -> int:
         for record in records:
-            self.receive(record)
+            self._index(record)
+            if self.persist_path:
+                self._append(record)
         return len(records)
 
     @property
@@ -486,9 +477,6 @@ class SqliteStore(MetricsStore):
         return int(row[0])
 
     # ------------------------------------------------------------ ingest
-    def receive(self, record: MetricRecord) -> None:
-        self.ingest([record])
-
     def ingest(self, records: Sequence[MetricRecord]) -> int:
         """One transaction for the whole batch (the collector's drain
         thread hands over everything queued at once).  Returns the
@@ -748,7 +736,9 @@ class SqliteStore(MetricsStore):
         (torn lines skipped, nulls counted) and ingests in transactions
         of ``batch_size``.  With ``campaign``, untagged records are
         stamped on the way in.  This is both ``repro metrics ingest``
-        and (unstamped) ``repro metrics migrate``.
+        and (unstamped) ``repro metrics migrate``.  No record is lost:
+        every line a reloaded :class:`JsonlStore` would index is
+        stored, and every line it would drop is counted the same way.
         """
         report = MigrationReport()
         batch: List[MetricRecord] = []
@@ -784,19 +774,6 @@ class MigrationReport:
     batches: int = 0       # ingest transactions used
     null_values: int = 0   # non-finite (null) source values dropped
     skipped_lines: int = 0  # torn/corrupt source lines skipped
-
-
-def migrate_jsonl(jsonl_path: str, store: SqliteStore,
-                  campaign: Optional[str] = None,
-                  batch_size: int = 1000) -> MigrationReport:
-    """Convert an existing JSONL metrics file into a warehouse.
-
-    Zero record loss by construction: every line a reloaded
-    :class:`JsonlStore` would index is stored (and every line it would
-    drop is counted the same way) — the acceptance tests assert count
-    and per-run-vector equality between the two."""
-    return store.receive_jsonl(jsonl_path, campaign=campaign,
-                               batch_size=batch_size)
 
 
 def open_store(path: str) -> MetricsStore:

@@ -10,7 +10,7 @@ from repro.core.orchestration import (
     FlowStepOptions,
     MemoryPlacementRobot,
     TimingClosureRobot,
-    default_option_tree,
+    default_flow_space,
 )
 from repro.dse import DSEEngine
 from repro.eda.flow import FlowOptions
@@ -26,12 +26,13 @@ def robot_spec():
 
 # ------------------------------------------------------------------- tree
 def test_default_tree_is_enormous():
-    tree = default_option_tree()
+    """The paper: 'well over ten thousand command-option combinations'."""
+    tree = default_flow_space()
     assert tree.n_trajectories > 10_000
 
 
 def test_tree_enumeration_and_sampling(rng):
-    tree = default_option_tree()
+    tree = default_flow_space()
     trajectories = list(tree.enumerate(limit=10))
     assert len(trajectories) == 10
     sample = tree.sample(rng)

@@ -72,9 +72,9 @@ def test_options_to_dict_matches_asdict():
     same keys in the same order, holding equal values of equal types,
     at the defaults, at numpy-integer knobs and at sampled points of
     the option tree."""
-    from repro.dse.space import SearchSpace
+    from repro.dse import default_flow_space
 
-    space, rng = SearchSpace(), np.random.default_rng(0)
+    space, rng = default_flow_space(), np.random.default_rng(0)
     points = [FlowOptions(),
               OPTS.with_(router_max_iterations=np.int64(35), opt_passes=np.int32(3))]
     points += [space.to_flow_options(space.sample(rng)) for _ in range(4)]

@@ -88,7 +88,7 @@ def test_extract_validation(small_netlist):
 
 def test_extracted_block_implements(small_netlist, blocks):
     sub = extract_partition(small_netlist, blocks[0], "blk0")
-    result = SPRFlow().implement(sub, FlowOptions(target_clock_ghz=0.5), seed=3)
+    result = SPRFlow().run(sub, FlowOptions(target_clock_ghz=0.5), seed=3)
     assert result.area > 0
     assert [log.step for log in result.logs][0] == "floorplan"  # no synth step
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.search import BisectionProblem, big_valley_correlation
+from repro.core.search.landscape import clique_edges
 from repro.dse import DSEEngine
 
 
@@ -26,6 +27,27 @@ def test_problem_from_netlist(small_netlist):
     sol = problem.random_solution(rng)
     assert problem.is_balanced(sol)
     assert problem.cost(sol) > 0
+
+
+def test_clique_edges_weigh_each_net_once(small_netlist):
+    """Each signal net of k >= 2 instances adds 1/(k-1) to each of its
+    k(k-1)/2 pairs, k/2 in all; the clock net adds nothing.  The
+    bisection landscape searches exactly this graph."""
+    names, edges = clique_edges(small_netlist)
+    assert names == list(small_netlist.instances)
+    pairs = [(u, v) for u, v, _ in edges]
+    assert all(u < v for u, v in pairs)
+    assert len(set(pairs)) == len(pairs)
+    index = {name: i for i, name in enumerate(names)}
+    total = 0.0
+    for net_name, net in small_netlist.nets.items():
+        members = {index[s] for s, _ in net.sinks}
+        if net.driver is not None:
+            members.add(index[net.driver])
+        if net_name != small_netlist.clock_net and len(members) >= 2:
+            total += len(members) / 2
+    assert sum(w for _, _, w in edges) == pytest.approx(total)
+    assert BisectionProblem.from_netlist(small_netlist).edges == edges
 
 
 def test_cost_counts_cut_edges():

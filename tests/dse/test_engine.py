@@ -9,10 +9,12 @@ from repro.core.bandit import (
     SyntheticBanditEnvironment,
     ThompsonSampling,
 )
+from repro.core.orchestration import FlowOptionTree, FlowStepOptions
 from repro.core.parallel import FlowExecutionError, FlowExecutor
 from repro.core.search import BisectionProblem
 from repro.dse import DSEEngine, available_strategies
 from repro.dse.registry import get_strategy, load_builtin_strategies
+from repro.eda.flow import FlowOptions
 from repro.metrics import MetricsCollector, MetricsServer
 from repro.metrics.schema import DSE_CAMPAIGN_METRICS
 
@@ -40,6 +42,21 @@ def test_engine_runs_explorer_without_explicit_executor(small_spec):
     assert result.n_runs == 2
     assert result.best_result is not None
     assert result.runtime_proxy_executed > 0
+
+
+def test_engine_searches_the_tree_it_is_given(small_spec):
+    """The space is the tree itself: a sweep runs every trajectory of a
+    two-trajectory tree, and an explorer draws only from its menu."""
+    tree = FlowOptionTree([FlowStepOptions("synth", {"target_clock_ghz": [0.4, 0.45]})])
+    sweep = DSEEngine(space=tree, strategy="sweep",
+                      params={"n_concurrent": 2}).run(small_spec, seed=3)
+    assert sweep.n_runs == 2
+    explorer = DSEEngine(space=tree, strategy="explorer",
+                         params={"n_rounds": 1, "n_concurrent": 2}).run(small_spec, seed=3)
+    for result in (sweep, explorer):
+        assert result.best_result.options == FlowOptions(
+            target_clock_ghz=result.best_result.options.target_clock_ghz)
+        assert result.best_result.options.target_clock_ghz in (0.4, 0.45)
 
 
 def test_engine_runs_landscape_strategy():

@@ -192,7 +192,7 @@ def test_implement_reports_its_own_seed(small_spec, library):
     from repro.eda.synthesis import synthesize
 
     netlist = synthesize(small_spec, library, effort=0.5, seed=7)  # private copy:
-    result = SPRFlow().implement(netlist, FlowOptions(), seed=33)  # implement mutates
+    result = SPRFlow().run(netlist, FlowOptions(), seed=33)  # run copies it
     assert result.seed == 33
 
 
@@ -225,8 +225,17 @@ def test_default_library_single_instance_under_concurrency():
 
 
 def test_option_space_is_enormous():
-    """The paper: 'well over ten thousand command-option combinations'."""
-    assert FlowOptions.option_space_size() > 10_000
+    """The paper: 'well over ten thousand command-option combinations',
+    counted by the option tree, whose every option is a FlowOptions
+    field."""
+    from dataclasses import fields
+
+    from repro.dse import default_flow_space
+
+    space = default_flow_space()
+    assert space.n_trajectories > 10_000
+    searched = {name for _, name in space.option_names()}
+    assert searched <= {f.name for f in fields(FlowOptions)}
 
 
 def test_clock_period_conversion():

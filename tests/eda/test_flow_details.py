@@ -1,19 +1,19 @@
-"""Flow internals: implement() path, logs, runtime accounting, options."""
+"""Flow internals: the netlist path, logs, runtime accounting, options."""
 
 import numpy as np
 import pytest
 
-from repro.core.orchestration import default_option_tree
+from repro.core.orchestration import default_flow_space
 from repro.eda.flow import FlowOptions, SPRFlow, StepLog
 from repro.eda.synthesis import synthesize
 
 
 def test_implement_skips_synthesis(library, small_netlist, small_spec):
-    """implement() takes a prebuilt netlist; no synth step in the log."""
+    """run() on a prebuilt netlist: no synth step in the log."""
     import copy
 
     netlist = synthesize(small_spec, library, effort=0.5, seed=7)
-    result = SPRFlow().implement(netlist, FlowOptions(target_clock_ghz=0.5), seed=1)
+    result = SPRFlow().run(netlist, FlowOptions(target_clock_ghz=0.5), seed=1)
     steps = [log.step for log in result.logs]
     assert steps[0] == "floorplan"
     assert "synth" not in steps
@@ -21,13 +21,14 @@ def test_implement_skips_synthesis(library, small_netlist, small_spec):
 
 
 def test_run_equals_synthesize_plus_implement(library, small_spec):
-    """run() must be exactly synthesize + implement with split seeds."""
+    """A spec run must be exactly synthesize + a netlist run with split
+    seeds."""
     full = SPRFlow().run(small_spec, FlowOptions(), seed=5)
     rng = np.random.default_rng(5)
     synth_seed = int(rng.integers(0, 2**31 - 1))
     impl_seed = int(rng.integers(0, 2**31 - 1))
     netlist = synthesize(small_spec, library, 0.5, synth_seed)
-    manual = SPRFlow().implement(netlist, FlowOptions(), seed=impl_seed)
+    manual = SPRFlow().run(netlist, FlowOptions(), seed=impl_seed)
     assert manual.area == pytest.approx(full.area)
     assert manual.wns == pytest.approx(full.wns)
     assert manual.final_drvs == full.final_drvs
@@ -84,7 +85,7 @@ def test_synth_effort_changes_structure(small_spec):
 
 
 def test_iteration_aware_tree_is_larger():
-    tree = default_option_tree()
+    tree = default_flow_space()
     flat = tree.n_trajectories
     looped = tree.n_trajectories_with_iteration(p_repeat=0.3, max_repeats=2)
     assert looped > flat

@@ -53,7 +53,7 @@ def test_staged_implement_matches_monolith(small_netlist, seed):
     options = FlowOptions(target_clock_ghz=0.5)
     # the staged flow implements a private copy; the frozen monolith
     # still mutates its input in place, so it gets its own
-    staged = SPRFlow().implement(small_netlist, options, seed=seed)
+    staged = SPRFlow().run(small_netlist, options, seed=seed)
     golden = MonolithicSPRFlow().implement(
         copy.deepcopy(small_netlist), options, seed=seed)
     assert staged == golden
@@ -70,9 +70,9 @@ def test_netlist_job_leaves_its_input_untouched(library, small_spec):
     netlist = synthesize(small_spec, library, effort=0.5, seed=7)
     fingerprint = design_fingerprint(netlist)
     options = FlowOptions(target_clock_ghz=1.2)
-    first = SPRFlow().implement(netlist, options, seed=3)
+    first = SPRFlow().run(netlist, options, seed=3)
     assert design_fingerprint(netlist) == fingerprint
-    assert SPRFlow().implement(netlist, options, seed=3) == first
+    assert SPRFlow().run(netlist, options, seed=3) == first
 
     jobs = [FlowJob(netlist, options, seed) for seed in (3, 4)]
     serial = FlowExecutor(n_workers=1, cache=None).run_jobs(jobs)
@@ -494,7 +494,7 @@ def test_logs_keep_the_monolith_order(small_spec, small_netlist):
                                 base.with_(target_clock_ghz=0.4))]
     for result in results:
         assert [log.step for log in result.logs] == STEP_ORDER
-    implemented = SPRFlow().implement(small_netlist, base, seed=3)
+    implemented = SPRFlow().run(small_netlist, base, seed=3)
     assert [log.step for log in implemented.logs] == STEP_ORDER[1:]
 
 

@@ -84,7 +84,7 @@ def backends(request, tmp_path):
     stream = make_stream(0 if legacy else request.param)
     writer = JsonlStore(str(tmp_path / "stream.jsonl"))
     for record in stream:
-        writer.receive(record)
+        writer.ingest([record])
     writer.close()
     jsonl = JsonlStore(str(tmp_path / "stream.jsonl"))
     sqlite_path = str(tmp_path / "stream.sqlite")
@@ -238,7 +238,7 @@ def campaign_archive(with_other_runs=True):
 def both_backends(tmp_path, records, name):
     writer = JsonlStore(str(tmp_path / f"{name}.jsonl"))
     for record in records:
-        writer.receive(record)
+        writer.ingest([record])
     writer.close()
     sqlite = SqliteStore(str(tmp_path / f"{name}.sqlite"))
     sqlite.ingest(records)
@@ -280,7 +280,7 @@ def test_jsonl_torn_line_vs_sqlite_corrupt_row(tmp_path):
     jsonl_path = tmp_path / "t.jsonl"
     writer = JsonlStore(str(jsonl_path))
     for record in stream:
-        writer.receive(record)
+        writer.ingest([record])
     writer.close()
     # tear the file: a partial line a killed writer would leave
     with open(jsonl_path, "a") as fh:
@@ -309,7 +309,7 @@ def test_jsonl_torn_line_vs_sqlite_corrupt_row(tmp_path):
 def _write_jsonl_worker(path, seed):
     store = JsonlStore(path)
     for record in make_stream(seed, n=30, non_finite=False):
-        store.receive(record)
+        store.ingest([record])
     store.close()
 
 

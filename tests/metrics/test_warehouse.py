@@ -29,7 +29,6 @@ from repro.metrics import (
     MetricsServer,
     SqliteStore,
     Transmitter,
-    migrate_jsonl,
     open_store,
 )
 from repro.metrics.logparse import transmit_flow_log
@@ -167,7 +166,7 @@ def test_batched_jsonl_ingest(tmp_path):
     jsonl = str(tmp_path / "in.jsonl")
     with JsonlStore(jsonl) as writer:
         for i in range(25):
-            writer.receive(_record(f"r{i % 5}", "flow.area", float(i), i))
+            writer.ingest([_record(f"r{i % 5}", "flow.area", float(i), i)])
     with SqliteStore(str(tmp_path / "s.sqlite")) as store:
         report = store.receive_jsonl(jsonl, campaign="cX", batch_size=10)
         assert report.records == 25
@@ -183,13 +182,13 @@ def test_migration_zero_loss(tmp_path):
         rng = np.random.default_rng(5)
         for i in range(60):
             value = float(rng.normal()) if i % 9 else float("nan")
-            writer.receive(_record(f"r{i % 7}", "flow.area", value, i))
-            writer.receive(_record(f"r{i % 7}", "signoff.wns", -float(i), 60 + i))
+            writer.ingest([_record(f"r{i % 7}", "flow.area", value, i)])
+            writer.ingest([_record(f"r{i % 7}", "signoff.wns", -float(i), 60 + i)])
     with open(jsonl, "a") as fh:
         fh.write('{"design": "d", "run_id"')  # a killed writer's torn line
     source = JsonlStore(jsonl)
     with SqliteStore(str(tmp_path / "wh.sqlite")) as store:
-        report = migrate_jsonl(jsonl, store, campaign="legacy")
+        report = store.receive_jsonl(jsonl, campaign="legacy")
         assert report.records == len(source)
         assert report.skipped_lines == 1
         assert report.null_values == source.null_values
@@ -283,7 +282,7 @@ def test_open_store_sniffs_format(tmp_path):
     store.close()
     jsonl_path = str(tmp_path / "a.jsonl")
     with JsonlStore(jsonl_path) as writer:
-        writer.receive(_record("r", "flow.area", 1.0, 0))
+        writer.ingest([_record("r", "flow.area", 1.0, 0)])
     store = open_store(jsonl_path)
     assert isinstance(store, JsonlStore)
     assert len(store) == 1
@@ -296,9 +295,9 @@ def test_open_store_sniffs_format(tmp_path):
 # --------------------------------------------------------- lifecycle/API
 def test_stores_and_server_are_context_managers(tmp_path):
     with JsonlStore(str(tmp_path / "a.jsonl")) as store:
-        store.receive(_record("r", "flow.area", 1.0, 0))
+        store.ingest([_record("r", "flow.area", 1.0, 0)])
     with SqliteStore(str(tmp_path / "a.sqlite")) as store:
-        store.receive(_record("r", "flow.area", 1.0, 0))
+        store.ingest([_record("r", "flow.area", 1.0, 0)])
     with MetricsServer(store=SqliteStore(str(tmp_path / "a.sqlite"))) as server:
         assert server.runs() == ["r"]
     server.close()  # idempotent
@@ -350,8 +349,8 @@ def _write_campaign_jsonl(path, n_runs, prefix="", offset=0.0):
     with JsonlStore(str(path)) as writer:
         for i in range(n_runs):
             run_id = f"{prefix}r{i}"
-            writer.receive(_record(run_id, "flow.area", 100.0 + offset + i, 2 * i))
-            writer.receive(_record(run_id, "flow.success", 1.0, 2 * i + 1))
+            writer.ingest([_record(run_id, "flow.area", 100.0 + offset + i, 2 * i)])
+            writer.ingest([_record(run_id, "flow.success", 1.0, 2 * i + 1)])
 
 
 def test_cli_ingest_summary_query_compact(tmp_path, capsys):

@@ -72,18 +72,20 @@ def test_mab_command_parallel_with_cache(capsys, tmp_path):
     assert "disk=4" in out
 
 
-def test_explore_command(capsys):
-    code = main(["explore", "--design", "PHY", "--rounds", "1",
-                 "--concurrent", "2", "--seed", "1"])
+EXPLORER = ["dse", "--strategy", "explorer", "--design", "PHY", "--rounds", "1",
+            "--concurrent", "2", "--seed", "1"]
+
+
+def test_dse_explorer_command(capsys):
+    code = main(EXPLORER)
     out = capsys.readouterr().out
-    assert "2 runs over 1 rounds" in out
+    assert "strategy=explorer objective=score: 2 runs" in out
     assert "executor: jobs=2" in out
     assert code == 0
 
 
-def test_explore_with_stage_cache(capsys):
-    code = main(["explore", "--design", "PHY", "--rounds", "1",
-                 "--concurrent", "2", "--seed", "1", "--stage-cache"])
+def test_dse_explorer_with_stage_cache(capsys):
+    code = main(EXPLORER + ["--stage-cache"])
     out = capsys.readouterr().out
     assert "stage_misses=" in out  # stage accounting surfaced in the summary
     assert code == 0
@@ -91,9 +93,7 @@ def test_explore_with_stage_cache(capsys):
 
 def test_metrics_summary_reports_incremental_timing(capsys, tmp_path):
     out_file = tmp_path / "campaign.jsonl"
-    assert main(["explore", "--design", "PHY", "--rounds", "1",
-                 "--concurrent", "2", "--seed", "1", "--stage-cache",
-                 "--metrics-out", str(out_file)]) == 0
+    assert main(EXPLORER + ["--stage-cache", "--metrics-out", str(out_file)]) == 0
     capsys.readouterr()
     assert main(["metrics", "summary", "--in", str(out_file)]) == 0
     out = capsys.readouterr().out
@@ -107,9 +107,7 @@ def test_metrics_summary_reports_incremental_timing(capsys, tmp_path):
 
 def test_cache_stats_command(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
-    assert main(["explore", "--design", "PHY", "--rounds", "1",
-                 "--concurrent", "2", "--seed", "1", "--stage-cache",
-                 "--cache-dir", str(cache_dir)]) == 0
+    assert main(EXPLORER + ["--stage-cache", "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
@@ -150,6 +148,15 @@ def test_unknown_command_rejected():
         main(["definitely-not-a-command"])
 
 
+def test_explorer_campaign_has_one_command():
+    """An explorer campaign is `dse`, whose default strategy is the
+    explorer; there is no second command for it."""
+    parser = build_parser()
+    assert parser.parse_args(["dse"]).strategy == "explorer"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["explore"])
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
@@ -161,5 +168,5 @@ def test_stage_cache_flag_on_campaign_parsers():
     parser = build_parser()
     args = parser.parse_args(["mab", "--stage-cache"])
     assert args.stage_cache is True
-    args = parser.parse_args(["explore"])
+    args = parser.parse_args(["dse"])
     assert args.stage_cache is False
