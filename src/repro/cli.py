@@ -617,9 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--limit", type=int, default=64,
                      help="enumeration cap for the sweep strategy")
     dse.add_argument("--budget-runs", type=int, default=None,
-                     help="stop after this many launched runs")
+                     help="stop once this many runs are charged; runs are "
+                          "charged per launched batch and checked between "
+                          "batches, so a campaign can overshoot by up to "
+                          "one batch less one run")
     dse.add_argument("--budget-proxy", type=float, default=None,
-                     help="stop after this much executed runtime proxy")
+                     help="stop once the delivered runtime_proxy reaches "
+                          "this (cache hits count in full); checked "
+                          "between batches")
     dse.add_argument("--kill", default="none",
                      choices=["none", "mdp", "hmm"],
                      help="online doomed-run kill policy")

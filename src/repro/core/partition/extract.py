@@ -4,7 +4,8 @@ A block keeps its instances and internal nets; every net driven from
 outside the block becomes a new primary input, and every inside-driven
 net consumed outside (or at the top level) is marked a primary output.
 The block is a standalone, valid netlist the ordinary flow can
-implement.
+implement.  Its instances and primary outputs follow the parent's
+instance order, never a set's (whose order moves with the hash seed).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ def extract_partition(
         raise ValueError("block is empty")
 
     block = Netlist(name, netlist.library)
+    members = [n for n in netlist.instances if n in inside]
 
     # boundary inputs: nets consumed inside but not driven inside
     boundary_inputs: List[str] = []
-    for inst_name in inside:
+    for inst_name in members:
         inst = netlist.instances[inst_name]
         for net_name in inst.input_nets:
             if net_name == netlist.clock_net:
@@ -46,8 +48,8 @@ def extract_partition(
 
     # instances: flops first with placeholders (feedback), then
     # combinational cells in dependency order
-    flops = [n for n in inside if netlist.instances[n].cell.is_sequential]
-    combs = [n for n in inside if not netlist.instances[n].cell.is_sequential]
+    flops = [n for n in members if netlist.instances[n].cell.is_sequential]
+    combs = [n for n in members if not netlist.instances[n].cell.is_sequential]
     placeholder = sorted(boundary_inputs)[0] if boundary_inputs else clock
     if placeholder is None:
         raise ValueError("block has no inputs at all")
@@ -81,7 +83,7 @@ def extract_partition(
             block.nets[net_name].sinks.append((flop_name, idx))
 
     # boundary outputs: inside-driven nets seen outside or at top level
-    for inst_name in inside:
+    for inst_name in members:
         out_net = netlist.instances[inst_name].output_net
         net = netlist.nets[out_net]
         escapes = out_net in netlist.primary_outputs or any(

@@ -22,9 +22,13 @@ class Budget:
 
     ``max_runs`` counts charged work units — flow runs for flow
     strategies, local searches for multistart, thread-stages for the
-    annealing strategies.  ``max_runtime_proxy`` bounds the summed
-    simulated tool cost of delivered results, the machine-independent
-    runtime currency of the substrate.
+    annealing strategies.  Runs are charged per launched batch and the
+    ledger is checked between batches, so a campaign can overshoot
+    ``max_runs`` by up to one batch less one run.
+    ``max_runtime_proxy`` bounds the summed simulated tool cost of
+    delivered results (each result's ``runtime_proxy``, cache hits
+    counted in full), the machine-independent runtime currency of the
+    substrate.
     """
 
     max_runs: Optional[int] = None

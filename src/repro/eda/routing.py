@@ -35,11 +35,14 @@ writes the advanced state back after each iteration it runs.
 Both routers run struct-of-arrays kernels: segments come from one global
 lexsort + batched gcell binning, L-shape costs are evaluated over flat
 per-row/per-column demand lists — skipped entirely via per-row/column
-hot-edge counts when a row has no overflowed edge — the L-shape
-tie-breaks read bits from one batched ``integers(0, 2, size=...)``
-draw, and the detailed router's rip-up scatter draws one batched
-multinomial.  Each is bitwise-identical to the historical per-edge
-Python loops — same RNG values in the same order (tie-breaks and
+hot-edge counts when a row has no overflowed edge — a rip-up pass
+prices each bent segment in place and moves demand only for the
+segments whose L flips (a straight segment, whose one path ties on
+every pass, is never priced: it only takes its tie bit),
+the L-shape tie-breaks read bits from one batched
+``integers(0, 2, size=...)`` draw, and the detailed router's rip-up
+scatter draws one batched multinomial.  Each is bitwise-identical to
+the historical per-edge Python loops — same RNG values in the same order (tie-breaks and
 scatter draws), same float operations in the same order — which are
 frozen as ``tests/eda/routing_reference.py`` with an equivalence suite
 over demand grids, congestion maps, and DRV trajectories.
@@ -236,6 +239,21 @@ class GlobalRouter:
         negative), so every cost, tie-break, and RNG draw matches the
         historical per-edge kernel exactly.
 
+        A rip-up pass prices a bent segment without ripping it up: its
+        current L against demand with its own unit taken off — ``d -
+        cap``, which is ``(d - 1) + 1 - cap`` exactly, demand being
+        integral — and its other L against demand as it stands, and it
+        moves the unit (-1 on the old L, +1 on the new) only when the
+        choice flips.  The two Ls of a bent segment share no edge, so
+        the other L's demand is the ripped-up demand, and a row or
+        column count that is cold with the unit in is cold without it
+        (removing a unit only lowers counts; where only the unit made a
+        row hot, its edges add ``over += 0.0`` terms and the cost is
+        ``hi - lo`` all the same).  A straight segment has one path:
+        both L costs are the same run, so every pass ties on it — the
+        first pass takes its bit and commits the path unpriced, and a
+        rip-up pass only takes its bit.
+
         Each segment's sorted spans are computed once, not once per
         pass.  A tie takes one bit, and a pass visits each segment once,
         so ``n_segs * (1 + negotiation_rounds)`` bits drawn in one
@@ -250,24 +268,26 @@ class GlobalRouter:
         hot_h = [0] * ny
         hot_v = [0] * nx
 
-        def run_cost_h(j: int, lo: int, hi: int) -> float:
-            if lo == hi or not hot_h[j]:
+        # ``unit`` is 1.0 to price a run the segment would add to, 0.0
+        # to price the run its own unit already sits on
+        def run_cost_h(j: int, lo: int, hi: int, unit: float) -> float:
+            if not hot_h[j]:
                 return float(hi - lo)
             row = dh[j]
             over = 0.0
             for i in range(lo, hi):
-                d = row[i] + 1.0 - cap_h
+                d = row[i] + unit - cap_h
                 if d > 0.0:
                     over += d
             return (hi - lo) + penalty * over
 
-        def run_cost_v(i: int, lo: int, hi: int) -> float:
-            if lo == hi or not hot_v[i]:
+        def run_cost_v(i: int, lo: int, hi: int, unit: float) -> float:
+            if not hot_v[i]:
                 return float(hi - lo)
             col = dvc[i]
             over = 0.0
             for j in range(lo, hi):
-                d = col[j] + 1.0 - cap_v
+                d = col[j] + unit - cap_v
                 if d > 0.0:
                     over += d
             return (hi - lo) + penalty * over
@@ -296,35 +316,55 @@ class GlobalRouter:
                 hot_v[col_idx] = hot
 
         n_segs = len(segments)
-        spans = [((ia, ib) if ia <= ib else (ib, ia))
-                 + ((ja, jb) if ja <= jb else (jb, ja))
-                 for ia, ja, ib, jb in segments]
         # one bit per segment visit covers every tie (see above)
         bits = rng.integers(0, 2, size=n_segs * (1 + self.negotiation_rounds)).tolist()
         n_ties = 0
-        hfs = [False] * n_segs
-        for pass_no in range(1 + self.negotiation_rounds):
-            rip_up = pass_no > 0
-            for s in range(n_segs):
-                ia, ja, ib, jb = segments[s]
-                ilo, ihi, jlo, jhi = spans[s]
-                if rip_up:
-                    if hfs[s]:
-                        commit(ja, ib, ilo, ihi, jlo, jhi, -1.0)
-                    else:
-                        commit(jb, ia, ilo, ihi, jlo, jhi, -1.0)
-                c_hf = run_cost_h(ja, ilo, ihi) + run_cost_v(ib, jlo, jhi)
-                c_vf = run_cost_v(ia, jlo, jhi) + run_cost_h(jb, ilo, ihi)
+        # the bent segments with their choice, and how many straight
+        # segments (one tie bit each per pass) precede each of them
+        bent = []
+        straight_run = 0
+        for ia, ja, ib, jb in segments:
+            ilo, ihi = (ia, ib) if ia <= ib else (ib, ia)
+            jlo, jhi = (ja, jb) if ja <= jb else (jb, ja)
+            if ia == ib or ja == jb:  # one path: a tie whatever its bit
+                n_ties += 1
+                commit(ja, ib, ilo, ihi, jlo, jhi, +1.0)
+                straight_run += 1
+                continue
+            c_hf = run_cost_h(ja, ilo, ihi, 1.0) + run_cost_v(ib, jlo, jhi, 1.0)
+            c_vf = run_cost_v(ia, jlo, jhi, 1.0) + run_cost_h(jb, ilo, ihi, 1.0)
+            if abs(c_hf - c_vf) < 1e-9:
+                hf = bits[n_ties] == 1
+                n_ties += 1
+            else:
+                hf = c_hf < c_vf
+            if hf:
+                commit(ja, ib, ilo, ihi, jlo, jhi, +1.0)
+            else:
+                commit(jb, ia, ilo, ihi, jlo, jhi, +1.0)
+            bent.append([ia, ja, ib, jb, ilo, ihi, jlo, jhi, straight_run, hf])
+            straight_run = 0
+
+        for _ in range(self.negotiation_rounds):
+            for seg in bent:
+                ia, ja, ib, jb, ilo, ihi, jlo, jhi, straights, was_hf = seg
+                n_ties += straights
+                unit_hf = 0.0 if was_hf else 1.0  # 0.0 on the L it sits on
+                c_hf = run_cost_h(ja, ilo, ihi, unit_hf) + run_cost_v(ib, jlo, jhi, unit_hf)
+                unit_vf = 1.0 - unit_hf
+                c_vf = run_cost_v(ia, jlo, jhi, unit_vf) + run_cost_h(jb, ilo, ihi, unit_vf)
                 if abs(c_hf - c_vf) < 1e-9:
                     hf = bits[n_ties] == 1
                     n_ties += 1
                 else:
                     hf = c_hf < c_vf
-                if hf:
-                    commit(ja, ib, ilo, ihi, jlo, jhi, +1.0)
-                else:
-                    commit(jb, ia, ilo, ihi, jlo, jhi, +1.0)
-                hfs[s] = hf
+                if hf != was_hf:  # move the unit onto the other L
+                    old_row, old_col, new_row, new_col = (
+                        (jb, ia, ja, ib) if hf else (ja, ib, jb, ia))
+                    commit(old_row, old_col, ilo, ihi, jlo, jhi, -1.0)
+                    commit(new_row, new_col, ilo, ihi, jlo, jhi, +1.0)
+                    seg[9] = hf
+            n_ties += straight_run
         demand_h = np.array(dh, dtype=float)
         demand_v = np.ascontiguousarray(np.array(dvc, dtype=float).T)
         return demand_h, demand_v

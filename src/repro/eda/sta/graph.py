@@ -44,14 +44,23 @@ An update stops propagating exactly where a recomputed node's
 node whose inputs are bitwise identical reproduces its old value, so
 pruned cones cannot diverge from a from-scratch run.  The
 arrival-independent columns (loads, slews, wire delays, merged slews,
-gate delays) are recomputed for the whole graph; outside the dirty set
-they equal the stored values bit for bit.
+gate delays) are recomputed for the whole graph from per-instance cell
+attributes the graph keeps: a full propagation looks every instance's
+cell up, an update only the instances it names and the ones spliced in
+since, so the cell columns depend on the rules below naming every
+swapped instance.  Outside the dirty set the columns equal the stored
+values bit for bit.  Each net's driver congestion is binned once per
+topology view, since placement positions are fixed while a topology
+lives (its net lengths assume the same).
 
 Invalidation rules (see docs/substrate.md for the narrative version):
 
 - **cell swap** (``replace_cell``): dirty = the instance itself plus
   the drivers of its input nets (their output load changed through the
-  new input capacitance).  Net lengths are untouched.
+  new input capacitance).  Net lengths are untouched.  Every swapped
+  instance must be named to ``update``, which re-reads the cells of
+  only the instances it is given and those spliced in since the last
+  propagation.
 - **buffer splice** (``insert_buffer``): the nets the buffer touches
   change length and load, so dirty = the new buffer, the drivers of
   those nets and *all* of their combinational readers (their input
@@ -69,7 +78,7 @@ import numpy as np
 
 from repro.eda.grid import bin_indices
 from repro.eda.library import DFF_CLK_TO_Q, DFF_HOLD, DFF_SETUP
-from repro.eda.netlist import Netlist
+from repro.eda.netlist import Instance, Netlist
 from repro.eda.placement import Placement
 from repro.eda.sta.report import PI_SLEW, PO_LOAD, EndpointTiming, TimingReport
 
@@ -427,6 +436,11 @@ class TimingGraph:
         self._cell_rows: Dict[int, Tuple[int, object]] = {}
         self._cell_data: List[Tuple[float, ...]] = []
         self._cell_matrix: Optional[np.ndarray] = None
+        # each instance's registry row, by netlist position
+        self._inst_cells = np.zeros(0, dtype=np.intp)
+        # per-net driver congestion and the topology view it belongs to
+        self._net_cong: Optional[np.ndarray] = None
+        self._net_cong_soa: Optional[_TopoSoA] = None
 
     # ------------------------------------------------------------------
     def full_propagate(self) -> int:
@@ -443,7 +457,7 @@ class TimingGraph:
         self._arrival = np.zeros(n_nets)
         self._pred = np.full(n_nets, -1, dtype=np.int64)
         self._arrival_min = np.zeros(n_nets)
-        ops, _ = self._propagate()
+        ops, _ = self._propagate(enumerate(self.netlist.instances.values()))
         self._n_known = len(self.netlist.instances)
         self._propagated = True
         self._ops_pending = ops
@@ -455,7 +469,9 @@ class TimingGraph:
 
         ``changed`` names instances whose cell was swapped
         (``replace_cell``) or that were newly spliced in
-        (``insert_buffer``).  Returns the number of nodes recomputed;
+        (``insert_buffer``); it must name every swapped instance, since
+        only the named and the spliced instances have their cells read
+        again.  Returns the number of nodes recomputed;
         the corresponding ops are charged to the next ``report()``.
         Propagation of a cone stops at nodes whose recomputed
         ``(arrival, slew, early arrival)`` state is bitwise unchanged.
@@ -467,11 +483,16 @@ class TimingGraph:
         ids = self.topology.net_index.ids
         clock = netlist.clock_net
         drivers = soa.net_driver_rows
-        seeded = np.zeros(len(netlist.instances), dtype=bool)
+        instances = netlist.instances
+        seeded = np.zeros(len(instances), dtype=bool)
         moved = np.zeros(soa.n_nets, dtype=bool)
+        # the cells to re-read: every spliced instance and every named one
+        refresh = [(pos, instances[name]) for pos, name in enumerate(
+            soa.inst_names[self._n_known:].tolist(), self._n_known)]
         for name in changed:
-            inst = netlist.instances[name]
+            inst = instances[name]
             out = ids[inst.output_net]
+            refresh.append((drivers[out], inst))
             rows = [ids[n] for n in inst.input_nets if n != clock]
             if drivers[out] >= self._n_known:
                 # splice: the nets it touches change length and load,
@@ -482,8 +503,8 @@ class TimingGraph:
             # the drivers of its input nets see a new load
             row_drivers = drivers[rows]
             seeded[row_drivers[row_drivers >= 0]] = True
-        ops, nodes = self._propagate(seeded, moved)
-        self._n_known = len(netlist.instances)
+        ops, nodes = self._propagate(refresh, seeded, moved)
+        self._n_known = len(instances)
         self._ops_pending += ops
         self.stats.incremental_updates += 1
         self.stats.nodes_propagated += nodes
@@ -504,26 +525,31 @@ class TimingGraph:
         return soa
 
     # ------------------------------------------------------------------
-    def _cell_columns(self) -> Tuple[np.ndarray, ...]:
-        """Per-instance cell attribute columns, gathered fresh each
-        propagation (cell swaps don't bump ``structure_version``, so
-        attributes can never be cached structurally)."""
-        netlist = self.netlist
+    def _cell_columns(
+        self, refresh: Iterable[Tuple[int, Instance]]
+    ) -> Tuple[np.ndarray, ...]:
+        """Per-instance cell attribute columns, by netlist position.
+
+        Each instance's registry row is kept across propagations; only
+        the ``(position, instance)`` pairs in ``refresh`` have their
+        cell looked up again — every instance on a full propagation, the
+        named and the spliced ones on an update.  Cell swaps don't bump
+        ``structure_version``, so an update's columns are current only
+        because every swapped instance must be named to it."""
         rows_by_id = self._cell_rows
         data = self._cell_data
-        rows = np.empty(len(netlist.instances), dtype=np.intp)
-        dirty = False
-        for i, inst in enumerate(netlist.instances.values()):
+        n_cells = len(data)
+        positions: List[int] = []
+        cell_rows: List[int] = []
+        for i, inst in refresh:
             cell = inst.cell
             entry = rows_by_id.get(id(cell))
             # the identity check guards copied graphs (stage-cache
             # snapshots are pickled): a copied registry keeps the
             # original objects' ids as keys, and a new cell may be
             # allocated at one of those addresses
-            if entry is not None and entry[1] is not cell:
-                entry = None
-            if entry is None:
-                row = len(data)
+            if entry is None or entry[1] is not cell:
+                entry = (len(data), cell)
                 data.append(
                     (
                         cell.input_cap,
@@ -534,20 +560,26 @@ class TimingGraph:
                         cell.slew_resistance,
                     )
                 )
-                rows_by_id[id(cell)] = (row, cell)
-                dirty = True
-            else:
-                row = entry[0]
-            rows[i] = row
-        if dirty or self._cell_matrix is None:
+                rows_by_id[id(cell)] = entry
+            positions.append(i)
+            cell_rows.append(entry[0])
+        rows = _pad(self._inst_cells, len(self.netlist.instances), 0)
+        rows[positions] = cell_rows
+        self._inst_cells = rows
+        if len(data) > n_cells or self._cell_matrix is None:
             self._cell_matrix = np.array(data, dtype=float)
         m = self._cell_matrix[rows]
         return m[:, 0], m[:, 1], m[:, 2], m[:, 3], m[:, 4], m[:, 5]
 
     def _net_congestion(self, soa: _TopoSoA) -> Optional[np.ndarray]:
-        """Per-net congestion under each net's driver, or None if no map."""
+        """Per-net congestion under each net's driver, or None if no map.
+
+        Binned once per topology view: placement positions are fixed
+        while a topology lives, as its net lengths assume."""
         if self.congestion is None:
             return None
+        if self._net_cong_soa is soa:
+            return self._net_cong
         ny, nx = self.congestion.shape
         placement = self.placement
         fp = placement.floorplan
@@ -563,17 +595,21 @@ class TimingGraph:
         cong = np.zeros(soa.n_nets)
         driven = soa.net_driver_rows >= 0
         cong[driven] = inst_cong[soa.net_driver_rows[driven]]
+        self._net_cong, self._net_cong_soa = cong, soa
         return cong
 
     def _propagate(
         self,
+        refresh: Iterable[Tuple[int, Instance]],
         seeded: Optional[np.ndarray] = None,
         moved: Optional[np.ndarray] = None,
     ) -> Tuple[int, int]:
         """The level-synchronous kernel behind both entry points.
 
-        Without arguments every node is computed (a full pass).
-        Otherwise ``seeded`` flags instances by netlist position and
+        ``refresh`` holds the instances whose cells are read again (see
+        :meth:`_cell_columns`).  Without ``seeded`` every node is
+        computed (a full pass).  Otherwise ``seeded`` flags instances
+        by netlist position and
         ``moved`` flags net rows: a sequential node is computed when
         seeded, a combinational node when seeded or when one of its
         fanin nets moved, and a computed node whose (arrival, slew,
@@ -592,7 +628,7 @@ class TimingGraph:
 
         # arrival-independent columns, whole-graph: for a node outside
         # the dirty set they equal its stored values bit for bit
-        cap, intr, dres, ssens, sintr, sres = self._cell_columns()
+        cap, intr, dres, ssens, sintr, sres = self._cell_columns(refresh)
         net_len = soa.net_len
         launch = np.fromiter(
             (self.skews.get(name, 0.0) for name in soa.seq_names),
@@ -763,11 +799,8 @@ class TimingGraph:
         depth, wire_total, fan_max, paths = self._trace(soa, ep_rows)
 
         d_len = soa.net_len[d_rows]
-        w_delay = policy.wire_delay_batch(
-            d_len,
-            np.array([netlist.instances[name].cell.input_cap for name in soa.seq_names]),
-            lib,
-        )
+        d_cap = self._cell_matrix[self._inst_cells[soa.seq_inst_rows], 0]
+        w_delay = policy.wire_delay_batch(d_len, d_cap, lib)
         cong = self._net_congestion(soa)
         d_cong = np.zeros(d_rows.shape[0]) if cong is None else cong[d_rows]
         setup_arrival = arrival[d_rows] + (w_delay + policy.si_bump_batch(d_len, d_cong))

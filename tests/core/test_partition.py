@@ -1,7 +1,12 @@
 """K-way partitioning, block extraction, and the partitioned flow."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.partition import (
     PartitionedResult,
     cut_nets,
@@ -77,6 +82,47 @@ def test_extract_boundary_conversion(small_netlist, blocks):
         out = small_netlist.instances[inst_name].output_net
         if any(s not in inside for s, _ in small_netlist.nets[out].sinks):
             assert out in sub.primary_outputs
+
+
+def test_extract_follows_the_parent_order(small_netlist, blocks):
+    """Whatever order a block's names come in, the block lists its flops
+    by name, then its combinational instances, and its primary outputs
+    by driver, in the parent's instance order."""
+    position = {name: i for i, name in enumerate(small_netlist.instances)}
+    for i, block in enumerate(blocks):
+        sub = extract_partition(small_netlist, sorted(block, reverse=True), f"blk{i}")
+        flops = sorted(n for n in block if small_netlist.instances[n].cell.is_sequential)
+        members = set(block) - set(flops)
+        combs = [n for n in small_netlist.instances if n in members]
+        assert list(sub.instances) == flops + combs
+        drivers = [sub.nets[po].driver for po in sub.primary_outputs]
+        assert len(drivers) > 0
+        assert drivers == sorted(drivers, key=position.__getitem__)
+
+
+_HASH_SEED_RUN = """
+from repro.core.partition import partitioned_implementation
+from repro.eda.flow import FlowOptions
+from repro.eda.synthesis import DesignSpec
+spec = DesignSpec("pt", n_gates=200, n_flops=24, n_inputs=12, n_outputs=12,
+                  depth=12, locality=0.8)
+result = partitioned_implementation(spec, FlowOptions(target_clock_ghz=0.5),
+                                    n_partitions=2, seed=4)
+print(repr((result.area, result.wns)))
+"""
+
+
+def test_partitioned_implementation_ignores_the_hash_seed():
+    """Interpreters that hash strings differently implement the same
+    blocks to the same area and WNS."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_extract_validation(small_netlist):

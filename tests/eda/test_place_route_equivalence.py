@@ -183,6 +183,89 @@ def test_placer_designs_cover_capped_cliques_and_blocks():
     assert capped >= 5
 
 
+def _rip_up_visits(design: str, seed: int, tracks: float):
+    """Replay the default negotiation the way the frozen reference runs
+    it (rip up, price both Ls, commit the cheaper) and count each kind
+    of rip-up visit.  Returns the counts and the demand grids."""
+    placement = _placed(design, seed)
+    router = GlobalRouter(tracks_per_um=tracks)
+    penalty = router.overflow_penalty
+    fp = placement.floorplan
+    cap_h = tracks * fp.height / router.ny
+    cap_v = tracks * fp.width / router.nx
+    segments = router._segments(placement)
+    demand_h = np.zeros((router.ny, router.nx - 1))
+    demand_v = np.zeros((router.ny - 1, router.nx))
+    bits = iter(np.random.default_rng(seed).integers(
+        0, 2, size=len(segments) * (1 + router.negotiation_rounds)).tolist())
+
+    def runs(seg, hf):
+        """The L's horizontal and vertical edges, in pricing order."""
+        ia, ja, ib, jb = seg
+        across = [(ja if hf else jb, i) for i in range(min(ia, ib), max(ia, ib))]
+        down = [(j, ib if hf else ia) for j in range(min(ja, jb), max(ja, jb))]
+        h = (demand_h, across, cap_h)
+        v = (demand_v, down, cap_v)
+        return (h, v) if hf else (v, h)
+
+    def cost(seg, hf):
+        total = 0.0
+        for grid, edges, cap in runs(seg, hf):
+            over = 0.0
+            for edge in edges:
+                over += max(0.0, grid[edge] + 1.0 - cap)
+            total += len(edges) + penalty * over
+        return total
+
+    def commit(seg, hf, sign):
+        for grid, edges, _ in runs(seg, hf):
+            for edge in edges:
+                grid[edge] += sign
+
+    def choose(seg):
+        c_hf, c_vf = cost(seg, True), cost(seg, False)
+        if abs(c_hf - c_vf) < 1e-9:
+            return next(bits) == 1, True
+        return c_hf < c_vf, False
+
+    kinds = dict.fromkeys(("straight", "kept", "flipped", "bent tie"), 0)
+    choice = []
+    for seg in segments:
+        hf, _ = choose(seg)
+        commit(seg, hf, +1.0)
+        choice.append(hf)
+    for _ in range(router.negotiation_rounds):
+        for s, seg in enumerate(segments):
+            commit(seg, choice[s], -1.0)
+            hf, tie = choose(seg)
+            commit(seg, hf, +1.0)
+            ia, ja, ib, jb = seg
+            if ia == ib or ja == jb:
+                kinds["straight"] += 1
+            else:
+                kinds["kept" if hf == choice[s] else "flipped"] += 1
+                kinds["bent tie"] += tie
+            choice[s] = hf
+    return kinds, demand_h, demand_v
+
+
+def test_groute_designs_cover_every_rip_up_visit():
+    """At 6 tracks/um the equivalence designs reach every branch of a
+    rip-up pass: straight segments (one path, a tie bit only), bent
+    segments that keep their L, bent segments that flip, and bent ties.
+    The replay that counts them ends on the router's demand grids."""
+    totals = dict.fromkeys(("straight", "kept", "flipped", "bent tie"), 0)
+    for design in sorted(SPECS):
+        for seed in SEEDS:
+            kinds, demand_h, demand_v = _rip_up_visits(design, seed, 6.0)
+            routed = GlobalRouter(tracks_per_um=6.0).route(_placed(design, seed), seed=seed)
+            assert np.array_equal(demand_h, routed.demand_h)
+            assert np.array_equal(demand_v, routed.demand_v)
+            for kind, n in kinds.items():
+                totals[kind] += n
+    assert min(totals.values()) > 0, totals
+
+
 def test_groute_segments_identical_on_nondefault_grid():
     """The lexsort segment build (and the negotiation over it) matches
     the per-net reference off-square too, on 9x21 and 11x13 grids."""

@@ -355,6 +355,66 @@ def test_edit_walk_matches_per_node_kernel(
     assert graph.stats.nodes_propagated > 0
 
 
+def test_hold_splices_between_updates_match_per_node_kernel():
+    """Cell swaps, then hold buffers spliced in front of flops at the
+    flops' positions (as ``fix_hold`` does), then swaps that resize
+    those buffers: with SI on, the kept cell rows and the per-net driver
+    congestion must take in each spliced instance, so after every
+    ``update()`` the per-net arrays equal the frozen per-node kernel's
+    and the report equals a from-scratch analysis."""
+    nl, pl = _fresh_design(80, 12, 7, 62)
+    rng = np.random.default_rng(29)
+    congestion = rng.uniform(0.2, 1.6, size=(10, 10))
+    skews = {
+        inst.name: float(rng.normal(0.0, 3.0))
+        for inst in nl.sequential_instances()
+    }
+    nl_ref, pl_ref = copy.deepcopy((nl, pl))
+    engine = SignoffSTA(SLOW)
+    graph = engine.build_graph(nl, pl, skews=skews, congestion=congestion,
+                               check_hold=True)
+    oracle = ref.PerNodeTimingGraph(
+        ref.SignoffSTA(ref.SLOW), nl_ref, pl_ref, skews=skews,
+        congestion=congestion, check_hold=True,
+    )
+    assert graph.full_propagate() == oracle.full_propagate()
+    graph.report(CLOCK)  # drain the full-propagate ops
+    oracle.charge_report()
+    flops = [i.name for i in nl.sequential_instances()][:3]
+
+    def hold_splice(netlist, placement, step):
+        buffer_cell = netlist.library.pick("BUF", 1, "HVT")
+        touched = []
+        for k, flop_name in enumerate(flops):
+            d_net = netlist.instances[flop_name].input_nets[0]
+            buf = netlist.insert_buffer(f"hold_buf_{k}", buffer_cell, d_net,
+                                        flop_name, 0)
+            placement.positions[buf.name] = placement.positions[flop_name]
+            touched.append(buf.name)
+        return touched
+
+    def resize_buffers(netlist, placement, step):
+        lib = netlist.library
+        for k in range(len(flops)):
+            name = f"hold_buf_{k}"
+            netlist.replace_cell(name, lib.resize(netlist.instances[name].cell, 2))
+        return [f"hold_buf_{k}" for k in range(len(flops))]
+
+    def swaps(netlist, placement, step):
+        walk = np.random.default_rng(step)
+        return [_random_swap(netlist, walk) for _ in range(3)]
+
+    for step, edit in enumerate((swaps, hold_splice, swaps, resize_buffers)):
+        touched = edit(nl, pl, step)
+        assert edit(nl_ref, pl_ref, step) == touched
+        assert graph.update(touched) == oracle.update(touched)
+        assert_columns_match_per_node(graph, oracle)
+        scratch = engine.analyze(nl, pl, CLOCK, skews, congestion, check_hold=True)
+        assert_reports_identical(graph.report(CLOCK), scratch, compare_proxy=False)
+        oracle.charge_report()
+    assert dataclasses.asdict(graph.stats) == dataclasses.asdict(oracle.stats)
+
+
 # ------------------------------------------------------------- error paths
 def test_update_before_propagate_raises(small_netlist, small_placement):
     graph = GraphSTA().build_graph(small_netlist, small_placement)
