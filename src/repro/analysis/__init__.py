@@ -12,10 +12,10 @@ and runs them over the tree in CI (``make lint`` /
 ``repro lint --strict src/repro examples``).
 
 Every run is whole-program: :mod:`repro.analysis.project` boils each
-file down to a summary, builds the import/call graph from the
-summaries, and feeds it to the cross-file rules (R006, R008, R009,
-R010, R012).  A content-hash incremental cache lets warm runs replay
-unchanged files instead of re-parsing them.
+file down to a summary, the one fact base, builds the import/call
+graph from the summaries, and feeds it to every rule but R003 and
+R007, which walk each file's AST.  A content-hash incremental cache
+lets warm runs replay unchanged files instead of re-parsing them.
 
 Suppress a finding inline with a justified allow-comment::
 

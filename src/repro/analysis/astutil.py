@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -57,6 +57,55 @@ def resolve_call_target(node: ast.Call, aliases: Dict[str, str]) -> Optional[str
         return None
     resolved = aliases[root]
     return f"{resolved}.{rest}" if rest else resolved
+
+
+def scope_bindings(
+    scope: ast.AST,
+) -> Tuple[Dict[str, List[Optional[ast.AST]]], Set[str]]:
+    """What one function (or module) scope binds: ``(bound, global_decls)``.
+
+    ``bound`` maps each name the scope binds to what is bound to it: an
+    assignment's value (None for a bare annotation), a nested ``def``
+    itself, or None for a parameter or a ``for``/``with`` target.  Names
+    declared ``global`` or ``nonlocal`` are not bound here;
+    ``global_decls`` holds the ``global`` ones.  The walk descends into
+    nested functions and classes, so a name they bind counts as bound
+    in the enclosing scope too: the lexical model the summarizer and
+    R003 share.
+    """
+    bound: Dict[str, List[Optional[ast.AST]]] = {}
+    hoisted: Set[str] = set()
+    global_decls: Set[str] = set()
+    args = getattr(scope, "args", None)
+    if isinstance(args, ast.arguments):
+        for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                    + ([args.vararg] if args.vararg else [])
+                    + ([args.kwarg] if args.kwarg else [])):
+            bound.setdefault(arg.arg, []).append(None)
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Global):
+            global_decls.update(node.names)
+            hoisted.update(node.names)
+        elif isinstance(node, ast.Nonlocal):
+            hoisted.update(node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, []).append(node.value)
+        elif isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name):
+            bound.setdefault(node.target.id, []).append(node.value)
+        elif isinstance(node, (ast.For, ast.AsyncFor)) and \
+                isinstance(node.target, ast.Name):
+            bound.setdefault(node.target.id, []).append(None)
+        elif isinstance(node, ast.withitem) and \
+                isinstance(node.optional_vars, ast.Name):
+            bound.setdefault(node.optional_vars.id, []).append(None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node is not scope:
+            bound.setdefault(node.name, []).append(node)
+    return ({name: values for name, values in bound.items()
+             if name not in hoisted}, global_decls)
 
 
 def walk_with_parents(

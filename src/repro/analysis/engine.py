@@ -120,7 +120,7 @@ def lint_paths(paths: Sequence[str],
 
     A file whose content hash is unchanged since the last run replays
     its per-file analysis from the cache (``config.use_cache``); every
-    other file is parsed and analyzed afresh.  The cross-file rules
+    other file is parsed and analyzed afresh.  The summary-fed rules
     always see the whole program, so warm and cold reports are
     identical.
     """

@@ -4,21 +4,28 @@
 built on three parts, all defined here:
 
 - **Per-file summaries** (:class:`ModuleSummary`): one deterministic
-  AST walk per file extracts everything the cross-file rules need —
+  AST walk per file extracts everything the summary-fed rules need —
   imports, top-level symbols, mutable globals and locks, per-function
-  call sites with the lock context lexically held at each, shared-state
-  mutations, write-style file opens, RNG constructions and executor
-  boundary payloads.  Summaries are plain data, so they serialize into
-  the incremental cache and a warm run never re-parses unchanged files.
+  call sites (resolved through the import map, with the lock context
+  lexically held at each), shared-state mutations, write-style file
+  opens, RNG constructions and executor boundary payloads, each site
+  with its line and column.  The walk has one lexical scope model:
+  every ``def`` is summarized wherever it sits; decorators, default
+  arguments, class bases and class bodies belong to the enclosing
+  scope; a nested function sees its enclosing function's locals and
+  starts with the locks held at its ``def``.  Summaries are plain data,
+  so they serialize into the incremental cache and a warm run never
+  re-parses unchanged files.
 
 - **The project context** (:class:`ProjectContext`): built once per run
   from the summaries — module symbol table, import graph, call graph,
   plus two interprocedural fixpoints: ``inherited_locks`` (the locks a
   private helper is guaranteed to hold because *every* in-project call
   site holds them) and ``init_only`` (helpers reachable only from
-  ``__init__``, where pre-publication mutation is safe).  Cross-file
-  rules (R009-R012) implement :meth:`~repro.analysis.registry.Rule.check_context`
-  against this object.
+  ``__init__``, where pre-publication mutation is safe).  Every rule
+  but R003 and R007 implements
+  :meth:`~repro.analysis.registry.Rule.check_context` against this
+  object.
 
 - **The incremental cache** (:class:`LintCache`): content-hash-keyed
   per-file :class:`FileAnalysis` entries holding the summary, the raw
@@ -42,28 +49,36 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.astutil import dotted_name, import_aliases, resolve_call_target
+from repro.analysis.astutil import (
+    dotted_name,
+    import_aliases,
+    resolve_call_target,
+    scope_bindings,
+)
 from repro.analysis.findings import PARSE_ERROR_RULE, Finding, Severity
 from repro.analysis.registry import ModuleInfo
 # one source of truth for what the summaries extract: the vocabulary
-# regex and emit-method set (R006), the CLI flag extractor (R008) and
-# the executor-boundary method names (R005)
+# regex and emit-method set (R006), the CLI flag extractor (R008), the
+# executor-boundary method names and unpicklable primitives (R005)
 from repro.analysis.rules.cli_docs import _cli_flags
 from repro.analysis.rules.metrics_vocab import (
     _EMIT_METHODS,
     _NAME_RE,
     _extract_vocabulary,
 )
-from repro.analysis.rules.pickle_safety import _BOUNDARY_METHODS
+from repro.analysis.rules.pickle_safety import (
+    _BOUNDARY_METHODS,
+    _UNPICKLABLE_CALLS,
+)
 from repro.analysis.suppressions import Suppression
 
 #: bump when summaries, fixpoints or any rule's logic change shape —
 #: stale caches are then discarded wholesale instead of replaying
 #: findings the current pack would no longer produce
-ANALYSIS_CACHE_VERSION = 1
+ANALYSIS_CACHE_VERSION = 2
 
 #: calls that construct an explicit RNG generator object
 _RNG_CONSTRUCTORS = {"numpy.random.default_rng", "random.Random",
@@ -76,6 +91,8 @@ _MUTATOR_METHODS = {
     "append", "add", "update", "setdefault", "pop", "popitem", "clear",
     "extend", "insert", "remove", "discard", "move_to_end", "appendleft",
 }
+#: binding nodes that make a name a locally-defined callable (R005)
+_CALLABLE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 # --------------------------------------------------------------- summaries
@@ -84,9 +101,10 @@ class CallSite:
     """One call expression inside a function."""
 
     raw: str                  # dotted text as written ("self.m", "mod.f", "f")
+    target: str               # resolved through the import map; "" if not imported
     lineno: int
+    col: int
     locks: Tuple[str, ...]    # candidate lock tokens lexically held
-    flock_before: bool        # an fcntl.flock call precedes this site
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,7 @@ class MutationSite:
     name: str                 # resolved token / bare attribute name
     cls: str                  # owning class for attr scope, else ""
     lineno: int
+    col: int
     locks: Tuple[str, ...]
     via: str                  # "subscript" | "method:<m>" | "rebind" | "del"
 
@@ -117,14 +136,17 @@ class BoundaryPayload:
     """One expression crossing the executor process boundary."""
 
     method: str               # boundary method name (run_jobs, map, ...)
-    kind: str                 # "callable" | "rng-call" | "rng-name" | "call"
-    target: str               # resolved token / description
+    #: "callable" | "call" | "rng-call" | "rng-name" (R012), "lambda" |
+    #: "local-callable" | "threading" | "open" (R005)
+    kind: str
+    target: str               # resolved token / name ("" for a lambda)
     lineno: int
+    col: int
 
 
 @dataclass
 class FunctionSummary:
-    """Everything the cross-file rules need from one function."""
+    """Everything the summary-fed rules need from one function."""
 
     qualname: str             # "Class.method", "func", "<module>"
     lineno: int = 0
@@ -142,14 +164,14 @@ class FunctionSummary:
             "qualname": self.qualname,
             "lineno": self.lineno,
             "cls": self.cls,
-            "calls": [[c.raw, c.lineno, list(c.locks), c.flock_before]
+            "calls": [[c.raw, c.target, c.lineno, c.col, list(c.locks)]
                       for c in self.calls],
-            "mutations": [[m.scope, m.name, m.cls, m.lineno, list(m.locks),
-                           m.via] for m in self.mutations],
+            "mutations": [[m.scope, m.name, m.cls, m.lineno, m.col,
+                           list(m.locks), m.via] for m in self.mutations],
             "writes": [[w.lineno, w.call, w.path_text, list(w.protections),
                         list(w.locks)] for w in self.writes],
             "rng_unseeded": [list(site) for site in self.rng_unseeded],
-            "boundary": [[b.method, b.kind, b.target, b.lineno]
+            "boundary": [[b.method, b.kind, b.target, b.lineno, b.col]
                          for b in self.boundary],
             "returns_generator": self.returns_generator,
             "uses_flock": self.uses_flock,
@@ -161,16 +183,18 @@ class FunctionSummary:
             qualname=data["qualname"],
             lineno=data["lineno"],
             cls=data["cls"],
-            calls=[CallSite(raw, line, tuple(locks), flock)
-                   for raw, line, locks, flock in data["calls"]],
-            mutations=[MutationSite(scope, name, mcls, line, tuple(locks), via)
-                       for scope, name, mcls, line, locks, via
+            calls=[CallSite(raw, target, line, col, tuple(locks))
+                   for raw, target, line, col, locks in data["calls"]],
+            mutations=[MutationSite(scope, name, mcls, line, col,
+                                    tuple(locks), via)
+                       for scope, name, mcls, line, col, locks, via
                        in data["mutations"]],
             writes=[WriteSite(line, call, text, tuple(prot), tuple(locks))
                     for line, call, text, prot, locks in data["writes"]],
             rng_unseeded=[(line, desc) for line, desc in data["rng_unseeded"]],
-            boundary=[BoundaryPayload(method, kind, target, line)
-                      for method, kind, target, line in data["boundary"]],
+            boundary=[BoundaryPayload(method, kind, target, line, col)
+                      for method, kind, target, line, col
+                      in data["boundary"]],
             returns_generator=data["returns_generator"],
             uses_flock=data["uses_flock"],
         )
@@ -256,8 +280,25 @@ def module_name_for(path: str) -> str:
     return ".".join(part for part in parts if part) or "<root>"
 
 
+@dataclass(frozen=True)
+class _Scope:
+    """Where the statements being walked record their sites."""
+
+    fn: FunctionSummary       # the summary their sites go into
+    locals_: frozenset        # names bound here or in an enclosing def
+    global_decls: frozenset
+    callables: frozenset      # locally-defined callables (R005)
+    prefix: str               # qualname prefix of the defs found here
+
+
 class _Summarizer:
-    """One deterministic AST walk producing a :class:`ModuleSummary`."""
+    """One deterministic AST walk producing a :class:`ModuleSummary`.
+
+    The walk reaches every node of the module once.  A ``def`` anywhere
+    (under ``with``/``if``/``try`` too) opens a new scope; its
+    decorators, default arguments and annotations, and a class's bases
+    and body, are walked in the enclosing scope.
+    """
 
     def __init__(self, module: ModuleInfo):
         self.module = module
@@ -278,19 +319,13 @@ class _Summarizer:
         self._collect_metric_material(tree)
         module_fn = FunctionSummary(qualname="<module>", lineno=1)
         self.summary.functions["<module>"] = module_fn
-        self._walk_scope(tree.body, module_fn, locals_=set(),
-                         global_decls=set(), locks=(), cls="")
-        for name, node in self._iter_functions(tree, prefix="", cls=""):
-            fn = FunctionSummary(qualname=name, lineno=node.lineno,
-                                 cls=name.rsplit(".", 1)[0] if "." in name else "")
-            self.summary.functions[name] = fn
-            locals_ = self._local_bindings(node)
-            global_decls = self._global_decls(node)
-            self._walk_scope(node.body, fn, locals_=locals_,
-                             global_decls=global_decls, locks=(),
-                             cls=fn.cls)
+        scope = _Scope(fn=module_fn, locals_=frozenset(),
+                       global_decls=frozenset(), callables=frozenset(),
+                       prefix="")
+        for stmt in tree.body:
+            self._visit(stmt, scope, ())
+        for fn in self.summary.functions.values():
             self._finish_function(fn)
-        self._finish_function(module_fn)
         self.summary.functions = dict(sorted(self.summary.functions.items()))
         return self.summary
 
@@ -375,44 +410,40 @@ class _Summarizer:
         return False
 
     # --------------------------------------------------------- function walk
-    def _iter_functions(self, node: ast.AST, prefix: str, cls: str):
-        """Yield (qualname, def-node) for every function, outer first."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = prefix + child.name
-                yield name, child
-                yield from self._iter_functions(child, name + ".", cls)
-            elif isinstance(child, ast.ClassDef):
-                yield from self._iter_functions(
-                    child, prefix + child.name + ".", child.name)
-
-    def _walk_scope(self, body, fn: FunctionSummary, locals_: Set[str],
-                    global_decls: Set[str], locks: Tuple[str, ...],
-                    cls: str) -> None:
-        """Record sites for one function scope (no descent into defs)."""
-        for node in body:
-            self._visit(node, fn, locals_, global_decls, locks, cls)
-
-    def _visit(self, node, fn, locals_, global_decls, locks, cls) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scopes summarized separately
+    def _visit(self, node: ast.AST, scope: _Scope,
+               locks: Tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # decorators, defaults and annotations run in this scope
+            for child in (*node.decorator_list, node.args, node.returns):
+                if child is not None:
+                    self._visit(child, scope, locks)
+            self._walk_function(node, scope, locks)
+            return
+        if isinstance(node, ast.ClassDef):
+            for child in (*node.decorator_list, *node.bases,
+                          *node.keywords):
+                self._visit(child, scope, locks)
+            body = replace(scope, prefix=f"{scope.prefix}{node.name}.")
+            for stmt in node.body:
+                self._visit(stmt, body, locks)
+            return
         if isinstance(node, ast.With):
             held = list(locks)
             for item in node.items:
-                token = self._lock_token(item.context_expr, locals_, cls)
+                token = self._lock_token(item.context_expr, scope)
                 if token is not None:
                     held.append(token)
-                self._visit(item.context_expr, fn, locals_, global_decls,
-                            locks, cls)
+                self._visit(item.context_expr, scope, locks)
+                if item.optional_vars is not None:
+                    self._visit(item.optional_vars, scope, locks)
             for child in node.body:
-                self._visit(child, fn, locals_, global_decls,
-                            tuple(held), cls)
+                self._visit(child, scope, tuple(held))
             return
 
-        self._record_mutation(node, fn, locals_, global_decls, locks, cls)
+        fn = scope.fn
+        self._record_mutation(node, scope, locks)
         if isinstance(node, ast.Call):
-            self._record_call(node, fn, locals_, locks, cls)
+            self._record_call(node, scope, locks)
         if isinstance(node, ast.Return) and node.value is not None:
             if self._is_rng_expr(node.value, fn):
                 fn.returns_generator = True
@@ -425,15 +456,41 @@ class _Summarizer:
                         self._rng_names.setdefault(fn.qualname,
                                                    set()).add(target.id)
         for child in ast.iter_child_nodes(node):
-            self._visit(child, fn, locals_, global_decls, locks, cls)
+            self._visit(child, scope, locks)
+
+    def _walk_function(self, node: ast.AST, outer: _Scope,
+                       locks: Tuple[str, ...]) -> None:
+        """Summarize one def's body as a new scope.
+
+        It sees the enclosing function's locals and starts with the
+        locks held at the ``def``.  Defs sharing a qualname (a property
+        and its setter) share one summary.
+        """
+        qualname = outer.prefix + node.name
+        fn = self.summary.functions.get(qualname)
+        if fn is None:
+            fn = FunctionSummary(qualname=qualname, lineno=node.lineno,
+                                 cls=qualname.rpartition(".")[0])
+            self.summary.functions[qualname] = fn
+        bound, global_decls = scope_bindings(node)
+        scope = _Scope(
+            fn=fn,
+            locals_=outer.locals_ | frozenset(bound),
+            global_decls=frozenset(global_decls),
+            callables=frozenset(
+                name for name, values in bound.items()
+                if any(isinstance(v, _CALLABLE_NODES) for v in values)),
+            prefix=qualname + ".",
+        )
+        for stmt in node.body:
+            self._visit(stmt, scope, locks)
 
     # ------------------------------------------------------------- helpers
-    def _lock_token(self, expr: ast.AST, locals_: Set[str],
-                    cls: str) -> Optional[str]:
+    def _lock_token(self, expr: ast.AST, scope: _Scope) -> Optional[str]:
         """Candidate lock token for a ``with`` context expression."""
         if isinstance(expr, ast.Name):
             name = expr.id
-            if name in locals_:
+            if name in scope.locals_:
                 return None
             if name in self.summary.lock_globals:
                 return f"{self.summary.module_name}.{name}"
@@ -441,14 +498,17 @@ class _Summarizer:
             if target and "." in target:
                 return target  # filtered against lock globals at build
             return None
+        cls = scope.fn.cls
         if isinstance(expr, ast.Attribute) and \
                 isinstance(expr.value, ast.Name) and expr.value.id == "self" \
                 and cls:
             return f"{self.summary.module_name}.{cls}.{expr.attr}"
         return None
 
-    def _record_mutation(self, node, fn, locals_, global_decls, locks,
-                         cls) -> None:
+    def _record_mutation(self, node: ast.AST, scope: _Scope,
+                         locks: Tuple[str, ...]) -> None:
+        fn = scope.fn
+        cls = fn.cls
         sites: List[Tuple[str, str, str, str]] = []  # scope, name, cls, via
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
             targets = (node.targets
@@ -463,7 +523,7 @@ class _Summarizer:
                     elif self._is_self_attr(base, cls):
                         sites.append(("attr", base.attr, cls, "subscript"))
                 elif isinstance(target, ast.Name):
-                    if target.id in global_decls:
+                    if target.id in scope.global_decls:
                         sites.append(("global", target.id, "", via))
                 elif self._is_self_attr(target, cls):
                     sites.append(("attr", target.attr, cls, via))
@@ -477,14 +537,14 @@ class _Summarizer:
             elif self._is_self_attr(base, cls):
                 sites.append(("attr", base.attr, cls, via))
 
-        for scope, name, owner, via in sites:
-            if scope == "global":
-                token = self._global_token(name, locals_, global_decls)
+        for kind, name, owner, via in sites:
+            if kind == "global":
+                token = self._global_token(name, scope)
                 if token is None:
                     continue
                 fn.mutations.append(MutationSite(
-                    scope="global", name=token, cls="",
-                    lineno=node.lineno, locks=locks, via=via))
+                    scope="global", name=token, cls="", lineno=node.lineno,
+                    col=node.col_offset, locks=locks, via=via))
             else:
                 if name.startswith("__"):
                     continue
@@ -492,8 +552,8 @@ class _Summarizer:
                 if name in self.summary.lock_attrs.get(owner, ()):
                     continue
                 fn.mutations.append(MutationSite(
-                    scope="attr", name=name, cls=owner,
-                    lineno=node.lineno, locks=locks, via=via))
+                    scope="attr", name=name, cls=owner, lineno=node.lineno,
+                    col=node.col_offset, locks=locks, via=via))
 
         # record per-class lock attributes (self._lock = threading.Lock())
         if isinstance(node, ast.Assign) and cls and \
@@ -517,11 +577,10 @@ class _Summarizer:
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self")
 
-    def _global_token(self, name: str, locals_: Set[str],
-                      global_decls: Set[str]) -> Optional[str]:
-        if name in global_decls:
+    def _global_token(self, name: str, scope: _Scope) -> Optional[str]:
+        if name in scope.global_decls:
             return f"{self.summary.module_name}.{name}"
-        if name in locals_:
+        if name in scope.locals_:
             return None
         if name in self.summary.mutable_globals or \
                 name in self.summary.top_level:
@@ -541,35 +600,35 @@ class _Summarizer:
         return (isinstance(expr, ast.Name)
                 and expr.id in self._rng_names.get(fn.qualname, ()))
 
-    def _record_call(self, node: ast.Call, fn: FunctionSummary, locals_,
-                     locks, cls) -> None:
+    def _record_call(self, node: ast.Call, scope: _Scope,
+                     locks: Tuple[str, ...]) -> None:
+        fn = scope.fn
         raw = dotted_name(node.func)
-        flock_before = fn.uses_flock
         if raw is not None:
             target = resolve_call_target(node, self.aliases)
             if target == "fcntl.flock" or raw.endswith(".flock"):
                 fn.uses_flock = True
-            fn.calls.append(CallSite(raw=raw, lineno=node.lineno,
-                                     locks=locks,
-                                     flock_before=flock_before))
-            rng = self._rng_target(node)
-            if rng is not None and self._is_unseeded(node):
-                fn.rng_unseeded.append((node.lineno, rng))
+            fn.calls.append(CallSite(raw=raw, target=target or "",
+                                     lineno=node.lineno, col=node.col_offset,
+                                     locks=locks))
+            if target in _RNG_CONSTRUCTORS and self._is_unseeded(node):
+                fn.rng_unseeded.append((node.lineno, target))
             self._record_write(node, raw, target, fn, locks)
         elif isinstance(node.func, ast.Attribute):
             # method call on a computed object: keep attr-level facts
             if node.func.attr == "flock":
                 fn.uses_flock = True
             self._record_write(node, "." + node.func.attr, None, fn, locks)
-        self._record_boundary(node, fn, locals_, cls)
+        self._record_boundary(node, scope)
         # initializer= callables are executed inside every pool worker
         for kw in node.keywords:
             if kw.arg == "initializer":
-                target = self._callable_token(kw.value, locals_)
+                target = self._callable_token(kw.value, scope)
                 if target:
                     fn.boundary.append(BoundaryPayload(
                         method="initializer", kind="callable",
-                        target=target, lineno=node.lineno))
+                        target=target, lineno=node.lineno,
+                        col=node.col_offset))
 
     @staticmethod
     def _is_unseeded(call: ast.Call) -> bool:
@@ -635,12 +694,20 @@ class _Summarizer:
             protections=tuple(protections), locks=tuple(locks)))
 
     # ----------------------------------------------------------- boundary
-    def _record_boundary(self, node: ast.Call, fn: FunctionSummary,
-                         locals_, cls) -> None:
+    def _record_boundary(self, node: ast.Call, scope: _Scope) -> None:
+        """Payloads of an executor-surface call, descending into
+        containers, comprehensions and constructor arguments."""
         if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr in _BOUNDARY_METHODS):
             return
         method = node.func.attr
+        fn = scope.fn
+
+        def payload(kind: str, target: str, expr: ast.AST) -> None:
+            fn.boundary.append(BoundaryPayload(
+                method=method, kind=kind, target=target,
+                lineno=expr.lineno, col=expr.col_offset))
+
         stack = list(node.args) + [kw.value for kw in node.keywords]
         while stack:
             expr = stack.pop()
@@ -652,39 +719,40 @@ class _Summarizer:
                 stack.append(expr.value)
             elif isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
                 stack.append(expr.elt)
+            elif isinstance(expr, ast.Lambda):
+                payload("lambda", "", expr)
             elif isinstance(expr, ast.Call):
-                rng = self._rng_target(expr)
-                if rng is not None:
-                    fn.boundary.append(BoundaryPayload(
-                        method=method, kind="rng-call", target=rng,
-                        lineno=expr.lineno))
+                target = resolve_call_target(expr, self.aliases)
+                if target in _RNG_CONSTRUCTORS:
+                    payload("rng-call", target, expr)
+                elif target in _UNPICKLABLE_CALLS:
+                    payload("threading", target, expr)
+                elif isinstance(expr.func, ast.Name) and \
+                        expr.func.id == "open":
+                    payload("open", "open", expr)
                 else:
-                    called = self._callable_token(expr.func, locals_)
+                    called = self._callable_token(expr.func, scope)
                     if called:
-                        fn.boundary.append(BoundaryPayload(
-                            method=method, kind="call", target=called,
-                            lineno=expr.lineno))
+                        payload("call", called, expr)
                 stack.extend(expr.args)
                 stack.extend(kw.value for kw in expr.keywords)
             elif isinstance(expr, ast.Name):
+                if expr.id in scope.callables:
+                    payload("local-callable", expr.id, expr)
                 if expr.id in self._rng_names.get(fn.qualname, ()):
-                    fn.boundary.append(BoundaryPayload(
-                        method=method, kind="rng-name", target=expr.id,
-                        lineno=expr.lineno))
+                    payload("rng-name", expr.id, expr)
                 else:
-                    token = self._callable_token(expr, locals_)
+                    token = self._callable_token(expr, scope)
                     if token:
-                        fn.boundary.append(BoundaryPayload(
-                            method=method, kind="callable", target=token,
-                            lineno=expr.lineno))
+                        payload("callable", token, expr)
 
-    def _callable_token(self, expr: ast.AST, locals_) -> str:
+    def _callable_token(self, expr: ast.AST, scope: _Scope) -> str:
         """Resolved dotted token for a function reference, or ''."""
         name = dotted_name(expr)
         if name is None:
             return ""
         root, _, rest = name.partition(".")
-        if root in locals_:
+        if root in scope.locals_:
             return ""
         if not rest and name in self.summary.top_level:
             return f"{self.summary.module_name}.{name}"
@@ -696,16 +764,15 @@ class _Summarizer:
     # ------------------------------------------------------------- finish
     def _finish_function(self, fn: FunctionSummary) -> None:
         """Apply function-level protections to recorded write sites."""
+        if not fn.writes:
+            return
         uses_replace = any(
             c.raw in ("os.replace", "os.rename")
             or self.aliases.get(c.raw.partition(".")[0], "") == "os"
             and c.raw.endswith((".replace", ".rename"))
             for c in fn.calls)
-        uses_mkstemp = any(
-            resolve_call_target_raw(c.raw, self.aliases).startswith("tempfile.")
-            for c in fn.calls)
-        if not fn.writes:
-            return
+        uses_mkstemp = any((c.target or c.raw).startswith("tempfile.")
+                           for c in fn.calls)
         new = []
         for w in fn.writes:
             protections = list(w.protections)
@@ -719,64 +786,16 @@ class _Summarizer:
                                  tuple(protections), w.locks))
         fn.writes = new
 
-    # ---------------------------------------------------------- local scan
-    @staticmethod
-    def _local_bindings(func: ast.AST) -> Set[str]:
-        bound: Set[str] = set()
-        hoisted: Set[str] = set()
-        args = func.args
-        for arg in (args.posonlyargs + args.args + args.kwonlyargs
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])):
-            bound.add(arg.arg)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                hoisted.update(node.names)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)) and \
-                    isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-            elif isinstance(node, ast.withitem) and \
-                    isinstance(node.optional_vars, ast.Name):
-                bound.add(node.optional_vars.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node is not func:
-                bound.add(node.name)
-        return bound - hoisted
-
-    @staticmethod
-    def _global_decls(func: ast.AST) -> Set[str]:
-        out: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                out.update(node.names)
-        return out
-
-
-def resolve_call_target_raw(raw: str, aliases: Dict[str, str]) -> str:
-    """Resolve a dotted call text through the import alias map."""
-    root, _, rest = raw.partition(".")
-    target = aliases.get(root)
-    if target is None:
-        return raw
-    return f"{target}.{rest}" if rest else target
-
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
-    """Extract the cross-file fact base from one parsed module."""
+    """Extract the fact base the summary-fed rules read from one module."""
     return _Summarizer(module).run()
 
 
 # ----------------------------------------------------------------- context
 @dataclass
 class ProjectContext:
-    """The whole program, as seen by cross-file rules."""
+    """The whole program, as seen by the summary-fed rules."""
 
     root: str
     summaries: Dict[str, ModuleSummary]            # path -> summary
@@ -1038,9 +1057,9 @@ class LintCache:
     """Content-hash-keyed per-file cache for ``repro lint``.
 
     One JSON file holds, per analyzed path: the file's SHA-256 and its
-    :class:`FileAnalysis` (raw module-rule findings, parsed
+    :class:`FileAnalysis` (raw R003/R007 findings, parsed
     suppressions, :class:`ModuleSummary`).  A warm run re-analyzes only
-    files whose hash changed; everything cross-file is recomputed from
+    files whose hash changed; every summary-fed rule is recomputed from
     summaries, so warm findings are identical to a cold run by
     construction.  The whole file is discarded when the pack signature
     (enabled rules + :data:`ANALYSIS_CACHE_VERSION`) changes; a file or

@@ -1,11 +1,11 @@
 """Rule API and registry for the determinism lint framework.
 
 A rule is a class with a unique ``R\\d{3}`` id, a default severity and
-two hooks: :meth:`Rule.check_module` (called once per parsed file) and
-:meth:`Rule.check_context` (called once per run with the whole-program
-:class:`~repro.analysis.project.ProjectContext` — for cross-file
-invariants like lock discipline, vocabulary drift or undocumented CLI
-flags).  Registering is one decorator::
+two hooks: :meth:`Rule.check_context` (called once per run with the
+whole-program :class:`~repro.analysis.project.ProjectContext`, whose
+per-file summaries are the fact base most rules read) and
+:meth:`Rule.check_module` (called once per parsed file, for a rule
+whose facts no summary records).  Registering is one decorator::
 
     @register_rule
     class MyRule(Rule):
@@ -14,8 +14,8 @@ flags).  Registering is one decorator::
         severity = Severity.WARNING
         description = "what the rule enforces and why"
 
-        def check_module(self, module):
-            yield self.finding(module, node.lineno, "message")
+        def check_context(self, context):
+            yield self.finding_at(path, site.lineno, "message", col=site.col)
 
 See ``docs/static-analysis.md`` for the full recipe.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Type
 
@@ -86,6 +87,7 @@ class Rule:
         )
 
 
+_LOCK = threading.Lock()
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -95,26 +97,30 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"rule id {cls.rule_id!r} does not match R###")
     if not cls.name or not cls.description:
         raise ValueError(f"rule {cls.rule_id} needs a name and description")
-    existing = _REGISTRY.get(cls.rule_id)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"rule id {cls.rule_id} already registered by {existing.__name__}"
-        )
-    _REGISTRY[cls.rule_id] = cls
+    with _LOCK:
+        existing = _REGISTRY.get(cls.rule_id)
+        if existing is not None and existing is not cls:
+            raise ValueError(
+                f"rule id {cls.rule_id} already registered by "
+                f"{existing.__name__}"
+            )
+        _REGISTRY[cls.rule_id] = cls
     return cls
 
 
 def all_rules() -> List[Rule]:
     """Every registered rule, instantiated, in id order."""
     _load_builtin_rules()
-    return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
+    with _LOCK:
+        return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
 def get_rule(rule_id: str) -> Rule:
     _load_builtin_rules()
-    if rule_id not in _REGISTRY:
-        raise KeyError(f"no rule registered under {rule_id!r}")
-    return _REGISTRY[rule_id]()
+    with _LOCK:
+        if rule_id not in _REGISTRY:
+            raise KeyError(f"no rule registered under {rule_id!r}")
+        return _REGISTRY[rule_id]()
 
 
 def _load_builtin_rules() -> None:

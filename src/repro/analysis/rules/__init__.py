@@ -22,10 +22,10 @@ R012    rng-across-process-boundary     error
 (*) R006 reports dead vocabulary entries and R007 reports swallowed
 broad handlers at *warning*; their headline findings are errors.
 
-R006, R008, R009, R010 and R012 are cross-file rules: they implement
-``check_context`` against the whole-program
-:class:`~repro.analysis.project.ProjectContext`, built from per-file
-summaries on every ``repro lint`` run.
+Every rule but R003 and R007 implements ``check_context`` against the
+whole-program :class:`~repro.analysis.project.ProjectContext`, built
+from per-file summaries on every ``repro lint`` run; R003 and R007
+walk each file's AST (``check_module``).
 
 See ``docs/static-analysis.md`` for the catalog with rationale and
 fix recipes.

@@ -9,15 +9,17 @@ them, and pool workers each re-seed the global independently, so the
 noise model silently changes with ``n_workers``.  Construct
 ``np.random.default_rng(seed)`` / ``random.Random(seed)`` and pass the
 generator instead.
+
+The rule reads the summaries' call sites, resolved through the import
+map: every call in a file, decorators, default arguments and class
+bodies included.  Resolution never consults local bindings, so a
+parameter named ``random`` still reads as the module.
 """
 
 from __future__ import annotations
 
-import ast
-
-from repro.analysis.astutil import import_aliases, resolve_call_target
 from repro.analysis.findings import Severity
-from repro.analysis.registry import ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Rule, register_rule
 
 #: numpy.random attributes that construct *explicit* generators — the
 #: approved way to get randomness — rather than touching global state
@@ -30,6 +32,20 @@ _SEEDABLE_CONSTRUCTORS = {
 _STDLIB_CLASSES = {"Random", "SystemRandom"}
 
 
+def _global_rng_message(target: str) -> str:
+    """The finding for a call resolving to ``target`` ('' if it is fine)."""
+    parts = target.split(".")
+    if parts[0] == "random" and len(parts) == 2 and \
+            parts[1] not in _STDLIB_CLASSES:
+        return (f"call to global-state RNG '{target}'; use an injected "
+                f"random.Random(seed) instead")
+    if parts[:2] == ["numpy", "random"] and len(parts) == 3 and \
+            parts[2] not in _SEEDABLE_CONSTRUCTORS:
+        return (f"call to global-state RNG 'np.random.{parts[2]}'; use an "
+                f"injected np.random.default_rng(seed) instead")
+    return ""
+
+
 @register_rule
 class UnseededGlobalRngRule(Rule):
     rule_id = "R001"
@@ -40,30 +56,11 @@ class UnseededGlobalRngRule(Rule):
         "forbidden; inject a seeded random.Random or numpy Generator"
     )
 
-    def check_module(self, module: ModuleInfo):
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node, aliases)
-            if target is None:
-                continue
-            parts = target.split(".")
-            if parts[0] == "random" and len(parts) == 2:
-                if parts[1] in _STDLIB_CLASSES:
-                    continue
-                yield self.finding(
-                    module, node.lineno,
-                    f"call to global-state RNG '{target}'; use an "
-                    f"injected random.Random(seed) instead",
-                    col=node.col_offset,
-                )
-            elif parts[:2] == ["numpy", "random"] and len(parts) == 3:
-                if parts[2] in _SEEDABLE_CONSTRUCTORS:
-                    continue
-                yield self.finding(
-                    module, node.lineno,
-                    f"call to global-state RNG 'np.random.{parts[2]}'; use "
-                    f"an injected np.random.default_rng(seed) instead",
-                    col=node.col_offset,
-                )
+    def check_context(self, context):
+        for path, summary in context.summaries.items():
+            for fn in summary.functions.values():
+                for site in fn.calls:
+                    message = _global_rng_message(site.target)
+                    if message:
+                        yield self.finding_at(path, site.lineno, message,
+                                              col=site.col)

@@ -5,8 +5,16 @@ A module-level dict/list/set is shared by every thread in the process
 every pool worker — mutations are both race-prone and silently
 non-shared across the ``FlowExecutor`` process boundary.  Read-only
 module constants are fine; the rule fires only when the object is
-actually mutated somewhere in the module and the mutation site is not
-inside a ``with <module-level threading.Lock>`` block.
+actually mutated somewhere in the module (an item write or delete, or
+a mutator method such as ``append``/``update``) and the mutation site
+is not inside a ``with <module-level threading.Lock>`` block.
+Annotated containers (``_CACHE: Dict[str, int] = {}``) count too.
+
+The rule reads the summaries' module containers, module locks and
+mutation sites, so it shares their lexical scope model: a name a
+function (or an enclosing function) binds locally shadows the module
+object unless declared ``global``, and a ``def`` nested under ``with
+_LOCK:`` holds the lock.
 
 Legitimate caches keep the lock (see ``_CPU_MAP_CACHE`` in
 ``repro/bench/corpus.py``) or carry an inline allow with the rationale.
@@ -14,34 +22,8 @@ Legitimate caches keep the lock (see ``_CPU_MAP_CACHE`` in
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Set
-
-from repro.analysis.astutil import import_aliases, resolve_call_target
 from repro.analysis.findings import Severity
-from repro.analysis.registry import ModuleInfo, Rule, register_rule
-
-_MUTABLE_CALLS = {"dict", "list", "set", "collections.OrderedDict",
-                  "collections.defaultdict", "collections.deque"}
-_LOCK_CALLS = {"threading.Lock", "threading.RLock"}
-_MUTATOR_METHODS = {
-    "append", "add", "update", "setdefault", "pop", "popitem", "clear",
-    "extend", "insert", "remove", "discard", "move_to_end", "appendleft",
-}
-
-
-def _is_mutable_literal(node: ast.AST, aliases) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                         ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        target = resolve_call_target(node, aliases)
-        if target in _MUTABLE_CALLS:
-            return True
-        # builtins are not imports; resolve them by bare name
-        if target is None and isinstance(node.func, ast.Name):
-            return node.func.id in _MUTABLE_CALLS
-    return False
+from repro.analysis.registry import Rule, register_rule
 
 
 @register_rule
@@ -54,103 +36,28 @@ class MutableModuleStateRule(Rule):
         "threading.Lock are race-prone and not shared across pool workers"
     )
 
-    def check_module(self, module: ModuleInfo):
-        aliases = import_aliases(module.tree)
-        tracked: Dict[str, int] = {}   # name -> definition line
-        locks: Set[str] = set()
-        for stmt in module.tree.body:
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+    def check_context(self, context):
+        for path, summary in context.summaries.items():
+            module = summary.module_name
+            tracked = {f"{module}.{name}": name
+                       for name in summary.mutable_globals
+                       if not name.startswith("__")}  # __all__ and friends
+            if not tracked:
                 continue
-            target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id.startswith("__"):  # __all__ and friends
-                continue
-            if isinstance(stmt.value, ast.Call) and \
-                    resolve_call_target(stmt.value, aliases) in _LOCK_CALLS:
-                locks.add(target.id)
-            elif _is_mutable_literal(stmt.value, aliases):
-                tracked[target.id] = stmt.lineno
-        if not tracked:
-            return
-
-        findings = []
-        self._scan(module.tree, tracked, locks, lock_held=False,
-                   module=module, out=findings)
-        yield from findings
-
-    def _scan(self, node: ast.AST, tracked, locks, lock_held: bool,
-              module: ModuleInfo, out: list) -> None:
-        """Depth-first walk that tracks whether a module lock is held."""
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # names rebound locally shadow the module object; only
-            # `global`-declared ones still alias the tracked state
-            shadowed = self._local_bindings(node)
-            visible = {k: v for k, v in tracked.items() if k not in shadowed}
-            for child in node.body:
-                self._scan(child, visible, locks, lock_held, module, out)
-            return
-        if isinstance(node, ast.With):
-            held_here = lock_held or any(
-                isinstance(item.context_expr, ast.Name)
-                and item.context_expr.id in locks
-                for item in node.items
-            )
-            for child in node.body:
-                self._scan(child, tracked, locks, held_here, module, out)
-            for item in node.items:
-                self._scan(item.context_expr, tracked, locks, lock_held,
-                           module, out)
-            return
-
-        name = self._mutated_name(node)
-        if name is not None and name in tracked and not lock_held:
-            out.append(self.finding(
-                module, node.lineno,
-                f"module-level mutable '{name}' mutated without holding a "
-                f"module threading.Lock; guard it or inject the state",
-                col=getattr(node, "col_offset", 0),
-            ))
-        for child in ast.iter_child_nodes(node):
-            self._scan(child, tracked, locks, lock_held, module, out)
-
-    @staticmethod
-    def _local_bindings(func: ast.AST) -> Set[str]:
-        """Names the function rebinds locally (params + plain assigns),
-        minus anything it declares ``global``."""
-        bound: Set[str] = set()
-        hoisted: Set[str] = set()
-        args = func.args
-        for arg in (args.posonlyargs + args.args + args.kwonlyargs
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])):
-            bound.add(arg.arg)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                hoisted.update(node.names)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)) and \
-                    isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-        return bound - hoisted
-
-    @staticmethod
-    def _mutated_name(node: ast.AST):
-        """The tracked name this node mutates, if any."""
-        # cache[key] = v / del cache[key] / cache[key] += v
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
-                       else [node.target])
-            for target in targets:
-                if isinstance(target, ast.Subscript) and \
-                        isinstance(target.value, ast.Name):
-                    return target.value.id
-        # cache.update(...) / items.append(...)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS and \
-                    isinstance(node.func.value, ast.Name):
-                return node.func.value.id
-        return None
+            locks = {f"{module}.{name}" for name in summary.lock_globals}
+            unguarded = set()  # `a[i] = a[j] = v` is one site per target
+            for fn in summary.functions.values():
+                for site in fn.mutations:
+                    name = tracked.get(site.name)
+                    # rebinding the name is not mutating the container
+                    if name is None or site.via in ("rebind", "del") or \
+                            locks.intersection(site.locks):
+                        continue
+                    unguarded.add((site.lineno, site.col, name))
+            for line, col, name in sorted(unguarded):
+                yield self.finding_at(
+                    path, line,
+                    f"module-level mutable '{name}' mutated without holding "
+                    f"a module threading.Lock; guard it or inject the state",
+                    col=col,
+                )

@@ -7,15 +7,14 @@ step makes results machine- and load-dependent, and two runs of the
 same campaign stop being bit-identical.  ``time.perf_counter`` is
 deliberately **not** flagged: it measures durations for executor stats
 and never feeds a result.
+
+Like R001, the rule reads the summaries' resolved call sites.
 """
 
 from __future__ import annotations
 
-import ast
-
-from repro.analysis.astutil import import_aliases, resolve_call_target
 from repro.analysis.findings import Severity
-from repro.analysis.registry import ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Rule, register_rule
 
 _WALL_CLOCK_CALLS = {
     "time.time": "the runtime proxy (FlowResult.runtime_proxy)",
@@ -41,16 +40,15 @@ class WallClockRule(Rule):
         "dependent; use the runtime proxy or inject the timestamp"
     )
 
-    def check_module(self, module: ModuleInfo):
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node, aliases)
-            if target in _WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module, node.lineno,
-                    f"wall-clock read '{target}' in deterministic code; "
-                    f"use {_WALL_CLOCK_CALLS[target]}",
-                    col=node.col_offset,
-                )
+    def check_context(self, context):
+        for path, summary in context.summaries.items():
+            for fn in summary.functions.values():
+                for site in fn.calls:
+                    instead = _WALL_CLOCK_CALLS.get(site.target)
+                    if instead:
+                        yield self.finding_at(
+                            path, site.lineno,
+                            f"wall-clock read '{site.target}' in "
+                            f"deterministic code; use {instead}",
+                            col=site.col,
+                        )

@@ -51,7 +51,9 @@ since, so the cell columns depend on the rules below naming every
 swapped instance.  Outside the dirty set the columns equal the stored
 values bit for bit.  Each net's driver congestion is binned once per
 topology view, since placement positions are fixed while a topology
-lives (its net lengths assume the same).
+lives (its net lengths assume the same); the startpoints' clock skews
+are gathered once per view too, since a graph's skews are fixed for its
+life.
 
 Invalidation rules (see docs/substrate.md for the narrative version):
 
@@ -167,9 +169,10 @@ class _TopoSoA:
 
     Everything here is *structural* — derived from connectivity and
     levels only — so it is rebuilt with the topology and shared by
-    every corner/policy over the design.  Electrical values (cell
-    attributes, net lengths, skews, congestion) are gathered per
-    propagation because cell swaps don't bump ``structure_version``.
+    every corner/policy over the design.  Cell attributes are gathered
+    per propagation because cell swaps don't bump
+    ``structure_version``; skews and congestion, fixed while a topology
+    lives, are gathered by the graph once per view.
     """
 
     n_nets: int
@@ -391,7 +394,9 @@ class TimingGraph:
     engines did; ``update(changed)`` recomputes only the dirty cone with
     the same level-synchronous kernel; ``report(clock_period)``
     materializes endpoint slacks and charges the policy's runtime proxy
-    for the operations since the last query.
+    for the operations since the last query.  ``skews`` (flop name to
+    clock arrival offset) are fixed for the graph's life: the per-flop
+    column is gathered once per topology view.
     """
 
     def __init__(
@@ -441,6 +446,9 @@ class TimingGraph:
         # per-net driver congestion and the topology view it belongs to
         self._net_cong: Optional[np.ndarray] = None
         self._net_cong_soa: Optional[_TopoSoA] = None
+        # per-startpoint clock skews and the topology view they belong to
+        self._seq_skews = np.zeros(0)
+        self._seq_skews_soa: Optional[_TopoSoA] = None
 
     # ------------------------------------------------------------------
     def full_propagate(self) -> int:
@@ -598,6 +606,20 @@ class TimingGraph:
         self._net_cong, self._net_cong_soa = cong, soa
         return cong
 
+    def _skew_column(self, soa: _TopoSoA) -> np.ndarray:
+        """Clock skew per startpoint, in ``soa.seq_names`` order.
+
+        Gathered once per topology view: skews are fixed for the
+        graph's life."""
+        if self._seq_skews_soa is not soa:
+            self._seq_skews = np.fromiter(
+                (self.skews.get(name, 0.0) for name in soa.seq_names),
+                dtype=float,
+                count=len(soa.seq_names),
+            )
+            self._seq_skews_soa = soa
+        return self._seq_skews
+
     def _propagate(
         self,
         refresh: Iterable[Tuple[int, Instance]],
@@ -630,11 +652,7 @@ class TimingGraph:
         # the dirty set they equal its stored values bit for bit
         cap, intr, dres, ssens, sintr, sres = self._cell_columns(refresh)
         net_len = soa.net_len
-        launch = np.fromiter(
-            (self.skews.get(name, 0.0) for name in soa.seq_names),
-            dtype=float,
-            count=len(soa.seq_names),
-        )
+        launch = self._skew_column(soa)
 
         # net loads: sequential bincount accumulation == the per-node
         # left-to-right sum over each net's sinks, then PO pin load,
@@ -804,7 +822,7 @@ class TimingGraph:
         cong = self._net_congestion(soa)
         d_cong = np.zeros(d_rows.shape[0]) if cong is None else cong[d_rows]
         setup_arrival = arrival[d_rows] + (w_delay + policy.si_bump_batch(d_len, d_cong))
-        capture = np.array([self.skews.get(name, 0.0) for name in soa.seq_names])
+        capture = self._skew_column(soa)
         setup_required = clock_period + capture - DFF_SETUP * corner.delay_factor
         if self.check_hold:
             a_min = self._arrival_min[d_rows]

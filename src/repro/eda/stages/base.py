@@ -13,8 +13,9 @@ reason about it without running it:
   ``result`` and the fields some later stage reads; everything else is
   dead once the stage has run.
 - ``n_seeds``: how many step seeds the stage consumes from the flow's
-  seed stream (the runner pre-draws them in the monolith's historical
-  order, so staging never perturbs the rng stream).
+  seed stream.  The runner pre-draws ``n_seeds`` per stage, in stage
+  order, which is the monolith's historical order, so staging never
+  perturbs the rng stream.
 - ``cacheable``: whether the state *after* this stage is worth
   snapshotting (the terminal stage produces only the final result, so
   caching it would duplicate the whole-run :class:`ResultCache`).

@@ -64,19 +64,13 @@ IMPLEMENT_STAGES: Tuple[FlowStage, ...] = (
 FULL_FLOW_STAGES: Tuple[FlowStage, ...] = (SynthStage(),) + IMPLEMENT_STAGES
 
 
-def _implement_seed_plan(draw: Callable[[], int]) -> Tuple[Tuple[int, ...], ...]:
-    """Per-stage seed tuples for IMPLEMENT_STAGES, drawn in the
-    monolith's order (left-to-right evaluation): placer, refiner, CTS,
-    global route, opt, detailed route."""
-    return (
-        (),                 # floorplan draws nothing
-        (draw(), draw()),   # place: placer + refiner
-        (draw(),),          # cts
-        (draw(),),          # groute
-        (draw(),),          # opt
-        (),                 # signoff draws nothing
-        (draw(),),          # droute_signoff
-    )
+def _seed_plan(stages: Sequence[FlowStage],
+               draw: Callable[[], int]) -> Tuple[Tuple[int, ...], ...]:
+    """Per-stage seed tuples: ``stage.n_seeds`` draws per stage, in stage
+    order.  Over IMPLEMENT_STAGES that is the monolith's order: placer,
+    refiner, CTS, global route, opt, detailed route."""
+    return tuple(tuple(draw() for _ in range(stage.n_seeds))
+                 for stage in stages)
 
 
 def plan_stages(design: Design, seed: int):
@@ -107,11 +101,11 @@ def _draw_plan(kind: str, seed: int):
     rng = np.random.default_rng(seed)
     draw = lambda: int(rng.integers(0, 2**31 - 1))  # noqa: E731
     if kind == "netlist":
-        return "netlist", IMPLEMENT_STAGES, _implement_seed_plan(draw)
-    synth_seed = draw()
+        return "netlist", IMPLEMENT_STAGES, _seed_plan(IMPLEMENT_STAGES, draw)
+    synth_seeds = _seed_plan(FULL_FLOW_STAGES[:1], draw)
     impl_rng = np.random.default_rng(draw())
     impl_draw = lambda: int(impl_rng.integers(0, 2**31 - 1))  # noqa: E731
-    stage_seeds = ((synth_seed,),) + _implement_seed_plan(impl_draw)
+    stage_seeds = synth_seeds + _seed_plan(IMPLEMENT_STAGES, impl_draw)
     return "spec", FULL_FLOW_STAGES, stage_seeds
 
 
