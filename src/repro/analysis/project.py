@@ -78,7 +78,7 @@ from repro.analysis.suppressions import Suppression
 #: bump when summaries, fixpoints or any rule's logic change shape —
 #: stale caches are then discarded wholesale instead of replaying
 #: findings the current pack would no longer produce
-ANALYSIS_CACHE_VERSION = 2
+ANALYSIS_CACHE_VERSION = 3
 
 #: calls that construct an explicit RNG generator object
 _RNG_CONSTRUCTORS = {"numpy.random.default_rng", "random.Random",
@@ -154,7 +154,8 @@ class FunctionSummary:
     calls: List[CallSite] = field(default_factory=list)
     mutations: List[MutationSite] = field(default_factory=list)
     writes: List[WriteSite] = field(default_factory=list)
-    rng_unseeded: List[Tuple[int, str]] = field(default_factory=list)
+    #: (line, col, constructor) of each RNG built without a seed
+    rng_unseeded: List[Tuple[int, int, str]] = field(default_factory=list)
     boundary: List[BoundaryPayload] = field(default_factory=list)
     returns_generator: bool = False
     uses_flock: bool = False
@@ -191,7 +192,8 @@ class FunctionSummary:
                        in data["mutations"]],
             writes=[WriteSite(line, call, text, tuple(prot), tuple(locks))
                     for line, call, text, prot, locks in data["writes"]],
-            rng_unseeded=[(line, desc) for line, desc in data["rng_unseeded"]],
+            rng_unseeded=[(line, col, ctor)
+                          for line, col, ctor in data["rng_unseeded"]],
             boundary=[BoundaryPayload(method, kind, target, line, col)
                       for method, kind, target, line, col
                       in data["boundary"]],
@@ -285,6 +287,7 @@ class _Scope:
     """Where the statements being walked record their sites."""
 
     fn: FunctionSummary       # the summary their sites go into
+    cls: str                  # innermost enclosing class, "" outside one
     locals_: frozenset        # names bound here or in an enclosing def
     global_decls: frozenset
     callables: frozenset      # locally-defined callables (R005)
@@ -319,7 +322,7 @@ class _Summarizer:
         self._collect_metric_material(tree)
         module_fn = FunctionSummary(qualname="<module>", lineno=1)
         self.summary.functions["<module>"] = module_fn
-        scope = _Scope(fn=module_fn, locals_=frozenset(),
+        scope = _Scope(fn=module_fn, cls="", locals_=frozenset(),
                        global_decls=frozenset(), callables=frozenset(),
                        prefix="")
         for stmt in tree.body:
@@ -423,7 +426,8 @@ class _Summarizer:
             for child in (*node.decorator_list, *node.bases,
                           *node.keywords):
                 self._visit(child, scope, locks)
-            body = replace(scope, prefix=f"{scope.prefix}{node.name}.")
+            body = replace(scope, cls=f"{scope.prefix}{node.name}",
+                           prefix=f"{scope.prefix}{node.name}.")
             for stmt in node.body:
                 self._visit(stmt, body, locks)
             return
@@ -462,19 +466,22 @@ class _Summarizer:
                        locks: Tuple[str, ...]) -> None:
         """Summarize one def's body as a new scope.
 
-        It sees the enclosing function's locals and starts with the
-        locks held at the ``def``.  Defs sharing a qualname (a property
-        and its setter) share one summary.
+        It sees the enclosing function's locals, starts with the locks
+        held at the ``def`` and belongs to the innermost enclosing
+        class: a closure inside a method shares the method's ``self``.
+        Defs sharing a qualname (a property and its setter) share one
+        summary.
         """
         qualname = outer.prefix + node.name
         fn = self.summary.functions.get(qualname)
         if fn is None:
             fn = FunctionSummary(qualname=qualname, lineno=node.lineno,
-                                 cls=qualname.rpartition(".")[0])
+                                 cls=outer.cls)
             self.summary.functions[qualname] = fn
         bound, global_decls = scope_bindings(node)
         scope = _Scope(
             fn=fn,
+            cls=outer.cls,
             locals_=outer.locals_ | frozenset(bound),
             global_decls=frozenset(global_decls),
             callables=frozenset(
@@ -612,7 +619,8 @@ class _Summarizer:
                                      lineno=node.lineno, col=node.col_offset,
                                      locks=locks))
             if target in _RNG_CONSTRUCTORS and self._is_unseeded(node):
-                fn.rng_unseeded.append((node.lineno, target))
+                fn.rng_unseeded.append((node.lineno, node.col_offset,
+                                        target))
             self._record_write(node, raw, target, fn, locks)
         elif isinstance(node.func, ast.Attribute):
             # method call on a computed object: keep attr-level facts

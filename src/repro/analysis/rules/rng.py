@@ -1,4 +1,4 @@
-"""R001: unseeded global random number generators.
+"""R001: unseeded random number generators.
 
 The paper's Fig 3 claim — tool noise is a *statistical* object — only
 reproduces if every stochastic component draws from an explicitly
@@ -6,14 +6,18 @@ seeded generator that is injected into it.  ``random.random()`` and the
 ``np.random.*`` module-level functions share hidden global state: two
 campaigns with the same seeds diverge the moment any code path touches
 them, and pool workers each re-seed the global independently, so the
-noise model silently changes with ``n_workers``.  Construct
-``np.random.default_rng(seed)`` / ``random.Random(seed)`` and pass the
-generator instead.
+noise model silently changes with ``n_workers``.  A generator
+constructed without a seed (``np.random.default_rng()``,
+``random.Random()``, a ``None`` seed) draws its seed from OS entropy,
+so no two runs agree.  Construct ``np.random.default_rng(seed)`` /
+``random.Random(seed)`` and pass the generator instead.
 
 The rule reads the summaries' call sites, resolved through the import
 map: every call in a file, decorators, default arguments and class
-bodies included.  Resolution never consults local bindings, so a
-parameter named ``random`` still reads as the module.
+bodies included, and the unseeded constructions the summarizer records
+among them.  Resolution never consults local bindings, so a parameter
+named ``random`` still reads as the module.  R012 reports the executor
+call that ships such a construction to the workers.
 """
 
 from __future__ import annotations
@@ -46,14 +50,22 @@ def _global_rng_message(target: str) -> str:
     return ""
 
 
+def _unseeded_message(target: str) -> str:
+    shown = "np." + target[len("numpy."):] if target.startswith("numpy.") \
+        else target
+    return (f"'{shown}' constructed without a seed draws it from OS "
+            f"entropy; pass an explicit seed")
+
+
 @register_rule
 class UnseededGlobalRngRule(Rule):
     rule_id = "R001"
     name = "unseeded-global-rng"
     severity = Severity.ERROR
     description = (
-        "module-level RNG state (random.* / np.random.* functions) is "
-        "forbidden; inject a seeded random.Random or numpy Generator"
+        "module-level RNG state (random.* / np.random.* functions) and "
+        "generators constructed without a seed are forbidden; inject a "
+        "seeded random.Random or numpy Generator"
     )
 
     def check_context(self, context):
@@ -64,3 +76,6 @@ class UnseededGlobalRngRule(Rule):
                     if message:
                         yield self.finding_at(path, site.lineno, message,
                                               col=site.col)
+                for line, col, target in fn.rng_unseeded:
+                    yield self.finding_at(path, line,
+                                          _unseeded_message(target), col=col)

@@ -106,7 +106,7 @@ class RngBoundaryRule(Rule):
             if fn is None:
                 continue
             if fn.rng_unseeded:
-                line, ctor = sorted(fn.rng_unseeded)[0]
+                line, _col, ctor = sorted(fn.rng_unseeded)[0]
                 where = context.path_of(token) or token
                 return where, line, ctor
             for callee in context.call_graph.get(token, ()):

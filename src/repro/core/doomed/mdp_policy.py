@@ -15,7 +15,7 @@ footnote-5 rules fill the unvisited cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, List
 
 import numpy as np
 
@@ -56,47 +56,60 @@ class MDPCardLearner:
             store, design=design, campaign=campaign, since=since))
 
     def fit(self, logs: Iterable[RouterLog]) -> StrategyCard:
+        transitions, rewards, visited = self._model(logs)
+        mdp = FiniteMDP(transitions, rewards, gamma=self.gamma)
+        _, policy = policy_iteration(mdp)
+        card = StrategyCard(self.space, policy[:self.space.n_states], visited)
+        if self.fill_in:
+            card = apply_fill_in_rules(card)
+        return card
+
+    def _model(self, logs: Iterable[RouterLog]):
+        """(transitions, rewards, visited) of the corpus's MDP."""
         n_grid = self.space.n_states
         success_state = n_grid
         fail_state = n_grid + 1
         stopped_state = n_grid + 2
         n_states = n_grid + 3
 
-        counts = np.zeros((n_states, n_states))
-        visited = np.zeros(n_grid, dtype=bool)
+        # every GO step of the corpus as a (state, next state) pair: a
+        # trajectory's states hand off in turn, its last one to the
+        # run's outcome
+        sources: List[int] = []
+        targets: List[int] = []
         n_logs = 0
         for log in logs:
             n_logs += 1
             states = self.space.trajectory_states(log.drvs)
             if not states:
                 continue
-            for s in states:
-                visited[s] = True
-            for a, b in zip(states[:-1], states[1:]):
-                counts[a, b] += 1.0
-            terminal = success_state if log.success else fail_state
-            counts[states[-1], terminal] += 1.0
+            sources += states
+            targets += states[1:]
+            targets.append(success_state if log.success else fail_state)
         if n_logs == 0:
             raise ValueError("training corpus is empty")
+        source = np.array(sources, dtype=np.intp)
+        counts = np.zeros((n_states, n_states))
+        # whole-number adds: exact in any order
+        np.add.at(counts, (source, np.array(targets, dtype=np.intp)), 1.0)
+        visited = np.zeros(n_grid, dtype=bool)
+        visited[source] = True
 
         transitions = np.zeros((2, n_states, n_states))
         rewards = np.zeros((2, n_states))
 
         # GO: empirical transitions; unvisited states self-loop (their
         # action is later overwritten by the fill-in rules anyway)
-        row_sums = counts.sum(axis=1)
-        for s in range(n_grid):
-            if row_sums[s] > 0:
-                transitions[GO, s] = counts[s] / row_sums[s]
-            else:
-                transitions[GO, s, s] = 1.0
-            p_succ = transitions[GO, s, success_state]
-            p_fail = transitions[GO, s, fail_state]
-            rewards[GO, s] = (
-                -self.iteration_cost
-                + p_succ * self.success_reward
-                - p_fail * self.fail_penalty
-            )
+        row_sums = counts[:n_grid].sum(axis=1)
+        seen = np.flatnonzero(row_sums > 0)
+        unseen = np.flatnonzero(row_sums == 0)
+        transitions[GO, seen] = counts[seen] / row_sums[seen, None]
+        transitions[GO, unseen, unseen] = 1.0
+        rewards[GO, :n_grid] = (
+            -self.iteration_cost
+            + transitions[GO, :n_grid, success_state] * self.success_reward
+            - transitions[GO, :n_grid, fail_state] * self.fail_penalty
+        )
         # absorbing states self-loop under both actions at zero reward
         for s in (success_state, fail_state, stopped_state):
             transitions[GO, s, s] = 1.0
@@ -105,10 +118,4 @@ class MDPCardLearner:
         for s in (success_state, fail_state, stopped_state):
             transitions[STOP, s, :] = 0.0
             transitions[STOP, s, s] = 1.0
-
-        mdp = FiniteMDP(transitions, rewards, gamma=self.gamma)
-        _, policy = policy_iteration(mdp)
-        card = StrategyCard(self.space, policy[:n_grid], visited)
-        if self.fill_in:
-            card = apply_fill_in_rules(card)
-        return card
+        return transitions, rewards, visited

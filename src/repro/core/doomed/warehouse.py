@@ -9,7 +9,10 @@ campaigns and sessions — instead of re-running routers.
 
 :func:`router_logs_from_store` turns stored trajectories back into
 :class:`~repro.bench.corpus.RouterLog` objects; the predictors'
-``fit_from_store`` methods are thin wrappers over it.
+``fit_from_store`` methods are thin wrappers over it.  It reads the
+selection's trajectories in one store call
+(:meth:`~repro.metrics.store.MetricsStore.trajectories`, one query on a
+warehouse) and each run's vector for its outcome and router effort.
 """
 
 from __future__ import annotations
@@ -34,22 +37,19 @@ def router_logs_from_store(store, design: Optional[str] = None,
     trajectory, in the store's deterministic (sorted) run order.  The
     success label is the paper's routing criterion (final DRVs under
     the threshold — a run that routed clean but missed timing is not a
-    *doomed route*); ``domain`` is the run's design name, and ``difficulty`` its
-    ``option.router_effort`` setting when collected (0.0 otherwise).
+    *doomed route*); ``domain`` is the design of the run's first
+    trajectory record, and ``difficulty`` its ``option.router_effort``
+    setting when collected (0.0 otherwise).
     """
     logs: List[RouterLog] = []
-    for run_id in store.runs(design, campaign=campaign, since=since):
-        drvs = [int(v) for v in store.series(run_id, TRAJECTORY_METRIC)]
-        if not drvs:
-            continue
+    for run_id, domain, values in store.trajectories(
+            TRAJECTORY_METRIC, design=design, campaign=campaign, since=since):
+        drvs = [int(v) for v in values]
         vector = store.run_vector(run_id)
         final = vector.get("droute.final_drvs", drvs[-1])
-        success = final < SUCCESS_DRV_THRESHOLD
-        records = store.query(run_id=run_id, metric=TRAJECTORY_METRIC)
-        domain = records[0].design if records else (design or "warehouse")
         logs.append(RouterLog(
             drvs=drvs,
-            success=success,
+            success=final < SUCCESS_DRV_THRESHOLD,
             domain=domain,
             difficulty=float(vector.get("option.router_effort", 0.0)),
         ))

@@ -29,7 +29,12 @@ from typing import Dict, List, Optional, Sequence
 from xml.etree.ElementTree import ParseError
 
 from repro.metrics.schema import MetricRecord
-from repro.metrics.store import JsonlStore, MetricsStore, stamp_campaign
+from repro.metrics.store import (
+    JsonlStore,
+    MetricsStore,
+    Trajectory,
+    stamp_campaign,
+)
 
 
 class MetricsServer:
@@ -135,6 +140,12 @@ class MetricsServer:
 
     def series(self, run_id: str, metric: str) -> List[float]:
         return self._store.series(run_id, metric)
+
+    def trajectories(self, metric: str, design: Optional[str] = None,
+                     campaign: Optional[str] = None,
+                     since: Optional[int] = None) -> List[Trajectory]:
+        return self._store.trajectories(metric, design=design,
+                                        campaign=campaign, since=since)
 
     def campaigns(self) -> List[str]:
         return self._store.campaigns()

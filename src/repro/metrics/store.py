@@ -19,11 +19,12 @@ protocol with two interchangeable backends:
   require reloading history into memory.
 
 Both backends answer the same query API (``runs``/``query``/
-``run_vector``/``series``/``table``/``run_vectors_matrix``) with
-deterministic, reproducible ordering, so the miner, the doomed-run
-predictors, and the DSE surrogate can train on either.  Campaign
-identity rides in each record's ``attributes["campaign"]`` — the wire
-format and the JSONL line format are unchanged.
+``run_vector``/``series``/``trajectories``/``table``/
+``run_vectors_matrix``) with deterministic, reproducible ordering, so
+the miner, the doomed-run predictors, and the DSE surrogate can train
+on either.  Campaign identity rides in each record's
+``attributes["campaign"]`` — the wire format and the JSONL line format
+are unchanged.
 
 Timestamps are *logical*: every successfully ingested record advances a
 monotone per-store counter (persisted by the sqlite backend), and
@@ -40,7 +41,8 @@ import sqlite3
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.metrics.schema import MetricRecord
 
@@ -68,6 +70,15 @@ def stamp_campaign(record: MetricRecord, campaign: str) -> MetricRecord:
     return replace(record, attributes=attributes)
 
 
+class Trajectory(NamedTuple):
+    """One run's repeated reports of a metric (see
+    :meth:`MetricsStore.trajectories`)."""
+
+    run_id: str
+    design: str           # design of the run's first report of the metric
+    values: List[float]   # in sequence order, as :meth:`MetricsStore.series`
+
+
 def dense_table(vectors: Sequence[Dict[str, float]]):
     """(metric_names, matrix) over run vectors, one row per vector.
 
@@ -89,11 +100,12 @@ class MetricsStore:
     Concrete stores implement :meth:`ingest`, :meth:`runs`,
     :meth:`query`, :meth:`run_vector`, :meth:`campaigns`, :meth:`close`
     and ``__len__``; the cross-cutting helpers
-    (:meth:`series`, :meth:`table`, :meth:`run_vectors_matrix`, context
-    management) are shared here.  ``skipped_lines`` counts source
-    rows/lines the store could not decode; ``null_values`` counts
-    non-finite measurements normalized away (persisted as null by the
-    JSONL backend, never stored by the sqlite backend).
+    (:meth:`series`, :meth:`trajectories`, :meth:`table`,
+    :meth:`run_vectors_matrix`, context management) are shared here.
+    ``skipped_lines`` counts source rows/lines the store could not
+    decode; ``null_values`` counts non-finite measurements normalized
+    away (persisted as null by the JSONL backend, never stored by the
+    sqlite backend).
     """
 
     skipped_lines: int = 0
@@ -134,6 +146,21 @@ class MetricsStore:
         the trajectory form the doomed-run predictors train on."""
         records = self.query(run_id=run_id, metric=metric)
         return [r.value for r in sorted(records, key=lambda r: r.sequence)]
+
+    def trajectories(self, metric: str, design: Optional[str] = None,
+                     campaign: Optional[str] = None,
+                     since: Optional[int] = None) -> List[Trajectory]:
+        """The :meth:`series` of ``metric`` of every selected run that
+        reported it, in :meth:`runs` order — a trajectory corpus in one
+        call.  Each carries the design of the run's first report of the
+        metric in ingest order (``query(run_id=..., metric=...)[0]``)."""
+        out: List[Trajectory] = []
+        for run_id in self.runs(design, campaign=campaign, since=since):
+            values = self.series(run_id, metric)
+            if values:
+                first = self.query(run_id=run_id, metric=metric)[0]
+                out.append(Trajectory(run_id, first.design, values))
+        return out
 
     def table(self, design: Optional[str] = None,
               campaign: Optional[str] = None,
@@ -399,17 +426,25 @@ class SqliteStore(MetricsStore):
     trajectory reads (``series``, ``query(run_id=..., metric=...)``)
     without walking every record of the metric, and its leftmost column
     serves run-only lookups; opening an older warehouse adds it and
-    drops the run-only index it replaces.
+    drops the run-only index it replaces.  ``runs`` is indexed on
+    ``(campaign, run_id)``, ``(design, run_id)`` and ``first_seen``:
+    every design-, campaign- and ``since``-scoped read selects its runs
+    there first and reaches ``records`` and ``vectors`` by run id, so
+    it costs the selection, not the archive.  Opening an older
+    warehouse adds these indexes too.
 
     Every writer process opens its own :class:`SqliteStore` on the same
     path; WAL mode plus a busy timeout makes concurrent multi-process
     ingest safe (whole transactions interleave, never partial rows).
     ``seq_no`` is the logical ingest clock — it orders ``query`` output
     and anchors ``since=`` filters and each run/campaign's
-    ``first_seen``.  Non-finite values are normalized away at ingest
-    (counted in ``null_values``), matching what a reloaded
-    :class:`JsonlStore` exposes, so the two backends answer queries
-    identically on the same record stream.
+    ``first_seen``.  It counts from 1, so the record at ingest index
+    ``k`` (what :class:`JsonlStore` stores as ``first_seen``) has
+    ``seq_no`` ``k + 1``, and ``since=n`` selects ``first_seen > n``.
+    Non-finite values are normalized away at ingest (counted in
+    ``null_values``), matching what a reloaded :class:`JsonlStore`
+    exposes, so the two backends answer queries identically on the
+    same record stream.
     """
 
     def __init__(self, path: str, timeout_s: float = 30.0):
@@ -461,6 +496,12 @@ class SqliteStore(MetricsStore):
                     design TEXT NOT NULL,
                     campaign TEXT,
                     first_seen INTEGER NOT NULL);
+                CREATE INDEX IF NOT EXISTS idx_runs_campaign
+                    ON runs(campaign, run_id);
+                CREATE INDEX IF NOT EXISTS idx_runs_design
+                    ON runs(design, run_id);
+                CREATE INDEX IF NOT EXISTS idx_runs_first_seen
+                    ON runs(first_seen);
                 CREATE TABLE IF NOT EXISTS campaigns(
                     campaign TEXT PRIMARY KEY,
                     first_seen INTEGER NOT NULL);
@@ -539,26 +580,28 @@ class SqliteStore(MetricsStore):
 
     # ------------------------------------------------------------ queries
     @staticmethod
-    def _run_filters(design, campaign, since) -> Tuple[str, list]:
+    def _run_filters(design, campaign, since) -> Tuple[List[str], list]:
+        """WHERE clauses (and their parameters) selecting ``runs`` rows."""
         clauses, params = [], []
         if design is not None:
-            clauses.append("design = ?")
+            clauses.append("runs.design = ?")
             params.append(design)
         if campaign is not None:
-            clauses.append("campaign = ?")
+            clauses.append("runs.campaign = ?")
             params.append(campaign)
         if since is not None:
-            clauses.append("first_seen >= ?")
+            # first_seen is the 1-based seq_no, so ingest index k is
+            # first_seen k + 1: "at or after index since" is "> since"
+            clauses.append("runs.first_seen > ?")
             params.append(int(since))
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        return where, params
+        return clauses, params
 
     def runs(self, design: Optional[str] = None,
              campaign: Optional[str] = None,
              since: Optional[int] = None) -> List[str]:
         """Run ids in sorted order (deterministic at any writer count)."""
-        where, params = self._run_filters(design, campaign, since)
-        sql = f"SELECT run_id FROM runs{where} ORDER BY run_id"
+        clauses, params = self._run_filters(design, campaign, since)
+        sql = f"SELECT run_id FROM runs{_where(clauses)} ORDER BY run_id"
         with self._lock:
             rows = self._conn.execute(sql, params).fetchall()
         return [row[0] for row in rows]
@@ -580,16 +623,18 @@ class SqliteStore(MetricsStore):
         if campaign is not None:
             clauses.append("records.campaign = ?")
             params.append(campaign)
-        join = ""
+        source = "records"
         if since is not None:
-            join = " JOIN runs ON runs.run_id = records.run_id"
-            clauses.append("runs.first_seen >= ?")
-            params.append(int(since))
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
+            # the CROSS JOIN keeps ``runs`` the outer loop: select the
+            # runs on their first_seen index, then their records by id
+            source = "runs CROSS JOIN records ON records.run_id = runs.run_id"
+            since_clauses, since_params = self._run_filters(None, None, since)
+            clauses += since_clauses
+            params += since_params
         sql = (
             "SELECT records.design, records.run_id, records.tool, "
             "records.metric, records.value, records.sequence, "
-            f"records.attributes FROM records{join}{where} "
+            f"records.attributes FROM {source}{_where(clauses)} "
             "ORDER BY records.seq_no"
         )
         with self._lock:
@@ -643,11 +688,34 @@ class SqliteStore(MetricsStore):
             ).fetchall()
         return [row[0] for row in rows]
 
+    def trajectories(self, metric: str, design: Optional[str] = None,
+                     campaign: Optional[str] = None,
+                     since: Optional[int] = None) -> List[Trajectory]:
+        """One query: the selected runs, then each one's records of
+        ``metric`` on the run+metric index, in ``series`` order."""
+        clauses, params = self._run_filters(design, campaign, since)
+        sql = (
+            "SELECT runs.run_id, records.seq_no, records.design, "
+            "records.value FROM runs CROSS JOIN records "
+            "ON records.run_id = runs.run_id AND records.metric = ?"
+            f"{_where(clauses)} "
+            "ORDER BY runs.run_id, records.sequence, records.seq_no"
+        )
+        with self._lock:
+            rows = self._conn.execute(sql, [metric] + params).fetchall()
+        out: List[Trajectory] = []
+        for run_id, group in groupby(rows, key=lambda row: row[0]):
+            group = list(group)
+            first = min(group, key=lambda row: row[1])
+            out.append(Trajectory(run_id, first[2], [row[3] for row in group]))
+        return out
+
     def run_vectors_matrix(self, metrics: Sequence[str],
                            design: Optional[str] = None,
                            campaign: Optional[str] = None,
                            since: Optional[int] = None):
-        """SQL fast path: one join over ``vectors``, pivoted in SQL.
+        """SQL fast path: the selected runs joined to their ``vectors``
+        rows by primary key, pivoted in SQL.
 
         A run holds each metric at most once (the table's key), so a
         column's ``MAX(CASE ...)`` is that one stored value, and a run
@@ -658,19 +726,18 @@ class SqliteStore(MetricsStore):
         if not names:
             raise ValueError("metrics basis must be non-empty")
         distinct = sorted(set(names))
-        where, params = self._run_filters(design, campaign, since)
+        clauses, params = self._run_filters(design, campaign, since)
+        clauses.append(
+            f"vectors.metric IN ({','.join('?' for _ in distinct)})")
         columns = ", ".join(
             "MAX(CASE WHEN vectors.metric = ? THEN vectors.value END)"
             for _ in names)
-        placeholders = ",".join("?" for _ in distinct)
         sql = (
-            f"SELECT vectors.run_id, {columns} "
-            "FROM vectors JOIN "
-            f"(SELECT run_id FROM runs{where}) AS selected "
-            "ON selected.run_id = vectors.run_id "
-            f"WHERE vectors.metric IN ({placeholders}) "
-            "GROUP BY vectors.run_id HAVING COUNT(*) = ? "
-            "ORDER BY vectors.run_id"
+            f"SELECT runs.run_id, {columns} "
+            "FROM runs CROSS JOIN vectors ON vectors.run_id = runs.run_id"
+            f"{_where(clauses)} "
+            "GROUP BY runs.run_id HAVING COUNT(*) = ? "
+            "ORDER BY runs.run_id"
         )
         with self._lock:
             rows = self._conn.execute(
@@ -764,6 +831,10 @@ class SqliteStore(MetricsStore):
             report.records += self.ingest(batch)
             report.batches += 1
         return report
+
+
+def _where(clauses: Sequence[str]) -> str:
+    return (" WHERE " + " AND ".join(clauses)) if clauses else ""
 
 
 @dataclass

@@ -71,10 +71,19 @@ def _block(buf: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
 
 def _var_of_slices(buf: np.ndarray, starts: np.ndarray,
                    sizes: np.ndarray) -> np.ndarray:
-    """``np.var(buf[s:s + n])`` for every (s, n), grouped by length."""
+    """``np.var(buf[s:s + n])`` for every (s, n), grouped by length.
+
+    Spelled as the ufunc sequence ``np.var`` runs on real input (sum,
+    divide, subtract the mean, square in place, sum, divide), which
+    gives its bits without its per-call dispatch."""
     out = np.empty(starts.size)
     for size, group in _grouped(sizes):
-        out[group] = np.var(_block(buf, starts[group], size), axis=1)
+        block = _block(buf, starts[group], size)
+        mean = np.add.reduce(block, axis=1, keepdims=True)
+        np.true_divide(mean, size, out=mean)
+        np.subtract(block, mean, out=block)
+        np.square(block, out=block)
+        out[group] = np.true_divide(np.add.reduce(block, axis=1), size)
     return out
 
 

@@ -184,8 +184,10 @@ def test_summary_follows_one_scope_model():
     assert {("random.random", 17, 5), ("time.time", 18, 22),
             ("datetime.datetime.now", 23, 12),
             ("numpy.random.rand", 24, 13)} <= module_calls
-    # a closure sees its enclosing function's locals
+    # a closure sees its enclosing function's locals, and a def outside
+    # any class belongs to none
     assert functions["closure.inner"].mutations == []
+    assert functions["closure.inner"].cls == ""
     # a nested def starts with the locks held at its def
     [site] = functions["nested_under_lock.inner"].mutations
     assert (site.name, site.locks) == ("probe.core.state",

@@ -70,7 +70,7 @@ def test_summary_captures_locks_mutations_and_boundary():
     launch = summary.functions["launch"]
     assert [(b.method, b.kind) for b in launch.boundary] == \
         [("run_jobs", "rng-name")]
-    assert [ctor for _line, ctor in launch.rng_unseeded] == \
+    assert [ctor for _line, _col, ctor in launch.rng_unseeded] == \
         ["numpy.random.default_rng"]
 
 

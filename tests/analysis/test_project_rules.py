@@ -144,6 +144,45 @@ def test_r009_unguarded_public_caller_of_helper_fires():
     assert "Server.records" in found[0].message
 
 
+def test_r009_closure_inside_a_method_shares_the_class():
+    """A def nested in a method belongs to the method's class: its
+    ``self`` is the method's, so its writes join the class's group and
+    its ``self._m()`` calls resolve to the class's methods."""
+    report = lint_modules("R009", {
+        "src/pkg/server.py": """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.records = []
+                    self.seen = []
+
+                def receive(self, r):
+                    with self._lock:
+                        self.records.append(r)
+                        self._note(r)
+
+                def later(self, r):
+                    def cb():
+                        self.records.append(r)
+                        self._note(r)
+                    return cb
+
+                def _note(self, r):
+                    self.seen.append(r)
+
+            def helper(items):
+                def inner():
+                    items.append(1)
+                return inner
+        """,
+    })
+    found = rule_findings(report, "R009")
+    assert [(f.line, f.message.split("'")[1]) for f in found] == \
+        [(17, "Server.records"), (18, "Server.seen")]
+
+
 def test_r009_suppressed_with_justification():
     report = lint_modules("R009", {
         "src/pkg/state.py": """

@@ -195,6 +195,46 @@ def test_justified_suppression_silences(rule_id):
     assert len(unsuppressed_lines) < len(full.findings)
 
 
+# ---------------------------------------------------------------- R001
+def test_r001_flags_generators_constructed_without_a_seed():
+    report = lint_snippet("R001", """
+        import random
+        import numpy as np
+
+        def draw():
+            rng = np.random.default_rng()
+            return rng.random()
+
+        def shuffled(items):
+            picker = random.Random(None)
+            picker.shuffle(items)
+            return items
+    """)
+    assert [(f.line, f.col, f.message) for f in report.findings] == [
+        (6, 10, "'np.random.default_rng' constructed without a seed draws "
+                "it from OS entropy; pass an explicit seed"),
+        (10, 13, "'random.Random' constructed without a seed draws it "
+                 "from OS entropy; pass an explicit seed"),
+    ]
+
+
+def test_r001_passes_seeded_generator_constructions():
+    report = lint_snippet("R001", """
+        import random
+        import numpy as np
+
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            return rng.random()
+
+        def shuffled(items, seed):
+            picker = random.Random(seed)
+            picker.shuffle(items)
+            return np.random.default_rng(seed=seed).permutation(items)
+    """)
+    assert report.findings == []
+
+
 # ---------------------------------------------------------------- R006
 def make_metrics_project(tmp_path, emit_name, schema_names):
     pkg = tmp_path / "proj"

@@ -7,17 +7,21 @@ its own: the strategy card's module-level ``stop_iteration`` /
 predictors' ``stop_iteration`` / ``evaluate`` methods.  They are kept
 here verbatim.  The predictor classes subclass the live ones, so
 fitting, ``doom_score`` and ``doom_probability`` are the live code and
-only the loops are frozen.  Not a test module — no ``test_`` prefix,
-so pytest does not collect it.
+only the loops are frozen.  :func:`mdp_model` is the strategy-card
+learner's per-state MDP build from before it counted transitions with
+one ``np.add.at``.  Not a test module — no ``test_`` prefix, so pytest
+does not collect it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.bench.corpus import RouterLog
 from repro.core.doomed import hmm_predictor, logistic_baseline
-from repro.core.doomed.card import STOP, StrategyCard
+from repro.core.doomed.card import GO, STOP, StrategyCard
 from repro.core.doomed.evaluate import DoomedEvaluation
 
 
@@ -88,6 +92,56 @@ def make_stop_callback(card: StrategyCard, consecutive: int = 3):
         return stop_iteration(card, history, consecutive) is not None
 
     return callback
+
+
+def mdp_model(learner, logs: Iterable[RouterLog]):
+    """(transitions, rewards, visited) of ``MDPCardLearner``, one state
+    at a time."""
+    n_grid = learner.space.n_states
+    success_state = n_grid
+    fail_state = n_grid + 1
+    stopped_state = n_grid + 2
+    n_states = n_grid + 3
+
+    counts = np.zeros((n_states, n_states))
+    visited = np.zeros(n_grid, dtype=bool)
+    n_logs = 0
+    for log in logs:
+        n_logs += 1
+        states = learner.space.trajectory_states(log.drvs)
+        if not states:
+            continue
+        for s in states:
+            visited[s] = True
+        for a, b in zip(states[:-1], states[1:]):
+            counts[a, b] += 1.0
+        terminal = success_state if log.success else fail_state
+        counts[states[-1], terminal] += 1.0
+    if n_logs == 0:
+        raise ValueError("training corpus is empty")
+
+    transitions = np.zeros((2, n_states, n_states))
+    rewards = np.zeros((2, n_states))
+    row_sums = counts.sum(axis=1)
+    for s in range(n_grid):
+        if row_sums[s] > 0:
+            transitions[GO, s] = counts[s] / row_sums[s]
+        else:
+            transitions[GO, s, s] = 1.0
+        p_succ = transitions[GO, s, success_state]
+        p_fail = transitions[GO, s, fail_state]
+        rewards[GO, s] = (
+            -learner.iteration_cost
+            + p_succ * learner.success_reward
+            - p_fail * learner.fail_penalty
+        )
+    for s in (success_state, fail_state, stopped_state):
+        transitions[GO, s, s] = 1.0
+    transitions[STOP, :, stopped_state] = 1.0
+    for s in (success_state, fail_state, stopped_state):
+        transitions[STOP, s, :] = 0.0
+        transitions[STOP, s, s] = 1.0
+    return transitions, rewards, visited
 
 
 class HMMDoomPredictor(hmm_predictor.HMMDoomPredictor):

@@ -5,14 +5,16 @@ Every predictor family — the MDP strategy card, the HMM and the
 logistic baseline — is fitted once and scored on a held-out corpus at
 k = 1, 2 and 3 consecutive STOPs: the scorer must match field for
 field, every log's stop iteration must match, and ``KillPolicy`` must
-agree with the frozen hook on every prefix of every log.
+agree with the frozen hook on every prefix of every log.  The strategy
+card's MDP (transitions, rewards, visited states) must also match the
+per-state build it replaced, bit for bit.
 """
 
 import functools
 
 import pytest
 
-from repro.bench.corpus import RouterLogCorpus
+from repro.bench.corpus import RouterLog, RouterLogCorpus
 from repro.core.doomed import KillPolicy, MDPCardLearner, evaluate_policy
 from repro.core.doomed.evaluate import stop_iteration
 from tests.core import doomed_reference as ref
@@ -81,3 +83,39 @@ def test_shared_loops_match_frozen_predictor_loops(families, family, consecutive
             assert live(log.drvs[:cut]) == legacy(log.drvs[:cut])
         fired += live(log.drvs)
     assert 0 < fired < len(test)  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("learner", [
+    MDPCardLearner(),
+    MDPCardLearner(iteration_cost=0.3, success_reward=7.5, fail_penalty=1e3),
+])
+def test_mdp_model_matches_the_per_state_build(learner):
+    def shared_state(n_success, n_fail, n_through):
+        """Logs that end in one state (as successes and as failures) or
+        pass through it: its GO row has both outcome columns set, whose
+        rewards then round differently under any other operation order
+        (here for the first two learner settings respectively)."""
+        ending = [800, 400, 300]
+        return ([RouterLog(ending, True, "d", 0.0)] * n_success
+                + [RouterLog(ending, False, "d", 0.0)] * n_fail
+                + [RouterLog([600, 400, 300, 250, 90], True, "d", 0.0)]
+                * n_through)
+
+    corpora = [
+        RouterLogCorpus.artificial(n=250, seed=31),
+        RouterLogCorpus.cpu_floorplans(n=60, seed=32, n_base_maps=3),
+        shared_state(1, 5, 23),
+        shared_state(1, 3, 5),
+        # logs too short to have a state, next to one that has two
+        [RouterLog([], True, "d", 0.0), RouterLog([9], False, "d", 0.0),
+         RouterLog([40, 12, 3], True, "d", 0.0)],
+        [RouterLog([5], True, "d", 0.0)],
+    ]
+    for logs in corpora:
+        live = learner._model(logs)
+        frozen = ref.mdp_model(learner, logs)
+        for a, b in zip(live, frozen):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for model in (learner._model, lambda logs: ref.mdp_model(learner, logs)):
+        with pytest.raises(ValueError):
+            model([])

@@ -3,10 +3,11 @@
 Property-style suite: seeded random record streams (multiple designs,
 campaigns, duplicate metrics, non-finite values) are fed to both
 backends, and every query API — ``runs``/``query``/``run_vector``/
-``series``/``table``/``run_vectors_matrix``/``campaigns`` — must
-answer the same.  The JSONL side is compared in its *reloaded* form
-(write + reload), since that is the persisted contract the warehouse
-must match: non-finite values normalize away on both paths.
+``series``/``trajectories``/``table``/``run_vectors_matrix``/
+``campaigns`` — must answer the same, at every ``since=`` mark too.
+The JSONL side is compared in its *reloaded* form (write + reload),
+since that is the persisted contract the warehouse must match:
+non-finite values normalize away on both paths.
 
 Also covered: torn-line tolerance (JSONL) vs corrupt-row tolerance
 (sqlite), and concurrent multi-process writers landing whole records
@@ -21,7 +22,11 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.metrics import JsonlStore, MetricRecord, SqliteStore
+from repro.bench.corpus import RouterLog
+from repro.core.doomed import router_logs_from_store
+from repro.core.doomed.warehouse import TRAJECTORY_METRIC
+from repro.eda.routing import SUCCESS_DRV_THRESHOLD
+from repro.metrics import JsonlStore, MetricRecord, MetricsServer, SqliteStore
 from repro.metrics.store import stamp_campaign
 
 DESIGNS = ("alpha", "beta")
@@ -65,12 +70,14 @@ def with_legacy_indexes(path):
     conn.close()
 
 
-def records_indexes(path):
-    """Names of the explicit indexes on a warehouse's ``records``."""
+def records_indexes(path, table="records"):
+    """Names of the explicit indexes on a warehouse's ``records`` (or
+    another ``table``)."""
     conn = sqlite3.connect(path)
     rows = conn.execute(
         "SELECT name FROM sqlite_master WHERE type = 'index' "
-        "AND tbl_name = 'records' AND sql IS NOT NULL ORDER BY name").fetchall()
+        "AND tbl_name = ? AND sql IS NOT NULL ORDER BY name",
+        (table,)).fetchall()
     conn.close()
     return [row[0] for row in rows]
 
@@ -181,6 +188,133 @@ def test_run_vectors_matrix_parity(backends):
     for store in backends:
         with pytest.raises(ValueError):
             store.run_vectors_matrix([])
+
+
+def test_since_parity_at_every_mark(backends):
+    """``since=n`` selects the runs first stored after the first ``n``
+    records, on both backends, at every mark of the stream."""
+    jsonl, sqlite = backends
+    assert jsonl.ingest_count == sqlite.ingest_count
+    for mark in range(jsonl.ingest_count + 2):
+        assert jsonl.runs(since=mark) == sqlite.runs(since=mark), mark
+        assert as_tuples(jsonl.query(since=mark)) == \
+            as_tuples(sqlite.query(since=mark)), mark
+
+
+def per_run_trajectories(store, metric, **selection):
+    """A trajectory corpus read the per-run way: each selected run's
+    ``series`` and its first record of the metric."""
+    out = []
+    for run_id in store.runs(**selection):
+        values = store.series(run_id, metric)
+        if values:
+            first = store.query(run_id=run_id, metric=metric)[0]
+            out.append((run_id, first.design, values))
+    return out
+
+
+def per_run_router_logs(store, **selection):
+    """``router_logs_from_store`` as three reads per run."""
+    logs = []
+    for run_id in store.runs(**selection):
+        drvs = [int(v) for v in store.series(run_id, TRAJECTORY_METRIC)]
+        if not drvs:
+            continue
+        vector = store.run_vector(run_id)
+        final = vector.get("droute.final_drvs", drvs[-1])
+        records = store.query(run_id=run_id, metric=TRAJECTORY_METRIC)
+        logs.append(RouterLog(
+            drvs=drvs, success=final < SUCCESS_DRV_THRESHOLD,
+            domain=records[0].design,
+            difficulty=float(vector.get("option.router_effort", 0.0))))
+    return logs
+
+
+def selections(store):
+    half = store.ingest_count // 2
+    return ([{}] + [{"design": d} for d in DESIGNS]
+            + [{"campaign": c} for c in ("c1", "c2")]
+            + [{"since": half}, {"design": DESIGNS[0], "since": half}])
+
+
+def test_trajectories_parity(backends):
+    jsonl, sqlite = backends
+    read = 0
+    for metric in (TRAJECTORY_METRIC, "flow.area"):
+        for selection in selections(jsonl):
+            expected = per_run_trajectories(jsonl, metric, **selection)
+            read += len(expected)
+            for store in backends:
+                got = store.trajectories(metric, **selection)
+                assert [tuple(t) for t in got] == expected, selection
+    assert read
+    for selection in selections(jsonl):
+        expected = per_run_router_logs(jsonl, **selection)
+        for store in backends:
+            assert router_logs_from_store(store, **selection) == expected
+
+
+def trajectory_archive():
+    """Runs of two designs in two campaigns, covering what a trajectory
+    read must keep: reports out of sequence order and tied on it, a run
+    with no trajectory, a run filed under one design whose trajectory
+    is reported under two others (the first in ingest order is not the
+    first in sequence order), and a non-finite report."""
+    def rec(run_id, design, metric, value, sequence, campaign):
+        return stamp_campaign(MetricRecord(
+            design=design, run_id=run_id, tool="spr_flow", metric=metric,
+            value=float(value), sequence=sequence), campaign)
+
+    first = [
+        rec("a1", "alpha", "option.router_effort", 0.7, 0, "c1"),
+        rec("a1", "alpha", TRAJECTORY_METRIC, 900, 1, "c1"),
+        rec("a1", "alpha", TRAJECTORY_METRIC, 40, 3, "c1"),
+        rec("a1", "alpha", TRAJECTORY_METRIC, 300, 2, "c1"),
+        rec("a1", "alpha", TRAJECTORY_METRIC, 250, 2, "c1"),
+        rec("a1", "alpha", "droute.final_drvs", 450, 4, "c1"),
+        rec("a2", "alpha", "flow.area", 12.0, 0, "c1"),
+    ]
+    second = [
+        rec("m1", "alpha", "flow.area", 3.0, 0, "c2"),
+        rec("b1", "beta", TRAJECTORY_METRIC, 80, 0, "c2"),
+        rec("m1", "beta", TRAJECTORY_METRIC, 4000, 2, "c2"),
+        rec("m1", "gamma", TRAJECTORY_METRIC, 5000, 1, "c2"),
+        rec("b1", "beta", TRAJECTORY_METRIC, math.nan, 1, "c2"),
+        rec("b1", "beta", TRAJECTORY_METRIC, 3, 2, "c2"),
+    ]
+    return first, second
+
+
+def test_trajectories_keep_series_order_and_first_design(tmp_path):
+    first, second = trajectory_archive()
+    stores = both_backends(tmp_path, first + second, "traj")
+    mark = len(first)
+    expected = {
+        "a1": ("alpha", [900.0, 300.0, 250.0, 40.0]),
+        "b1": ("beta", [80.0, 3.0]),
+        "m1": ("beta", [5000.0, 4000.0]),
+    }
+    cases = [({}, ["a1", "b1", "m1"]), ({"design": "alpha"}, ["a1", "m1"]),
+             ({"design": "beta"}, ["b1"]), ({"campaign": "c1"}, ["a1"]),
+             ({"since": mark}, ["b1", "m1"]),
+             ({"design": "alpha", "since": mark}, ["m1"])]
+    for store in stores + tuple(MetricsServer(store=s) for s in stores):
+        assert store.runs(design="alpha") == ["a1", "a2", "m1"]
+        for selection, run_ids in cases:
+            got = store.trajectories(TRAJECTORY_METRIC, **selection)
+            assert got == [(r, *expected[r]) for r in run_ids], selection
+            assert [tuple(t) for t in got] == per_run_trajectories(
+                store, TRAJECTORY_METRIC, **selection)
+            assert router_logs_from_store(store, **selection) == \
+                per_run_router_logs(store, **selection)
+        logs = router_logs_from_store(store)
+        assert [(log.drvs, log.success, log.domain, log.difficulty)
+                for log in logs] == [([900, 300, 250, 40], False, "alpha", 0.7),
+                                     ([80, 3], True, "beta", 0.0),
+                                     ([5000, 4000], False, "beta", 0.0)]
+        assert store.trajectories(TRAJECTORY_METRIC, campaign="none") == []
+    for store in stores:
+        store.close()
 
 
 def test_campaigns_parity(backends):

@@ -11,6 +11,8 @@ then train over both campaigns from the single archive.
 import json
 import math
 import multiprocessing
+import re
+import sqlite3
 
 import numpy as np
 import pytest
@@ -227,6 +229,16 @@ RECORDS_INDEXES = ["idx_records_campaign", "idx_records_design",
 def _answers(store):
     """Every query-API answer of a store, in comparable form."""
     out = [store.runs(), store.campaigns()]
+    half = store.ingest_count // 2
+    for selection in ({"design": "alpha"}, {"campaign": "c1"},
+                      {"since": half}):
+        out.append(store.runs(**selection))
+        run_ids, matrix = store.run_vectors_matrix(
+            ["flow.area", "signoff.wns"], **selection)
+        out.append((run_ids, matrix.tolist()))
+        out.append(store.trajectories("droute.drv_trajectory", **selection))
+    out.append([(r.run_id, r.metric, r.value, r.sequence)
+                for r in store.query(since=half)])
     for run_id in store.runs():
         out.append(sorted(store.run_vector(run_id).items()))
         for metric in METRICS:
@@ -270,6 +282,95 @@ def test_old_warehouse_gains_the_run_metric_index(tmp_path):
         assert _answers(upgraded) == _answers(current)
         # the upgraded archive keeps taking records, on the new index set
         more = make_stream(5, n=30)
+        assert upgraded.ingest(more) == current.ingest(more)
+        assert _answers(upgraded) == _answers(current)
+
+
+RUNS_INDEXES = ["idx_runs_campaign", "idx_runs_design",
+                "idx_runs_first_seen"]
+
+
+def _selection_stream():
+    """Four campaigns of six runs over two designs, each run a small
+    flow vector plus a DRV trajectory."""
+    records, sequence = [], 0
+    for c in range(4):
+        for r in range(6):
+            design = ("alpha", "beta")[r % 2]
+            run_id = f"c{c}-{design}-{r}"
+            values = [("flow.area", 10.0 + r), ("signoff.wns", -0.1 * c)]
+            values += [("droute.drv_trajectory", 500.0 - 90 * k)
+                       for k in range(5)]
+            for metric, value in values:
+                records.append(_record(run_id, metric, value, sequence,
+                                       design=design, campaign=f"c{c}"))
+                sequence += 1
+    return records
+
+
+def _plans(store, read):
+    """EXPLAIN QUERY PLAN of every statement ``read`` runs."""
+    traced = []
+    store._conn.set_trace_callback(traced.append)
+    try:
+        read()
+    finally:
+        store._conn.set_trace_callback(None)
+    return [" | ".join(row[-1] for row in store._conn.execute(
+        "EXPLAIN QUERY PLAN " + sql).fetchall()) for sql in traced]
+
+
+def test_selection_reads_start_from_the_runs_indexes(tmp_path):
+    """No design-, campaign- or since-scoped read walks ``records`` or
+    ``vectors`` whole: each selects its runs first and reaches their
+    rows by run id; a design or campaign selects on a ``runs`` index."""
+    with SqliteStore(str(tmp_path / "plans.sqlite")) as store:
+        store.ingest(_selection_stream())
+        for selection in ({"design": "alpha"}, {"campaign": "c2"},
+                          {"since": store.ingest_count // 2}):
+            reads = {
+                "runs": lambda: store.runs(**selection),
+                "run_vectors_matrix": lambda: store.run_vectors_matrix(
+                    ["flow.area", "signoff.wns"], **selection),
+                "table": lambda: store.table(**selection),
+                "trajectories": lambda: store.trajectories(
+                    "droute.drv_trajectory", **selection),
+                "query": lambda: store.query(**selection),
+            }
+            for name, read in reads.items():
+                plans = _plans(store, read)
+                assert plans, name
+                for plan in plans:
+                    assert "SCAN records" not in plan, (name, selection, plan)
+                    assert "SCAN vectors" not in plan, (name, selection, plan)
+                    if "since" not in selection and \
+                            re.search(r"\b(SCAN|SEARCH) runs\b", plan):
+                        assert re.search(
+                            r"SEARCH runs USING (COVERING )?INDEX idx_runs_",
+                            plan), (name, selection, plan)
+                    if name == "query" and "since" in selection:
+                        assert plan.startswith("SEARCH runs USING INDEX "
+                                               "idx_runs_first_seen"), plan
+
+
+def test_old_warehouse_gains_the_runs_indexes(tmp_path):
+    """An archive written before ``runs`` was indexed opens, gains the
+    indexes, and answers every read as before."""
+    stream = make_stream(6)
+    fresh, old = str(tmp_path / "fresh.sqlite"), str(tmp_path / "old.sqlite")
+    for path in (fresh, old):
+        with SqliteStore(path) as store:
+            store.ingest(stream)
+    conn = sqlite3.connect(old)
+    with conn:
+        conn.executescript("".join(f"DROP INDEX {name};"
+                                   for name in RUNS_INDEXES))
+    conn.close()
+    assert records_indexes(old, "runs") == []
+    with SqliteStore(old) as upgraded, SqliteStore(fresh) as current:
+        assert records_indexes(old, "runs") == RUNS_INDEXES
+        assert _answers(upgraded) == _answers(current)
+        more = make_stream(7, n=30)
         assert upgraded.ingest(more) == current.ingest(more)
         assert _answers(upgraded) == _answers(current)
 

@@ -6,6 +6,10 @@
   ``trees._block`` (flat indices into a 1-D buffer) and reduces it in
   one call.  Checked for lengths 1-399, and for the Gini sum of
   ``p * p`` over 1-39 classes.
+- ``np.var`` on real input is the ufunc sequence ``add.reduce`` (with
+  keepdims), ``true_divide`` by the count, ``subtract``, ``square`` in
+  place, ``add.reduce``, ``true_divide``: ``trees._var_of_slices``
+  spells it out, and gives ``np.var``'s bits for lengths 1-399.
 - A segmented ``np.lexsort((values, segment))`` orders every segment as
   its own 1-D stable argsort would, with ties, -0.0, +-inf and NaN.
 - The counterexample the builder avoids: a block gathered along axis 1
@@ -51,6 +55,18 @@ def test_var_of_slices_mixes_lengths_without_moving_bits():
     starts = rng.integers(0, 600 - sizes)
     expected = np.array([np.var(buf[s:s + n]) for s, n in zip(starts, sizes)])
     assert _var_of_slices(buf, starts, sizes).tobytes() == expected.tobytes()
+
+
+def test_var_ufunc_sequence_equals_np_var():
+    rng = np.random.default_rng(5)
+    for length in range(1, 400):
+        rows = 6
+        buf = _scaled_rows(rng, rows, length).ravel()
+        starts = np.arange(rows) * length
+        sizes = np.full(rows, length)
+        expected = np.var(_block(buf, starts, length), axis=1)
+        assert _var_of_slices(buf, starts, sizes).tobytes() == \
+            expected.tobytes(), length
 
 
 def test_gini_sum_over_classes_equals_the_1d_call():
