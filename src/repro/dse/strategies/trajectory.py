@@ -97,8 +97,7 @@ class TrajectoryStrategy(Strategy):
                                      if scored[0][2] is not None else scored[0][0])
             result.trace.append(result.best_score)
             if ctx.surrogate is not None:
-                ctx.surrogate.maybe_fit(server=ctx.server,
-                                        objective_name=objective.name)
+                ctx.surrogate.maybe_fit(server=ctx.server, objective=objective)
             # winners survive; losers are replaced by perturbed winners
             n_survive = max(1, int(n_concurrent * survivor_fraction))
             survivors = [t for _, t, _ in scored[:n_survive]]

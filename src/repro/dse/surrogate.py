@@ -5,9 +5,11 @@ or GBM regressor mapping option settings to the objective's ranking
 key, then biases candidate generation: instead of one blind
 perturbation per refill slot, several are drawn and the model's argmax
 is kept.  Training rows come from the campaign's METRICS run vectors
-when a :class:`~repro.metrics.MetricsServer` is collecting (the
-schema'd ``option.*``/``flow.*`` metrics), else from the in-memory
-observations the strategy feeds it.
+when a :class:`~repro.metrics.MetricsServer` is collecting (each run's
+reported options against ``objective.key`` of its
+:class:`~repro.metrics.wrappers.RunVectorView`, the definition live
+results are ranked by), else from the in-memory observations the
+strategy feeds it.
 
 The proposer is deterministic: models are seeded, candidate draws come
 from the campaign rng, and ties break on the first candidate — but a
@@ -21,48 +23,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.dse.objective import resolve_objective
+from repro.metrics.wrappers import OPTION_METRICS, RunVectorView
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
-
-#: (metric name in a run vector, FlowOptions field) — the feature basis
-FEATURE_METRICS = (
-    ("flow.target_ghz", "target_clock_ghz"),
-    ("option.synth_effort", "synth_effort"),
-    ("option.utilization", "utilization"),
-    ("option.cts_effort", "cts_effort"),
-    ("option.router_effort", "router_effort"),
-    ("option.opt_guardband", "opt_guardband"),
-)
-
-
-def _vector_key(vector: Dict[str, float], objective_name: str) -> Optional[float]:
-    """A run vector's higher-is-better objective key, or None when the
-    vector cannot express this objective (then the proposer falls back
-    to its in-memory observations)."""
-    success = vector.get("flow.success", 0.0) > 0.5
-    if objective_name == "score":
-        area = vector.get("flow.area")
-        ghz = vector.get("flow.achieved_ghz")
-        if area is None or ghz is None:
-            return None
-        if success:
-            return ghz * 1000.0 / max(1.0, area)
-        wns = vector.get("signoff.wns", 0.0)
-        drvs = vector.get("droute.final_drvs", 0.0)
-        return -(min(1.0, -min(0.0, wns) / 1000.0) + min(1.0, drvs / 10000.0))
-    if not success:
-        return None  # constrained objectives train on successful runs only
-    if objective_name == "area":
-        area = vector.get("flow.area")
-        return None if area is None else -area
-    if objective_name == "power":
-        power = vector.get("signoff.power")
-        return None if power is None else -power
-    if objective_name == "wns":
-        return vector.get("signoff.wns")
-    if objective_name == "frequency":
-        return vector.get("flow.achieved_ghz")
-    return None
 
 
 class SurrogateProposer:
@@ -92,7 +56,7 @@ class SurrogateProposer:
     def point_features(self, space, point: Dict[str, object]) -> List[float]:
         """A search-space point in the fixed option-metric basis."""
         options = space.to_flow_options(point)
-        return [float(getattr(options, attr)) for _, attr in FEATURE_METRICS]
+        return [float(getattr(options, attr)) for _, attr in OPTION_METRICS]
 
     # ------------------------------------------------------------ training
     def observe(self, features: Sequence[float], key: float) -> None:
@@ -101,43 +65,45 @@ class SurrogateProposer:
             self._X.append([float(f) for f in features])
             self._y.append(float(key))
 
-    def _server_rows(self, server, objective_name: str, design=None,
-                     campaign=None, since=None):
-        kwargs = {}
-        if campaign is not None:
-            kwargs["campaign"] = campaign
-        if since is not None:
-            kwargs["since"] = since
+    def _server_rows(self, server, objective, design=None, campaign=None,
+                     since=None):
+        """(features, key) rows of the collected runs that report every
+        option and can express the objective: ``objective.key`` of the
+        run vector's :class:`~repro.metrics.wrappers.RunVectorView`,
+        the definition a live result is ranked by."""
+        objective = resolve_objective(objective)
         X, y = [], []
-        for run_id in server.runs(design, **kwargs):
+        for run_id in server.runs(design, campaign=campaign, since=since):
             vector = server.run_vector(run_id)
-            if any(metric not in vector for metric, _ in FEATURE_METRICS):
+            if any(metric not in vector for metric, _ in OPTION_METRICS):
                 continue
-            key = _vector_key(vector, objective_name)
-            if key is None or not np.isfinite(key):
+            try:
+                key = objective.key(RunVectorView(vector))
+            except KeyError:
+                continue  # the vector lacks a field the objective reads
+            if not np.isfinite(key):
                 continue
-            X.append([float(vector[metric]) for metric, _ in FEATURE_METRICS])
+            X.append([float(vector[metric]) for metric, _ in OPTION_METRICS])
             y.append(float(key))
         return X, y
 
-    def maybe_fit(self, server=None, objective_name: str = "score",
-                  design=None) -> bool:
+    def maybe_fit(self, server=None, objective="score", design=None) -> bool:
         """(Re)fit when enough new rows exist; returns True on a fit."""
         if server is not None:
-            X, y = self._server_rows(server, objective_name, design)
+            X, y = self._server_rows(server, objective, design)
             if len(X) < self.min_fit:
                 X, y = self._X, self._y
         else:
             X, y = self._X, self._y
         return self._fit_rows_if_fresh(X, y)
 
-    def fit_from_store(self, store, objective_name: str = "score",
-                       design=None, campaign=None, since=None) -> bool:
+    def fit_from_store(self, store, objective="score", design=None,
+                       campaign=None, since=None) -> bool:
         """Train on the full archive of a metrics store (all campaigns
         by default, or one design/campaign/since slice); returns True
         when a model was fitted.  Unlike :meth:`maybe_fit` there is no
         in-memory fallback — the warehouse is the corpus."""
-        X, y = self._server_rows(store, objective_name, design,
+        X, y = self._server_rows(store, objective, design,
                                  campaign=campaign, since=since)
         if len(X) < self.min_fit:
             return False

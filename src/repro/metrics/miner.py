@@ -16,20 +16,11 @@ import numpy as np
 
 from repro.metrics.server import MetricsServer
 from repro.metrics.store import dense_table
+from repro.metrics.wrappers import OPTION_METRICS
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import RidgeRegression
 from repro.ml.metrics import r2_score
 from repro.ml.scaling import StandardScaler
-
-#: metrics that are *settings* (inputs), not outcomes
-OPTION_METRICS = (
-    "option.synth_effort",
-    "option.utilization",
-    "option.cts_effort",
-    "option.router_effort",
-    "option.opt_guardband",
-    "flow.target_ghz",
-)
 
 #: metrics describing the design itself (usable as predictor features)
 DESIGN_METRICS = ("synth.instances", "synth.depth", "synth.area")
@@ -99,7 +90,7 @@ class DataMiner:
             raise KeyError(f"objective {objective!r} not collected")
         y = matrix[:, index[objective]]
         out = {}
-        for option in OPTION_METRICS:
+        for option, _ in OPTION_METRICS:
             if option not in index:
                 continue
             x = matrix[:, index[option]]
@@ -126,7 +117,7 @@ class DataMiner:
         ranges.  ``require_success`` also fits a success model and
         rejects candidates predicted to fail."""
         run_ids, names, matrix, index = self._table(design, campaign)
-        present = [o for o in OPTION_METRICS if o in index]
+        present = [o for o, _ in OPTION_METRICS if o in index]
         if not present:
             raise ValueError("no option metrics collected")
         if objective not in index:
@@ -183,7 +174,7 @@ class DataMiner:
         if z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
         run_ids, names, matrix, index = self._table(design, campaign)
-        present = [o for o in OPTION_METRICS if o in index]
+        present = [o for o, _ in OPTION_METRICS if o in index]
         if objective not in index or len(present) < 1:
             raise ValueError("server lacks the metrics needed for anomaly analysis")
         if len(run_ids) < 8:

@@ -18,11 +18,12 @@ vector.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.core.parallel.cache import cache_key
 from repro.eda.flow import FlowOptions, FlowResult, SPRFlow
 from repro.eda.netlist import Netlist
+from repro.eda.routing import SUCCESS_DRV_THRESHOLD
 from repro.eda.synthesis import DesignSpec
 from repro.metrics.schema import (
     DSE_CAMPAIGN_METRICS,
@@ -57,13 +58,18 @@ _STEP_METRICS = {
     ("signoff", "ir_drop"): "signoff.ir_drop",
 }
 
-_OPTION_METRICS = {
-    "synth_effort": "option.synth_effort",
-    "utilization": "option.utilization",
-    "cts_effort": "option.cts_effort",
-    "router_effort": "option.router_effort",
-    "opt_guardband": "option.opt_guardband",
-}
+#: (vocabulary name, FlowOptions field) of every option a flow run
+#: reports, in the miner's feature-column order: the one table the
+#: reporter, the miner, the DSE surrogate and the ``miner`` strategy
+#: map settings through
+OPTION_METRICS = (
+    ("option.synth_effort", "synth_effort"),
+    ("option.utilization", "utilization"),
+    ("option.cts_effort", "cts_effort"),
+    ("option.router_effort", "router_effort"),
+    ("option.opt_guardband", "opt_guardband"),
+    ("flow.target_ghz", "target_clock_ghz"),
+)
 
 
 def make_run_id(design: Union[DesignSpec, Netlist], options: FlowOptions,
@@ -128,8 +134,77 @@ def report_flow_metrics(tx: Transmitter, result: FlowResult) -> None:
             tx.send(name, value)
     tx.send("flow.success", float(result.success))
     tx.send("flow.target_ghz", result.options.target_clock_ghz)
-    for attr, vocab_name in _OPTION_METRICS.items():
-        tx.send(vocab_name, float(getattr(result.options, attr)))
+    for vocab_name, attr in OPTION_METRICS:
+        if vocab_name.startswith("option."):
+            tx.send(vocab_name, float(getattr(result.options, attr)))
+
+
+class RunVectorView:
+    """A run vector read under :class:`~repro.eda.flow.FlowResult`'s
+    QoR names: the inverse of :func:`report_flow_metrics`.
+
+    An objective (:mod:`repro.dse.objective`) reads a live result and
+    a collected run alike through this view, so a run gets the same
+    score whether it is ranked in a campaign, trained on by the DSE
+    surrogate or mined from the warehouse.  Reading a field the vector
+    lacks raises ``KeyError``.  ``wns`` reads ``inf`` when the vector
+    has no ``signoff.wns``: that is the "no endpoints" sentinel the
+    reporter drops.
+
+    ``routed`` is derived: a run that met timing but did not succeed
+    did not route, and a run that missed timing routed when it ended
+    under the DRV threshold and was not killed (``exec.killed.run``,
+    which only a collecting executor records).  Known blind spot: a
+    run stopped at the router's last iteration saves nothing, so the
+    executor does not count it as a kill; if its DRVs are under the
+    threshold, the view calls it routed while the result does not.
+    """
+
+    __slots__ = ("_vector",)
+
+    def __init__(self, vector: Dict[str, float]):
+        self._vector = vector
+
+    def _read(self, metric: str) -> float:
+        try:
+            return float(self._vector[metric])
+        except KeyError:
+            raise KeyError(f"{metric} not collected") from None
+
+    @property
+    def area(self) -> float:
+        return self._read("flow.area")
+
+    @property
+    def power(self) -> float:
+        return self._read("signoff.power")
+
+    @property
+    def achieved_ghz(self) -> float:
+        return self._read("flow.achieved_ghz")
+
+    @property
+    def final_drvs(self) -> float:
+        return self._read("droute.final_drvs")
+
+    @property
+    def success(self) -> bool:
+        return self._read("flow.success") > 0.5
+
+    @property
+    def wns(self) -> float:
+        return float(self._vector.get("signoff.wns", math.inf))
+
+    @property
+    def timing_met(self) -> bool:
+        return self.wns >= 0.0
+
+    @property
+    def routed(self) -> bool:
+        return self.success or (
+            not self.timing_met
+            and self.final_drvs < SUCCESS_DRV_THRESHOLD
+            and self._vector.get("exec.killed.run", 0.0) != 1.0)
 
 
 class InstrumentedFlow:
@@ -160,7 +235,8 @@ class InstrumentedFlow:
 def coverage() -> float:
     """Fraction of the vocabulary the instrumentation exercises (flow
     wrappers plus the executor's per-job event records)."""
-    produced = set(_STEP_METRICS.values()) | set(_OPTION_METRICS.values())
+    produced = set(_STEP_METRICS.values())
+    produced |= {vocab_name for vocab_name, _ in OPTION_METRICS}
     produced |= {
         "opt.sizing_ops", "flow.area", "flow.achieved_ghz", "flow.runtime",
         "flow.success", "flow.target_ghz", "droute.drv_trajectory",

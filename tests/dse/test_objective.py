@@ -90,3 +90,63 @@ def test_resolve_objective_forms():
         resolve_objective("beauty")
     with pytest.raises(TypeError):
         resolve_objective(42)
+
+
+# ------------------------------------------- one definition: result and row
+@pytest.fixture(scope="module")
+def collected_outcomes(mcu_spec, mdp_policy):
+    """MCU runs of all four outcome kinds, each with the run vector a
+    collecting executor stored for it: a frequency sweep (successful
+    and routed-but-late runs), a short router leash at utilization 0.9
+    (unrouted) and the MDP card on a 40-iteration cap at 0.85 (killed)."""
+    from repro.core.parallel import FlowExecutor, FlowJob
+    from repro.metrics import MetricsCollector, MetricsServer, make_run_id
+
+    batches = [
+        ([FlowOptions(target_clock_ghz=ghz) for ghz in (0.7, 0.9, 1.2)], None),
+        ([FlowOptions(utilization=0.9, router_max_iterations=cap)
+          for cap in (3, 6)], None),
+        ([FlowOptions(utilization=0.85, router_max_iterations=40,
+                      target_clock_ghz=ghz) for ghz in (0.7, 1.0)], mdp_policy),
+    ]
+    server = MetricsServer()
+    outcomes = []
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None,
+                          collector=collector) as executor:
+            for options_list, kill in batches:
+                jobs = [FlowJob(mcu_spec, options, seed)
+                        for options in options_list for seed in (0, 1)]
+                runs = executor.run_jobs(jobs, stop_callback=kill)
+                outcomes += [(run, make_run_id(mcu_spec, job.options, job.seed))
+                             for job, run in zip(jobs, runs)]
+    return [(run, server.run_vector(run_id)) for run, run_id in outcomes]
+
+
+def test_every_objective_reads_a_result_and_its_run_vector_alike(
+        collected_outcomes):
+    from repro.metrics.wrappers import RunVectorView
+
+    kinds = set()
+    for run, vector in collected_outcomes:
+        killed = vector["exec.killed.run"] == 1.0
+        kinds.add("killed" if killed else "success" if run.success
+                  else "late" if run.routed else "unrouted")
+        view = RunVectorView(vector)
+        for name, make in OBJECTIVES.items():
+            objective = make()
+            assert objective.key(view) == objective.key(run), (name, vector)
+            assert objective.value(view) == objective.value(run), (name, vector)
+    assert kinds == {"success", "late", "unrouted", "killed"}
+
+
+def test_run_vector_view_raises_on_a_missing_field():
+    from repro.metrics.wrappers import RunVectorView
+
+    view = RunVectorView({"flow.area": 120.0, "flow.success": 0.0})
+    assert view.area == 120.0 and not view.success
+    assert view.wns == math.inf and view.timing_met  # the dropped sentinel
+    with pytest.raises(KeyError, match="signoff.power"):
+        OBJECTIVES["power"]().value(view)
+    with pytest.raises(KeyError, match="droute.final_drvs"):
+        OBJECTIVES["score"]().key(view)

@@ -342,7 +342,7 @@ def campaign_archive(with_other_runs=True):
     ``with_other_runs``, the two other runs a campaign files under the
     same design: its ``dse-explorer-1`` summary and a job that failed
     before reporting any flow metric."""
-    from repro.metrics.miner import OPTION_METRICS
+    from repro.metrics.wrappers import OPTION_METRICS
 
     rng = np.random.default_rng(3)
     records = []
@@ -356,7 +356,7 @@ def campaign_archive(with_other_runs=True):
     for i in range(10):
         options = rng.uniform(0.2, 0.9, size=len(OPTION_METRICS))
         emit(f"alpha-f{i}", "spr_flow",
-             list(zip(OPTION_METRICS, options))
+             [(name, value) for (name, _), value in zip(OPTION_METRICS, options)]
              + [("flow.area", 100.0 + 50.0 * options[1] + rng.normal()),
                 ("flow.success", float(i % 3 != 0))])
         emit(f"alpha-f{i}", "flow_executor",
