@@ -8,32 +8,40 @@ clock frequency for given designs."  Plus the METRICS-2.0 upgrade: the
 miner's guidance is fed back and applied mid-campaign without a human.
 """
 
-import numpy as np
 from conftest import print_header
 
 from repro.bench import pulpino_profile
-from repro.eda.flow import FlowOptions
-from repro.metrics import (
-    AdaptiveFlowSession,
-    DataMiner,
-    InstrumentedFlow,
-    MetricsServer,
-)
+from repro.core.parallel import FlowExecutor
+from repro.dse import DSEEngine
+from repro.eda.flow import FlowOptions, FlowResult
+from repro.metrics import DataMiner, MetricsCollector, MetricsServer
+
+N_SEED = 10
+
+
+def _best_area(runs):
+    return min((r.area for r in runs if isinstance(r, FlowResult) and r.success),
+               default=float("inf"))
 
 
 def test_fig11_metrics_system(benchmark):
     spec = pulpino_profile(scale=0.5)
-    session = AdaptiveFlowSession(spec=spec, objective="flow.area", seed=13)
-
-    best = benchmark.pedantic(
-        session.run_campaign,
-        kwargs={"n_seed": 10, "n_adaptive": 5,
-                "base_options": FlowOptions(target_clock_ghz=0.7)},
-        rounds=1, iterations=1,
-    )
+    server = MetricsServer()
+    with MetricsCollector(server, cross_process=False) as collector:
+        with FlowExecutor(n_workers=1, cache=None,
+                          collector=collector) as executor:
+            engine = DSEEngine(
+                strategy="miner", objective="area", executor=executor,
+                params={"n_seed": N_SEED, "n_adaptive": 5,
+                        "base_options": FlowOptions(target_clock_ghz=0.7)},
+            )
+            campaign = benchmark.pedantic(
+                engine.run, args=(spec,), kwargs={"seed": 13},
+                rounds=1, iterations=1,
+            )
+    best = campaign.best_result
 
     print_header("Figure 11 / Sec 4: METRICS collection, mining, feedback")
-    server = session.server
     print(f"records collected: {len(server)} over {len(server.runs())} runs")
 
     miner = DataMiner(server, seed=0)
@@ -42,7 +50,7 @@ def test_fig11_metrics_system(benchmark):
     for option, value in sens.items():
         print(f"  {option:<24} {value:.2f}")
 
-    rec = miner.recommend_options("flow.area", design=spec.name)
+    rec = miner.recommend_options("area", design=spec.name)
     print(f"\nrecommended settings (model R^2 {rec.model_r2:.2f}):")
     for option, value in rec.options.items():
         print(f"  {option:<24} {value:.3f}")
@@ -57,21 +65,16 @@ def test_fig11_metrics_system(benchmark):
     freq = miner.prescribe_frequency(features)
     print(f"\nprescribed achievable frequency for this design: {freq:.3f} GHz")
 
-    seed_best = min(
-        (r.area for r in session.history[: session.n_seed_runs] if r.success),
-        default=float("inf"),
-    )
-    adaptive_best = min(
-        (r.area for r in session.history[session.n_seed_runs :] if r.success),
-        default=float("inf"),
-    )
+    seed_best = _best_area(campaign.records[:N_SEED])
+    adaptive_best = _best_area(campaign.records[N_SEED:])
+    ratio = adaptive_best / seed_best
     print(f"\nbest successful area: seed phase {seed_best:.1f} -> "
           f"adaptive phase {adaptive_best:.1f} "
-          f"(improvement ratio {session.improvement():.3f})")
+          f"(improvement ratio {ratio:.3f})")
 
     # shape targets
     assert len(server) > 300  # rich collection
     assert sens  # sensitivity analysis produced a ranking
     assert 0.2 < freq < 3.0  # a sane prescription
     assert best.area > 0
-    assert session.improvement() <= 1.1  # feedback does not hurt, usually helps
+    assert ratio <= 1.1  # feedback does not hurt, usually helps

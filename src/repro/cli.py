@@ -41,6 +41,10 @@ import math
 import sys
 from typing import List, Optional
 
+#: the campaign objectives (``repro.dse.objective.OBJECTIVES``), which
+#: ``dse --objective`` optimizes and ``metrics summary --recommend`` mines
+_OBJECTIVES = ["score", "area", "power", "wns", "frequency", "pareto"]
+
 
 def _cmd_flow(args) -> int:
     from repro.bench.generators import design_profile
@@ -606,9 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["explorer", "bandit", "sweep", "gwtw",
                               "independent", "multistart", "random"],
                      help="registered search strategy to run")
-    dse.add_argument("--objective", default="score",
-                     choices=["score", "area", "power", "wns",
-                              "frequency", "pareto"],
+    dse.add_argument("--objective", default="score", choices=_OBJECTIVES,
                      help="objective the campaign optimizes")
     dse.add_argument("--rounds", type=int, default=4,
                      help="search rounds (explorer) / iterations (bandit)")
@@ -663,8 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to one design")
     summary.add_argument("--campaign", default=None,
                          help="restrict to one campaign id")
-    summary.add_argument("--recommend", default=None, metavar="OBJECTIVE",
-                         help="also mine an option recommendation for this objective")
+    summary.add_argument("--recommend", default=None, choices=_OBJECTIVES,
+                         metavar="OBJECTIVE",
+                         help="also mine the option settings predicted best for "
+                              "this campaign objective (minimizing area and "
+                              "power, maximizing the others): "
+                              + ", ".join(_OBJECTIVES))
     summary.set_defaults(func=_cmd_metrics_summary)
 
     ingest = metrics_sub.add_parser(

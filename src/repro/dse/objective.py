@@ -6,6 +6,11 @@ raw objective in its natural units (area stays area, whatever the
 direction).  The built-in ``"score"`` objective is
 :func:`~repro.core.orchestration.explorer.default_score`, the flow
 score the trajectory campaigns of paper Fig 5 rank by.
+
+This is the one definition of every objective: a collected METRICS run
+vector is scored through :class:`~repro.metrics.wrappers.RunVectorView`,
+which reads it under :class:`FlowResult`'s names, so the DSE surrogate's
+training rows and the data miner's target agree with the live ranking.
 """
 
 from __future__ import annotations
@@ -64,8 +69,11 @@ class ParetoObjective:
 
     Ranking scalarizes with ``weights`` (candidate generation needs a
     total order), while :meth:`update_front` maintains the actual
-    non-dominated set, reported in ``DSEResult.pareto``.
+    non-dominated set, reported in ``DSEResult.pareto``.  The value is
+    the scalarized key, so its ``direction`` is ``"max"``.
     """
+
+    direction = "max"
 
     objectives: Tuple[Objective, ...]
     weights: Tuple[float, ...] = ()

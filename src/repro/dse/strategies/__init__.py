@@ -1,5 +1,5 @@
 """The built-in strategy pack: importing this package registers the
-four historical searchers and the declarative sweep with the registry
-(:mod:`repro.dse.registry`)."""
+four historical searchers, the declarative sweep and the METRICS
+closed loop with the registry (:mod:`repro.dse.registry`)."""
 
-from repro.dse.strategies import bandit, landscape, sweep, trajectory  # noqa: F401
+from repro.dse.strategies import bandit, landscape, miner, sweep, trajectory  # noqa: F401

@@ -6,7 +6,8 @@ central server, and mined it for predictions and flow guidance.  This
 package reimplements that architecture on the substrate, including the
 paper's "looking back" upgrades: a common vocabulary, direct tool API
 instrumentation (not just wrapper scripts), and a feedback path that
-adapts flow parameters mid-stream without human intervention.
+adapts flow parameters mid-stream without human intervention (the
+``miner`` strategy of :mod:`repro.dse`).
 
 Components (Fig 11): tool wrappers / API transmitters -> XML-encoded
 records -> the METRICS server -> the data miner -> predictions fed back
@@ -32,7 +33,6 @@ from repro.metrics.server import MetricsServer
 from repro.metrics.wrappers import InstrumentedFlow, make_run_id, report_flow_metrics
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.miner import DataMiner, OptionRecommendation
-from repro.metrics.feedback import AdaptiveFlowSession
 
 __all__ = [
     "EXECUTOR_EVENT_METRICS",
@@ -53,5 +53,4 @@ __all__ = [
     "report_flow_metrics",
     "DataMiner",
     "OptionRecommendation",
-    "AdaptiveFlowSession",
 ]

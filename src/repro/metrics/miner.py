@@ -14,9 +14,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.dse.objective import resolve_objective
 from repro.metrics.server import MetricsServer
 from repro.metrics.store import dense_table
-from repro.metrics.wrappers import OPTION_METRICS
+from repro.metrics.wrappers import OPTION_METRICS, RunVectorView
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import RidgeRegression
 from repro.ml.metrics import r2_score
@@ -31,6 +32,13 @@ DESIGN_METRICS = ("synth.instances", "synth.depth", "synth.area")
 #: operations (``warehouse.*``) and jobs that failed before reporting
 #: (``exec.*`` only) never do
 FLOW_RUN_METRIC = "flow.target_ghz"
+
+#: flow runs a learned answer (recommendation, anomalies) needs
+MIN_MINED_RUNS = 8
+
+#: uniform candidate settings the recommendation searches, besides the
+#: observed ones
+_N_CANDIDATES = 400
 
 
 @dataclass
@@ -75,7 +83,7 @@ class DataMiner:
             raise ValueError("no flow runs collected")
         names, matrix = dense_table(vectors)
         index = {name: i for i, name in enumerate(names)}
-        return run_ids, names, matrix, index
+        return run_ids, vectors, matrix, index
 
     def sensitivity(
         self, objective: str = "flow.area", design: Optional[str] = None,
@@ -85,7 +93,7 @@ class DataMiner:
 
         The simple screen the original METRICS ran: which knobs move
         this design's QoR at all?"""
-        _, names, matrix, index = self._table(design, campaign)
+        _, _, matrix, index = self._table(design, campaign)
         if objective not in index:
             raise KeyError(f"objective {objective!r} not collected")
         y = matrix[:, index[objective]]
@@ -103,35 +111,42 @@ class DataMiner:
     # ------------------------------------------------------------------
     def recommend_options(
         self,
-        objective: str = "flow.area",
-        minimize: bool = True,
+        objective="area",
         design: Optional[str] = None,
-        require_success: bool = True,
-        n_candidates: int = 400,
         campaign: Optional[str] = None,
     ) -> OptionRecommendation:
-        """Best option settings for an objective, from a learned model.
+        """Best option settings for an engine objective (a name of
+        :data:`~repro.dse.objective.OBJECTIVES` or an instance), from a
+        learned model.
 
-        Fits a random forest (options -> objective) on collected runs,
-        then searches candidate settings drawn from the observed option
-        ranges.  ``require_success`` also fits a success model and
-        rejects candidates predicted to fail."""
-        run_ids, names, matrix, index = self._table(design, campaign)
+        Fits a random forest (options -> ``objective.value``) on every
+        collected flow run, failed runs included, each read through its
+        :class:`~repro.metrics.wrappers.RunVectorView`; a second forest
+        on ``flow.success`` rejects candidates predicted to fail.  The
+        search keeps the predicted minimum of a ``"min"`` objective and
+        the maximum of a ``"max"`` one, over candidate settings drawn
+        from the observed option ranges plus the observed settings."""
+        objective = resolve_objective(objective)
+        run_ids, vectors, matrix, index = self._table(design, campaign)
         present = [o for o, _ in OPTION_METRICS if o in index]
         if not present:
             raise ValueError("no option metrics collected")
-        if objective not in index:
-            raise KeyError(f"objective {objective!r} not collected")
-        if len(run_ids) < 8:
-            raise ValueError("need at least 8 runs to mine recommendations")
+        try:
+            y = np.array([objective.value(RunVectorView(v)) for v in vectors])
+        except KeyError:
+            raise KeyError(f"objective {objective.name!r} not collected") from None
+        if not np.isfinite(y).all():
+            raise ValueError(f"objective {objective.name!r} is not finite on every run")
+        if len(run_ids) < MIN_MINED_RUNS:
+            raise ValueError(
+                f"need at least {MIN_MINED_RUNS} runs to mine recommendations")
         X = matrix[:, [index[o] for o in present]]
-        y = matrix[:, index[objective]]
         model = RandomForestRegressor(n_estimators=40, max_depth=6, random_state=self.seed)
         model.fit(X, y)
         r2 = r2_score(y, model.predict(X))
 
         success_model = None
-        if require_success and "flow.success" in index:
+        if "flow.success" in index:
             s = matrix[:, index["flow.success"]]
             if 0.0 < s.mean() < 1.0:
                 success_model = RandomForestRegressor(
@@ -141,10 +156,11 @@ class DataMiner:
 
         rng = np.random.default_rng(self.seed)
         lo, hi = X.min(axis=0), X.max(axis=0)
-        candidates = rng.uniform(lo, hi, size=(n_candidates, X.shape[1]))
+        candidates = rng.uniform(lo, hi, size=(_N_CANDIDATES, X.shape[1]))
         # include the observed settings themselves
         candidates = np.vstack([candidates, X])
         pred = model.predict(candidates)
+        minimize = objective.direction == "min"
         if success_model is not None:
             ok = success_model.predict(candidates) >= 0.5
             if ok.any():
@@ -173,12 +189,12 @@ class DataMiner:
         """
         if z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
-        run_ids, names, matrix, index = self._table(design, campaign)
+        run_ids, _, matrix, index = self._table(design, campaign)
         present = [o for o, _ in OPTION_METRICS if o in index]
         if objective not in index or len(present) < 1:
             raise ValueError("server lacks the metrics needed for anomaly analysis")
-        if len(run_ids) < 8:
-            raise ValueError("need at least 8 runs")
+        if len(run_ids) < MIN_MINED_RUNS:
+            raise ValueError(f"need at least {MIN_MINED_RUNS} runs")
         X = matrix[:, [index[o] for o in present]]
         y = matrix[:, index[objective]]
         model = RandomForestRegressor(n_estimators=40, max_depth=6, random_state=self.seed)
@@ -208,7 +224,7 @@ class DataMiner:
         distribution."""
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
-        _, names, matrix, index = self._table(None)
+        _, _, matrix, index = self._table(None)
         needed = [m for m in DESIGN_METRICS if m in index]
         if len(needed) < 2 or "flow.achieved_ghz" not in index:
             raise ValueError("server lacks the metrics needed for prescription")

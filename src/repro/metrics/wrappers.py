@@ -210,9 +210,9 @@ class RunVectorView:
 class InstrumentedFlow:
     """An SP&R flow whose every run reports into a METRICS server."""
 
-    def __init__(self, server: MetricsServer, stop_callback=None):
+    def __init__(self, server: MetricsServer):
         self.server = server
-        self.flow = SPRFlow(stop_callback=stop_callback)
+        self.flow = SPRFlow()
 
     def run(
         self,

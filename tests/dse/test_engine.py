@@ -23,7 +23,7 @@ def test_builtin_strategies_are_registered():
     load_builtin_strategies()
     names = available_strategies()
     assert {"explorer", "bandit", "sweep", "gwtw", "independent",
-            "multistart", "random"} <= set(names)
+            "multistart", "random", "miner"} <= set(names)
     assert names == sorted(names)
 
 

@@ -80,7 +80,7 @@ def test_metrics_loop_on_flow(tiny_spec):
             utilization=float(rng.uniform(0.55, 0.85)),
         )
         flow.run(tiny_spec, options, seed=i)
-    rec = DataMiner(server, seed=0).recommend_options("flow.area")
+    rec = DataMiner(server, seed=0).recommend_options("area")
     # materialize the recommendation and run it
     materialized = FlowOptions(
         target_clock_ghz=float(np.clip(rec.options.get("flow.target_ghz", 0.8), 0.1, 2.0)),

@@ -415,7 +415,7 @@ def test_collector_end_to_end_two_workers(small_spec):
         for event in EXECUTOR_EVENT_METRICS:
             assert event in vec
     rec = DataMiner(server, seed=0).recommend_options(
-        "flow.area", design=small_spec.name
+        "area", design=small_spec.name
     )
     assert np.isfinite(rec.predicted_objective)
 

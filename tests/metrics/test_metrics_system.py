@@ -1,11 +1,13 @@
-"""METRICS 2.0: schema, transmission, server, miner, feedback."""
+"""METRICS 2.0: schema, transmission, server, miner.
+
+The feedback loop is the ``miner`` DSE strategy (``tests/dse/test_miner.py``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.eda.flow import FlowOptions
 from repro.metrics import (
-    AdaptiveFlowSession,
     DataMiner,
     InstrumentedFlow,
     MetricRecord,
@@ -257,7 +259,7 @@ def test_miner_sensitivity(mined_server):
 
 
 def test_miner_recommends_options(mined_server):
-    rec = DataMiner(mined_server, seed=0).recommend_options("flow.area")
+    rec = DataMiner(mined_server, seed=0).recommend_options("area")
     assert rec.options
     assert np.isfinite(rec.predicted_objective)
     assert -1.0 <= rec.model_r2 <= 1.0
@@ -282,73 +284,3 @@ def test_miner_needs_enough_runs(small_spec):
     InstrumentedFlow(server).run(small_spec, FlowOptions(), seed=0)
     with pytest.raises(ValueError):
         DataMiner(server).recommend_options()
-
-
-# ---------------------------------------------------------------- feedback
-def test_adaptive_session_improves_or_matches(small_spec):
-    session = AdaptiveFlowSession(spec=small_spec, objective="flow.area", seed=4)
-    best = session.run_campaign(n_seed=8, n_adaptive=3,
-                                base_options=FlowOptions(target_clock_ghz=0.8))
-    assert best.area > 0
-    assert len(session.history) == 11
-    assert session.n_seed_runs == 8
-    ratio = session.improvement()
-    assert ratio <= 1.1  # the loop must not make things materially worse
-
-
-def test_adaptive_session_ranks_by_configured_objective(small_spec):
-    """best_result must honor the objective, not hardcode area."""
-    session = AdaptiveFlowSession(spec=small_spec, objective="signoff.power",
-                                  seed=4)
-    best = session.run_campaign(n_seed=8, n_adaptive=2,
-                                base_options=FlowOptions(target_clock_ghz=0.8))
-    successes = [r for r in session.history if r.success]
-    assert best.power == min(r.power for r in successes)
-    assert session.improvement() <= 1.1
-
-
-def test_adaptive_session_executor_matches_serial(small_spec):
-    """An executor-backed campaign (collector, 2 workers) reproduces the
-    serial campaign bit-identically and lands worker metrics centrally."""
-    from repro.core.parallel import FlowExecutor
-    from repro.metrics import MetricsCollector
-
-    base = FlowOptions(target_clock_ghz=0.8)
-    serial = AdaptiveFlowSession(spec=small_spec, objective="flow.area", seed=4)
-    serial_best = serial.run_campaign(n_seed=8, n_adaptive=2, base_options=base)
-
-    server = MetricsServer()
-    with MetricsCollector(server, cross_process=True) as collector:
-        with FlowExecutor(n_workers=2, cache=None,
-                          collector=collector) as executor:
-            session = AdaptiveFlowSession(spec=small_spec,
-                                          objective="flow.area", seed=4,
-                                          server=server)
-            best = session.run_campaign(n_seed=8, n_adaptive=2,
-                                        base_options=base, executor=executor)
-    assert session.history == serial.history
-    assert best == serial_best
-    assert not session.failures
-    assert set(session.run_ids) <= set(server.runs())
-    # every campaign run has worker-side step metrics on the server
-    for run_id in session.run_ids:
-        assert "flow.area" in server.run_vector(run_id)
-
-
-def test_adaptive_session_rejects_foreign_collector(small_spec):
-    from repro.core.parallel import FlowExecutor
-    from repro.metrics import MetricsCollector
-
-    with MetricsCollector(MetricsServer(), cross_process=False) as collector:
-        with FlowExecutor(n_workers=1, collector=collector) as executor:
-            session = AdaptiveFlowSession(spec=small_spec)  # its own server
-            with pytest.raises(ValueError):
-                session.run_campaign(n_seed=8, executor=executor)
-
-
-def test_adaptive_session_validation(small_spec):
-    session = AdaptiveFlowSession(spec=small_spec)
-    with pytest.raises(ValueError):
-        session.run_campaign(n_seed=4)
-    with pytest.raises(RuntimeError):
-        AdaptiveFlowSession(spec=small_spec).best_result()

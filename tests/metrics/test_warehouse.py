@@ -123,8 +123,8 @@ def test_miner_trains_across_campaigns(warehouse):
         miner = DataMiner(server, seed=0)
         for campaign in ("c1", "c2"):
             with pytest.raises(ValueError):
-                miner.recommend_options("flow.area", campaign=campaign)
-        rec = miner.recommend_options("flow.area")
+                miner.recommend_options("area", campaign=campaign)
+        rec = miner.recommend_options("area")
         assert rec.options
         assert np.isfinite(rec.predicted_objective)
 

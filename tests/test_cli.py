@@ -170,3 +170,41 @@ def test_stage_cache_flag_on_campaign_parsers():
     assert args.stage_cache is True
     args = parser.parse_args(["dse"])
     assert args.stage_cache is False
+
+
+def _monotone_archive(path):
+    """Sixteen successful flow runs whose area and achieved frequency
+    both rise with utilization, the one setting that varies, persisted
+    as a JSONL store."""
+    import numpy as np
+
+    from repro.metrics import MetricsServer, Transmitter
+
+    with MetricsServer(persist_path=str(path)) as server:
+        for i, util in enumerate(np.linspace(0.55, 0.85, 16)):
+            with Transmitter(server, "alpha", f"alpha-{i}", tool="spr_flow") as tx:
+                tx.send("option.utilization", float(util))
+                tx.send("flow.target_ghz", 0.8)
+                tx.send("flow.area", 100.0 + 50.0 * float(util))
+                tx.send("flow.achieved_ghz", 0.4 + float(util))
+                tx.send("flow.success", 1.0)
+
+
+def _recommended_utilization(out):
+    line = next(l for l in out.splitlines() if l.startswith("recommendation ("))
+    return float(line.split("option.utilization=")[1].split()[0])
+
+
+def test_metrics_summary_recommend_honours_the_objective_direction(capsys, tmp_path):
+    """``--recommend`` takes a campaign objective: area is minimized
+    (low utilization), frequency maximized (high utilization), and an
+    objective the store cannot express is reported, exit code 1."""
+    store = tmp_path / "monotone.jsonl"
+    _monotone_archive(store)
+    summary = ["metrics", "summary", "--in", str(store), "--recommend"]
+    assert main(summary + ["area"]) == 0
+    assert _recommended_utilization(capsys.readouterr().out) < 0.6
+    assert main(summary + ["frequency"]) == 0
+    assert _recommended_utilization(capsys.readouterr().out) > 0.8
+    assert main(summary + ["power"]) == 1
+    assert "cannot mine a recommendation" in capsys.readouterr().out

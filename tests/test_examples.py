@@ -47,3 +47,11 @@ def test_design_cost_explorer_runs(capsys):
     out = capsys.readouterr().out
     assert "footnote-1 anchors" in out
     assert "Design Capability Gap" in out
+
+
+def test_metrics_campaign_runs(capsys):
+    _load("metrics_campaign").main()
+    out = capsys.readouterr().out
+    assert out.count("[seed ]") == 10
+    assert out.count("[mined]") == 6
+    assert "improvement ratio vs seed phase" in out
