@@ -7,6 +7,7 @@ accounting.  Strategy-specific payloads ride in optional fields —
 ``best_assign`` and ``total_moves`` for the landscape searchers,
 ``records`` (one :class:`~repro.core.bandit.regret.BanditRunRecord`
 per pull), ``n_iterations`` and ``n_concurrent`` for the bandit,
+``records`` (every run's outcome in run order) for the ``miner`` loop,
 ``pareto`` for flow campaigns.
 """
 

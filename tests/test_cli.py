@@ -199,6 +199,10 @@ def test_metrics_summary_recommend_honours_the_objective_direction(capsys, tmp_p
     """``--recommend`` takes a campaign objective: area is minimized
     (low utilization), frequency maximized (high utilization), and an
     objective the store cannot express is reported, exit code 1."""
+    from repro.cli import _OBJECTIVES
+    from repro.dse.objective import OBJECTIVES
+
+    assert _OBJECTIVES == list(OBJECTIVES)  # the names dse --objective takes
     store = tmp_path / "monotone.jsonl"
     _monotone_archive(store)
     summary = ["metrics", "summary", "--in", str(store), "--recommend"]
