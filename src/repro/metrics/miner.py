@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.dse.objective import resolve_objective
 from repro.metrics.server import MetricsServer
 from repro.metrics.store import dense_table
 from repro.metrics.wrappers import OPTION_METRICS, RunVectorView
@@ -120,14 +119,18 @@ class DataMiner:
         learned model.
 
         Fits a random forest (options -> ``objective.value``) on every
-        collected flow run, failed runs included, each read through its
-        :class:`~repro.metrics.wrappers.RunVectorView`; a second forest
-        on ``flow.success`` rejects candidates predicted to fail.  The
+        collected flow run whose value is finite, failed runs included,
+        each read through its :class:`~repro.metrics.wrappers.RunVectorView`
+        (a ``pareto`` value is ``-inf`` for a failed run, so only its
+        successful runs train it); a second forest on ``flow.success``,
+        over every flow run, rejects candidates predicted to fail.  The
         search keeps the predicted minimum of a ``"min"`` objective and
         the maximum of a ``"max"`` one, over candidate settings drawn
         from the observed option ranges plus the observed settings."""
+        from repro.dse.objective import resolve_objective
+
         objective = resolve_objective(objective)
-        run_ids, vectors, matrix, index = self._table(design, campaign)
+        _, vectors, matrix, index = self._table(design, campaign)
         present = [o for o, _ in OPTION_METRICS if o in index]
         if not present:
             raise ValueError("no option metrics collected")
@@ -135,15 +138,16 @@ class DataMiner:
             y = np.array([objective.value(RunVectorView(v)) for v in vectors])
         except KeyError:
             raise KeyError(f"objective {objective.name!r} not collected") from None
-        if not np.isfinite(y).all():
-            raise ValueError(f"objective {objective.name!r} is not finite on every run")
-        if len(run_ids) < MIN_MINED_RUNS:
+        trained = np.isfinite(y)
+        if trained.sum() < MIN_MINED_RUNS:
             raise ValueError(
-                f"need at least {MIN_MINED_RUNS} runs to mine recommendations")
+                f"need at least {MIN_MINED_RUNS} runs with a finite "
+                f"{objective.name!r} to mine recommendations")
         X = matrix[:, [index[o] for o in present]]
+        y = y[trained]
         model = RandomForestRegressor(n_estimators=40, max_depth=6, random_state=self.seed)
-        model.fit(X, y)
-        r2 = r2_score(y, model.predict(X))
+        model.fit(X[trained], y)
+        r2 = r2_score(y, model.predict(X[trained]))
 
         success_model = None
         if "flow.success" in index:

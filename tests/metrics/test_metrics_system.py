@@ -279,6 +279,33 @@ def test_miner_prescribes_frequency(mined_server, small_netlist):
     assert conservative <= aggressive
 
 
+def _pareto_archive(n_runs, failed):
+    """``n_runs`` flow runs whose area rises with utilization, the one
+    setting that varies; the runs at the ``failed`` indices fail."""
+    server = MetricsServer()
+    for i, util in enumerate(np.linspace(0.55, 0.85, n_runs)):
+        with Transmitter(server, "alpha", f"alpha-{i}", tool="spr_flow") as tx:
+            tx.send("option.utilization", float(util))
+            tx.send("flow.target_ghz", 0.8)
+            tx.send("flow.area", 100.0 + 50.0 * float(util))
+            tx.send("signoff.wns", 0.0)
+            tx.send("signoff.power", 1.0)
+            tx.send("flow.success", float(i not in failed))
+    return server
+
+
+def test_miner_mines_pareto_over_its_successful_runs():
+    """A ``pareto`` value is ``-inf`` on a failed run, so only the
+    successful runs train it: an archive with failed flows still
+    answers (at the low-area end), and one with fewer than eight
+    successes says so."""
+    rec = DataMiner(_pareto_archive(12, {3, 7, 11}), seed=0).recommend_options("pareto")
+    assert np.isfinite(rec.predicted_objective)
+    assert rec.options["option.utilization"] < 0.6
+    with pytest.raises(ValueError, match="at least 8 runs with a finite 'pareto'"):
+        DataMiner(_pareto_archive(12, {1, 3, 5, 7, 9}), seed=0).recommend_options("pareto")
+
+
 def test_miner_needs_enough_runs(small_spec):
     server = MetricsServer()
     InstrumentedFlow(server).run(small_spec, FlowOptions(), seed=0)
