@@ -25,9 +25,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.parallel import FlowExecutionError, FlowJob
+from repro.core.parallel import FlowJob
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
+from repro.dse.strategies.runs import record_run
 from repro.eda.flow import FlowOptions
 from repro.metrics.miner import FLOW_RUN_METRIC, MIN_MINED_RUNS, DataMiner
 from repro.metrics.wrappers import OPTION_METRICS
@@ -99,23 +100,7 @@ class MinerStrategy(Strategy):
             jobs = [FlowJob(task, options, seed) for options, seed in points]
             for run in executor.run_jobs(jobs, stop_callback=ctx.stop_callback):
                 result.records.append(run)
-                result.n_runs += 1
-                ctx.tracker.charge_runs(1)
-                if isinstance(run, FlowExecutionError):
-                    result.n_failed += 1
-                    result.failures.append(run)
-                    result.all_scores.append(-np.inf)
-                else:
-                    result.total_runtime_proxy += run.runtime_proxy
-                    ctx.tracker.charge_proxy(run.runtime_proxy)
-                    key = objective.key(run)
-                    result.all_scores.append(key)
-                    result.pareto = objective.update_front(result.pareto, run)
-                    if key > best_key:
-                        best_key = key
-                        result.best_result = run
-                        result.best_score = objective.value(run)
-                result.trace.append(result.best_score)
+                best_key = record_run(result, ctx, run, best_key)
 
         if not ctx.tracker.exhausted:
             run_batch(seed_points)

@@ -12,14 +12,12 @@ identical QoR.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.parallel import FlowExecutionError, FlowJob
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
-from repro.eda.flow import FlowResult
+from repro.dse.strategies.runs import record_run
 
 
 @register_strategy
@@ -52,7 +50,6 @@ class SweepStrategy(Strategy):
         result = DSEResult(method=self.name, objective=objective.name,
                            best_score=-np.inf, n_concurrent=n_concurrent)
         best_key = -np.inf
-        front: List[FlowResult] = []
         for lo in range(0, len(points), n_concurrent):
             if ctx.tracker.exhausted:
                 break
@@ -63,25 +60,8 @@ class SweepStrategy(Strategy):
             ]
             outcomes = executor.run_jobs(jobs, stop_callback=ctx.stop_callback)
             for point, run in zip(batch, outcomes):
-                result.n_runs += 1
-                ctx.tracker.charge_runs(1)
-                if isinstance(run, FlowExecutionError):
-                    result.n_failed += 1
-                    result.failures.append(run)
-                    result.all_scores.append(-np.inf)
-                    continue
-                result.total_runtime_proxy += run.runtime_proxy
-                ctx.tracker.charge_proxy(run.runtime_proxy)
-                key = objective.key(run)
-                result.all_scores.append(key)
-                front = objective.update_front(front, run)
-                if ctx.surrogate is not None:
-                    ctx.surrogate.observe(
-                        ctx.surrogate.point_features(space, point), key)
-                if key > best_key:
-                    best_key = key
-                    result.best_result = run
-                    result.best_score = objective.value(run)
-                result.trace.append(result.best_score)
-        result.pareto = front
+                best_key = record_run(result, ctx, run, best_key)
+                if ctx.surrogate is not None and not isinstance(run, FlowExecutionError):
+                    ctx.surrogate.observe(ctx.surrogate.point_features(space, point),
+                                          result.all_scores[-1])
         return result

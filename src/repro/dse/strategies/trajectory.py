@@ -28,6 +28,7 @@ from repro.core.parallel import FlowExecutionError, FlowJob
 from repro.core.parallel.executor import _kill_proxy_saved
 from repro.dse.registry import Strategy, register_strategy
 from repro.dse.result import DSEResult
+from repro.dse.strategies.runs import file_run
 from repro.eda.flow import FlowResult
 
 
@@ -58,7 +59,6 @@ class TrajectoryStrategy(Strategy):
         result = DSEResult(method=self.name, objective=objective.name,
                            best_score=-np.inf)
         best_key = -np.inf
-        front: List[FlowResult] = []
         for _ in range(n_rounds):
             if ctx.tracker.exhausted:
                 break
@@ -72,20 +72,13 @@ class TrajectoryStrategy(Strategy):
             outcomes = executor.run_jobs(jobs, stop_callback=ctx.stop_callback)
             scored: List[Tuple[float, Dict, Optional[FlowResult]]] = []
             for trajectory, run in zip(trajectories, outcomes):
-                result.n_runs += 1
-                ctx.tracker.charge_runs(1)
+                key = file_run(result, ctx, run)
                 if isinstance(run, FlowExecutionError):
-                    result.n_failed += 1
-                    result.failures.append(run)
-                    scored.append((-np.inf, trajectory, None))
+                    scored.append((key, trajectory, None))
                     continue
-                result.total_runtime_proxy += run.runtime_proxy
-                ctx.tracker.charge_proxy(run.runtime_proxy)
                 if _kill_proxy_saved(run) is not None:
                     result.n_pruned += 1
-                key = objective.key(run)
                 scored.append((key, trajectory, run))
-                front = objective.update_front(front, run)
                 if ctx.surrogate is not None:
                     ctx.surrogate.observe(
                         ctx.surrogate.point_features(space, trajectory), key)
@@ -108,5 +101,4 @@ class TrajectoryStrategy(Strategy):
                     trajectories.append(ctx.surrogate.propose(space, donor, rng))
                 else:
                     trajectories.append(space.perturb(donor, rng))
-        result.pareto = front
         return result
